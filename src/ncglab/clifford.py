@@ -23,7 +23,7 @@ for tiny ``n`` (cross-checking); everything else works through the formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,6 +120,13 @@ class PhaseFamily:
     pairwise_independent: affine Z4 evaluations; every coordinate pair is
         exactly uniform over the 16 phase pairs, with only O(n^2) members.
     monte_carlo: seeded i.i.d. samples, uniform weights.
+
+    Every average below depends on a member only through its parity
+    pattern O_j = [w_j imaginary]: (Re, Im) of a_j w_j is +-(x_j, y_j) for
+    w_j = +-1 and +-(-y_j, x_j) for w_j = +-i, and the sign cancels in the
+    sums p, q, r (see _pqr). parity keeps the P distinct patterns and
+    class_weights their summed weights; P = 64 for the 4096-member
+    exhaustive family at n=6.
     """
 
     mode: str
@@ -128,6 +135,17 @@ class PhaseFamily:
     weights: np.ndarray  # (members,) summing to 1
     seed: int | None = None
     sample_count: int | None = None
+    parity: np.ndarray = field(init=False, repr=False)  # (P, n), 1.0 where w_j is imaginary
+    class_weights: np.ndarray = field(init=False, repr=False)  # (P,) summed weights
+
+    def __post_init__(self):
+        odd = self.phases.imag != 0.0
+        # one opaque byte string per member's packed pattern, so unique is a 1-d sort
+        packed = np.packbits(odd, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        self.parity = odd[first].astype(np.float64)
+        self.class_weights = np.bincount(inverse, weights=self.weights)
 
     @property
     def size(self) -> int:
@@ -184,16 +202,27 @@ class NormEstimate:
     stderr: float = 0.0
 
 
-def _family_trace_norms(a: np.ndarray, family: PhaseFamily) -> np.ndarray:
-    """Vectorized trace_norm_formula(a o w) over all members w."""
-    b = a[None, :] * family.phases
-    x, y = b.real, b.imag
-    p = (x * x).sum(axis=1)
-    q = (y * y).sum(axis=1)
-    r = (x * y).sum(axis=1)
-    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
-    s = float(np.sum(np.abs(a) ** 2))
-    return 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
+def _rows(a, family: PhaseFamily) -> np.ndarray:
+    """a as (V, n) complex rows; anything but a (V, n) batch is one row."""
+    a = np.asarray(a, dtype=np.complex128)
+    rows = a if a.ndim == 2 else a.reshape(1, -1)
+    if rows.shape[1] != family.n:
+        raise ValueError(f"vector length {rows.shape[1]} does not match family n={family.n}")
+    return rows
+
+
+def _pqr(rows: np.ndarray, family: PhaseFamily):
+    """Sums p, q, r of Re(b)^2, Im(b)^2 and Re(b) Im(b) over b = a o w, per
+    row a = x + iy of ``rows`` (V, n) and per parity class O; each (V, P).
+    With E = 1 - O they are exactly p = E.x^2 + O.y^2, q = E.y^2 + O.x^2
+    and r = (E - O).xy for every member of the class (see PhaseFamily), so
+    the sums over members collapse to matmuls over the P classes.
+    """
+    x, y = rows.real, rows.imag
+    odd = family.parity
+    even = 1.0 - odd
+    xx, yy = x * x, y * y
+    return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ (even - odd).T
 
 
 def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
@@ -203,15 +232,17 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     Standard basis vectors give exactly 1 (a o w is purely real or purely
     imaginary, so L vanishes). Monte-Carlo mode reports a standard error.
     """
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if a.size != family.n:
-        raise ValueError(f"vector length {a.size} does not match family n={family.n}")
-    vals = _family_trace_norms(a, family)
-    value = float(vals @ family.weights)
-    if family.mode == "monte_carlo":
-        stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    else:
-        stderr = 0.0
+    rows = _rows(np.reshape(a, -1), family)
+    p, q, r = _pqr(rows, family)
+    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))[0]
+    s = float(np.sum(np.abs(rows) ** 2))
+    vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
+    value = float(vals @ family.class_weights)
+    stderr = 0.0
+    if family.mode == "monte_carlo" and family.size > 1:
+        # member sample variance; class_weights are class sizes over size
+        spread = float(family.class_weights @ (vals - value) ** 2)
+        stderr = math.sqrt(spread / (family.size - 1))
     return NormEstimate(value=value, stderr=stderr)
 
 
@@ -228,60 +259,53 @@ def randphase_second_moment(a, family: PhaseFamily) -> float:
     """4 E_w[ L(a o w)^2 ]; equals ||a||_2^4 - ||a||_4^4 exactly under any
     family whose coordinate pairs are uniform (pairwise terms are all the
     proof of that identity uses)."""
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if a.size != family.n:
-        raise ValueError(f"vector length {a.size} does not match family n={family.n}")
-    b = a[None, :] * family.phases
-    x, y = b.real, b.imag
-    p = (x * x).sum(axis=1)
-    q = (y * y).sum(axis=1)
-    r = (x * y).sum(axis=1)
-    lam2 = p * q - r * r
-    return 4.0 * float(lam2 @ family.weights)
+    p, q, r = _pqr(_rows(np.reshape(a, -1), family), family)
+    return 4.0 * float((p * q - r * r)[0] @ family.class_weights)
 
 
 def embedding_norm_and_gradient(a, family: PhaseFamily):
     """Value and subgradient of a -> E_w[ ||C(a o w)||_S1 ].
 
-    The gradient is packed as a complex vector g with d/dx_j = Re g_j and
+    ``a`` is one vector (n,), giving (float, (n,) gradient), or a batch of
+    rows (V, n), giving ((V,) values, (V, n) gradients) in one pass. The
+    gradient is packed as a complex vector g with d/dx_j = Re g_j and
     d/dy_j = Im g_j for a = x + iy, so an ascent step is simply a + t*g.
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if a.size != family.n:
-        raise ValueError(f"vector length {a.size} does not match family n={family.n}")
-    x, y = a.real, a.imag
-    s = float(x @ x + y @ y)
-    if s == 0.0:
-        return 0.0, np.zeros_like(a)
-    c, sn = family.phases.real, family.phases.imag
-    rb = c * x - sn * y
-    ib = sn * x + c * y
-    p = (rb * rb).sum(axis=1)
-    q = (ib * ib).sum(axis=1)
-    r = (rb * ib).sum(axis=1)
-    u = np.maximum(p * q - r * r, 0.0)
-    lam = np.sqrt(u)
+    rows = _rows(a, family)
+    x, y = rows.real, rows.imag
+    s = np.sum(x * x + y * y, axis=1)
+    nonzero = s > 0.0
+    # A zero row has value and gradient 0. Setting s = 1 there only keeps the
+    # inverse square roots finite; its x = y = 0 zero the gradient.
+    s = np.where(nonzero, s, 1.0)[:, None]
+    p, q, r = _pqr(rows, family)
+    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     sqrt_plus = np.sqrt(s + 2 * lam)
     sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
-    vals = 0.5 * (sqrt_plus + sqrt_minus)
-    value = float(vals @ family.weights)
+    w = family.class_weights
+    value = np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0)
 
-    guard = 1e-12 * s
     inv_plus = 1.0 / sqrt_plus
-    inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, guard))
+    inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))
     dgds = 0.25 * (inv_plus + inv_minus)
     # d/d(L^2) has the finite limit -1/(2 s^(3/2)) as L -> 0.
-    small = lam < 1e-9 * s
-    dgdu = np.where(small, -0.25 / s**1.5,
+    dgdu = np.where(lam < 1e-9 * s, -0.25 / s**1.5,
                     (inv_plus - inv_minus) / (4.0 * np.maximum(lam, 1e-300)))
-    dudx = q[:, None] * (2 * rb * c) + p[:, None] * (2 * ib * sn) - 2 * r[:, None] * (ib * c + rb * sn)
-    dudy = q[:, None] * (-2 * rb * sn) + p[:, None] * (2 * ib * c) - 2 * r[:, None] * (rb * c - ib * sn)
-    w = family.weights
-    gx = float(dgds @ w) * 2 * x + ((dgdu * w)[:, None] * dudx).sum(axis=0)
-    gy = float(dgds @ w) * 2 * y + ((dgdu * w)[:, None] * dudy).sum(axis=0)
-    return value, gx + 1j * gy
+    # d(L^2)/dx_j = 2 x_j (q E_j + p O_j) - 2 r (E_j - O_j) y_j, and
+    # d(L^2)/dy_j = 2 y_j (q O_j + p E_j) - 2 r (E_j - O_j) x_j.
+    odd = family.parity
+    even = 1.0 - odd
+    c = dgdu * w
+    gs = (dgds @ w)[:, None]
+    cross = (c * r) @ (even - odd)
+    gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
+    gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
+    grad = gx + 1j * gy
+    if np.ndim(a) != 2:
+        return float(value[0]), grad[0]
+    return value, grad
 
 
 def materialize_embedding(a, *, max_n: int = 3) -> np.ndarray:

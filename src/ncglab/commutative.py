@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import NormEstimate
 from .config import ENUMERATION_CAP
 
 REAL_LIMIT = math.sqrt(2.0 / math.pi)
@@ -22,7 +23,8 @@ COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
 
 _COMPLEX_PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# Per-chunk entry budget for streamed Monte-Carlo estimation.
+# Per-chunk entry budget for streamed Monte-Carlo estimation and batched
+# exhaustive gradients.
 _CHUNK_ENTRIES = 2**22
 
 
@@ -71,19 +73,15 @@ def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
     return _COMPLEX_PHASES[digits]
 
 
-def _check_vector(a, ens: SignEnsemble) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    if a.size != ens.n:
-        raise ValueError(f"vector length {a.size} does not match ensemble n={ens.n}")
-    if ens.field == "real" and np.any(a.imag != 0.0):
+def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
+    """a as (V, n) complex rows; anything but a (V, n) batch is one row."""
+    a = np.asarray(a, dtype=np.complex128)
+    rows = a if a.ndim == 2 else a.reshape(1, -1)
+    if rows.shape[1] != ens.n:
+        raise ValueError(f"vector length {rows.shape[1]} does not match ensemble n={ens.n}")
+    if ens.field == "real" and np.any(rows.imag != 0.0):
         raise ValueError("real ensemble requires a real-valued vector")
-    return a
-
-
-@dataclass
-class NormEstimate:
-    value: float
-    stderr: float = 0.0
+    return rows
 
 
 def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
@@ -92,7 +90,7 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     Exhaustive mode is exact (stderr 0); monte_carlo streams seeded chunks
     and reports the sample standard error.
     """
-    a = _check_vector(a, ens)
+    a = _check_rows(np.reshape(a, -1), ens)[0]
     if ens.mode == "exhaustive":
         members = exhaustive_members(ens)
         value = float(np.abs(members @ a).mean())
@@ -124,19 +122,27 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
 
 def embedding_l1_gradient(a, ens: SignEnsemble):
     """Value and subgradient of a -> E|<a, Z>| (complex-packed like the
-    matrix-embedding gradient: d/dx_j = Re g_j, d/dy_j = Im g_j)."""
-    a = _check_vector(a, ens)
+    matrix-embedding gradient: d/dx_j = Re g_j, d/dy_j = Im g_j).
+
+    ``a`` is one vector (n,), giving (float, (n,) gradient), or rows (V, n),
+    giving ((V,) values, (V, n) gradients) in chunks of ~_CHUNK_ENTRIES.
+    """
+    rows = _check_rows(a, ens)
     members = exhaustive_members(ens)
-    w = members @ a
-    mags = np.abs(w)
-    value = float(mags.mean())
-    nonzero = mags > 0.0
-    unit = np.zeros_like(w)
-    unit[nonzero] = w[nonzero] / mags[nonzero]
-    grad = (unit[:, None] * members.conj()).mean(axis=0)
+    values = np.empty(rows.shape[0])
+    grads = np.empty(rows.shape, dtype=np.complex128)
+    chunk = max(1, _CHUNK_ENTRIES // members.shape[0])
+    for lo in range(0, rows.shape[0], chunk):
+        w = rows[lo:lo + chunk] @ members.T
+        mags = np.abs(w)
+        values[lo:lo + chunk] = mags.mean(axis=1)
+        unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
+        grads[lo:lo + chunk] = (unit @ members.conj()) / members.shape[0]
     if ens.field == "real":
-        grad = grad.real.astype(np.complex128)
-    return value, grad
+        grads = grads.real.astype(np.complex128)
+    if np.ndim(a) != 2:
+        return float(values[0]), grads[0]
+    return values, grads
 
 
 def spread_ratio(a) -> float:

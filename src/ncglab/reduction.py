@@ -29,6 +29,7 @@ from . import clifford, commutative
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS,
                      ENUMERATION_CAP, SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
+from .solvers import _sphere_ascent
 
 
 class DecodeInvariantError(RuntimeError):
@@ -149,10 +150,11 @@ def assignment_to_field(inst: LabelCoverInstance, labels) -> np.ndarray:
 class EmbeddingBackend:
     """A concrete embedding f with its dictatorship-test constants.
 
-    norm(a) evaluates ||f(a)||; norm_and_gradient additionally returns the
-    complex-packed subgradient used by the ascent. bound(a) is the analytic
-    upper bound on norm(a); delta(eps), when available, is the spread
-    threshold paired with (eta, tau).
+    kernel is the matrix embedding's PhaseFamily or a scalar SignEnsemble.
+    norm(a) evaluates ||f(a)||; norm_and_gradient maps a vector (n,) or a
+    field (V, n) to norms and complex-packed subgradients in one call.
+    bound(a) is the analytic upper bound on norm(a); delta(eps), for the
+    matrix embedding, is the spread threshold paired with (eta, tau).
     """
 
     name: str
@@ -160,25 +162,32 @@ class EmbeddingBackend:
     eta: float
     tau: float
     is_real: bool
-    _norm: object
-    _norm_and_gradient: object
-    _bound: object
-    _delta: object = None
+    kernel: clifford.PhaseFamily | commutative.SignEnsemble
+
+    @property
+    def _is_matrix(self) -> bool:
+        return isinstance(self.kernel, clifford.PhaseFamily)
 
     def norm(self, a) -> float:
-        return self._norm(a)
+        if self._is_matrix:
+            return clifford.dictator_embedding_norm(a, self.kernel).value
+        return commutative.embedding_l1_norm(a, self.kernel).value
 
     def norm_and_gradient(self, a):
-        return self._norm_and_gradient(a)
+        if self._is_matrix:
+            return clifford.embedding_norm_and_gradient(a, self.kernel)
+        return commutative.embedding_l1_gradient(a, self.kernel)
 
     def bound(self, a) -> float:
-        return self._bound(a)
+        if self._is_matrix:
+            return clifford.embedding_norm_bound(a)
+        return float(np.linalg.norm(np.asarray(a).reshape(-1)))
 
     def delta(self, eps: float) -> float:
-        if self._delta is None:
+        if not self._is_matrix:
             raise ValueError(f"backend {self.name!r} has no derived spread threshold; "
                              "pass delta explicitly")
-        return self._delta(eps)
+        return clifford.EmbeddingSpec(n=self.n).delta(eps)
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
@@ -187,25 +196,15 @@ def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = Non
     family = clifford.build_phase_family(n, mode, seed=seed, sample_count=sample_count,
                                          enumeration_cap=enumeration_cap)
     spec = clifford.EmbeddingSpec(n=n)
-    return EmbeddingBackend(
-        name="clifford", n=n, eta=spec.eta, tau=spec.tau, is_real=False,
-        _norm=lambda a: clifford.dictator_embedding_norm(a, family).value,
-        _norm_and_gradient=lambda a: clifford.embedding_norm_and_gradient(a, family),
-        _bound=clifford.embedding_norm_bound,
-        _delta=spec.delta,
-    )
+    return EmbeddingBackend(name="clifford", n=n, eta=spec.eta, tau=spec.tau,
+                            is_real=False, kernel=family)
 
 
 def _comm_backend(n: int, fld: str, tau: float, mode: str, seed, sample_count) -> EmbeddingBackend:
     ens = commutative.SignEnsemble(field=fld, n=n, mode=mode, seed=seed,
                                    sample_count=sample_count)
-    return EmbeddingBackend(
-        name=f"comm_{fld}", n=n, eta=1.0, tau=tau, is_real=(fld == "real"),
-        _norm=lambda a: commutative.embedding_l1_norm(a, ens).value,
-        _norm_and_gradient=lambda a: commutative.embedding_l1_gradient(a, ens),
-        _bound=lambda a: float(np.linalg.norm(np.asarray(a).reshape(-1))),
-        _delta=None,
-    )
+    return EmbeddingBackend(name=f"comm_{fld}", n=n, eta=1.0, tau=tau,
+                            is_real=(fld == "real"), kernel=ens)
 
 
 def comm_real_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
@@ -371,20 +370,12 @@ class AscentResult:
 
 def _objective_and_gradient(coords, basis: SubspaceBasis, backend: EmbeddingBackend):
     """h(z) = E_v ||f((basis @ z)_v)|| and its complex-packed gradient in z."""
-    fld = basis.to_field(coords)
-    value = 0.0
-    grad_flat = np.zeros(basis.num_vertices * basis.n, dtype=np.complex128)
-    for v in range(basis.num_vertices):
-        val, g = backend.norm_and_gradient(fld[v])
-        value += val
-        grad_flat[v * basis.n:(v + 1) * basis.n] = g
-    value /= basis.num_vertices
-    grad_flat /= basis.num_vertices
+    values, grads = backend.norm_and_gradient(basis.to_field(coords))
     # chain rule onto coordinates; basis is real so a plain transpose suffices
-    grad_coords = basis.basis.T @ grad_flat
+    grad_coords = basis.basis.T @ (grads.reshape(-1) / basis.num_vertices)
     if backend.is_real:
         grad_coords = grad_coords.real.astype(np.complex128)
-    return value, grad_coords
+    return float(np.mean(values)), grad_coords
 
 
 def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBackend, *,
@@ -403,33 +394,8 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
         return AscentResult(value=0.0,
                             field=np.zeros((inst.num_vertices, inst.n), dtype=np.complex128),
                             degenerate=True)
-
-    rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_coords = None
-    for _ in range(restarts):
-        z = rng.normal(size=basis.dim)
-        if not backend.is_real:
-            z = z + 1j * rng.normal(size=basis.dim)
-        z = z / np.linalg.norm(z)
-        value, grad = _objective_and_gradient(z, basis, backend)
-        step = 0.5
-        for _ in range(iters):
-            improved = False
-            while step >= 1e-12:
-                cand = z + step * grad
-                cand = cand / np.linalg.norm(cand)
-                cand_value, cand_grad = _objective_and_gradient(cand, basis, backend)
-                if cand_value > value + 1e-15:
-                    z, value, grad = cand, cand_value, cand_grad
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if value > best_value:
-            best_value = value
-            best_coords = z
-    return AscentResult(value=float(best_value), field=basis.to_field(best_coords),
+    value, coords = _sphere_ascent(
+        lambda z: _objective_and_gradient(z, basis, backend), basis.dim,
+        complex_start=not backend.is_real, restarts=restarts, iters=iters, seed=seed)
+    return AscentResult(value=value, field=basis.to_field(coords),
                         degenerate=False, restarts_run=restarts)

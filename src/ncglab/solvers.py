@@ -67,18 +67,8 @@ def little_op_from_comm(ens: commutative.SignEnsemble) -> LittleOperator:
 def little_op_from_clifford(n: int, *, max_n: int = 3) -> LittleOperator:
     """Materialize the phase-averaged matrix embedding at tiny n:
     f(e_i) = (+)_w w_i C_i over the exhaustive phase family."""
-    if n > max_n:
-        raise ValueError(f"clifford materialization limited to n <= {max_n}")
-    gens = clifford.make_generators(n)
-    family = clifford.build_phase_family(n, "exhaustive")
-    dim = gens.dim * family.size
-    images = np.zeros((n, dim, dim), dtype=np.complex128)
-    for i in range(n):
-        blocks = [w[i] * gens.matrices[i] for w in family.phases]
-        for b_idx, block in enumerate(blocks):
-            lo = b_idx * gens.dim
-            images[i, lo:lo + gens.dim, lo:lo + gens.dim] = block
-    return LittleOperator(images=images)
+    return LittleOperator(images=np.stack([clifford.materialize_embedding(e, max_n=max_n)
+                                           for e in np.eye(n)]))
 
 
 def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
@@ -240,6 +230,37 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
                      restarts_run=restarts)
 
 
+def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: int,
+                   iters: int, seed: int):
+    """Best (value, point) over restarts of backtracking subgradient ascent on
+    the unit sphere of C^dim, given z -> (value, complex-packed gradient).
+    Starts draw normal(dim), then + 1j * normal(dim) when complex_start."""
+    rng = np.random.default_rng(seed)
+    best_value, best_z = -np.inf, None
+    for _ in range(restarts):
+        z = rng.normal(size=dim)
+        if complex_start:
+            z = z + 1j * rng.normal(size=dim)
+        z = z / np.linalg.norm(z)
+        value, grad = norm_and_grad(z)
+        step = 0.5
+        for _ in range(iters):
+            while step >= 1e-12:
+                cand = z + step * grad
+                cand = cand / np.linalg.norm(cand)
+                cand_value, cand_grad = norm_and_grad(cand)
+                if cand_value > value + 1e-15:
+                    z, value, grad = cand, cand_value, cand_grad
+                    step *= 1.3
+                    break
+                step *= 0.5
+            else:  # no step size improved on z
+                break
+        if value > best_value:
+            best_value, best_z = value, z
+    return float(best_value), best_z
+
+
 def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTARTS,
                             iters: int = DEFAULT_ITERS, seed: int = 0):
     """Heuristic lower bound on sup_{||a||=1} ||F(a)||_S1 by sphere ascent
@@ -247,8 +268,6 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
 
     Returns (value, maximizing vector).
     """
-    rng = np.random.default_rng(seed)
-
     def norm_and_grad(a):
         m = op.apply(a)
         u, s, vh = np.linalg.svd(m)
@@ -257,26 +276,5 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
         # complex-packed subgradient: conj of (1/d) Tr(direction^H f_m)
         return value, np.einsum("mij,ij->m", op.images.conj(), direction) / op.d
 
-    best_value, best_a = -np.inf, None
-    for _ in range(restarts):
-        a = rng.normal(size=op.n) + 1j * rng.normal(size=op.n)
-        a = a / np.linalg.norm(a)
-        value, grad = norm_and_grad(a)
-        step = 0.5
-        for _ in range(iters):
-            improved = False
-            while step >= 1e-12:
-                cand = a + step * grad
-                cand = cand / np.linalg.norm(cand)
-                cand_value, cand_grad = norm_and_grad(cand)
-                if cand_value > value + 1e-15:
-                    a, value, grad = cand, cand_value, cand_grad
-                    step *= 1.3
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if value > best_value:
-            best_value, best_a = value, a
-    return float(best_value), best_a
+    return _sphere_ascent(norm_and_grad, op.n, complex_start=True, restarts=restarts,
+                          iters=iters, seed=seed)

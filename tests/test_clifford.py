@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncglab import clifford, linalg
 from ncglab.clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
@@ -9,6 +13,31 @@ INV_SQRT2 = 2**-0.5
 
 def random_complex_vec(rng, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_family(n, mode):
+    return clifford.build_phase_family(n, mode)
+
+
+def member_reference(a, fam):
+    """Value and complex-packed gradient of E_w ||C(a o w)||_S1 evaluated
+    member by member, without parity classes. Needs L(a o w) > 0."""
+    b = a * fam.phases
+    x, y = b.real, b.imag
+    p, q, r = (x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)
+    s = float(np.sum(np.abs(a) ** 2))
+    lam = np.sqrt(p * q - r * r)
+    plus, minus = np.sqrt(s + 2 * lam), np.sqrt(s - 2 * lam)
+    dgds = 0.25 * (1 / plus + 1 / minus)
+    dgdu = (1 / plus - 1 / minus) / (4 * lam)
+    # gradient in b, then rotated back onto a by conj(w)
+    grad_b = (2 * dgds[:, None] * b
+              + 2 * dgdu[:, None] * (q[:, None] * x - r[:, None] * y
+                                     + 1j * (p[:, None] * y - r[:, None] * x)))
+    grad = (fam.weights[:, None] * np.conj(fam.phases) * grad_b).sum(axis=0)
+    return float(fam.weights @ (0.5 * (plus + minus))), grad
+
 
 
 class TestGenerators:
@@ -178,6 +207,15 @@ class TestDictatorEmbeddingNorm:
         direct = linalg.schatten1_norm(clifford.materialize_embedding(a))
         assert abs(clifford.dictator_embedding_norm(a, fam).value - direct) <= 1e-10
 
+    def test_monte_carlo_stderr_matches_members(self):
+        rng = np.random.default_rng(16)
+        fam = clifford.build_phase_family(5, "monte_carlo", seed=4, sample_count=2000)
+        a = random_complex_vec(rng, 5)
+        vals = np.array([clifford.trace_norm_formula(a * w) for w in fam.phases])
+        est = clifford.dictator_embedding_norm(a, fam)
+        assert abs(est.value - vals.mean()) <= 1e-12
+        assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
+
     def test_materialize_cap(self):
         with pytest.raises(ValueError):
             clifford.materialize_embedding(np.ones(4))
@@ -204,6 +242,19 @@ class TestSecondMoment:
             rhs = float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4))
             assert abs(lhs - rhs) <= 1e-10
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                          min_size=1, max_size=6))
+    def test_identity_property(self, mode, parts):
+        a = np.array([complex(x, y) for x, y in parts])
+        norm = np.linalg.norm(a)
+        assume(norm > 1e-3)
+        a = a / norm
+        lhs = clifford.randphase_second_moment(a, cached_family(a.size, mode))
+        rhs = float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4))
+        assert abs(lhs - rhs) <= 1e-10
+
 
 class TestNormGradient:
     def test_value_matches_norm(self):
@@ -228,6 +279,34 @@ class TestNormGradient:
                   - clifford.dictator_embedding_norm(a - 1j * e, fam).value) / (2 * h)
             assert dx == pytest.approx(grad[j].real, abs=1e-5)
             assert dy == pytest.approx(grad[j].imag, abs=1e-5)
+
+
+    @pytest.mark.parametrize("n, mode, kwargs", [
+        (3, "exhaustive", {}),
+        (6, "exhaustive", {}),
+        (8, "pairwise_independent", {}),
+        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    ])
+    def test_batched_matches_rows_and_members(self, n, mode, kwargs):
+        rng = np.random.default_rng(17)
+        fam = clifford.build_phase_family(n, mode, **kwargs)
+        fld = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+        fld /= np.linalg.norm(fld, axis=1, keepdims=True)
+        fld[3] = 0.0
+        fld[4] = np.eye(n)[1]
+        values, grads = clifford.embedding_norm_and_gradient(fld, fam)
+        assert values.shape == (6,) and grads.shape == (6, n)
+        for v, row in enumerate(fld):
+            value, grad = clifford.embedding_norm_and_gradient(row, fam)
+            assert isinstance(value, float) and grad.shape == (n,)
+            assert abs(values[v] - value) <= 1e-12
+            assert np.max(np.abs(grads[v] - grad)) <= 1e-12
+            if v not in (3, 4):
+                ref_value, ref_grad = member_reference(row, fam)
+                assert abs(value - ref_value) <= 1e-12
+                assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+        assert values[3] == 0.0 and not np.any(grads[3])
+        assert values[4] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestEmbeddingSpec:

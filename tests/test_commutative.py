@@ -102,6 +102,24 @@ class TestGradient:
                 assert dy == pytest.approx(grad[j].imag, abs=1e-5)
 
 
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    def test_batched_rows_across_chunks(self, fld, monkeypatch):
+        ens = comm.SignEnsemble(field=fld, n=3)
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(7, 3))
+        if fld == "complex":
+            rows = rows + 1j * rng.normal(size=(7, 3))
+        whole = comm.embedding_l1_gradient(rows, ens)
+        # three rows per chunk, so 7 rows take two full chunks and a partial one
+        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 3 * comm.exhaustive_members(ens).shape[0])
+        chunked = comm.embedding_l1_gradient(rows, ens)
+        for v, row in enumerate(rows):
+            value, grad = comm.embedding_l1_gradient(row, ens)
+            for values, grads in (whole, chunked):
+                assert abs(values[v] - value) <= 1e-12
+                assert np.max(np.abs(grads[v] - grad)) <= 1e-12
+
+
 class TestSpreadRatio:
     def test_examples(self):
         assert comm.spread_ratio([0, 1, 0]) == pytest.approx(1.0)

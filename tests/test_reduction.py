@@ -129,6 +129,28 @@ class TestBackends:
         with pytest.raises(ValueError):
             red.comm_real_backend(2).delta(0.3)
 
+    @pytest.mark.parametrize("maker, n, kwargs", [
+        (red.clifford_backend, 3, {}),
+        (red.clifford_backend, 6, {}),
+        (red.clifford_backend, 8, {"mode": "pairwise_independent"}),
+        (red.clifford_backend, 5, {"mode": "monte_carlo", "seed": 3, "sample_count": 700}),
+        (red.comm_real_backend, 5, {}),
+        (red.comm_complex_backend, 4, {}),
+    ])
+    def test_batched_field_matches_rows(self, maker, n, kwargs):
+        backend = maker(n, **kwargs)
+        rng = np.random.default_rng(22)
+        fld = rng.normal(size=(7, n))
+        if not backend.is_real:
+            fld = fld + 1j * rng.normal(size=(7, n))
+        fld[2] = 0.0
+        values, grads = backend.norm_and_gradient(fld)
+        assert values.shape == (7,) and grads.shape == (7, n)
+        for v, row in enumerate(fld):
+            value, grad = backend.norm_and_gradient(row)
+            assert abs(values[v] - value) <= 1e-12
+            assert np.max(np.abs(grads[v] - grad)) <= 1e-12
+
     def test_gradient_matches_norm(self):
         backend = red.clifford_backend(3)
         rng = np.random.default_rng(7)
