@@ -62,7 +62,8 @@ def _instance_checks(inst, smoothness: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report dict, passed bool)
+# Command handlers: each returns (report body, passed bool); main stamps the
+# body with "command" and "pass" before writing it.
 
 
 def _cmd_gen_labelcover(args):
@@ -86,7 +87,6 @@ def _cmd_gen_labelcover(args):
         checks["planted_satisfies_all"] = labelcover.satisfied_fraction(inst, planted) == 1.0
     passed = all(checks.values())
     report = {
-        "command": "gen-labelcover",
         "params": {"vertices": args.vertices, "degree": args.degree, "n": args.n,
                    "k": args.k, "t": args.t, "zeta": args.zeta, "seed": args.seed,
                    "mode": args.mode},
@@ -94,7 +94,6 @@ def _cmd_gen_labelcover(args):
         "smoothness": inst.gamma,
         "num_edges": inst.num_edges,
         "checks": checks,
-        "pass": passed,
     }
     print(f"wrote {args.out}: |V|={inst.num_vertices} |E|={inst.num_edges} "
           f"smoothness={report['smoothness']:.4f} t={inst.t} regular={checks['regular']}")
@@ -109,7 +108,6 @@ def _cmd_check_instance(args):
         inst, args.deltas, subset_samples=args.subset_samples, seed=args.seed)
     checks["weak_expansion"] = all(row.passed for row in expansion)
     report = {
-        "command": "check-instance",
         "params": {"instance": args.instance, "deltas": args.deltas,
                    "subset_samples": args.subset_samples, "seed": args.seed},
         "smoothness": smoothness,
@@ -121,7 +119,6 @@ def _cmd_check_instance(args):
         labels = fileio.load_assignment(args.assignment)
         report["satisfied_fraction"] = labelcover.satisfied_fraction(inst, labels)
     passed = all(checks.values())
-    report["pass"] = passed
     for name, ok in checks.items():
         print(f"  {name}: {'PASS' if ok else 'FAIL'}")
     return report, passed
@@ -133,14 +130,12 @@ def _cmd_reduce(args):
     backend = _build_backend(args.backend, inst.n, args.mode, args.seed, args.samples)
     cert = reduction.completeness_certificate(inst, labels, backend)
     report = {
-        "command": "reduce",
         "params": {"instance": args.instance, "assignment": args.assignment,
                    "backend": args.backend, "mode": args.mode, "seed": args.seed},
         "in_subspace": cert.in_subspace,
         "residual": cert.residual,
         "value": cert.value,
         "eta": backend.eta,
-        "pass": cert.passed,
     }
     print(f"certificate: in_subspace={cert.in_subspace} value={cert.value:.8f} "
           f"(eta={backend.eta}) -> {'PASS' if cert.passed else 'FAIL'}")
@@ -162,7 +157,6 @@ def _cmd_decode(args):
     }
     passed = all(checks.values())
     report = {
-        "command": "decode",
         "params": {"instance": args.instance, "field": args.field, "eps": args.eps,
                    "delta": delta, "seed": args.seed},
         "stats": {
@@ -176,7 +170,6 @@ def _cmd_decode(args):
             "satisfied_fraction": stats.satisfied_fraction,
         },
         "checks": checks,
-        "pass": passed,
     }
     print(f"decoded: |V0|/|V|={stats.v0_fraction:.3f} satisfied={stats.satisfied_fraction:.4f}")
     return report, passed
@@ -247,11 +240,9 @@ def _cmd_embed_verify(args):
     if args.csv:
         fileio.write_csv(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows)
     report = {
-        "command": "embed-verify",
         "params": {"n": n, "mode": args.mode, "samples": args.samples,
                    "trials": args.trials, "seed": args.seed},
         "rows": [[str(x) for x in row] for row in rows],
-        "pass": passed,
     }
     for row in rows:
         print(f"  {row[0]}: {'PASS' if row[5] else 'FAIL'}")
@@ -270,13 +261,11 @@ def _cmd_comm_verify(args):
         fileio.write_csv(args.csv, ["n", "spread", "value", "stderr", "gap"],
                          [[r.n, r.spread, r.value, r.stderr, r.gap] for r in rows])
     report = {
-        "command": "comm-verify",
         "params": {"field": args.field, "n_list": args.n_list, "mode": args.mode,
                    "samples": args.samples, "seed": args.seed},
         "limit": limit,
         "rows": [vars(r) for r in rows],
         "gap_monotone": monotone,
-        "pass": monotone,
     }
     for r in rows:
         print(f"  n={r.n}: value={r.value:.6f} gap={r.gap:.6f}")
@@ -294,12 +283,10 @@ def _cmd_lift(args):
     tensor = solvers.lift_little_to_big(op)
     fileio.save_tensor(tensor, args.out)
     report = {
-        "command": "lift",
         "params": {"backend": args.backend, "n": args.n},
         "d": tensor.d,
         "nnz": tensor.nnz,
         "tensor_file": args.out,
-        "pass": True,
     }
     print(f"lifted {args.backend} n={args.n} -> d={tensor.d}, {tensor.nnz} entries")
     return report, True
@@ -316,13 +303,11 @@ def _cmd_solve_ncg(args):
                   and result.unitarity_residual_b <= 1e-9)
     passed = monotone and unitary_ok
     report = {
-        "command": "solve-ncg",
         "params": {"tensor": args.tensor, "restarts": args.restarts,
                    "iters": args.iters, "tol": args.tol, "seed": args.seed},
         "value": result.value,
         "unitarity_residuals": [result.unitarity_residual_a, result.unitarity_residual_b],
         "monotone": monotone,
-        "pass": passed,
     }
     if args.out:
         fileio.dump_json({
@@ -348,10 +333,8 @@ def _cmd_report(args):
     if args.csv:
         fileio.write_csv(args.csv, ["file", "command", "pass"], rows)
     report = {
-        "command": "report",
         "params": {"inputs": list(args.inputs)},
         "rows": [[str(x) for x in row] for row in rows],
-        "pass": all_pass,
     }
     for path, command, ok in rows:
         print(f"  {command} ({path}): {'PASS' if ok else 'FAIL'}")
@@ -463,13 +446,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report_path = args.report or f"{args.command}.report.json"
     try:
-        report, passed = args.handler(args)
-    except (ValueError, OSError, reduction.DecodeInvariantError) as exc:
-        fileio.save_report({"command": args.command, "error": str(exc), "pass": False},
+        body, passed = args.handler(args)
+    except (ValueError, OSError, MemoryError, reduction.DecodeInvariantError) as exc:
+        message = str(exc) or type(exc).__name__
+        fileio.save_report({"command": args.command, "error": message, "pass": False},
                            report_path)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         return 1
-    fileio.save_report(report, report_path)
+    fileio.save_report({**body, "command": args.command, "pass": passed}, report_path)
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 

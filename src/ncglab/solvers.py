@@ -9,7 +9,8 @@ and the lifted tensor
     T_{ijkl} = d^-2 sum_m conj(f(e_m)_{ij}) f(e_m)_{kl}
 
 represents T(A, B) = <F*(A), F*(B)> as the contraction
-sum T_{ijkl} A_{ij} conj(B_{kl}). Its optimum over pairs of unitaries equals
+sum T_{ijkl} A_{ij} conj(B_{kl}), held as one sparse (d^2 x d^2) matrix with
+rows i*d+j and columns k*d+l. Its optimum over pairs of unitaries equals
 ||F||^2, so alternating closed-form polar steps on T give certified lower
 bounds for the squared operator norm.
 """
@@ -19,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import clifford, commutative
 from .config import DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 from .linalg import as_matrix, polar_unitary
 
-# Largest n * d^2 for which a little operator is lifted densely.
+# Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
 LIFT_CAP = 1 << 22
 
 
@@ -58,6 +60,10 @@ def little_op_from_comm(ens: commutative.SignEnsemble) -> LittleOperator:
     """Materialize the sign/phase embedding: f(e_i) is the diagonal matrix of
     the i-th coordinate over all ensemble members, so the normalized trace
     norm of f(a) is exactly E|<a, Z>|."""
+    d = (2 if ens.field == "real" else 4) ** ens.n
+    # diagonal images: n * d^2 is both the lift's nnz bound and the dense stack
+    if ens.n * d**2 > LIFT_CAP:
+        raise ValueError(f"lift size n*d^2 = {ens.n * d**2} exceeds cap {LIFT_CAP}")
     members = commutative.exhaustive_members(ens)
     images = np.stack([np.diag(members[:, i]).astype(np.complex128)
                        for i in range(ens.n)])
@@ -83,11 +89,15 @@ def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
 @dataclass(eq=False)
 class NcgTensor:
     """Sparse four-index coefficient array of a bilinear form over pairs of
-    d x d matrices, evaluated as sum T_{ijkl} A_{ij} conj(B_{kl})."""
+    d x d matrices, evaluated as sum T_{ijkl} A_{ij} conj(B_{kl}).
+
+    ``matrix`` holds the same entries as a (d^2 x d^2) CSR matrix with rows
+    i*d+j and columns k*d+l, so T(A, B) = vec(A)^T T conj(vec(B))."""
 
     d: int
     indices: np.ndarray  # (nnz, 4) int
     coeffs: np.ndarray  # (nnz,) complex
+    matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64).reshape(-1, 4)
@@ -96,10 +106,13 @@ class NcgTensor:
             raise ValueError("index and coefficient counts differ")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.d):
             raise ValueError("tensor index out of range")
-        if self.indices.shape[0]:
-            uniq = np.unique(self.indices, axis=0)
-            if uniq.shape[0] != self.indices.shape[0]:
-                raise ValueError("duplicate index quadruples")
+        i, j, k, l = self.indices.T
+        # building the CSR matrix sums duplicates, so a repeated quadruple
+        # shows as fewer stored entries
+        self.matrix = scipy.sparse.csr_matrix(
+            (self.coeffs, (i * self.d + j, k * self.d + l)), shape=(self.d**2, self.d**2))
+        if self.matrix.nnz != self.nnz:
+            raise ValueError("duplicate index quadruples")
 
     @property
     def nnz(self) -> int:
@@ -110,25 +123,26 @@ def tensor_from_matrix(m) -> NcgTensor:
     """Commutative special case: T_{iijj} = M_{ij}, zeros elsewhere, so the
     bilinear form only sees the diagonals of its unitary arguments."""
     m = as_matrix(m)
-    d = m.shape[0]
-    idx, coef = [], []
-    for i in range(d):
-        for j in range(d):
-            if m[i, j] != 0:
-                idx.append((i, i, j, j))
-                coef.append(m[i, j])
-    return NcgTensor(d=d, indices=np.array(idx, dtype=np.int64).reshape(-1, 4),
-                     coeffs=np.array(coef, dtype=np.complex128))
+    i, j = np.nonzero(m)
+    return NcgTensor(d=m.shape[0], indices=np.stack([i, i, j, j], axis=1), coeffs=m[i, j])
 
 
 def lift_little_to_big(op: LittleOperator, *, cap: int = LIFT_CAP) -> NcgTensor:
-    """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>."""
-    if op.n * op.d**2 > cap:
-        raise ValueError(f"lift size n*d^2 = {op.n * op.d**2} exceeds cap {cap}")
-    dense = np.einsum("mij,mkl->ijkl", op.images.conj(), op.images) / op.d**2
-    nz = np.argwhere(dense != 0)
-    coeffs = dense[tuple(nz.T)] if nz.size else np.zeros(0, dtype=np.complex128)
-    return NcgTensor(d=op.d, indices=nz, coeffs=coeffs)
+    """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>, computed as the
+    sparse product F^H F / d^2 of the (n, d^2) stack F of vectorized images.
+    Entries come in (i, j, k, l) lexicographic order without exact zeros."""
+    f = scipy.sparse.csr_matrix(op.images.reshape(op.n, op.d**2))
+    size = int(np.sum(np.diff(f.indptr) ** 2))
+    if size > cap:
+        raise ValueError(f"lift size sum_m nnz(f_m)^2 = {size} exceeds cap {cap}")
+    t = (f.conj().T @ f).tocsr()
+    t.sort_indices()
+    coeffs = t.data / op.d**2
+    keep = coeffs != 0
+    rows = np.repeat(np.arange(op.d**2), np.diff(t.indptr))[keep]
+    cols = t.indices[keep]
+    indices = np.stack([rows // op.d, rows % op.d, cols // op.d, cols % op.d], axis=1)
+    return NcgTensor(d=op.d, indices=indices, coeffs=coeffs[keep])
 
 
 def evaluate_bilinear(tensor: NcgTensor, a_mat, b_mat) -> complex:
@@ -137,28 +151,7 @@ def evaluate_bilinear(tensor: NcgTensor, a_mat, b_mat) -> complex:
     b_mat = as_matrix(b_mat)
     if a_mat.shape != (tensor.d, tensor.d) or b_mat.shape != (tensor.d, tensor.d):
         raise ValueError("matrix shapes do not match tensor dimension")
-    if tensor.nnz == 0:
-        return 0j
-    i, j, k, l = tensor.indices.T
-    return complex(np.sum(tensor.coeffs * a_mat[i, j] * np.conj(b_mat[k, l])))
-
-
-def _contract_b(tensor: NcgTensor, b_mat: np.ndarray) -> np.ndarray:
-    """M_B with (M_B)_{ij} = sum_{kl} T_{ijkl} conj(B_{kl})."""
-    out = np.zeros((tensor.d, tensor.d), dtype=np.complex128)
-    if tensor.nnz:
-        i, j, k, l = tensor.indices.T
-        np.add.at(out, (i, j), tensor.coeffs * np.conj(b_mat[k, l]))
-    return out
-
-
-def _contract_a(tensor: NcgTensor, a_mat: np.ndarray) -> np.ndarray:
-    """P with P_{kl} = sum_{ij} T_{ijkl} A_{ij}."""
-    out = np.zeros((tensor.d, tensor.d), dtype=np.complex128)
-    if tensor.nnz:
-        i, j, k, l = tensor.indices.T
-        np.add.at(out, (k, l), tensor.coeffs * a_mat[i, j])
-    return out
+    return complex(a_mat.reshape(-1) @ (tensor.matrix @ b_mat.conj().reshape(-1)))
 
 
 @dataclass
@@ -190,31 +183,33 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
 
     With B fixed the objective is |<A-entries, M_B>| and the exact argmax is
     the polar unitary of conj(M_B), achieving the un-normalized singular
-    value sum of M_B; symmetrically for B. Each half-step is therefore an
-    exact maximization over a compact set and the objective value never
-    decreases along a run. The result is a certified lower bound (the
-    problem is nonconvex; no optimality claim), with per-restart half-step
-    value histories for monotonicity audits.
+    value sum of M_B; symmetrically for B with P = T^T vec(A). Each half-step
+    is therefore an exact maximization over a compact set and the objective
+    value never decreases along a run. The result is a certified lower bound
+    (the problem is nonconvex; no optimality claim), with per-restart
+    half-step value histories for monotonicity audits; each history value
+    reuses its half-step's contraction, |sum A o M_B| or |sum P o conj(B)|.
     """
     if tensor.d < 1:
         raise ValueError("tensor dimension must be >= 1")
+    d, t_mat = tensor.d, tensor.matrix
     rng = np.random.default_rng(seed)
     best = None
     histories = []
     for _ in range(restarts):
-        b_mat = _haar_unitary(tensor.d, rng)
-        a_mat = np.eye(tensor.d, dtype=np.complex128)
+        b_mat = _haar_unitary(d, rng)
+        a_mat = np.eye(d, dtype=np.complex128)
         history = []
         prev = -np.inf
         for _ in range(iters):
-            m_b = _contract_b(tensor, b_mat)
+            m_b = (t_mat @ b_mat.conj().reshape(-1)).reshape(d, d)
             if np.any(m_b):
                 a_mat = polar_unitary(np.conj(m_b))
-            history.append(float(np.abs(evaluate_bilinear(tensor, a_mat, b_mat))))
-            p = _contract_a(tensor, a_mat)
+            history.append(float(np.abs(np.sum(a_mat * m_b))))
+            p = (t_mat.T @ a_mat.reshape(-1)).reshape(d, d)
             if np.any(p):
                 b_mat = polar_unitary(p)
-            value = float(np.abs(evaluate_bilinear(tensor, a_mat, b_mat)))
+            value = float(np.abs(np.sum(p * np.conj(b_mat))))
             history.append(value)
             if abs(value - prev) <= tol * max(1.0, abs(value)):
                 prev = value

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from ncglab import fileio
+from ncglab import cli, fileio
 from ncglab.cli import main
 
 
@@ -194,6 +195,35 @@ class TestLiftAndSolve:
         assert code == 1
         report = json.loads((tmp_path / "solve-ncg.report.json").read_text())
         assert report["pass"] is False and "error" in report
+
+    # Tensor files written by lift, pinned so a change of the in-memory tensor
+    # representation cannot change the on-disk format or entry order.
+    @pytest.mark.parametrize("backend,n,sha256", [
+        ("comm_real", 2, "5a51203bff0567fa25605d01b597165ef76b4cca23b2f59ba97b7e81d2459250"),
+        ("clifford", 2, "bc9dddf945f4404092dc02ef479652d0da5e83d57a0cfa4af4e272b3a9a4079d"),
+        ("comm_complex", 3, "df7896d5e54c5f309e9360568d3d5a12dc6671185688b0fa9844b955a82b316e"),
+    ])
+    def test_tensor_file_golden_sha256(self, tmp_path, backend, n, sha256):
+        assert main(["lift", "--backend", backend, "--n", str(n), "--out", "t.json"]) == 0
+        assert hashlib.sha256((tmp_path / "t.json").read_bytes()).hexdigest() == sha256
+
+    def test_comm_lift_over_cap_fails_before_allocating(self, tmp_path):
+        # d = 2^12: 12 dense 4096 x 4096 diagonals would take about 3.2 GB
+        code = main(["lift", "--backend", "comm_real", "--n", "12", "--out", "t.json"])
+        assert code == 1
+        report = json.loads((tmp_path / "lift.report.json").read_text())
+        assert report["pass"] is False and "cap" in report["error"]
+        assert not (tmp_path / "t.json").exists()
+
+    def test_memory_error_writes_failing_report(self, tmp_path, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError("lift")
+        monkeypatch.setattr(cli, "_cmd_lift", out_of_memory)
+        code = main(["lift", "--backend", "comm_real", "--n", "2", "--out", "t.json"])
+        assert code == 1
+        report = json.loads((tmp_path / "lift.report.json").read_text())
+        assert report["pass"] is False and "error" in report
+        assert report["command"] == "lift"
 
 
 class TestReport:

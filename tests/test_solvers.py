@@ -4,6 +4,7 @@ import pytest
 from ncglab import commutative as comm
 from ncglab import solvers
 from ncglab.clifford import PAULI_X
+from ncglab.linalg import polar_unitary
 
 
 def random_complex(rng, *shape):
@@ -133,6 +134,46 @@ class TestLift:
         with pytest.raises(ValueError):
             solvers.lift_little_to_big(op, cap=4)
 
+    def test_cap_bounds_sum_of_squared_image_nnz(self):
+        # two images with 2 and 1 nonzeros: the lift has at most 2^2 + 1^2 entries
+        images = np.zeros((2, 3, 3), dtype=complex)
+        images[0, 0, 0] = images[0, 1, 2] = images[1, 2, 1] = 1.0
+        op = solvers.LittleOperator(images=images)
+        assert solvers.lift_little_to_big(op, cap=5).nnz == 5
+        with pytest.raises(ValueError, match="cap"):
+            solvers.lift_little_to_big(op, cap=4)
+
+    @pytest.mark.parametrize("make", [
+        lambda: solvers.LittleOperator(
+            images=random_complex(np.random.default_rng(14), 2, 3, 3)),
+        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=1)),
+        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=2)),
+        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=1)),
+        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=2)),
+        lambda: solvers.little_op_from_clifford(1),
+        lambda: solvers.little_op_from_clifford(2),
+    ], ids=["random n=2 d=3", "comm_real n=1", "comm_real n=2", "comm_complex n=1",
+            "comm_complex n=2", "clifford n=1", "clifford n=2"])
+    def test_sparse_lift_matches_dense_formula(self, make):
+        op = make()
+        dense = np.einsum("mij,mkl->ijkl", op.images.conj(), op.images) / op.d**2
+        nz = np.argwhere(dense != 0)
+        tensor = solvers.lift_little_to_big(op)
+        np.testing.assert_array_equal(tensor.indices, nz)
+        np.testing.assert_array_equal(tensor.coeffs, dense[tuple(nz.T)])
+
+    def test_clifford_n3_lift(self):
+        op = solvers.little_op_from_clifford(3)
+        tensor = solvers.lift_little_to_big(op)
+        assert tensor.d == 256 and tensor.nnz == 114688
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            a_mat, b_mat = random_complex(rng, 256, 256), random_complex(rng, 256, 256)
+            ua = solvers.adjoint_apply(op, a_mat)
+            ub = solvers.adjoint_apply(op, b_mat)
+            assert abs(solvers.evaluate_bilinear(tensor, a_mat, b_mat)
+                       - np.sum(ua * np.conj(ub))) <= 1e-10
+
 
 class TestEvaluateBilinear:
     def test_zero_tensor(self):
@@ -180,6 +221,23 @@ class TestEvaluateBilinear:
             solvers.NcgTensor(d=2, indices=np.array([[0, 0, 0, 0], [0, 0, 0, 0]]),
                               coeffs=np.array([1.0, 2.0], dtype=complex))
 
+    def test_matrix_holds_entries_at_flattened_positions(self):
+        rng = np.random.default_rng(16)
+        d = 3
+        idx = np.unique(rng.integers(0, d, size=(10, 4)), axis=0)
+        coeffs = random_complex(rng, len(idx))
+        tensor = solvers.NcgTensor(d=d, indices=idx, coeffs=coeffs)
+        dense = np.zeros((d, d, d, d), dtype=complex)
+        dense[tuple(idx.T)] = coeffs
+        np.testing.assert_array_equal(tensor.matrix.toarray(), dense.reshape(d * d, d * d))
+
+    def test_tensor_from_matrix_support(self):
+        m = np.array([[1.0, 0.0], [2.0, -3.0]])
+        tensor = solvers.tensor_from_matrix(m)
+        np.testing.assert_array_equal(tensor.indices,
+                                      [[0, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
+        np.testing.assert_array_equal(tensor.coeffs, [1.0, 2.0, -3.0])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             solvers.NcgTensor(d=2, indices=np.array([[0, 0, 0, 2]]),
@@ -226,6 +284,33 @@ class TestNcgSolver:
         assert result.unitarity_residual_b <= 1e-9
         achieved = abs(solvers.evaluate_bilinear(tensor, result.a, result.b))
         assert achieved == pytest.approx(result.value, abs=1e-9)
+
+    def test_histories_match_dense_replay(self):
+        # replay the alternating steps with dense (d,d,d,d) contractions and
+        # the full bilinear form after every half-step
+        rng = np.random.default_rng(17)
+        d = 3
+        idx = np.unique(rng.integers(0, d, size=(20, 4)), axis=0)
+        coeffs = random_complex(rng, len(idx))
+        tensor = solvers.NcgTensor(d=d, indices=idx, coeffs=coeffs)
+        dense = np.zeros((d, d, d, d), dtype=complex)
+        dense[tuple(idx.T)] = coeffs
+        result = solvers.ncg_opt_lower_bound(tensor, restarts=3, iters=30, seed=6)
+        replay = np.random.default_rng(6)
+
+        def form(a_mat, b_mat):
+            return abs(np.einsum("ijkl,ij,kl->", dense, a_mat, b_mat.conj()))
+
+        for history in result.histories:
+            b_mat = solvers._haar_unitary(d, replay)
+            expected = []
+            for _ in range(len(history) // 2):
+                m_b = np.einsum("ijkl,kl->ij", dense, b_mat.conj())
+                a_mat = polar_unitary(m_b.conj())
+                expected.append(form(a_mat, b_mat))
+                b_mat = polar_unitary(np.einsum("ijkl,ij->kl", dense, a_mat))
+                expected.append(form(a_mat, b_mat))
+            np.testing.assert_allclose(history, expected, rtol=0, atol=1e-12)
 
     def test_value_not_below_random_unitary_pairs(self):
         rng = np.random.default_rng(12)
