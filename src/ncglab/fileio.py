@@ -36,6 +36,27 @@ def _require_version(doc, kind: str):
         raise ValueError(f"unsupported {kind} format version {doc['version']!r}")
 
 
+def _pairs(values: np.ndarray) -> np.ndarray:
+    """Complex array -> float array with a trailing [re, im] axis."""
+    return np.stack([values.real, values.imag], axis=-1)
+
+
+def _number_table(values, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers -> float64 array. Nulls and strings are a
+    ValueError here; numpy raises one for ragged nesting."""
+    table = np.asarray(values)
+    if table.size and table.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be lists of numbers")
+    return table.astype(np.float64)
+
+
+def _from_pairs(pairs: np.ndarray) -> np.ndarray:
+    """Inverse of _pairs; keeps signed zeros, which re + 1j*im would not."""
+    out = np.empty(pairs.shape[:-1], dtype=np.complex128)
+    out.real, out.imag = pairs[..., 0], pairs[..., 1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Label cover instances and assignments
 
@@ -98,24 +119,23 @@ def save_field(fld, path) -> None:
     fld = np.asarray(fld, dtype=np.complex128)
     if fld.ndim != 2:
         raise ValueError("field must be a (vertices, n) array")
-    values = [[[float(z.real), float(z.imag)] for z in row] for row in fld]
     dump_json({"version": FORMAT_VERSION, "vertices": fld.shape[0], "n": fld.shape[1],
-               "values": values}, path)
+               "values": _pairs(fld).tolist()}, path)
 
 
 def load_field(path) -> np.ndarray:
     doc = load_json(path)
     _require_version(doc, "field")
-    values = doc["values"]
-    if len(values) != doc["vertices"]:
+    values, num_vertices, n = doc["values"], doc["vertices"], doc["n"]
+    if len(values) != num_vertices:
         raise ValueError("field file vertex count does not match values")
-    out = np.zeros((doc["vertices"], doc["n"]), dtype=np.complex128)
-    for v, row in enumerate(values):
-        if len(row) != doc["n"]:
-            raise ValueError("field file row length does not match n")
-        for i, (re, im) in enumerate(row):
-            out[v, i] = complex(re, im)
-    return out
+    if any(len(row) != n for row in values):
+        raise ValueError("field file row length does not match n")
+    table = _number_table(values, "field file values")
+    if num_vertices * n and table.shape != (num_vertices, n, 2):
+        raise ValueError("field file values must be [re, im] pairs")
+    table = table.reshape(num_vertices, n, 2)
+    return _from_pairs(table)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +143,8 @@ def load_field(path) -> np.ndarray:
 
 
 def save_tensor(tensor: NcgTensor, path) -> None:
-    entries = [
-        [int(i) + 1, int(j) + 1, int(k) + 1, int(l) + 1, float(c.real), float(c.imag)]
-        for (i, j, k, l), c in zip(tensor.indices, tensor.coeffs)
-    ]
+    columns = [*(tensor.indices + 1).T.tolist(), *_pairs(tensor.coeffs).T.tolist()]
+    entries = list(map(list, zip(*columns)))
     dump_json({"version": FORMAT_VERSION, "d": tensor.d, "entries": entries}, path)
 
 
@@ -134,14 +152,12 @@ def load_tensor(path) -> NcgTensor:
     doc = load_json(path)
     _require_version(doc, "tensor")
     entries = doc["entries"]
-    indices = np.zeros((len(entries), 4), dtype=np.int64)
-    coeffs = np.zeros(len(entries), dtype=np.complex128)
     for row_num, entry in enumerate(entries):
         if len(entry) != 6:
             raise ValueError(f"tensor entry {row_num} must have 6 values [i,j,k,l,re,im]")
-        i, j, k, l, re, im = entry
-        indices[row_num] = (i - 1, j - 1, k - 1, l - 1)
-        coeffs[row_num] = complex(re, im)
+    table = _number_table(entries, "tensor entries").reshape(len(entries), 6)
+    indices = table[:, :4].astype(np.int64) - 1
+    coeffs = _from_pairs(table[:, 4:])
     return NcgTensor(d=doc["d"], indices=indices, coeffs=coeffs)
 
 

@@ -18,6 +18,7 @@ one-hot fields always have norm exactly 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -57,24 +58,20 @@ class ConstraintSystem:
 
 
 def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
-    data, row_idx, col_idx, rows = [], [], [], []
-    r = 0
-    for e_idx, e in enumerate(inst.edges):
-        for j in range(inst.k):
-            for i in np.flatnonzero(e.pi_u == j):
-                data.append(1.0)
-                row_idx.append(r)
-                col_idx.append(e.u * inst.n + int(i))
-            for i in np.flatnonzero(e.pi_v == j):
-                data.append(-1.0)
-                row_idx.append(r)
-                col_idx.append(e.v * inst.n + int(i))
-            rows.append((e_idx, j))
-            r += 1
-    shape = (r, inst.num_vertices * inst.n)
-    matrix = scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
+    num_edges, n, k = inst.num_edges, inst.n, inst.k
+    # axes (edge, side, label): label i on side s of edge e is an entry in row
+    # e*k + pi_s(i) and column (endpoint s)*n + i, +1 for side u and -1 for v
+    pis = np.array([(e.pi_u, e.pi_v) for e in inst.edges], dtype=np.int64)
+    ends = np.array([(e.u, e.v) for e in inst.edges], dtype=np.int64)
+    row_idx = np.arange(num_edges).reshape(-1, 1, 1) * k + pis.reshape(num_edges, 2, n)
+    col_idx = ends.reshape(num_edges, 2, 1) * n + np.arange(n)
+    data = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 2, 1), row_idx.shape)
+    shape = (num_edges * k, inst.num_vertices * n)
+    matrix = scipy.sparse.csr_matrix((data.ravel(), (row_idx.ravel(), col_idx.ravel())),
+                                     shape=shape)
+    rows = list(itertools.product(range(num_edges), range(k)))
     return ConstraintSystem(matrix=matrix, rows=rows,
-                            num_vertices=inst.num_vertices, n=inst.n, k=inst.k)
+                            num_vertices=inst.num_vertices, n=n, k=k)
 
 
 @dataclass(eq=False)
@@ -108,16 +105,48 @@ class SubspaceBasis:
 
 
 def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
+    """Orthonormal basis of the constraint nullspace, from the eigenvectors
+    of the Gram matrix G = A^T A that belong to its near-zero eigenvalues.
+
+    Only the eigenpairs below the rank gap sqrt(eps)*g are computed, where
+    g = max_i sum_j |G_ij| (a Gershgorin bound on the largest eigenvalue).
+    Eigenvalues up to the rounding floor dim*eps*g count as zero. Because G
+    squares the singular values of A, an eigenvalue between the floor and the
+    gap leaves the numerical rank ambiguous, and a ValueError names it; so
+    does a basis whose constraint residual exceeds SUBSPACE_RESIDUAL_TOL.
+    The basis is a function of the subspace alone (see the rotation below),
+    so ascents started from it do not depend on how it was computed.
+    """
     dim_total = cs.num_vertices * cs.n
-    dense = cs.matrix.toarray()
-    if dense.shape[0] == 0 or not dense.any():
+    gram = (cs.matrix.T @ cs.matrix).toarray()
+    g = float(np.abs(gram).sum(axis=1).max())
+    if g == 0.0:
         euclidean = np.eye(dim_total)
     else:
-        euclidean = scipy.linalg.null_space(dense)
+        eps = np.finfo(np.float64).eps
+        floor, gap = dim_total * eps * g, math.sqrt(eps) * g
+        values, euclidean = scipy.linalg.eigh(gram, subset_by_value=(-np.inf, gap),
+                                              driver="evr", overwrite_a=True,
+                                              check_finite=False)
+        if values.size and values[-1] > floor:
+            raise ValueError(f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
+                             f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
+                             "the numerical rank is ambiguous")
+        # Eigenvectors of the (degenerate) zero eigenvalue are an arbitrary
+        # basis that moves with rounding, e.g. with the BLAS thread count.
+        # Rotate them to the polar factor of the projected fixed probe
+        # P @ probe, which depends on the subspace alone.
+        probe = np.random.default_rng(0).standard_normal((dim_total, values.size))
+        left, _, right = np.linalg.svd(euclidean.T @ probe)
+        euclidean = euclidean @ (left @ right)
     # Euclidean-orthonormal columns scaled by sqrt(|V|) are orthonormal under
     # the vertex-averaged inner product.
-    return SubspaceBasis(basis=euclidean * math.sqrt(cs.num_vertices),
-                         num_vertices=cs.num_vertices, n=cs.n)
+    basis = euclidean * math.sqrt(cs.num_vertices)
+    residual = float(np.abs(cs.matrix @ basis).max(initial=0.0))
+    if residual > SUBSPACE_RESIDUAL_TOL:
+        raise ValueError(f"constraint subspace basis has residual {residual:.3e} above "
+                         f"{SUBSPACE_RESIDUAL_TOL:g}; the numerical rank is ambiguous")
+    return SubspaceBasis(basis=basis, num_vertices=cs.num_vertices, n=cs.n)
 
 
 def field_l2_norm(fld) -> float:

@@ -256,3 +256,95 @@ class TestFieldFormat:
                                           '"values": [[[0.0, 0.0]]]}\n')
         with pytest.raises(ValueError):
             fileio.load_field(tmp_path / "v9.json")
+
+
+def loop_tensor_entries(tensor):
+    """Reference: the entry list built one entry at a time."""
+    return [[int(i) + 1, int(j) + 1, int(k) + 1, int(l) + 1, float(c.real), float(c.imag)]
+            for (i, j, k, l), c in zip(tensor.indices, tensor.coeffs)]
+
+
+def loop_field_values(fld):
+    """Reference: the field's [re, im] lists built one entry at a time."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in fld]
+
+
+class TestVectorizedFileio:
+    """The column-wise writers and readers match per-entry references."""
+
+    def signed_zero_field(self):
+        rng = np.random.default_rng(31)
+        fld = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        fld[0, 0] = complex(-0.0, -0.0)
+        fld[0, 1] = complex(0.0, -0.0)
+        fld[1, 2] = complex(-0.0, 2.5)
+        return fld
+
+    @pytest.mark.parametrize("backend,n", [("comm_real", 2), ("clifford", 2),
+                                           ("comm_complex", 3)])
+    def test_tensor_matches_loop(self, tmp_path, backend, n):
+        assert main(["lift", "--backend", backend, "--n", str(n), "--out", "t.json"]) == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        tensor = fileio.load_tensor(tmp_path / "t.json")
+        assert doc["entries"] == loop_tensor_entries(tensor)
+        indices = np.array([e[:4] for e in doc["entries"]], dtype=np.int64) - 1
+        coeffs = np.array([complex(e[4], e[5]) for e in doc["entries"]])
+        np.testing.assert_array_equal(tensor.indices, indices)
+        np.testing.assert_array_equal(tensor.coeffs, coeffs)
+
+    def test_tensor_signed_zeros_roundtrip(self, tmp_path):
+        from ncglab.solvers import NcgTensor
+        coeffs = self.signed_zero_field().reshape(-1)  # 15 entries
+        indices = np.argwhere(np.ones((2, 2, 2, 2)))[:coeffs.size]
+        tensor = NcgTensor(d=2, indices=indices, coeffs=coeffs)
+        fileio.save_tensor(tensor, tmp_path / "t.json")
+        assert json.loads((tmp_path / "t.json").read_text())["entries"] == \
+            loop_tensor_entries(tensor)
+        back = fileio.load_tensor(tmp_path / "t.json")
+        assert np.array_equal(np.signbit(back.coeffs.real), np.signbit(tensor.coeffs.real))
+        assert np.array_equal(np.signbit(back.coeffs.imag), np.signbit(tensor.coeffs.imag))
+
+    def test_field_matches_loop(self, tmp_path):
+        fld = self.signed_zero_field()
+        fileio.save_field(fld, tmp_path / "f.json")
+        assert json.loads((tmp_path / "f.json").read_text())["values"] == loop_field_values(fld)
+        back = fileio.load_field(tmp_path / "f.json")
+        np.testing.assert_array_equal(back, fld)
+        assert np.array_equal(np.signbit(back.real), np.signbit(fld.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(fld.imag))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_empty_field_roundtrip(self, tmp_path, shape):
+        fileio.save_field(np.zeros(shape), tmp_path / "f.json")
+        assert fileio.load_field(tmp_path / "f.json").shape == shape
+
+    @pytest.mark.parametrize("values", [
+        [[[0.5, None]]],
+        [[["0.5", 0.0]]],
+        [[[0.5, 0.0, 1.0]]],
+        [[0.5]],
+    ])
+    def test_malformed_field_values(self, tmp_path, values):
+        doc = {"version": 1, "vertices": 1, "n": 1, "values": values}
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            fileio.load_field(tmp_path / "bad.json")
+
+    def test_null_field_value_fails_with_report(self, tmp_path):
+        main(gen_args())
+        doc = {"version": 1, "vertices": 8, "n": 6,
+               "values": [[[0.0, 0.0]] * 6] * 7 + [[[0.0, 0.0]] * 5 + [[None, 0.0]]]}
+        (tmp_path / "field.json").write_text(json.dumps(doc))
+        code = main(["decode", "--instance", "inst.json", "--field", "field.json",
+                     "--eps", "0.3", "--seed", "5"])
+        assert code == 1
+        report = json.loads((tmp_path / "decode.report.json").read_text())
+        assert report["pass"] is False and "numbers" in report["error"]
+
+    def test_non_numeric_tensor_entry_fails_with_report(self, tmp_path):
+        (tmp_path / "bad.json").write_text(
+            '{"version": 1, "d": 2, "entries": [[1, 1, 1, 1, "0.5", 0.0]]}\n')
+        code = main(["solve-ncg", "--tensor", "bad.json", "--seed", "0"])
+        assert code == 1
+        report = json.loads((tmp_path / "solve-ncg.report.json").read_text())
+        assert report["pass"] is False and "numbers" in report["error"]

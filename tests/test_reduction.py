@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncglab import labelcover as lc
 from ncglab import reduction as red
+from ncglab.config import SUBSPACE_RESIDUAL_TOL
 
 
 def single_edge_constant_projection():
@@ -84,6 +89,145 @@ class TestSubspaceBasis:
         fld = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         once = basis.project(fld)
         np.testing.assert_allclose(basis.project(once), once, atol=1e-12)
+
+
+def loop_constraints(inst):
+    """Reference: one row per (edge, small label), filled entry by entry."""
+    data, row_idx, col_idx, rows = [], [], [], []
+    r = 0
+    for e_idx, e in enumerate(inst.edges):
+        for j in range(inst.k):
+            for i in np.flatnonzero(e.pi_u == j):
+                data.append(1.0)
+                row_idx.append(r)
+                col_idx.append(e.u * inst.n + int(i))
+            for i in np.flatnonzero(e.pi_v == j):
+                data.append(-1.0)
+                row_idx.append(r)
+                col_idx.append(e.v * inst.n + int(i))
+            rows.append((e_idx, j))
+            r += 1
+    shape = (r, inst.num_vertices * inst.n)
+    return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape), rows
+
+
+# planted and random instances, (vertices, degree, n, k, t, seed)
+REFERENCE_INSTANCES = [
+    ("planted", 40, 4, 6, 3, 2, 0),
+    ("planted", 40, 4, 6, 3, 2, 1),
+    ("planted", 40, 4, 6, 3, 2, 7),
+    ("planted", 12, 3, 5, 3, 2, 2),
+    ("random", 40, 4, 6, 3, 2, 0),
+    ("random", 40, 4, 6, 3, 2, 3),
+    ("random", 20, 4, 8, 4, 2, 5),
+    ("random", 9, 2, 4, 2, 2, 6),
+]
+
+
+def make_instance(kind, vertices, degree, n, k, t, seed):
+    if kind == "planted":
+        return lc.generate_planted(vertices, degree, n, k, t, seed=seed)[0]
+    return lc.generate_random(vertices, degree, n, k, t, seed=seed)
+
+
+def assert_matches_svd_null_space(cs):
+    """The eigensolve basis spans the same subspace as a dense SVD null space,
+    is orthonormal under the vertex-averaged inner product, and satisfies
+    every constraint."""
+    basis = red.subspace_basis(cs)
+    reference = scipy.linalg.null_space(cs.matrix.toarray())
+    assert basis.dim == reference.shape[1]
+    num_vertices = cs.num_vertices
+    np.testing.assert_allclose(basis.basis @ basis.basis.T / num_vertices,
+                               reference @ reference.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(basis.basis.T @ basis.basis / num_vertices,
+                               np.eye(basis.dim), rtol=0, atol=1e-10)
+    for c in range(basis.dim):
+        fld = basis.to_field(np.eye(basis.dim)[c])
+        assert red.constraint_residual(cs, fld) <= SUBSPACE_RESIDUAL_TOL
+
+
+class TestConstraintsMatchLoop:
+    @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
+    def test_vectorized_matches_loop(self, params):
+        inst = make_instance(*params)
+        cs = red.build_constraints(inst)
+        ref, rows = loop_constraints(inst)
+        assert cs.matrix.shape == ref.shape
+        assert cs.matrix.nnz == ref.nnz
+        assert (cs.matrix != ref).nnz == 0
+        assert cs.rows == rows
+
+    def test_no_edges(self):
+        inst = lc.LabelCoverInstance(num_vertices=3, n=2, k=1, t=2, gamma=1.0,
+                                     zeta=0.1, edges=[])
+        cs = red.build_constraints(inst)
+        assert cs.matrix.shape == (0, 6) and cs.rows == []
+
+
+class TestSubspaceBasisMatchesSvd:
+    @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
+    def test_matches_dense_null_space(self, params):
+        assert_matches_svd_null_space(red.build_constraints(make_instance(*params)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted=st.booleans(), vertices=st.integers(3, 12),
+           degree=st.sampled_from([2, 4]), n=st.integers(1, 5), k=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_matches_dense_null_space_property(self, planted, vertices, degree, n, k, seed):
+        assume(degree < vertices and k <= n)
+        t = -(-n // k)
+        inst = make_instance("planted" if planted else "random", vertices, degree, n, k, t,
+                             seed)
+        cs = red.build_constraints(inst)
+        ref, _ = loop_constraints(inst)
+        assert (cs.matrix != ref).nnz == 0
+        assert_matches_svd_null_space(cs)
+
+
+class TestSubspaceBasisIsCanonical:
+    @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:2] + REFERENCE_INSTANCES[4:5])
+    def test_basis_depends_only_on_subspace(self, params):
+        # rescaled rows leave the null space unchanged but change the Gram
+        # matrix, so the eigensolver returns another basis of the zero
+        # eigenspace; the returned basis must not move
+        cs = red.build_constraints(make_instance(*params))
+        scale = np.random.default_rng(8).uniform(0.5, 2.0, size=cs.matrix.shape[0])
+        scaled = red.ConstraintSystem(matrix=scipy.sparse.diags(scale) @ cs.matrix,
+                                      rows=cs.rows, num_vertices=cs.num_vertices,
+                                      n=cs.n, k=cs.k)
+        np.testing.assert_allclose(red.subspace_basis(scaled).basis,
+                                   red.subspace_basis(cs).basis, rtol=0, atol=1e-10)
+
+
+def near_rank_deficient_system(s):
+    """Two constraints on 2 vertices x 2 labels that differ by s in one entry,
+    so the second singular value is about s/2."""
+    matrix = scipy.sparse.csr_matrix(np.array([[1.0, 1.0, -1.0, -1.0],
+                                               [1.0, 1.0, -1.0, -1.0 + s]]))
+    return red.ConstraintSystem(matrix=matrix, rows=[(0, 0), (1, 0)],
+                                num_vertices=2, n=2, k=1)
+
+
+class TestRankGapGuard:
+    def test_separated_rank_accepted(self):
+        cs = near_rank_deficient_system(1.0)
+        assert red.subspace_basis(cs).dim == 2
+        assert_matches_svd_null_space(cs)
+
+    def test_eigenvalue_inside_gap_raises(self):
+        # singular value ~3e-5: its Gram eigenvalue (~1e-9) is above the
+        # rounding floor but below sqrt(eps) * g
+        cs = near_rank_deficient_system(6e-5)
+        with pytest.raises(ValueError, match=r"eigenvalue \d\.\d+e-(09|10)"):
+            red.subspace_basis(cs)
+
+    def test_tiny_singular_value_raises(self):
+        # singular value ~1e-9: squared, it drops below the floor and would be
+        # counted as null; the basis then violates a constraint by ~1e-9
+        cs = near_rank_deficient_system(2e-9)
+        with pytest.raises(ValueError, match="residual"):
+            red.subspace_basis(cs)
 
 
 class TestAssignmentField:
