@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from . import clifford, commutative, fileio, labelcover, reduction, solvers
-from .config import (DEFAULT_EPS, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
-                     FORMAT_VERSION)
+from .config import DEFAULT_EPS, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 
 
 def _positive_int(text: str) -> int:
@@ -310,12 +309,7 @@ def _cmd_solve_ncg(args):
         "monotone": monotone,
     }
     if args.out:
-        fileio.dump_json({
-            "version": FORMAT_VERSION,
-            "value": result.value,
-            "a": [[[float(z.real), float(z.imag)] for z in row] for row in result.a],
-            "b": [[[float(z.real), float(z.imag)] for z in row] for row in result.b],
-        }, args.out)
+        fileio.save_solution(result.value, result.a, result.b, args.out)
     print(f"opt lower bound: {result.value:.8f} "
           f"(unitarity residuals {result.unitarity_residual_a:.2e}, "
           f"{result.unitarity_residual_b:.2e})")

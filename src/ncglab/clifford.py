@@ -37,6 +37,10 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
+# Largest n whose embedding materialize_embedding builds: the direct sum has
+# dimension 4^n * 2^ceil(n/2), 128 at n = 3.
+MATERIALIZE_MAX_N = 3
+
 
 @dataclass
 class CliffordGenerators:
@@ -171,13 +175,12 @@ def _pairwise_exponents(n: int) -> np.ndarray:
 
 
 def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = None,
-                       sample_count: int | None = None,
-                       enumeration_cap: int = ENUMERATION_CAP) -> PhaseFamily:
+                       sample_count: int | None = None) -> PhaseFamily:
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode == "exhaustive":
-        if 4**n > enumeration_cap:
-            raise ValueError(f"exhaustive family size 4^{n} exceeds cap {enumeration_cap}")
+        if 4**n > ENUMERATION_CAP:
+            raise ValueError(f"exhaustive family size 4^{n} exceeds cap {ENUMERATION_CAP}")
         exps = _exhaustive_exponents(n)
     elif mode == "pairwise_independent":
         exps = _pairwise_exponents(n)
@@ -202,12 +205,12 @@ class NormEstimate:
     stderr: float = 0.0
 
 
-def _rows(a, family: PhaseFamily) -> np.ndarray:
+def _rows(a, n: int) -> np.ndarray:
     """a as (V, n) complex rows; anything but a (V, n) batch is one row."""
     a = np.asarray(a, dtype=np.complex128)
     rows = a if a.ndim == 2 else a.reshape(1, -1)
-    if rows.shape[1] != family.n:
-        raise ValueError(f"vector length {rows.shape[1]} does not match family n={family.n}")
+    if rows.shape[1] != n:
+        raise ValueError(f"vector length {rows.shape[1]} does not match n={n}")
     return rows
 
 
@@ -232,7 +235,7 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     Standard basis vectors give exactly 1 (a o w is purely real or purely
     imaginary, so L vanishes). Monte-Carlo mode reports a standard error.
     """
-    rows = _rows(np.reshape(a, -1), family)
+    rows = _rows(np.reshape(a, -1), family.n)
     p, q, r = _pqr(rows, family)
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))[0]
     s = float(np.sum(np.abs(rows) ** 2))
@@ -259,7 +262,7 @@ def randphase_second_moment(a, family: PhaseFamily) -> float:
     """4 E_w[ L(a o w)^2 ]; equals ||a||_2^4 - ||a||_4^4 exactly under any
     family whose coordinate pairs are uniform (pairwise terms are all the
     proof of that identity uses)."""
-    p, q, r = _pqr(_rows(np.reshape(a, -1), family), family)
+    p, q, r = _pqr(_rows(np.reshape(a, -1), family.n), family)
     return 4.0 * float((p * q - r * r)[0] @ family.class_weights)
 
 
@@ -273,7 +276,7 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    rows = _rows(a, family)
+    rows = _rows(a, family.n)
     x, y = rows.real, rows.imag
     s = np.sum(x * x + y * y, axis=1)
     nonzero = s > 0.0
@@ -308,13 +311,13 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     return value, grad
 
 
-def materialize_embedding(a, *, max_n: int = 3) -> np.ndarray:
+def materialize_embedding(a) -> np.ndarray:
     """Explicit block-diagonal matrix (+)_w C(a o w) over the exhaustive
-    family. Exponential in n; only for cross-checking at n <= max_n."""
+    family. Exponential in n; only for cross-checking at n <= MATERIALIZE_MAX_N."""
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     n = a.size
-    if n > max_n:
-        raise ValueError(f"materialization limited to n <= {max_n}")
+    if n > MATERIALIZE_MAX_N:
+        raise ValueError(f"materialization limited to n <= {MATERIALIZE_MAX_N}")
     gens = make_generators(n)
     family = build_phase_family(n, "exhaustive")
     blocks = [clifford_map(a * w, gens) for w in family.phases]

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import NormEstimate
+from .clifford import PHASE_VALUES, NormEstimate, _exhaustive_exponents, _rows
 from .config import ENUMERATION_CAP
 
 REAL_LIMIT = math.sqrt(2.0 / math.pi)
 COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
-
-_COMPLEX_PHASES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 # Per-chunk entry budget for streamed Monte-Carlo estimation and batched
 # exhaustive gradients.
@@ -41,7 +39,6 @@ class SignEnsemble:
     mode: str = "exhaustive"
     seed: int | None = None
     sample_count: int | None = None
-    enumeration_cap: int = ENUMERATION_CAP
 
     def __post_init__(self):
         if self.field not in ("real", "complex"):
@@ -52,9 +49,9 @@ class SignEnsemble:
             raise ValueError("n must be >= 1")
         if self.mode == "exhaustive":
             base = 2 if self.field == "real" else 4
-            if base**self.n > self.enumeration_cap:
+            if base**self.n > ENUMERATION_CAP:
                 raise ValueError(
-                    f"exhaustive ensemble size {base}^{self.n} exceeds cap {self.enumeration_cap}")
+                    f"exhaustive ensemble size {base}^{self.n} exceeds cap {ENUMERATION_CAP}")
         else:
             if self.sample_count is None or self.sample_count < 1:
                 raise ValueError("monte_carlo mode requires a positive sample_count")
@@ -68,17 +65,12 @@ def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
         k = np.arange(2**ens.n)
         bits = (k[:, None] >> np.arange(ens.n)) & 1
         return 1.0 - 2.0 * bits
-    k = np.arange(4**ens.n)
-    digits = (k[:, None] // 4 ** np.arange(ens.n)) % 4
-    return _COMPLEX_PHASES[digits]
+    return PHASE_VALUES[_exhaustive_exponents(ens.n)]
 
 
 def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
-    """a as (V, n) complex rows; anything but a (V, n) batch is one row."""
-    a = np.asarray(a, dtype=np.complex128)
-    rows = a if a.ndim == 2 else a.reshape(1, -1)
-    if rows.shape[1] != ens.n:
-        raise ValueError(f"vector length {rows.shape[1]} does not match ensemble n={ens.n}")
+    """a as (V, n) complex rows, real-valued for a real ensemble."""
+    rows = _rows(a, ens.n)
     if ens.field == "real" and np.any(rows.imag != 0.0):
         raise ValueError("real ensemble requires a real-valued vector")
     return rows
@@ -108,7 +100,7 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
             z = 1.0 - 2.0 * rng.integers(0, 2, size=(size, ens.n))
             w = z @ a.real
         else:
-            z = _COMPLEX_PHASES[rng.integers(0, 4, size=(size, ens.n))]
+            z = PHASE_VALUES[rng.integers(0, 4, size=(size, ens.n))]
             w = z @ a
         mags = np.abs(w)
         acc += float(mags.sum())
@@ -164,8 +156,8 @@ class ProfileRow:
 
 
 def berry_esseen_profile(n_values, field: str, *, mode: str = "auto",
-                         sample_count: int | None = None, seed: int | None = None,
-                         enumeration_cap: int = ENUMERATION_CAP) -> list[ProfileRow]:
+                         sample_count: int | None = None,
+                         seed: int | None = None) -> list[ProfileRow]:
     """L1 norms of the uniform vector (1,..,1)/sqrt(n) for each n, with the
     gap to the limiting constant. The gap shrinks toward 0 as n grows.
 
@@ -178,9 +170,8 @@ def berry_esseen_profile(n_values, field: str, *, mode: str = "auto",
     rows = []
     for idx, n in enumerate(n_values):
         base = 2 if field == "real" else 4
-        if mode == "exhaustive" or (mode == "auto" and base**n <= enumeration_cap):
-            ens = SignEnsemble(field=field, n=n, mode="exhaustive",
-                               enumeration_cap=enumeration_cap)
+        if mode == "exhaustive" or (mode == "auto" and base**n <= ENUMERATION_CAP):
+            ens = SignEnsemble(field=field, n=n, mode="exhaustive")
         else:
             if sample_count is None:
                 raise ValueError("Monte-Carlo profile rows require sample_count")

@@ -161,6 +161,13 @@ def load_tensor(path) -> NcgTensor:
     return NcgTensor(d=doc["d"], indices=indices, coeffs=coeffs)
 
 
+def save_solution(value: float, a_mat, b_mat, path) -> None:
+    """The value and the unitary pair (A, B) of a bilinear-form solve."""
+    dump_json({"version": FORMAT_VERSION, "value": value,
+               "a": _pairs(np.asarray(a_mat)).tolist(),
+               "b": _pairs(np.asarray(b_mat)).tolist()}, path)
+
+
 # ---------------------------------------------------------------------------
 # Tables and reports
 

@@ -28,7 +28,7 @@ import scipy.sparse
 
 from . import clifford, commutative
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS,
-                     ENUMERATION_CAP, SUBSPACE_RESIDUAL_TOL)
+                     SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
 from .solvers import _sphere_ascent
 
@@ -61,10 +61,8 @@ def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
     num_edges, n, k = inst.num_edges, inst.n, inst.k
     # axes (edge, side, label): label i on side s of edge e is an entry in row
     # e*k + pi_s(i) and column (endpoint s)*n + i, +1 for side u and -1 for v
-    pis = np.array([(e.pi_u, e.pi_v) for e in inst.edges], dtype=np.int64)
-    ends = np.array([(e.u, e.v) for e in inst.edges], dtype=np.int64)
-    row_idx = np.arange(num_edges).reshape(-1, 1, 1) * k + pis.reshape(num_edges, 2, n)
-    col_idx = ends.reshape(num_edges, 2, 1) * n + np.arange(n)
+    row_idx = np.arange(num_edges).reshape(-1, 1, 1) * k + inst.pis
+    col_idx = inst.ends[:, :, None] * n + np.arange(n)
     data = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 2, 1), row_idx.shape)
     shape = (num_edges * k, inst.num_vertices * n)
     matrix = scipy.sparse.csr_matrix((data.ravel(), (row_idx.ravel(), col_idx.ravel())),
@@ -112,11 +110,24 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     g = max_i sum_j |G_ij| (a Gershgorin bound on the largest eigenvalue).
     Eigenvalues up to the rounding floor dim*eps*g count as zero. Because G
     squares the singular values of A, an eigenvalue between the floor and the
-    gap leaves the numerical rank ambiguous, and a ValueError names it; so
-    does a basis whose constraint residual exceeds SUBSPACE_RESIDUAL_TOL.
+    gap leaves the numerical rank ambiguous, and the basis must meet
+    SUBSPACE_RESIDUAL_TOL in constraint residual and orthonormality. The
+    partial eigensolve can return inaccurate vectors (residual ~1e-7 on about
+    1 in 800 small instances), so a basis failing a check is recomputed from
+    the full eigensolve; only its failure raises a ValueError naming the check.
     The basis is a function of the subspace alone (see the rotation below),
     so ascents started from it do not depend on how it was computed.
     """
+    for partial in (True, False):
+        basis, problem = _null_space_basis(cs, partial=partial)
+        if problem is None:
+            return SubspaceBasis(basis=basis, num_vertices=cs.num_vertices, n=cs.n)
+    raise ValueError(problem)
+
+
+def _null_space_basis(cs: ConstraintSystem, *, partial: bool):
+    """(basis, None) from the partial or the full eigensolve of the Gram
+    matrix, or (None, message) naming the check the basis failed."""
     dim_total = cs.num_vertices * cs.n
     gram = (cs.matrix.T @ cs.matrix).toarray()
     g = float(np.abs(gram).sum(axis=1).max())
@@ -125,13 +136,17 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     else:
         eps = np.finfo(np.float64).eps
         floor, gap = dim_total * eps * g, math.sqrt(eps) * g
-        values, euclidean = scipy.linalg.eigh(gram, subset_by_value=(-np.inf, gap),
-                                              driver="evr", overwrite_a=True,
-                                              check_finite=False)
+        if partial:
+            values, euclidean = scipy.linalg.eigh(gram, subset_by_value=(-np.inf, gap),
+                                                  driver="evr", overwrite_a=True,
+                                                  check_finite=False)
+        else:
+            values, euclidean = scipy.linalg.eigh(gram, overwrite_a=True, check_finite=False)
+            values, euclidean = values[values <= gap], euclidean[:, values <= gap]
         if values.size and values[-1] > floor:
-            raise ValueError(f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
-                             f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
-                             "the numerical rank is ambiguous")
+            return None, (f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
+                          f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
+                          "the numerical rank is ambiguous")
         # Eigenvectors of the (degenerate) zero eigenvalue are an arbitrary
         # basis that moves with rounding, e.g. with the BLAS thread count.
         # Rotate them to the polar factor of the projected fixed probe
@@ -143,10 +158,13 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     # the vertex-averaged inner product.
     basis = euclidean * math.sqrt(cs.num_vertices)
     residual = float(np.abs(cs.matrix @ basis).max(initial=0.0))
-    if residual > SUBSPACE_RESIDUAL_TOL:
-        raise ValueError(f"constraint subspace basis has residual {residual:.3e} above "
-                         f"{SUBSPACE_RESIDUAL_TOL:g}; the numerical rank is ambiguous")
-    return SubspaceBasis(basis=basis, num_vertices=cs.num_vertices, n=cs.n)
+    gram_error = float(np.abs(euclidean.T @ euclidean - np.eye(euclidean.shape[1]))
+                       .max(initial=0.0))
+    if max(residual, gram_error) > SUBSPACE_RESIDUAL_TOL:
+        return None, (f"constraint subspace basis has residual {residual:.3e} and "
+                      f"orthonormality error {gram_error:.3e}, above "
+                      f"{SUBSPACE_RESIDUAL_TOL:g}")
+    return basis, None
 
 
 def field_l2_norm(fld) -> float:
@@ -220,10 +238,8 @@ class EmbeddingBackend:
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
-                     sample_count: int | None = None,
-                     enumeration_cap: int = ENUMERATION_CAP) -> EmbeddingBackend:
-    family = clifford.build_phase_family(n, mode, seed=seed, sample_count=sample_count,
-                                         enumeration_cap=enumeration_cap)
+                     sample_count: int | None = None) -> EmbeddingBackend:
+    family = clifford.build_phase_family(n, mode, seed=seed, sample_count=sample_count)
     spec = clifford.EmbeddingSpec(n=n)
     return EmbeddingBackend(name="clifford", n=n, eta=spec.eta, tau=spec.tau,
                             is_real=False, kernel=family)
@@ -343,15 +359,6 @@ def decode(fld, params: DecoderParams, inst: LabelCoverInstance):
     fld = np.asarray(fld, dtype=np.complex128)
     if fld.shape != (inst.num_vertices, inst.n):
         raise ValueError(f"field shape {fld.shape} does not match instance")
-    if not np.any(fld):
-        labels = np.zeros(inst.num_vertices, dtype=int)
-        stats = DecodeStats(v0_size=0, v0_fraction=0.0, beta=params.beta,
-                            a1_sizes=[], a2_sizes=[],
-                            a1_bound=16.0 / (params.eps**2 * params.beta**2),
-                            a2_bound=16.0 * params.t**2 / (params.eps**2 * params.beta**2),
-                            satisfied_fraction=satisfied_fraction(inst, labels))
-        return labels, stats
-
     rng = np.random.default_rng(params.seed)
     mags = np.abs(fld)
     l2 = np.sqrt((mags**2).sum(axis=1))

@@ -70,10 +70,10 @@ def little_op_from_comm(ens: commutative.SignEnsemble) -> LittleOperator:
     return LittleOperator(images=images)
 
 
-def little_op_from_clifford(n: int, *, max_n: int = 3) -> LittleOperator:
+def little_op_from_clifford(n: int) -> LittleOperator:
     """Materialize the phase-averaged matrix embedding at tiny n:
     f(e_i) = (+)_w w_i C_i over the exhaustive phase family."""
-    return LittleOperator(images=np.stack([clifford.materialize_embedding(e, max_n=max_n)
+    return LittleOperator(images=np.stack([clifford.materialize_embedding(e)
                                            for e in np.eye(n)]))
 
 
@@ -267,9 +267,8 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
         m = op.apply(a)
         u, s, vh = np.linalg.svd(m)
         value = float(s.sum()) / op.d
-        direction = u @ vh
-        # complex-packed subgradient: conj of (1/d) Tr(direction^H f_m)
-        return value, np.einsum("mij,ij->m", op.images.conj(), direction) / op.d
+        # complex-packed subgradient: F* of the polar factor
+        return value, adjoint_apply(op, u @ vh)
 
     return _sphere_ascent(norm_and_grad, op.n, complex_start=True, restarts=restarts,
                           iters=iters, seed=seed)

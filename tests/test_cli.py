@@ -55,6 +55,25 @@ class TestGenLabelcover:
         fileio.save_instance(inst, tmp_path / "copy.json")
         assert (tmp_path / "inst.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
 
+    # Instance and planted files, pinned so that a change of the generator or
+    # of the instance's array form cannot change the draws or the file format.
+    @pytest.mark.parametrize("argv,digests", [
+        (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
+          "--seed", "7", "--planted-out", "planted.json"],
+         {"inst.json": "7149ac546897860247ba812ff23336327ee0b36d0446ea3c6d13b74380abddbc",
+          "planted.json": "e99509b44fb84dabc4e06062eac1f72569ef9526a5122a592622932530b15019"}),
+        (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
+          "--seed", "7", "--mode", "random"],
+         {"inst.json": "da4aad70d18b395e804da2957e1d4431df4edf709d8367a839d2297c4aa92941"}),
+        (["--vertices", "300", "--degree", "4", "--n", "8", "--k", "4", "--t", "2",
+          "--seed", "1"],
+         {"inst.json": "b178ce2c983602e62e9b2e660dea869f43869a849f544b7acaed77fc23ac85e0"}),
+    ])
+    def test_output_files_golden_sha256(self, tmp_path, argv, digests):
+        assert main(["gen-labelcover", *argv, "--out", "inst.json"]) == 0
+        for name, sha256 in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+
 
 class TestCheckInstance:
     def test_planted_instance_passes(self, tmp_path):
@@ -303,6 +322,16 @@ class TestVectorizedFileio:
         back = fileio.load_tensor(tmp_path / "t.json")
         assert np.array_equal(np.signbit(back.coeffs.real), np.signbit(tensor.coeffs.real))
         assert np.array_equal(np.signbit(back.coeffs.imag), np.signbit(tensor.coeffs.imag))
+
+    def test_solution_matches_loop(self, tmp_path):
+        rng = np.random.default_rng(32)
+        a_mat, b_mat = self.signed_zero_field()[:3], rng.normal(size=(3, 3)) + 0j
+        fileio.save_solution(0.75, a_mat, b_mat, tmp_path / "s.json")
+        reference = {"version": 1, "value": 0.75,
+                     "a": [[[float(z.real), float(z.imag)] for z in row] for row in a_mat],
+                     "b": [[[float(z.real), float(z.imag)] for z in row] for row in b_mat]}
+        fileio.dump_json(reference, tmp_path / "ref.json")
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
     def test_field_matches_loop(self, tmp_path):
         fld = self.signed_zero_field()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ncglab import labelcover as lc
 
@@ -143,3 +145,181 @@ class TestWeakExpansion:
         rows = lc.check_weak_expansion(inst, [0.25], subset_samples=50, seed=0)
         assert rows[0].min_edges == 0
         assert not rows[0].passed
+
+
+# ---------------------------------------------------------------------------
+# The array-form checkers against per-edge loop references
+
+
+def loop_degrees(inst):
+    deg = np.zeros(inst.num_vertices, dtype=int)
+    for e in inst.edges:
+        deg[e.u] += 1
+        deg[e.v] += 1
+    return deg
+
+
+def loop_is_connected(inst):
+    if inst.num_vertices == 1:
+        return True
+    adj = [[] for _ in range(inst.num_vertices)]
+    for e in inst.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    seen = np.zeros(inst.num_vertices, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return bool(seen.all())
+
+
+def loop_max_preimage_size(inst):
+    worst = 0
+    for e in inst.edges:
+        for pi in (e.pi_u, e.pi_v):
+            worst = max(worst, int(np.bincount(pi, minlength=inst.k).max()))
+    return worst
+
+
+def loop_satisfied_fraction(inst, labels):
+    if inst.num_edges == 0:
+        return 1.0
+    good = sum(1 for e in inst.edges if e.pi_u[labels[e.u]] == e.pi_v[labels[e.v]])
+    return good / inst.num_edges
+
+
+def loop_smoothness(inst):
+    worst = 0.0
+    for v in range(inst.num_vertices):
+        incident = [pi for e in inst.edges for end, pi in ((e.u, e.pi_u), (e.v, e.pi_v))
+                    if end == v]
+        if not incident:
+            continue
+        counts = np.zeros((inst.n, inst.n), dtype=int)
+        for pi in incident:
+            counts += pi[:, None] == pi[None, :]
+        np.fill_diagonal(counts, 0)
+        worst = max(worst, counts.max() / len(incident))
+    return float(worst)
+
+
+def assert_checkers_match_loops(inst, seed=0):
+    # the reports serialize these values with json, which takes no numpy scalars
+    assert type(inst.is_connected()) is bool and type(inst.is_regular()) is bool
+    assert type(inst.max_preimage_size()) is int
+    assert type(lc.check_smoothness(inst)) is float
+    assert type(lc.satisfied_fraction(inst, np.zeros(inst.num_vertices, dtype=int))) is float
+    np.testing.assert_array_equal(inst.degrees(), loop_degrees(inst))
+    assert inst.is_connected() == loop_is_connected(inst)
+    assert inst.max_preimage_size() == loop_max_preimage_size(inst)
+    assert lc.check_smoothness(inst) == loop_smoothness(inst)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        labels = rng.integers(0, inst.n, inst.num_vertices)
+        assert lc.satisfied_fraction(inst, labels) == loop_satisfied_fraction(inst, labels)
+
+
+def random_edge_instance(num_vertices, num_edges, n, k, seed):
+    """Arbitrary multigraph (irregular, possibly disconnected) with random
+    projections; no preimage bound is imposed."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for _ in range(num_edges):
+        u, v = rng.choice(num_vertices, size=2, replace=False)
+        edges.append(lc.Edge(u=int(u), v=int(v), pi_u=rng.integers(0, k, n),
+                             pi_v=rng.integers(0, k, n)))
+    return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=n, gamma=1.0,
+                                 zeta=0.1, edges=edges)
+
+
+class TestCheckersMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(planted=st.booleans(), vertices=st.integers(2, 16),
+           degree=st.integers(1, 6), n=st.integers(1, 6), k=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_generated_instances(self, planted, vertices, degree, n, k, seed):
+        assume(degree < vertices and (degree % 2 == 0 or vertices % 2 == 0))
+        t = -(-n // k)
+        try:
+            if planted:
+                inst = lc.generate_planted(vertices, degree, n, k, t, seed=seed)[0]
+            else:
+                inst = lc.generate_random(vertices, degree, n, k, t, seed=seed)
+        except ValueError:  # a disconnected circulant graph
+            assume(False)
+        assert_checkers_match_loops(inst, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertices=st.integers(2, 10), num_edges=st.integers(0, 20),
+           n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_arbitrary_multigraphs(self, vertices, num_edges, n, k, seed):
+        assert_checkers_match_loops(random_edge_instance(vertices, num_edges, n, k, seed),
+                                    seed)
+
+    def test_disconnected(self):
+        ident = np.arange(3)
+        edges = [lc.Edge(0, 1, ident.copy(), ident.copy()),
+                 lc.Edge(2, 3, np.array([0, 0, 1]), ident.copy())]
+        inst = lc.LabelCoverInstance(num_vertices=4, n=3, k=3, t=2, gamma=1.0,
+                                     zeta=0.1, edges=edges)
+        assert not inst.is_connected() and inst.is_regular()
+        assert lc.check_smoothness(inst) == 1.0
+        assert_checkers_match_loops(inst)
+
+    def test_isolated_vertex(self):
+        edges = [lc.Edge(0, 1, np.array([0, 1]), np.array([1, 1])),
+                 lc.Edge(1, 2, np.array([0, 1]), np.array([0, 1]))]
+        inst = lc.LabelCoverInstance(num_vertices=4, n=2, k=2, t=2, gamma=1.0,
+                                     zeta=0.1, edges=edges)
+        np.testing.assert_array_equal(inst.degrees(), [1, 2, 1, 0])
+        assert not inst.is_connected() and not inst.is_regular()
+        assert lc.check_smoothness(inst) == 0.5  # vertex 1: one collision in two sides
+        assert_checkers_match_loops(inst)
+
+    @pytest.mark.parametrize("num_vertices", [1, 3])
+    def test_no_edges(self, num_vertices):
+        inst = lc.LabelCoverInstance(num_vertices=num_vertices, n=2, k=1, t=2, gamma=1.0,
+                                     zeta=0.1, edges=[])
+        assert inst.ends.shape == (0, 2) and inst.pis.shape == (0, 2, 2)
+        assert inst.max_preimage_size() == 0 and lc.check_smoothness(inst) == 0.0
+        assert inst.is_connected() == (num_vertices == 1)
+        assert lc.satisfied_fraction(inst, np.zeros(num_vertices, dtype=int)) == 1.0
+        assert_checkers_match_loops(inst)
+
+    @pytest.mark.parametrize("budget", [1, 40, 200])
+    def test_smoothness_in_blocks(self, monkeypatch, budget):
+        # a budget below one vertex's comparisons gives one vertex per block
+        instances = [lc.generate_random(20, 4, 5, 3, 2, seed=1),
+                     random_edge_instance(9, 25, 4, 2, seed=2)]
+        monkeypatch.setattr(lc, "_CHUNK_ENTRIES", budget)
+        for inst in instances:
+            assert lc.check_smoothness(inst) == loop_smoothness(inst)
+
+
+class TestEdgeArrays:
+    def test_arrays_hold_the_edges(self):
+        inst = lc.generate_random(10, 4, 5, 3, 2, seed=3)
+        assert inst.ends.dtype == np.int64 and inst.pis.dtype == np.int64
+        assert inst.ends.shape == (inst.num_edges, 2)
+        assert inst.pis.shape == (inst.num_edges, 2, inst.n)
+        for e, (u, v), (pi_u, pi_v) in zip(inst.edges, inst.ends, inst.pis):
+            assert (e.u, e.v) == (u, v)
+            np.testing.assert_array_equal(e.pi_u, pi_u)
+            np.testing.assert_array_equal(e.pi_v, pi_v)
+
+    @pytest.mark.parametrize("edge", [
+        lc.Edge(0, 1, np.array([0, 1, 0]), np.array([0, 1])),  # wrong length
+        lc.Edge(0, 1, np.array([[0, 1]]), np.array([0, 1])),  # wrong shape
+        lc.Edge(0, 2, np.array([0, 1]), np.array([0, 1])),  # endpoint out of range
+        lc.Edge(-1, 1, np.array([0, 1]), np.array([0, 1])),  # negative endpoint
+        lc.Edge(0, 1, np.array([0, -1]), np.array([0, 1])),  # negative label
+    ])
+    def test_validation(self, edge):
+        with pytest.raises(ValueError):
+            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+                                  edges=[edge])

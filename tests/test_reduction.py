@@ -185,6 +185,33 @@ class TestSubspaceBasisMatchesSvd:
         assert_matches_svd_null_space(cs)
 
 
+class TestPartialSolveFallback:
+    # Instances on which the partial eigensolve returned null vectors with
+    # residual 1.9e-7 and 3.0e-9 though the rank is well separated; the full
+    # eigensolve gives the basis
+    @pytest.mark.parametrize("params", [("planted", 4, 2, 4, 4, 1, 29266),
+                                        ("planted", 10, 2, 5, 5, 1, 5226)])
+    def test_pinned_instances(self, params):
+        assert_matches_svd_null_space(red.build_constraints(make_instance(*params)))
+
+    def test_inaccurate_partial_solve_falls_back(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+        calls = []
+
+        def perturbed_partial_eigh(a, **kwargs):
+            calls.append("subset_by_value" in kwargs)
+            values, vectors = eigh(a, **kwargs)
+            if "subset_by_value" in kwargs:
+                vectors = vectors + 1e-7 * np.random.default_rng(0).standard_normal(
+                    vectors.shape)
+            return values, vectors
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_partial_eigh)
+        cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
+        assert_matches_svd_null_space(cs)
+        assert calls == [True, False]
+
+
 class TestSubspaceBasisIsCanonical:
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:2] + REFERENCE_INSTANCES[4:5])
     def test_basis_depends_only_on_subspace(self, params):
@@ -359,6 +386,18 @@ class TestDecoder:
         labels, stats = red.decode(np.zeros((8, 6), dtype=complex), params, inst)
         assert stats.v0_size == 0
         np.testing.assert_array_equal(labels, np.zeros(8, dtype=int))
+
+    def test_zero_field_stats(self):
+        inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=12)
+        params = red.DecoderParams(eps=0.5, delta=0.5, t=inst.t, seed=0)
+        labels, stats = red.decode(np.zeros((8, 6), dtype=complex), params, inst)
+        np.testing.assert_array_equal(labels, np.zeros(8, dtype=int))
+        beta = 0.5**2 * 0.5**3
+        assert vars(stats) == {
+            "v0_size": 0, "v0_fraction": 0.0, "beta": beta, "a1_sizes": [],
+            "a2_sizes": [], "a1_bound": 16.0 / (0.5**2 * beta**2),
+            "a2_bound": 16.0 * inst.t**2 / (0.5**2 * beta**2),
+            "satisfied_fraction": lc.satisfied_fraction(inst, labels)}
 
     def test_single_vertex_spike(self):
         inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=13)
