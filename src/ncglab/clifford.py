@@ -199,10 +199,11 @@ def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = N
 
 @dataclass
 class NormEstimate:
-    """A norm value with a standard error (0 for exact enumerations)."""
+    """A norm value with a standard error (0 for exact enumerations); both
+    are (V,) arrays for a batch of rows."""
 
-    value: float
-    stderr: float = 0.0
+    value: float | np.ndarray
+    stderr: float | np.ndarray = 0.0
 
 
 def _rows(a, n: int) -> np.ndarray:
@@ -232,20 +233,24 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     """E_w[ ||C(a o w)||_S1 ] under the family, i.e. the trace norm of the
     block-diagonal embedding (+)_w C(a o w).
 
-    Standard basis vectors give exactly 1 (a o w is purely real or purely
-    imaginary, so L vanishes). Monte-Carlo mode reports a standard error.
+    ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
+    giving (V,) arrays. Standard basis vectors give exactly 1 (a o w is
+    purely real or purely imaginary, so L vanishes). Monte-Carlo mode
+    reports a standard error.
     """
-    rows = _rows(np.reshape(a, -1), family.n)
+    rows = _rows(a, family.n)
     p, q, r = _pqr(rows, family)
-    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))[0]
-    s = float(np.sum(np.abs(rows) ** 2))
+    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
+    s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
     vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
-    value = float(vals @ family.class_weights)
-    stderr = 0.0
+    value = vals @ family.class_weights
+    stderr = np.zeros_like(value)
     if family.mode == "monte_carlo" and family.size > 1:
         # member sample variance; class_weights are class sizes over size
-        spread = float(family.class_weights @ (vals - value) ** 2)
-        stderr = math.sqrt(spread / (family.size - 1))
+        spread = (vals - value[:, None]) ** 2 @ family.class_weights
+        stderr = np.sqrt(spread / (family.size - 1))
+    if np.ndim(a) != 2:
+        return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
     return NormEstimate(value=value, stderr=stderr)
 
 

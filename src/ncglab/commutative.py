@@ -22,8 +22,12 @@ REAL_LIMIT = math.sqrt(2.0 / math.pi)
 COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
 
 # Per-chunk entry budget for streamed Monte-Carlo estimation and batched
-# exhaustive gradients.
+# exhaustive norms and gradients.
 _CHUNK_ENTRIES = 2**22
+
+# Coordinates drawn by one random byte: 8 signs (one bit each) or 4 phases
+# (two bits each).
+_PER_BYTE = {"real": 8, "complex": 4}
 
 
 @dataclass
@@ -76,40 +80,88 @@ def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
     return rows
 
 
+def _member_products(rows: np.ndarray, members: np.ndarray):
+    """Yield (row slice, rows[slice] @ members.T) in chunks of about
+    _CHUNK_ENTRIES products."""
+    chunk = max(1, _CHUNK_ENTRIES // members.shape[0])
+    for lo in range(0, rows.shape[0], chunk):
+        sl = slice(lo, lo + chunk)
+        yield sl, rows[sl] @ members.T
+
+
+def _byte_tables(rows: np.ndarray, field: str) -> np.ndarray:
+    """Partial sums of <a, Z> over each group of _PER_BYTE[field]
+    coordinates (zero-padded at the end), for all 256 values of the byte
+    that draws the group: (V, groups * 256), group-major.
+
+    Bit j of the byte is the sign 1 - 2*bit_j of coordinate j (real); bits
+    2j, 2j+1 give the phase i^((b >> 2j) & 3) (complex). Those are exactly
+    the exhaustive members at n = 8 (real) or n = 4 (complex), in byte
+    order, so that enumeration decodes the bytes.
+    """
+    per = _PER_BYTE[field]
+    groups = -(-rows.shape[1] // per)
+    padded = np.zeros((rows.shape[0], groups * per), dtype=rows.dtype)
+    padded[:, :rows.shape[1]] = rows
+    decode = exhaustive_members(SignEnsemble(field=field, n=per))
+    return (padded.reshape(rows.shape[0], groups, per) @ decode.T).reshape(rows.shape[0], -1)
+
+
+def _byte_draws(ens: SignEnsemble, groups: int, chunk: int):
+    """Yield the (size, groups) uint8 draws chunk by chunk. Sample s reads
+    its own ceil(groups/8) 64-bit words of the seeded stream (little-endian
+    bytes, the tail unused), so the draws do not depend on the chunk size."""
+    bitgen = np.random.default_rng(ens.seed).bit_generator
+    words = -(-groups // 8)
+    for lo in range(0, ens.sample_count, chunk):
+        size = min(chunk, ens.sample_count - lo)
+        raw = bitgen.random_raw(size * words).astype("<u8", copy=False)
+        yield raw.view(np.uint8).reshape(size, 8 * words)[:, :groups]
+
+
+def _table_products(tables: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """<a, Z> for each row's tables and each sample's bytes: (V, size), one
+    gather per group and a sum over the groups."""
+    groups = draws.shape[1]
+    return np.take(tables, draws + 256 * np.arange(groups), axis=1) @ np.ones(groups)
+
+
 def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     """E[ |sum_i a_i Z_i| ] under the ensemble.
 
-    Exhaustive mode is exact (stderr 0); monte_carlo streams seeded chunks
+    ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
+    giving (V,) arrays. Exhaustive mode is exact (stderr 0); monte_carlo
+    streams seeded uniform bytes, each drawing 8 signs or 4 phases looked
+    up in per-group partial-sum tables, uses the same draws for every row,
     and reports the sample standard error.
     """
-    a = _check_rows(np.reshape(a, -1), ens)[0]
+    rows = _check_rows(a, ens)
+    if ens.field == "real":
+        rows = rows.real
     if ens.mode == "exhaustive":
         members = exhaustive_members(ens)
-        value = float(np.abs(members @ a).mean())
-        return NormEstimate(value=value, stderr=0.0)
-
-    rng = np.random.default_rng(ens.seed)
-    chunk = max(1, _CHUNK_ENTRIES // ens.n)
-    total = ens.sample_count
-    acc = 0.0
-    acc_sq = 0.0
-    done = 0
-    while done < total:
-        size = min(chunk, total - done)
-        if ens.field == "real":
-            z = 1.0 - 2.0 * rng.integers(0, 2, size=(size, ens.n))
-            w = z @ a.real
-        else:
-            z = PHASE_VALUES[rng.integers(0, 4, size=(size, ens.n))]
-            w = z @ a
-        mags = np.abs(w)
-        acc += float(mags.sum())
-        acc_sq += float((mags * mags).sum())
-        done += size
-    mean = acc / total
-    var = max(acc_sq / total - mean * mean, 0.0)
-    stderr = math.sqrt(var / total)
-    return NormEstimate(value=mean, stderr=stderr)
+        value = np.empty(rows.shape[0])
+        for sl, w in _member_products(rows, members):
+            value[sl] = np.abs(w).mean(axis=1)
+        stderr = np.zeros_like(value)
+    else:
+        tables = _byte_tables(rows, ens.field)
+        groups = tables.shape[1] // 256
+        # per sample: the bytes, the int64 gather index and V gathered values per group
+        chunk = max(1, _CHUNK_ENTRIES // (groups * (2 + rows.shape[0])))
+        total = ens.sample_count
+        acc = np.zeros(rows.shape[0])
+        acc_sq = np.zeros(rows.shape[0])
+        for draws in _byte_draws(ens, groups, chunk):
+            mags = np.abs(_table_products(tables, draws))
+            acc += mags.sum(axis=1)
+            acc_sq += (mags * mags).sum(axis=1)
+        value = acc / total
+        var = np.maximum(acc_sq / total - value * value, 0.0)
+        stderr = np.sqrt(var / total)
+    if np.ndim(a) != 2:
+        return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
+    return NormEstimate(value=value, stderr=stderr)
 
 
 def embedding_l1_gradient(a, ens: SignEnsemble):
@@ -123,13 +175,11 @@ def embedding_l1_gradient(a, ens: SignEnsemble):
     members = exhaustive_members(ens)
     values = np.empty(rows.shape[0])
     grads = np.empty(rows.shape, dtype=np.complex128)
-    chunk = max(1, _CHUNK_ENTRIES // members.shape[0])
-    for lo in range(0, rows.shape[0], chunk):
-        w = rows[lo:lo + chunk] @ members.T
+    for sl, w in _member_products(rows, members):
         mags = np.abs(w)
-        values[lo:lo + chunk] = mags.mean(axis=1)
+        values[sl] = mags.mean(axis=1)
         unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
-        grads[lo:lo + chunk] = (unit @ members.conj()) / members.shape[0]
+        grads[sl] = (unit @ members.conj()) / members.shape[0]
     if ens.field == "real":
         grads = grads.real.astype(np.complex128)
     if np.ndim(a) != 2:

@@ -198,8 +198,9 @@ class EmbeddingBackend:
     """A concrete embedding f with its dictatorship-test constants.
 
     kernel is the matrix embedding's PhaseFamily or a scalar SignEnsemble.
-    norm(a) evaluates ||f(a)||; norm_and_gradient maps a vector (n,) or a
-    field (V, n) to norms and complex-packed subgradients in one call.
+    norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of
+    a field (V, n) in one call; norm_and_gradient maps either to norms and
+    complex-packed subgradients.
     bound(a) is the analytic upper bound on norm(a); delta(eps), for the
     matrix embedding, is the spread threshold paired with (eta, tau).
     """
@@ -215,7 +216,7 @@ class EmbeddingBackend:
     def _is_matrix(self) -> bool:
         return isinstance(self.kernel, clifford.PhaseFamily)
 
-    def norm(self, a) -> float:
+    def norm(self, a):
         if self._is_matrix:
             return clifford.dictator_embedding_norm(a, self.kernel).value
         return commutative.embedding_l1_norm(a, self.kernel).value
@@ -274,7 +275,7 @@ def apply_norm_F(fld, backend: EmbeddingBackend) -> float:
     fld = np.asarray(fld, dtype=np.complex128)
     if fld.ndim != 2 or fld.shape[1] != backend.n:
         raise ValueError(f"field shape {fld.shape} does not match backend n={backend.n}")
-    return float(np.mean([backend.norm(row) for row in fld]))
+    return float(np.mean(backend.norm(fld)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncglab import commutative as comm
 
 INV_SQRT2 = 2**-0.5
 # E|w1 + w2|/sqrt(2) over fourth roots of unity: (2 + sqrt(2) + sqrt(2) + 0)/4/sqrt(2)
 COMPLEX_TWO_VALUE = (1 + np.sqrt(2)) / (2 * np.sqrt(2))
+
+
+def decoded_draws(fld, n, seed, count):
+    """The bytes a seeded Monte-Carlo ensemble reads, redrawn from the seed,
+    and the rows Z they encode. Sample s takes ceil(groups/8) 64-bit words;
+    byte g holds coordinates g*per .. g*per+per-1, one bit each (real signs
+    1 - 2*bit) or two bits each (complex phases i^digit), low bits first."""
+    per = 8 if fld == "real" else 4
+    groups = -(-n // per)
+    words = -(-groups // 8)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(count * words)
+    draws = raw.astype("<u8").view(np.uint8).reshape(count, 8 * words)[:, :groups]
+    coord = np.arange(n)
+    digits = draws[:, coord // per] >> ((8 // per) * (coord % per))
+    if fld == "real":
+        return draws, 1.0 - 2.0 * (digits & 1)
+    return draws, np.array([1, 1j, -1, -1j])[digits & 3]
+
+
+def unit_vector(rng, fld, n):
+    a = rng.normal(size=n)
+    if fld == "complex":
+        a = a + 1j * rng.normal(size=n)
+    return a / np.linalg.norm(a)
 
 
 class TestEnsemble:
@@ -77,6 +103,65 @@ class TestEmbeddingL1Norm:
         assert est1.value <= np.linalg.norm(a) + 3 * est1.stderr
         exact = comm.embedding_l1_norm(a, comm.SignEnsemble(field="real", n=6)).value
         assert abs(est1.value - exact) <= 5 * est1.stderr
+
+    @pytest.mark.parametrize("fld, n", [("real", 9), ("complex", 5)])
+    def test_monte_carlo_consistent_across_partial_bytes(self, fld, n):
+        # n is no multiple of the coordinates per byte (8 real, 4 complex),
+        # so a bit-order or padding slip moves the estimate off the exact value
+        a = unit_vector(np.random.default_rng(n), fld, n)
+        mc = comm.SignEnsemble(field=fld, n=n, mode="monte_carlo", seed=3,
+                               sample_count=200_000)
+        est = comm.embedding_l1_norm(a, mc)
+        assert est.value <= np.linalg.norm(a) + 3 * est.stderr
+        exact = comm.embedding_l1_norm(a, comm.SignEnsemble(field=fld, n=n)).value
+        assert abs(est.value - exact) <= 5 * est.stderr
+
+
+class TestByteTableSampler:
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [1000])
+    def test_matches_direct_products_on_same_bytes(self, fld, n, monkeypatch):
+        a = unit_vector(np.random.default_rng(n), fld, n)
+        count, seed = 500, 100 + n
+        draws, z = decoded_draws(fld, n, seed, count)
+        direct = z @ a
+        tables = comm._byte_tables(a.reshape(1, -1), fld)
+        assert np.max(np.abs(comm._table_products(tables, draws)[0] - direct)) <= 1e-12
+        # chunks of 7 samples, so the estimate spans many chunk boundaries
+        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 7 * 3 * draws.shape[1])
+        est = comm.embedding_l1_norm(a, comm.SignEnsemble(
+            field=fld, n=n, mode="monte_carlo", seed=seed, sample_count=count))
+        mags = np.abs(direct)
+        assert abs(est.value - mags.mean()) <= 1e-12
+        assert abs(est.stderr - mags.std() / np.sqrt(count)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(fld=st.sampled_from(["real", "complex"]),
+           parts=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                          min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_table_products_property(self, fld, parts, seed):
+        a = np.array([x + 1j * y if fld == "complex" else x for x, y in parts])
+        draws, z = decoded_draws(fld, a.size, seed, 64)
+        tables = comm._byte_tables(a.reshape(1, -1), fld)
+        assert np.max(np.abs(comm._table_products(tables, draws)[0] - z @ a)) <= 1e-12
+
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+    def test_batched_rows_match_single_rows(self, fld, mode, monkeypatch):
+        n = 5
+        ens = comm.SignEnsemble(field=fld, n=n, mode=mode, seed=9, sample_count=1000)
+        rng = np.random.default_rng(12)
+        rows = np.array([unit_vector(rng, fld, n) for _ in range(7)])
+        # small chunks whose size depends on the row count (Monte-Carlo) or
+        # that split the rows (exhaustive)
+        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 3 * 4**n)
+        batch = comm.embedding_l1_norm(rows, ens)
+        assert batch.value.shape == batch.stderr.shape == (7,)
+        for v, row in enumerate(rows):
+            est = comm.embedding_l1_norm(row, ens)
+            assert abs(batch.value[v] - est.value) <= 1e-12
+            assert abs(batch.stderr[v] - est.stderr) <= 1e-12
 
 
 class TestGradient:

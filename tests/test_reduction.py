@@ -349,6 +349,28 @@ class TestApplyNormF:
         bound = np.sqrt((1 + 1 / np.sqrt(n)) / 2)
         assert red.apply_norm_F(fld, backend) <= bound + 1e-10
 
+    @pytest.mark.parametrize("maker, n, kwargs", [
+        (red.clifford_backend, 5, {}),
+        (red.clifford_backend, 8, {"mode": "pairwise_independent"}),
+        (red.clifford_backend, 5, {"mode": "monte_carlo", "seed": 3, "sample_count": 700}),
+        (red.comm_real_backend, 9, {}),
+        (red.comm_real_backend, 9, {"mode": "monte_carlo", "seed": 4, "sample_count": 3000}),
+        (red.comm_complex_backend, 5, {}),
+        (red.comm_complex_backend, 5, {"mode": "monte_carlo", "seed": 5, "sample_count": 3000}),
+    ])
+    def test_batched_matches_row_loop(self, maker, n, kwargs):
+        backend = maker(n, **kwargs)
+        rng = np.random.default_rng(23)
+        fld = rng.normal(size=(30, n))
+        if not backend.is_real:
+            fld = fld + 1j * rng.normal(size=(30, n))
+        fld[4] = 0.0
+        values = backend.norm(fld)
+        rows = [backend.norm(row) for row in fld]
+        assert values.shape == (30,)
+        assert np.max(np.abs(values - rows)) <= 1e-12
+        assert abs(red.apply_norm_F(fld, backend) - np.mean(rows)) <= 1e-12
+
 
 class TestCertificate:
     @pytest.mark.parametrize("maker", [red.clifford_backend, red.comm_real_backend,
