@@ -73,11 +73,14 @@ def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
 
 
 def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
-    """a as (V, n) complex rows, real-valued for a real ensemble."""
+    """a as (V, n) rows: complex128, or float64 for a real ensemble, which
+    rejects a nonzero imaginary part."""
     rows = _rows(a, ens.n)
-    if ens.field == "real" and np.any(rows.imag != 0.0):
+    if ens.field == "complex":
+        return rows
+    if np.any(rows.imag != 0.0):
         raise ValueError("real ensemble requires a real-valued vector")
-    return rows
+    return np.ascontiguousarray(rows.real)
 
 
 def _member_products(rows: np.ndarray, members: np.ndarray):
@@ -136,8 +139,6 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     and reports the sample standard error.
     """
     rows = _check_rows(a, ens)
-    if ens.field == "real":
-        rows = rows.real
     if ens.mode == "exhaustive":
         members = exhaustive_members(ens)
         value = np.empty(rows.shape[0])
@@ -180,8 +181,6 @@ def embedding_l1_gradient(a, ens: SignEnsemble):
         values[sl] = mags.mean(axis=1)
         unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
         grads[sl] = (unit @ members.conj()) / members.shape[0]
-    if ens.field == "real":
-        grads = grads.real.astype(np.complex128)
     if np.ndim(a) != 2:
         return float(values[0]), grads[0]
     return values, grads

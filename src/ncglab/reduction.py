@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from . import clifford, commutative
@@ -90,68 +91,103 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
     def to_field(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.complex128).reshape(-1)
-        flat = self.basis @ coords
-        return flat.reshape(self.num_vertices, self.n)
+        return _real_times_complex(self.basis, coords).reshape(self.num_vertices, self.n)
 
     def coords_of(self, fld) -> np.ndarray:
-        flat = np.asarray(fld, dtype=np.complex128).reshape(-1)
-        return (self.basis.T @ flat) / self.num_vertices
+        return _real_times_complex(self.basis.T, fld) / self.num_vertices
 
     def project(self, fld) -> np.ndarray:
         return self.to_field(self.coords_of(fld))
 
 
-def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
-    """Orthonormal basis of the constraint nullspace, from the eigenvectors
-    of the Gram matrix G = A^T A that belong to its near-zero eigenvalues.
+def _real_times_complex(matrix: np.ndarray, vec) -> np.ndarray:
+    """matrix @ vec for a real matrix and a complex vector (flattened), as one
+    real product with the (len, 2) float64 view of vec, so that the matrix is
+    not copied to complex."""
+    pairs = np.ascontiguousarray(vec, dtype=np.complex128).reshape(-1).view(np.float64)
+    return (matrix @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
 
-    Only the eigenpairs below the rank gap sqrt(eps)*g are computed, where
-    g = max_i sum_j |G_ij| (a Gershgorin bound on the largest eigenvalue).
-    Eigenvalues up to the rounding floor dim*eps*g count as zero. Because G
-    squares the singular values of A, an eigenvalue between the floor and the
-    gap leaves the numerical rank ambiguous, and the basis must meet
-    SUBSPACE_RESIDUAL_TOL in constraint residual and orthonormality. The
-    partial eigensolve can return inaccurate vectors (residual ~1e-7 on about
-    1 in 800 small instances), so a basis failing a check is recomputed from
-    the full eigensolve; only its failure raises a ValueError naming the check.
-    The basis is a function of the subspace alone (see the rotation below),
-    so ascents started from it do not depend on how it was computed.
+
+def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
+    """Orthonormal basis of the constraint nullspace, from a pivoted Cholesky
+    factorization of the Gram matrix G = A^T A.
+
+    Let g = max_i sum_j |G_ij| (a Gershgorin bound on the largest eigenvalue).
+    The factorization stops at the first pivot below the rounding floor
+    dim*eps*g, and the number of accepted pivots is the rank. Because G
+    squares the singular values of A, a last accepted pivot below the rank
+    gap sqrt(eps)*g leaves the numerical rank ambiguous, and the basis must
+    meet SUBSPACE_RESIDUAL_TOL in constraint residual and orthonormality. A
+    basis that fails either test is recomputed from the full eigensolve of G,
+    and only its failure raises a ValueError naming the check. The basis is a
+    function of the subspace alone (see the rotation below), so ascents
+    started from it do not depend on how it was computed.
     """
-    for partial in (True, False):
-        basis, problem = _null_space_basis(cs, partial=partial)
+    for cholesky in (True, False):
+        basis, problem = _null_space_basis(cs, cholesky=cholesky)
         if problem is None:
             return SubspaceBasis(basis=basis, num_vertices=cs.num_vertices, n=cs.n)
     raise ValueError(problem)
 
 
-def _null_space_basis(cs: ConstraintSystem, *, partial: bool):
-    """(basis, None) from the partial or the full eigensolve of the Gram
-    matrix, or (None, message) naming the check the basis failed."""
+def _cholesky_null_vectors(gram: np.ndarray, floor: float, gap: float):
+    """Orthonormal null vectors of the PSD matrix gram from its pivoted
+    Cholesky factor, or (None, message) if the last accepted pivot lies
+    between floor and gap. gram is overwritten."""
+    # P^T G P = L L^T, stopped after `rank` pivots; a Fortran-ordered gram is
+    # factored in place
+    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=floor, lower=1,
+                                                      overwrite_a=1)
+    last = factor[rank - 1, rank - 1] ** 2
+    if last <= gap:
+        return None, (f"pivoted Cholesky of the constraint Gram matrix accepted pivot "
+                      f"{last:.3e} between the null floor {floor:.3e} and the rank gap "
+                      f"{gap:.3e}; the numerical rank is ambiguous")
+    # in pivot order the null vectors are [-X; I] with L11^T X = L21^T
+    x = scipy.linalg.solve_triangular(factor[:rank, :rank], factor[rank:, :rank].T,
+                                      lower=True, trans="T", check_finite=False)
+    kernel = np.empty((gram.shape[0], gram.shape[0] - rank))
+    kernel[piv[:rank] - 1] = -x
+    kernel[piv[rank:] - 1] = np.eye(kernel.shape[1])
+    # K^T K = I + X^T X has eigenvalues >= 1: K R^-1 is orthonormal
+    upper = scipy.linalg.cholesky(np.eye(kernel.shape[1]) + x.T @ x, check_finite=False)
+    return scipy.linalg.solve_triangular(upper, kernel.T, trans="T",
+                                         check_finite=False).T, None
+
+
+def _eigh_null_vectors(gram: np.ndarray, floor: float, gap: float):
+    """Eigenvectors of gram for its eigenvalues up to gap, or (None, message)
+    if one lies between floor and gap. gram is overwritten."""
+    values, vectors = scipy.linalg.eigh(gram, overwrite_a=True, check_finite=False)
+    values, vectors = values[values <= gap], vectors[:, values <= gap]
+    if values.size and values[-1] > floor:
+        return None, (f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
+                      f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
+                      "the numerical rank is ambiguous")
+    return vectors, None
+
+
+def _null_space_basis(cs: ConstraintSystem, *, cholesky: bool):
+    """(basis, None) from the pivoted Cholesky factorization or the full
+    eigensolve of the Gram matrix, or (None, message) naming the check the
+    basis failed."""
     dim_total = cs.num_vertices * cs.n
-    gram = (cs.matrix.T @ cs.matrix).toarray()
-    g = float(np.abs(gram).sum(axis=1).max())
+    gram = cs.matrix.T @ cs.matrix
+    g = float(abs(gram).sum(axis=1).max())
     if g == 0.0:
         euclidean = np.eye(dim_total)
     else:
         eps = np.finfo(np.float64).eps
         floor, gap = dim_total * eps * g, math.sqrt(eps) * g
-        if partial:
-            values, euclidean = scipy.linalg.eigh(gram, subset_by_value=(-np.inf, gap),
-                                                  driver="evr", overwrite_a=True,
-                                                  check_finite=False)
-        else:
-            values, euclidean = scipy.linalg.eigh(gram, overwrite_a=True, check_finite=False)
-            values, euclidean = values[values <= gap], euclidean[:, values <= gap]
-        if values.size and values[-1] > floor:
-            return None, (f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
-                          f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
-                          "the numerical rank is ambiguous")
-        # Eigenvectors of the (degenerate) zero eigenvalue are an arbitrary
-        # basis that moves with rounding, e.g. with the BLAS thread count.
-        # Rotate them to the polar factor of the projected fixed probe
-        # P @ probe, which depends on the subspace alone.
-        probe = np.random.default_rng(0).standard_normal((dim_total, values.size))
+        null_vectors = _cholesky_null_vectors if cholesky else _eigh_null_vectors
+        euclidean, problem = null_vectors(gram.toarray(order="F"), floor, gap)
+        if problem is not None:
+            return None, problem
+        # Any orthonormal basis of the null space is arbitrary and moves with
+        # rounding, e.g. with the BLAS thread count or the solver. Rotate it
+        # to the polar factor of the projected fixed probe P @ probe, which
+        # depends on the subspace alone.
+        probe = np.random.default_rng(0).standard_normal((dim_total, euclidean.shape[1]))
         left, _, right = np.linalg.svd(euclidean.T @ probe)
         euclidean = euclidean @ (left @ right)
     # Euclidean-orthonormal columns scaled by sqrt(|V|) are orthonormal under
@@ -409,7 +445,7 @@ def _objective_and_gradient(coords, basis: SubspaceBasis, backend: EmbeddingBack
     """h(z) = E_v ||f((basis @ z)_v)|| and its complex-packed gradient in z."""
     values, grads = backend.norm_and_gradient(basis.to_field(coords))
     # chain rule onto coordinates; basis is real so a plain transpose suffices
-    grad_coords = basis.basis.T @ (grads.reshape(-1) / basis.num_vertices)
+    grad_coords = _real_times_complex(basis.basis.T, grads / basis.num_vertices)
     if backend.is_real:
         grad_coords = grad_coords.real.astype(np.complex128)
     return float(np.mean(values)), grad_coords

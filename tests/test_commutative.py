@@ -205,6 +205,46 @@ class TestGradient:
                 assert np.max(np.abs(grads[v] - grad)) <= 1e-12
 
 
+class TestRealFieldArithmetic:
+    """A real ensemble computes in float64; the values, stderr and gradients
+    equal the same formulas in complex arithmetic."""
+
+    def test_real_rows_are_float64(self):
+        ens = comm.SignEnsemble(field="real", n=3)
+        rows = comm._check_rows(np.array([[1.0, -2.0, 0.5]], dtype=np.complex128), ens)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert comm._byte_tables(rows, "real").dtype == np.float64
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_exhaustive_matches_complex_reference(self, n):
+        ens = comm.SignEnsemble(field="real", n=n)
+        rows = np.random.default_rng(n).normal(size=(7, n)).astype(np.complex128)
+        rows[3] = 0.0
+        members = comm.exhaustive_members(ens).astype(np.complex128)
+        w = rows @ members.T
+        mags = np.abs(w)
+        unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
+        grads_ref = ((unit @ members.conj()) / members.shape[0]).real.astype(np.complex128)
+        est = comm.embedding_l1_norm(rows, ens)
+        values, grads = comm.embedding_l1_gradient(rows, ens)
+        assert grads.dtype == np.complex128 and not np.any(grads.imag)
+        assert np.max(np.abs(est.value - mags.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(values - mags.mean(axis=1))) <= 1e-12
+        assert not np.any(est.stderr)
+        assert np.max(np.abs(grads - grads_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 8, 21])
+    def test_monte_carlo_matches_complex_reference(self, n):
+        count, seed = 300, 40 + n
+        rows = np.random.default_rng(n).normal(size=(5, n)).astype(np.complex128)
+        _, z = decoded_draws("real", n, seed, count)
+        mags = np.abs(rows @ z.astype(np.complex128).T)
+        est = comm.embedding_l1_norm(rows, comm.SignEnsemble(
+            field="real", n=n, mode="monte_carlo", seed=seed, sample_count=count))
+        assert np.max(np.abs(est.value - mags.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(est.stderr - mags.std(axis=1) / np.sqrt(count))) <= 1e-12
+
+
 class TestSpreadRatio:
     def test_examples(self):
         assert comm.spread_ratio([0, 1, 0]) == pytest.approx(1.0)

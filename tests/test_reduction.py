@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -89,6 +92,33 @@ class TestSubspaceBasis:
         fld = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         once = basis.project(fld)
         np.testing.assert_allclose(basis.project(once), once, atol=1e-12)
+
+    @pytest.mark.parametrize("maker", [red.clifford_backend, red.comm_real_backend])
+    def test_real_products_match_complex(self, maker):
+        inst = make_instance(*REFERENCE_INSTANCES[0])
+        basis = red.subspace_basis(red.build_constraints(inst))
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        fld = rng.normal(size=(inst.num_vertices, inst.n)) + 1j * rng.normal(
+            size=(inst.num_vertices, inst.n))
+        np.testing.assert_allclose(basis.to_field(z),
+                                   (basis.basis @ z).reshape(fld.shape), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.coords_of(fld),
+                                   basis.basis.T @ fld.reshape(-1) / inst.num_vertices,
+                                   rtol=0, atol=1e-12)
+        # a Fortran-ordered field flattens in C order like any other
+        np.testing.assert_allclose(basis.coords_of(np.asfortranarray(fld)),
+                                   basis.coords_of(fld), rtol=0, atol=0)
+        backend = maker(inst.n)
+        if backend.is_real:
+            z = z.real.astype(np.complex128)
+        value, grad = red._objective_and_gradient(z, basis, backend)
+        values, grads = backend.norm_and_gradient((basis.basis @ z).reshape(fld.shape))
+        expected = basis.basis.T @ (grads.reshape(-1) / inst.num_vertices)
+        if backend.is_real:
+            expected = expected.real.astype(np.complex128)
+        assert abs(value - np.mean(values)) <= 1e-12
+        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
 
 
 def loop_constraints(inst):
@@ -185,31 +215,84 @@ class TestSubspaceBasisMatchesSvd:
         assert_matches_svd_null_space(cs)
 
 
-class TestPartialSolveFallback:
-    # Instances on which the partial eigensolve returned null vectors with
-    # residual 1.9e-7 and 3.0e-9 though the rank is well separated; the full
-    # eigensolve gives the basis
+def assert_fast_path_matches_eigensolve(cs):
+    """The pivoted-Cholesky basis passes its checks and equals the basis
+    from the full eigensolve."""
+    fast, problem = red._null_space_basis(cs, cholesky=True)
+    assert problem is None
+    full, problem = red._null_space_basis(cs, cholesky=False)
+    assert problem is None
+    assert fast.shape == full.shape
+    np.testing.assert_allclose(fast, full, rtol=0, atol=1e-10)
+
+
+def count_null_space_solves(monkeypatch, perturb_factor=0.0):
+    """Record every pivoted-Cholesky and full-eigensolve call of
+    subspace_basis; the Cholesky factor can be perturbed by perturb_factor."""
+    dpstrf, eigh = scipy.linalg.lapack.dpstrf, scipy.linalg.eigh
+    calls = []
+
+    def counted_dpstrf(a, **kwargs):
+        calls.append("dpstrf")
+        factor, piv, rank, info = dpstrf(a, **kwargs)
+        factor = factor + perturb_factor * np.random.default_rng(0).standard_normal(
+            factor.shape)
+        return factor, piv, rank, info
+
+    def counted_eigh(a, **kwargs):
+        calls.append("eigh")
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counted_dpstrf)
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    return calls
+
+
+class TestCholeskyFastPath:
+    @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
+    def test_matches_full_eigensolve(self, params):
+        assert_fast_path_matches_eigensolve(
+            red.build_constraints(make_instance(*params)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted=st.booleans(), vertices=st.integers(3, 12),
+           degree=st.sampled_from([2, 4]), n=st.integers(1, 5), k=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_matches_full_eigensolve_property(self, planted, vertices, degree, n, k, seed):
+        assume(degree < vertices and k <= n)
+        t = -(-n // k)
+        inst = make_instance("planted" if planted else "random", vertices, degree, n, k, t,
+                             seed)
+        assert_fast_path_matches_eigensolve(red.build_constraints(inst))
+
+    # Instances on which an earlier partial eigensolve returned null vectors
+    # with residual 1.9e-7 and 3.0e-9 though the rank is well separated; the
+    # pivoted Cholesky factorization needs no fallback on them
     @pytest.mark.parametrize("params", [("planted", 4, 2, 4, 4, 1, 29266),
                                         ("planted", 10, 2, 5, 5, 1, 5226)])
-    def test_pinned_instances(self, params):
-        assert_matches_svd_null_space(red.build_constraints(make_instance(*params)))
+    def test_pinned_instances(self, params, monkeypatch):
+        calls = count_null_space_solves(monkeypatch)
+        cs = red.build_constraints(make_instance(*params))
+        assert_matches_svd_null_space(cs)
+        assert calls == ["dpstrf"]
 
-    def test_inaccurate_partial_solve_falls_back(self, monkeypatch):
-        eigh = scipy.linalg.eigh
-        calls = []
-
-        def perturbed_partial_eigh(a, **kwargs):
-            calls.append("subset_by_value" in kwargs)
-            values, vectors = eigh(a, **kwargs)
-            if "subset_by_value" in kwargs:
-                vectors = vectors + 1e-7 * np.random.default_rng(0).standard_normal(
-                    vectors.shape)
-            return values, vectors
-
-        monkeypatch.setattr(scipy.linalg, "eigh", perturbed_partial_eigh)
+    def test_inaccurate_factor_falls_back(self, monkeypatch):
+        calls = count_null_space_solves(monkeypatch, perturb_factor=1e-7)
         cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
         assert_matches_svd_null_space(cs)
-        assert calls == [True, False]
+        assert calls == ["dpstrf", "eigh"]
+
+    # the pivot of singular value ~3e-5 lies inside the rank gap; that of ~1e-9
+    # is dropped, and the basis then violates a constraint by ~1e-9
+    @pytest.mark.parametrize("s, problem", [(6e-5, r"pivot \d\.\d+e-(09|10) between"),
+                                            (2e-9, "residual")])
+    def test_near_rank_deficient_reaches_fallback(self, s, problem, monkeypatch):
+        cs = near_rank_deficient_system(s)
+        assert re.search(problem, red._null_space_basis(cs, cholesky=True)[1])
+        calls = count_null_space_solves(monkeypatch)
+        with pytest.raises(ValueError):
+            red.subspace_basis(cs)
+        assert calls == ["dpstrf", "eigh"]
 
 
 class TestSubspaceBasisIsCanonical:
