@@ -2,9 +2,9 @@
 label-cover norm reduction built on them, and little-to-big lifts of the
 resulting operator-norm problems."""
 
-from .linalg import (SvdResult, block_diag, embed_complex_as_hermitian,
+from .linalg import (block_diag, embed_complex_as_hermitian,
                      embed_hermitian_as_real_symmetric, polar_unitary, rho,
-                     schatten1_norm, schatten_inf_norm, svd)
+                     schatten1_norm, schatten_inf_norm)
 from .clifford import (CliffordGenerators, EmbeddingSpec, PhaseFamily,
                        build_phase_family, clifford_map, dictator_embedding_norm,
                        embedding_norm_bound, make_generators, materialize_embedding,

@@ -42,15 +42,6 @@ def _comma_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
-def _build_backend(name: str, n: int, mode: str, seed, samples):
-    if name not in reduction.BACKEND_BUILDERS:
-        raise ValueError(f"unknown backend {name!r}")
-    builder = reduction.BACKEND_BUILDERS[name]
-    if mode == "monte_carlo":
-        return builder(n, mode, seed=seed, sample_count=samples)
-    return builder(n, mode)
-
-
 def _instance_checks(inst, smoothness: float) -> dict:
     return {
         "regular": inst.is_regular(),
@@ -126,7 +117,8 @@ def _cmd_check_instance(args):
 def _cmd_reduce(args):
     inst = fileio.load_instance(args.instance)
     labels = fileio.load_assignment(args.assignment)
-    backend = _build_backend(args.backend, inst.n, args.mode, args.seed, args.samples)
+    backend = reduction.BACKEND_BUILDERS[args.backend](
+        inst.n, args.mode, seed=args.seed, sample_count=args.samples)
     cert = reduction.completeness_certificate(inst, labels, backend)
     report = {
         "params": {"instance": args.instance, "assignment": args.assignment,
@@ -158,16 +150,7 @@ def _cmd_decode(args):
     report = {
         "params": {"instance": args.instance, "field": args.field, "eps": args.eps,
                    "delta": delta, "seed": args.seed},
-        "stats": {
-            "v0_size": stats.v0_size,
-            "v0_fraction": stats.v0_fraction,
-            "beta": stats.beta,
-            "a1_sizes": stats.a1_sizes,
-            "a2_sizes": stats.a2_sizes,
-            "a1_bound": stats.a1_bound,
-            "a2_bound": stats.a2_bound,
-            "satisfied_fraction": stats.satisfied_fraction,
-        },
+        "stats": vars(stats),
         "checks": checks,
     }
     print(f"decoded: |V0|/|V|={stats.v0_fraction:.3f} satisfied={stats.satisfied_fraction:.4f}")
@@ -273,12 +256,10 @@ def _cmd_comm_verify(args):
 
 
 def _cmd_lift(args):
-    if args.backend == "clifford":
+    if args.backend == "clifford":  # its backend would first build all 4^n phases
         op = solvers.little_op_from_clifford(args.n)
     else:
-        fld = "real" if args.backend == "comm_real" else "complex"
-        ens = commutative.SignEnsemble(field=fld, n=args.n, mode="exhaustive")
-        op = solvers.little_op_from_comm(ens)
+        op = solvers.little_op_from_comm(reduction.BACKEND_BUILDERS[args.backend](args.n).kernel)
     tensor = solvers.lift_little_to_big(op)
     fileio.save_tensor(tensor, args.out)
     report = {
@@ -318,12 +299,11 @@ def _cmd_solve_ncg(args):
 
 def _cmd_report(args):
     rows = []
-    all_pass = True
     for path in args.inputs:
         doc = fileio.load_json(path)
-        ok = bool(doc.get("pass", False))
-        rows.append([path, doc.get("command", "?"), ok])
-        all_pass &= ok
+        # a row passes only on a report object whose "pass" is JSON true
+        doc = doc if isinstance(doc, dict) else {}
+        rows.append([path, doc.get("command", "?"), doc.get("pass") is True])
     if args.csv:
         fileio.write_csv(args.csv, ["file", "command", "pass"], rows)
     report = {
@@ -332,7 +312,7 @@ def _cmd_report(args):
     }
     for path, command, ok in rows:
         print(f"  {command} ({path}): {'PASS' if ok else 'FAIL'}")
-    return report, all_pass
+    return report, all(ok for _, _, ok in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_comm_verify)
 
     p = add_parser("lift", help="materialize a little operator and lift it")
-    p.add_argument("--backend", choices=["clifford", "comm_real", "comm_complex"],
-                   required=True)
+    p.add_argument("--backend", choices=sorted(reduction.BACKEND_BUILDERS), required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lift)

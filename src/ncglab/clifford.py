@@ -41,6 +41,9 @@ PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 # dimension 4^n * 2^ceil(n/2), 128 at n = 3.
 MATERIALIZE_MAX_N = 3
 
+# Most (row, parity class) pairs the batch kernels hold in one temporary.
+_CHUNK_ENTRIES = 2**22
+
 
 @dataclass
 class CliffordGenerators:
@@ -229,6 +232,15 @@ def _pqr(rows: np.ndarray, family: PhaseFamily):
     return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ (even - odd).T
 
 
+def _by_row_chunks(kernel, rows: np.ndarray, family: PhaseFamily):
+    """kernel(rows, family) over blocks of about _CHUNK_ENTRIES (row, class) pairs,
+    its outputs joined along the rows; an empty batch is one empty block."""
+    step = max(1, _CHUNK_ENTRIES // family.parity.shape[0])
+    outs = [kernel(rows[lo:lo + step], family)
+            for lo in range(0, max(rows.shape[0], 1), step)]
+    return [np.concatenate(parts) for parts in zip(*outs)]
+
+
 def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     """E_w[ ||C(a o w)||_S1 ] under the family, i.e. the trace norm of the
     block-diagonal embedding (+)_w C(a o w).
@@ -238,7 +250,13 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     purely real or purely imaginary, so L vanishes). Monte-Carlo mode
     reports a standard error.
     """
-    rows = _rows(a, family.n)
+    value, stderr = _by_row_chunks(_norm_rows, _rows(a, family.n), family)
+    if np.ndim(a) != 2:
+        return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
+    return NormEstimate(value=value, stderr=stderr)
+
+
+def _norm_rows(rows: np.ndarray, family: PhaseFamily):
     p, q, r = _pqr(rows, family)
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
@@ -249,9 +267,7 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
         # member sample variance; class_weights are class sizes over size
         spread = (vals - value[:, None]) ** 2 @ family.class_weights
         stderr = np.sqrt(spread / (family.size - 1))
-    if np.ndim(a) != 2:
-        return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
-    return NormEstimate(value=value, stderr=stderr)
+    return value, stderr
 
 
 def embedding_norm_bound(a) -> float:
@@ -281,7 +297,13 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    rows = _rows(a, family.n)
+    value, grad = _by_row_chunks(_norm_and_gradient_rows, _rows(a, family.n), family)
+    if np.ndim(a) != 2:
+        return float(value[0]), grad[0]
+    return value, grad
+
+
+def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     x, y = rows.real, rows.imag
     s = np.sum(x * x + y * y, axis=1)
     nonzero = s > 0.0
@@ -310,10 +332,7 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     cross = (c * r) @ (even - odd)
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
-    grad = gx + 1j * gy
-    if np.ndim(a) != 2:
-        return float(value[0]), grad[0]
-    return value, grad
+    return value, gx + 1j * gy
 
 
 def materialize_embedding(a) -> np.ndarray:

@@ -6,9 +6,6 @@ DENSE_DIM_CAP = 4096
 # Maximum member count for exhaustive sign/phase enumerations.
 ENUMERATION_CAP = 2**20
 
-# Singular values below this fraction of sigma_max are treated as zero.
-SVD_RELATIVE_FLOOR = 1e-12
-
 # Max-abs deviation allowed when an input must be Hermitian.
 HERMITIAN_TOL = 1e-9
 

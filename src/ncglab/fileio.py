@@ -29,25 +29,64 @@ def load_json(path):
     return json.loads(Path(path).read_text())
 
 
-def _require_version(doc, kind: str):
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise ValueError(f"{kind} file is missing its version field")
-    if doc["version"] != FORMAT_VERSION:
+def _read(path, kind: str, fields: dict, integers=()) -> dict:
+    """The checked fields of a ``kind`` file; the one place an outside file is
+    checked, and every rejection is a ValueError naming kind. ``fields`` maps
+    a name to its shape (lengths, None for any length, or the name of an
+    integer read before) or, for a list of objects, to their fields' shapes.
+    Tables come back float64 and scalars as written; ``integers`` come back as ints."""
+    try:
+        doc = load_json(path)
+    except ValueError as exc:
+        raise ValueError(f"{kind} file is not JSON: {exc}") from None
+    if _field(doc, kind, "version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} format version {doc['version']!r}")
+    out = {}
+    for name, shape in fields.items():
+        value = _field(doc, kind, name)
+        columns = [(name, value, shape)]
+        if isinstance(shape, dict):  # a list of objects, read column by column
+            if not isinstance(value, list):
+                raise ValueError(f"{kind} file {name} must be a list")
+            columns = [(key, [_field(row, kind, key) for row in value], (len(value), *dims))
+                       for key, dims in shape.items()]
+        for key, column, dims in columns:
+            dims = tuple(out[dim] if isinstance(dim, str) else dim for dim in dims)
+            out[key] = _table(column, kind, key, dims, key in integers)
+    return out
+
+
+def _field(doc, kind: str, name: str):
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"{kind} file has no field {name!r}")
+    return doc[name]
+
+
+def _table(value, kind: str, name: str, shape: tuple, integral: bool):
+    """Nested JSON lists of numbers -> array of ``shape``; see _read."""
+    try:
+        table = np.asarray(value)  # ragged nesting raises here
+        if table.size and table.dtype.kind not in "iuf":  # nulls and strings
+            raise ValueError
+        table = table.astype(np.float64)
+        if not table.size:  # [] has no shape of its own
+            table = table.reshape([dim or 0 for dim in shape])
+        if table.ndim != len(shape) or any(dim not in (None, got)
+                                           for dim, got in zip(shape, table.shape)):
+            raise ValueError
+        if integral and not np.all(np.isfinite(table) & (table == np.trunc(table))):
+            raise ValueError
+    except ValueError:
+        dims = ", ".join("*" if dim is None else str(dim) for dim in shape)
+        raise ValueError(f"{kind} file {name} must be {'whole ' if integral else ''}"
+                         f"numbers of shape ({dims})") from None
+    table = table.astype(np.int64) if integral else table
+    return table if shape else table.item() if integral else value
 
 
 def _pairs(values: np.ndarray) -> np.ndarray:
     """Complex array -> float array with a trailing [re, im] axis."""
     return np.stack([values.real, values.imag], axis=-1)
-
-
-def _number_table(values, what: str) -> np.ndarray:
-    """Nested JSON lists of numbers -> float64 array. Nulls and strings are a
-    ValueError here; numpy raises one for ragged nesting."""
-    table = np.asarray(values)
-    if table.size and table.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be lists of numbers")
-    return table.astype(np.float64)
 
 
 def _from_pairs(pairs: np.ndarray) -> np.ndarray:
@@ -62,42 +101,22 @@ def _from_pairs(pairs: np.ndarray) -> np.ndarray:
 
 
 def save_instance(inst: LabelCoverInstance, path) -> None:
-    doc = {
-        "version": FORMAT_VERSION,
-        "n": inst.n,
-        "k": inst.k,
-        "t": inst.t,
-        "gamma": inst.gamma,
-        "zeta": inst.zeta,
-        "vertices": inst.num_vertices,
-        "edges": [
-            {
-                "u": e.u + 1,
-                "v": e.v + 1,
-                "pi_u": (e.pi_u + 1).tolist(),
-                "pi_v": (e.pi_v + 1).tolist(),
-            }
-            for e in inst.edges
-        ],
-    }
-    dump_json(doc, path)
+    edges = [{"u": u, "v": v, "pi_u": pi_u, "pi_v": pi_v}
+             for (u, v), (pi_u, pi_v) in zip((inst.ends + 1).tolist(), (inst.pis + 1).tolist())]
+    dump_json({"version": FORMAT_VERSION, "n": inst.n, "k": inst.k, "t": inst.t,
+               "gamma": inst.gamma, "zeta": inst.zeta, "vertices": inst.num_vertices,
+               "edges": edges}, path)
 
 
 def load_instance(path) -> LabelCoverInstance:
-    doc = load_json(path)
-    _require_version(doc, "instance")
-    try:
-        edges = [
-            Edge(u=entry["u"] - 1, v=entry["v"] - 1,
-                 pi_u=np.asarray(entry["pi_u"], dtype=int) - 1,
-                 pi_v=np.asarray(entry["pi_v"], dtype=int) - 1)
-            for entry in doc["edges"]
-        ]
-        return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"],
-                                  t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"],
-                                  edges=edges)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed instance file: {exc}") from exc
+    edge = {"u": (), "v": (), "pi_u": ("n",), "pi_v": ("n",)}
+    doc = _read(path, "instance", {"vertices": (), "n": (), "k": (), "t": (), "gamma": (),
+                                   "zeta": (), "edges": edge},
+                integers=("vertices", "n", "k", "t", *edge))
+    edges = [Edge(u=u - 1, v=v - 1, pi_u=pi_u - 1, pi_v=pi_v - 1) for u, v, pi_u, pi_v
+             in zip(doc["u"].tolist(), doc["v"].tolist(), doc["pi_u"], doc["pi_v"])]
+    return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"],
+                              t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"], edges=edges)
 
 
 def save_assignment(labels, path) -> None:
@@ -106,9 +125,7 @@ def save_assignment(labels, path) -> None:
 
 
 def load_assignment(path) -> np.ndarray:
-    doc = load_json(path)
-    _require_version(doc, "assignment")
-    return np.asarray(doc["labels"], dtype=int) - 1
+    return _read(path, "assignment", {"labels": (None,)}, integers=("labels",))["labels"] - 1
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +141,9 @@ def save_field(fld, path) -> None:
 
 
 def load_field(path) -> np.ndarray:
-    doc = load_json(path)
-    _require_version(doc, "field")
-    values, num_vertices, n = doc["values"], doc["vertices"], doc["n"]
-    if len(values) != num_vertices:
-        raise ValueError("field file vertex count does not match values")
-    if any(len(row) != n for row in values):
-        raise ValueError("field file row length does not match n")
-    table = _number_table(values, "field file values")
-    if num_vertices * n and table.shape != (num_vertices, n, 2):
-        raise ValueError("field file values must be [re, im] pairs")
-    table = table.reshape(num_vertices, n, 2)
-    return _from_pairs(table)
+    doc = _read(path, "field", {"vertices": (), "n": (), "values": ("vertices", "n", 2)},
+                integers=("vertices", "n"))
+    return _from_pairs(doc["values"])
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +157,10 @@ def save_tensor(tensor: NcgTensor, path) -> None:
 
 
 def load_tensor(path) -> NcgTensor:
-    doc = load_json(path)
-    _require_version(doc, "tensor")
+    doc = _read(path, "tensor", {"d": (), "entries": (None, 6)}, integers=("d",))
     entries = doc["entries"]
-    for row_num, entry in enumerate(entries):
-        if len(entry) != 6:
-            raise ValueError(f"tensor entry {row_num} must have 6 values [i,j,k,l,re,im]")
-    table = _number_table(entries, "tensor entries").reshape(len(entries), 6)
-    indices = table[:, :4].astype(np.int64) - 1
-    coeffs = _from_pairs(table[:, 4:])
-    return NcgTensor(d=doc["d"], indices=indices, coeffs=coeffs)
+    indices = _table(entries[:, :4], "tensor", "entry indices", (None, 4), True) - 1
+    return NcgTensor(d=doc["d"], indices=indices, coeffs=_from_pairs(entries[:, 4:]))
 
 
 def save_solution(value: float, a_mat, b_mat, path) -> None:
@@ -180,6 +182,4 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_report(report: dict, path) -> None:
-    doc = dict(report)
-    doc.setdefault("version", FORMAT_VERSION)
-    dump_json(doc, path)
+    dump_json({"version": FORMAT_VERSION, **report}, path)

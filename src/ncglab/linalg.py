@@ -9,12 +9,11 @@ The un-normalized variant is deliberately not exposed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .config import HERMITIAN_TOL, SVD_RELATIVE_FLOOR
+from .config import HERMITIAN_TOL
 
 
 def as_matrix(m) -> np.ndarray:
@@ -31,31 +30,6 @@ def _require_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-@dataclass
-class SvdResult:
-    """Factors of m = u @ diag(s) @ vh, with s non-negative and descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-    def reconstruction_residual(self, m: np.ndarray) -> float:
-        rebuilt = (self.u * self.s) @ self.vh
-        scale = max(float(np.linalg.norm(m)), 1.0)
-        return float(np.linalg.norm(rebuilt - m)) / scale
-
-    def rank(self) -> int:
-        if self.s.size == 0 or self.s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(self.s > SVD_RELATIVE_FLOOR * self.s[0]))
-
-
-def svd(m) -> SvdResult:
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u=u, s=s, vh=vh)
 
 
 def schatten1_norm(m) -> float:
@@ -130,9 +104,9 @@ def polar_unitary(m) -> np.ndarray:
     is returned and a RuntimeWarning is emitted.
     """
     m = _require_square(as_matrix(m))
-    f = svd(m)
-    if f.rank() == 0:
+    if not np.any(m):
         warnings.warn("polar_unitary of an all-zero matrix is degenerate; returning identity",
                       RuntimeWarning, stacklevel=2)
         return np.eye(m.shape[0], dtype=np.complex128)
-    return f.u @ f.vh
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh

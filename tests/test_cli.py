@@ -108,6 +108,29 @@ class TestReduce:
         assert report["in_subspace"] is False
 
 
+    @pytest.mark.parametrize("backend", ["clifford", "comm_real"])
+    def test_exhaustive_ignores_samples(self, tmp_path, backend):
+        main(gen_args())
+        argv = ["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                "--backend", backend]
+        assert main([*argv, "--report", "plain.json"]) == 0
+        assert main([*argv, "--samples", "5", "--report", "samples.json"]) == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "samples.json").read_bytes()
+
+    def test_backend_added_to_the_table_reaches_reduce_and_lift(self, tmp_path, monkeypatch):
+        from ncglab import reduction
+        monkeypatch.setitem(reduction.BACKEND_BUILDERS, "comm_real_copy",
+                            reduction.comm_real_backend)
+        main(gen_args())
+        for backend in ("comm_real", "comm_real_copy"):
+            assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                         "--backend", backend]) == 0
+            assert main(["lift", "--backend", backend, "--n", "2",
+                         "--out", f"{backend}.json"]) == 0
+        assert (tmp_path / "comm_real.json").read_bytes() == \
+            (tmp_path / "comm_real_copy.json").read_bytes()
+
+
 class TestDecode:
     def test_planted_field_recovers(self, tmp_path):
         main(gen_args())
@@ -243,6 +266,59 @@ class TestLiftAndSolve:
         report = json.loads((tmp_path / "lift.report.json").read_text())
         assert report["pass"] is False and "error" in report
         assert report["command"] == "lift"
+
+
+# Reports of the commands that take a backend name or decode a field, pinned
+# byte for byte: their bodies come from the backend table and vars(stats).
+REDUCE = ["reduce", "--instance", "inst.json", "--assignment", "planted.json"]
+DECODE = ["decode", "--instance", "inst.json", "--eps", "0.3", "--seed", "5"]
+LIFT = ["lift", "--n", "2", "--out", "t.json", "--backend"]
+GOLDEN_REPORTS = {
+    "reduce-clifford":
+        ([*REDUCE, "--backend", "clifford"],
+         "fc168472ff7a166d9c3159f742c113f4c1edc6c0f532238d616145a74e9fb4b3"),
+    "reduce-comm-real":
+        ([*REDUCE, "--backend", "comm_real"],
+         "431ff950a83d5eea2a8aca41e610cc2e9363b02ced37b9175859bed919a51631"),
+    "reduce-clifford-monte-carlo":
+        ([*REDUCE, "--backend", "clifford", "--mode", "monte_carlo",
+          "--samples", "2000", "--seed", "3"],
+         "74588bae5c6320927376c9530d1c392d055ce5cec229c4dbb69a1b7201bbb4a6"),
+    "decode-noisy":
+        ([*DECODE, "--field", "noisy.json"],
+         "51ea588083156b299e2c5ad23d7ab94e1181913d00cbf725b6146c12320e13df"),
+    "decode-zero":
+        ([*DECODE, "--field", "zero.json"],
+         "992fa2130e984acba4b48ed6fab60c9f9d8d83eae416261548263c8555bc0ea9"),
+    "lift-clifford":
+        ([*LIFT, "clifford"],
+         "0d61d4692a855b66443c3d349bfcb14104cd71994c616dc532028ebd4724884e"),
+    "lift-comm-real":
+        ([*LIFT, "comm_real"],
+         "cb294e7eeb4900ae4350394873ace8c456d43b8ac23842d01c1f05dc7a31bd2f"),
+    "lift-comm-complex":
+        ([*LIFT, "comm_complex"],
+         "82f287aa130561e94f65fda56e36cce684e0843fc6e214444768b3e5a4f208d4"),
+}
+
+
+def golden_inputs(tmp_path):
+    """inst.json and planted.json from gen_args, a noisy planted field and a zero field."""
+    assert main(gen_args()) == 0
+    inst = fileio.load_instance(tmp_path / "inst.json")
+    planted = fileio.load_assignment(tmp_path / "planted.json")
+    rng = np.random.default_rng(11)
+    noise = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+    from ncglab.reduction import assignment_to_field
+    fileio.save_field(assignment_to_field(inst, planted) + 0.05 * noise, tmp_path / "noisy.json")
+    fileio.save_field(np.zeros((8, 6)), tmp_path / "zero.json")
+
+
+@pytest.mark.parametrize("argv,sha256", list(GOLDEN_REPORTS.values()), ids=list(GOLDEN_REPORTS))
+def test_report_golden_sha256(tmp_path, argv, sha256):
+    golden_inputs(tmp_path)
+    assert main([*argv, "--report", "r.json"]) == 0
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == sha256
 
 
 class TestReport:

@@ -309,6 +309,50 @@ class TestNormGradient:
         assert values[4] == pytest.approx(1.0, abs=1e-12)
 
 
+class TestRowChunks:
+    """The batch kernels work through blocks of rows; forcing several small
+    blocks must give what one block gives."""
+
+    @pytest.mark.parametrize("n, mode, kwargs", [
+        (6, "exhaustive", {}),
+        (8, "pairwise_independent", {}),
+        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    ])
+    def test_chunked_matches_one_block(self, monkeypatch, n, mode, kwargs):
+        rng = np.random.default_rng(18)
+        fam = clifford.build_phase_family(n, mode, **kwargs)
+        fld = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+        fld[2] = 0.0
+        fld[5] = np.eye(n)[0]
+        whole = clifford.dictator_embedding_norm(fld, fam)
+        whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
+
+        blocks = []
+        for name in ("_norm_rows", "_norm_and_gradient_rows"):
+            kernel = getattr(clifford, name)
+            monkeypatch.setattr(clifford, name, lambda rows, family, kernel=kernel: (
+                blocks.append(rows.shape[0]) or kernel(rows, family)))
+        # two rows per block: seven rows take four blocks
+        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * fam.parity.shape[0])
+        chunked = clifford.dictator_embedding_norm(fld, fam)
+        value, grad = clifford.embedding_norm_and_gradient(fld, fam)
+        assert blocks == [2, 2, 2, 1] * 2
+
+        assert np.max(np.abs(chunked.value - whole.value)) <= 1e-12
+        assert np.max(np.abs(chunked.stderr - whole.stderr)) <= 1e-12
+        assert np.max(np.abs(value - whole_value)) <= 1e-12
+        assert np.max(np.abs(grad - whole_grad)) <= 1e-12
+        if mode == "monte_carlo":  # the zero and basis rows have no spread
+            assert np.all(np.delete(whole.stderr, [2, 5]) > 0)
+
+    def test_empty_batch(self):
+        fam = cached_family(3, "exhaustive")
+        est = clifford.dictator_embedding_norm(np.zeros((0, 3)), fam)
+        value, grad = clifford.embedding_norm_and_gradient(np.zeros((0, 3)), fam)
+        assert est.value.shape == est.stderr.shape == value.shape == (0,)
+        assert grad.shape == (0, 3)
+
+
 class TestEmbeddingSpec:
     def test_constants(self):
         spec = clifford.EmbeddingSpec(n=4)

@@ -182,13 +182,3 @@ class TestPolarUnitary:
             w = random_unitary(rng, 5)
             assert float(np.trace(w.conj().T @ m).real) <= achieved + 1e-9
 
-
-class TestSvdResult:
-    def test_reconstruction_and_rank(self):
-        rng = np.random.default_rng(10)
-        m = random_complex(rng, 4, 6)
-        f = linalg.svd(m)
-        assert np.all(np.diff(f.s) <= 0) and np.all(f.s >= 0)
-        assert f.reconstruction_residual(m) <= 1e-12
-        assert f.rank() == 4
-        assert linalg.svd(np.zeros((3, 3))).rank() == 0
