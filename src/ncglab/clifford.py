@@ -41,8 +41,13 @@ PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 # dimension 4^n * 2^ceil(n/2), 128 at n = 3.
 MATERIALIZE_MAX_N = 3
 
-# Most (row, parity class) pairs the batch kernels hold in one temporary.
+# Most float64 entries the batch kernels hold at once, summed over their
+# temporaries (32 MiB).
 _CHUNK_ENTRIES = 2**22
+# Temporaries each batch kernel holds at once, counted in (rows, P) arrays:
+# the traced peaks are 7.0-7.1 and 12.0-12.5 of them at P = 64 and P = 62409.
+_NORM_LIVE = 8
+_GRADIENT_LIVE = 13
 
 
 @dataclass
@@ -143,6 +148,8 @@ class PhaseFamily:
     seed: int | None = None
     sample_count: int | None = None
     parity: np.ndarray = field(init=False, repr=False)  # (P, n), 1.0 where w_j is imaginary
+    even: np.ndarray = field(init=False, repr=False)  # (P, n), 1 - parity
+    sign: np.ndarray = field(init=False, repr=False)  # (P, n), even - parity
     class_weights: np.ndarray = field(init=False, repr=False)  # (P,) summed weights
 
     def __post_init__(self):
@@ -152,6 +159,9 @@ class PhaseFamily:
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         self.parity = odd[first].astype(np.float64)
+        # the kernels' other two (P, n) factors, kept so that no call rebuilds them
+        self.even = 1.0 - self.parity
+        self.sign = self.even - self.parity
         self.class_weights = np.bincount(inverse, weights=self.weights)
 
     @property
@@ -226,16 +236,17 @@ def _pqr(rows: np.ndarray, family: PhaseFamily):
     the sums over members collapse to matmuls over the P classes.
     """
     x, y = rows.real, rows.imag
-    odd = family.parity
-    even = 1.0 - odd
+    odd, even = family.parity, family.even
     xx, yy = x * x, y * y
-    return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ (even - odd).T
+    return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ family.sign.T
 
 
-def _by_row_chunks(kernel, rows: np.ndarray, family: PhaseFamily):
-    """kernel(rows, family) over blocks of about _CHUNK_ENTRIES (row, class) pairs,
-    its outputs joined along the rows; an empty batch is one empty block."""
-    step = max(1, _CHUNK_ENTRIES // family.parity.shape[0])
+def _by_row_chunks(kernel, live: int, rows: np.ndarray, family: PhaseFamily):
+    """kernel(rows, family) over blocks of rows, its outputs joined along the
+    rows; an empty batch is one empty block. The kernel holds at most ``live``
+    (block rows, P) or (block rows, n) float64 temporaries at once, so blocks
+    of _CHUNK_ENTRIES / (live (P + n)) rows keep their sum within _CHUNK_ENTRIES."""
+    step = max(1, _CHUNK_ENTRIES // (live * (family.parity.shape[0] + family.n)))
     outs = [kernel(rows[lo:lo + step], family)
             for lo in range(0, max(rows.shape[0], 1), step)]
     return [np.concatenate(parts) for parts in zip(*outs)]
@@ -250,7 +261,7 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     purely real or purely imaginary, so L vanishes). Monte-Carlo mode
     reports a standard error.
     """
-    value, stderr = _by_row_chunks(_norm_rows, _rows(a, family.n), family)
+    value, stderr = _by_row_chunks(_norm_rows, _NORM_LIVE, _rows(a, family.n), family)
     if np.ndim(a) != 2:
         return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
     return NormEstimate(value=value, stderr=stderr)
@@ -297,7 +308,8 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    value, grad = _by_row_chunks(_norm_and_gradient_rows, _rows(a, family.n), family)
+    value, grad = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
+                                 _rows(a, family.n), family)
     if np.ndim(a) != 2:
         return float(value[0]), grad[0]
     return value, grad
@@ -325,11 +337,10 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
                     (inv_plus - inv_minus) / (4.0 * np.maximum(lam, 1e-300)))
     # d(L^2)/dx_j = 2 x_j (q E_j + p O_j) - 2 r (E_j - O_j) y_j, and
     # d(L^2)/dy_j = 2 y_j (q O_j + p E_j) - 2 r (E_j - O_j) x_j.
-    odd = family.parity
-    even = 1.0 - odd
+    odd, even = family.parity, family.even
     c = dgdu * w
     gs = (dgds @ w)[:, None]
-    cross = (c * r) @ (even - odd)
+    cross = (c * r) @ family.sign
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
     return value, gx + 1j * gy

@@ -68,6 +68,10 @@ def _table(value, kind: str, name: str, shape: tuple, integral: bool):
         table = np.asarray(value)  # ragged nesting raises here
         if table.size and table.dtype.kind not in "iuf":  # nulls and strings
             raise ValueError
+        # numpy reads a true or false among listed numbers as 1 or 0
+        if isinstance(value, list) and bool in set(
+                map(type, np.asarray(value, dtype=object).ravel().tolist())):
+            raise ValueError
         table = table.astype(np.float64)
         if not table.size:  # [] has no shape of its own
             table = table.reshape([dim or 0 for dim in shape])

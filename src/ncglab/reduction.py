@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse
 
 from . import clifford, commutative
@@ -73,134 +71,103 @@ def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
                             num_vertices=inst.num_vertices, n=n, k=k)
 
 
+# Shift of the factored A A^T + mu I, relative to the Gershgorin bound g:
+# above the rounding of the factorization, and small enough that dependent
+# pivots, which grow with mu times the row count, stay far below the rank gap.
+_SHIFT = 1e-14
+# Sweeps of x <- x - A^T M^-1 A x per projection.
+_SWEEPS = 2
+
+
 @dataclass(eq=False)
 class SubspaceBasis:
-    """Orthonormal basis of the constraint nullspace under the vertex-averaged
-    inner product <u, w> = E_v <u_v, w_v>.
+    """Orthogonal projector onto the constraint nullspace H = null(A), with
+    its dimension. H is orthogonal to the row space of A under the Euclidean
+    and the vertex-averaged inner product alike, since the two differ by the
+    constant |V|.
 
-    Columns are real (the constraints are real); complex coordinates span the
-    complex subspace. ||basis @ z||_{L2(V)} = ||z||_2 for any complex z.
+    ``project`` runs x <- x - A^T M^-1 A x twice, with M = A A^T + mu I
+    factored once (``lu``, None when A is zero). Every update lies in the row
+    space of A, and one sweep leaves the row-space component along a
+    singular value s scaled by mu / (s^2 + mu), so the sweeps converge to the
+    orthogonal projection. A is real, so a complex field goes through as the
+    two columns of its (len, 2) float64 view.
     """
 
-    basis: np.ndarray  # (num_vertices * n, dim), real
-    num_vertices: int
-    n: int
+    matrix: scipy.sparse.csr_matrix
+    lu: scipy.sparse.linalg.SuperLU | None
+    dim: int
+    transpose: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    def to_field(self, coords) -> np.ndarray:
-        return _real_times_complex(self.basis, coords).reshape(self.num_vertices, self.n)
-
-    def coords_of(self, fld) -> np.ndarray:
-        return _real_times_complex(self.basis.T, fld) / self.num_vertices
+    def __post_init__(self):
+        self.transpose = self.matrix.T.tocsr()
 
     def project(self, fld) -> np.ndarray:
-        return self.to_field(self.coords_of(fld))
+        """The projection of a field (V, n), or of its flattening, in fld's shape."""
+        out = np.array(fld, dtype=np.complex128, order="C")
+        if self.lu is not None:
+            pairs = _pairs(out)
+            for _ in range(_SWEEPS):
+                pairs -= self.transpose @ self.lu.solve(self.matrix @ pairs)
+        return out
 
 
-def _real_times_complex(matrix: np.ndarray, vec) -> np.ndarray:
-    """matrix @ vec for a real matrix and a complex vector (flattened), as one
-    real product with the (len, 2) float64 view of vec, so that the matrix is
-    not copied to complex."""
-    pairs = np.ascontiguousarray(vec, dtype=np.complex128).reshape(-1).view(np.float64)
-    return (matrix @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
+def _pairs(fld: np.ndarray) -> np.ndarray:
+    """The (len, 2) float64 view of a C-contiguous complex128 array's real
+    and imaginary parts, so that the real A multiplies it without a complex copy."""
+    return fld.reshape(-1).view(np.float64).reshape(-1, 2)
 
 
 def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
-    """Orthonormal basis of the constraint nullspace, from a pivoted Cholesky
-    factorization of the Gram matrix G = A^T A.
+    """Projector onto the constraint nullspace and its dimension, from one
+    sparse LU factorization of M = A A^T + mu I, mu = 1e-14 g, with g a
+    Gershgorin bound on the largest eigenvalue of A A^T.
 
-    Let g = max_i sum_j |G_ij| (a Gershgorin bound on the largest eigenvalue).
-    The factorization stops at the first pivot below the rounding floor
-    dim*eps*g, and the number of accepted pivots is the rank. Because G
-    squares the singular values of A, a last accepted pivot below the rank
-    gap sqrt(eps)*g leaves the numerical rank ambiguous, and the basis must
-    meet SUBSPACE_RESIDUAL_TOL in constraint residual and orthonormality. A
-    basis that fails either test is recomputed from the full eigensolve of G,
-    and only its failure raises a ValueError naming the check. The basis is a
-    function of the subspace alone (see the rotation below), so ascents
-    started from it do not depend on how it was computed.
+    The factorization pivots on the diagonal in a symmetric fill-reducing
+    order, so it is the LDL^T of M and pivot i is mu plus the squared
+    distance of row i from the span of the rows before it, up to O(mu). A
+    dependent row has a pivot of mu (1 + |c|^2), c its coefficients over the
+    earlier rows; |c|^2 stayed below the row count on every instance
+    measured, and the null floor allows 16 times that. Pivots at or above
+    the rank gap sqrt(eps) g count toward the rank, so dim = |V| n - rank.
+    A pivot between the floor and the gap leaves the rank ambiguous, an
+    off-diagonal pivot voids the LDL^T reading, and a projected fixed probe
+    must meet SUBSPACE_RESIDUAL_TOL; each failure raises a ValueError naming
+    it.
     """
-    for cholesky in (True, False):
-        basis, problem = _null_space_basis(cs, cholesky=cholesky)
-        if problem is None:
-            return SubspaceBasis(basis=basis, num_vertices=cs.num_vertices, n=cs.n)
-    raise ValueError(problem)
-
-
-def _cholesky_null_vectors(gram: np.ndarray, floor: float, gap: float):
-    """Orthonormal null vectors of the PSD matrix gram from its pivoted
-    Cholesky factor, or (None, message) if the last accepted pivot lies
-    between floor and gap. gram is overwritten."""
-    # P^T G P = L L^T, stopped after `rank` pivots; a Fortran-ordered gram is
-    # factored in place
-    factor, piv, rank, _ = scipy.linalg.lapack.dpstrf(gram, tol=floor, lower=1,
-                                                      overwrite_a=1)
-    last = factor[rank - 1, rank - 1] ** 2
-    if last <= gap:
-        return None, (f"pivoted Cholesky of the constraint Gram matrix accepted pivot "
-                      f"{last:.3e} between the null floor {floor:.3e} and the rank gap "
-                      f"{gap:.3e}; the numerical rank is ambiguous")
-    # in pivot order the null vectors are [-X; I] with L11^T X = L21^T
-    x = scipy.linalg.solve_triangular(factor[:rank, :rank], factor[rank:, :rank].T,
-                                      lower=True, trans="T", check_finite=False)
-    kernel = np.empty((gram.shape[0], gram.shape[0] - rank))
-    kernel[piv[:rank] - 1] = -x
-    kernel[piv[rank:] - 1] = np.eye(kernel.shape[1])
-    # K^T K = I + X^T X has eigenvalues >= 1: K R^-1 is orthonormal
-    upper = scipy.linalg.cholesky(np.eye(kernel.shape[1]) + x.T @ x, check_finite=False)
-    return scipy.linalg.solve_triangular(upper, kernel.T, trans="T",
-                                         check_finite=False).T, None
-
-
-def _eigh_null_vectors(gram: np.ndarray, floor: float, gap: float):
-    """Eigenvectors of gram for its eigenvalues up to gap, or (None, message)
-    if one lies between floor and gap. gram is overwritten."""
-    values, vectors = scipy.linalg.eigh(gram, overwrite_a=True, check_finite=False)
-    values, vectors = values[values <= gap], vectors[:, values <= gap]
-    if values.size and values[-1] > floor:
-        return None, (f"constraint Gram matrix has eigenvalue {values[-1]:.3e} between "
-                      f"the null floor {floor:.3e} and the rank gap {gap:.3e}; "
-                      "the numerical rank is ambiguous")
-    return vectors, None
-
-
-def _null_space_basis(cs: ConstraintSystem, *, cholesky: bool):
-    """(basis, None) from the pivoted Cholesky factorization or the full
-    eigensolve of the Gram matrix, or (None, message) naming the check the
-    basis failed."""
-    dim_total = cs.num_vertices * cs.n
-    gram = cs.matrix.T @ cs.matrix
-    g = float(abs(gram).sum(axis=1).max())
+    matrix = scipy.sparse.csr_matrix(cs.matrix)
+    rows, total = matrix.shape
+    gram = (matrix @ matrix.T).tocsc()
+    g = float(np.asarray(abs(gram).sum(axis=1)).max(initial=0.0))
     if g == 0.0:
-        euclidean = np.eye(dim_total)
-    else:
-        eps = np.finfo(np.float64).eps
-        floor, gap = dim_total * eps * g, math.sqrt(eps) * g
-        null_vectors = _cholesky_null_vectors if cholesky else _eigh_null_vectors
-        euclidean, problem = null_vectors(gram.toarray(order="F"), floor, gap)
-        if problem is not None:
-            return None, problem
-        # Any orthonormal basis of the null space is arbitrary and moves with
-        # rounding, e.g. with the BLAS thread count or the solver. Rotate it
-        # to the polar factor of the projected fixed probe P @ probe, which
-        # depends on the subspace alone.
-        probe = np.random.default_rng(0).standard_normal((dim_total, euclidean.shape[1]))
-        left, _, right = np.linalg.svd(euclidean.T @ probe)
-        euclidean = euclidean @ (left @ right)
-    # Euclidean-orthonormal columns scaled by sqrt(|V|) are orthonormal under
-    # the vertex-averaged inner product.
-    basis = euclidean * math.sqrt(cs.num_vertices)
-    residual = float(np.abs(cs.matrix @ basis).max(initial=0.0))
-    gram_error = float(np.abs(euclidean.T @ euclidean - np.eye(euclidean.shape[1]))
-                       .max(initial=0.0))
-    if max(residual, gram_error) > SUBSPACE_RESIDUAL_TOL:
-        return None, (f"constraint subspace basis has residual {residual:.3e} and "
-                      f"orthonormality error {gram_error:.3e}, above "
-                      f"{SUBSPACE_RESIDUAL_TOL:g}")
-    return basis, None
+        return SubspaceBasis(matrix=matrix, lu=None, dim=total)
+    # imported here: scipy.sparse.linalg adds about 20 ms and 2 MiB to
+    # importing ncglab, and only the projector uses it
+    from scipy.sparse.linalg import splu
+
+    mu, gap = _SHIFT * g, math.sqrt(np.finfo(np.float64).eps) * g
+    floor = min(16.0 * (1 + rows) * mu, gap / 16.0)
+    lu = splu(gram + mu * scipy.sparse.identity(rows, format="csc"),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError("sparse LU of the constraint Gram matrix pivoted off the "
+                         "diagonal; its pivots do not give the rank")
+    pivots = lu.U.diagonal()
+    ambiguous = pivots[(pivots > floor) & (pivots < gap)]
+    if ambiguous.size:
+        raise ValueError(f"sparse LU of the constraint Gram matrix has pivot "
+                         f"{ambiguous.min():.3e} between the null floor {floor:.3e} and "
+                         f"the rank gap {gap:.3e}; the numerical rank is ambiguous")
+    rank = int(np.count_nonzero(pivots >= gap))
+    basis = SubspaceBasis(matrix=matrix, lu=lu, dim=total - rank)
+    # a complex probe fills both columns of the solve
+    probe = np.random.default_rng(0).standard_normal(2 * total).view(np.complex128)
+    residual = constraint_residual(cs, basis.project(probe))
+    if residual > SUBSPACE_RESIDUAL_TOL:
+        raise ValueError(f"constraint subspace projector leaves residual {residual:.3e} "
+                         f"on a fixed probe, above {SUBSPACE_RESIDUAL_TOL:g}")
+    return basis
 
 
 def field_l2_norm(fld) -> float:
@@ -210,10 +177,9 @@ def field_l2_norm(fld) -> float:
 
 
 def constraint_residual(cs: ConstraintSystem, fld) -> float:
-    flat = np.asarray(fld, dtype=np.complex128).reshape(-1)
-    if cs.matrix.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(cs.matrix @ flat)))
+    """max |A b| over the constraint rows; 0 without rows."""
+    sums = cs.matrix @ _pairs(np.ascontiguousarray(fld, dtype=np.complex128))
+    return float(np.hypot(sums[:, 0], sums[:, 1]).max(initial=0.0))
 
 
 def assignment_to_field(inst: LabelCoverInstance, labels) -> np.ndarray:
@@ -435,20 +401,14 @@ def decode(fld, params: DecoderParams, inst: LabelCoverInstance):
 
 @dataclass
 class AscentResult:
+    """max_residual is the worst constraint residual max|A b| over every field
+    the ascent evaluated, its accepted iterates among them."""
+
     value: float
     field: np.ndarray
     degenerate: bool = False
     restarts_run: int = 0
-
-
-def _objective_and_gradient(coords, basis: SubspaceBasis, backend: EmbeddingBackend):
-    """h(z) = E_v ||f((basis @ z)_v)|| and its complex-packed gradient in z."""
-    values, grads = backend.norm_and_gradient(basis.to_field(coords))
-    # chain rule onto coordinates; basis is real so a plain transpose suffices
-    grad_coords = _real_times_complex(basis.basis.T, grads / basis.num_vertices)
-    if backend.is_real:
-        grad_coords = grad_coords.real.astype(np.complex128)
-    return float(np.mean(values)), grad_coords
+    max_residual: float = 0.0
 
 
 def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBackend, *,
@@ -458,17 +418,33 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
     """Best value of E_v ||f(b_v)|| over unit-norm fields b in the constraint
     subspace, via projected subgradient ascent with backtracking line search
     and random restarts. A certified lower bound on the operator norm.
+
+    The ascent runs on x = b / sqrt(|V|), whose Euclidean norm is the L2(V)
+    norm of b. Starts are projected Gaussian fields and steps the projected
+    gradients, so every iterate stays in the subspace without re-projection.
     """
     if cs is None:
         cs = build_constraints(inst)
     if basis is None:
         basis = subspace_basis(cs)
+    shape = (inst.num_vertices, inst.n)
     if basis.dim == 0:
-        return AscentResult(value=0.0,
-                            field=np.zeros((inst.num_vertices, inst.n), dtype=np.complex128),
+        return AscentResult(value=0.0, field=np.zeros(shape, dtype=np.complex128),
                             degenerate=True)
-    value, coords = _sphere_ascent(
-        lambda z: _objective_and_gradient(z, basis, backend), basis.dim,
-        complex_start=not backend.is_real, restarts=restarts, iters=iters, seed=seed)
-    return AscentResult(value=value, field=basis.to_field(coords),
-                        degenerate=False, restarts_run=restarts)
+    scale = math.sqrt(inst.num_vertices)
+    worst = 0.0
+
+    def objective_and_gradient(x):
+        nonlocal worst
+        fld = scale * x.reshape(shape)
+        worst = max(worst, constraint_residual(cs, fld))
+        values, grads = backend.norm_and_gradient(fld)
+        if backend.is_real:
+            grads = grads.real
+        return float(np.mean(values)), basis.project(grads).reshape(-1) / scale
+
+    value, x = _sphere_ascent(objective_and_gradient, inst.num_vertices * inst.n,
+                              complex_start=not backend.is_real, restarts=restarts,
+                              iters=iters, seed=seed, project=basis.project)
+    return AscentResult(value=value, field=scale * x.reshape(shape), degenerate=False,
+                        restarts_run=restarts, max_residual=worst)

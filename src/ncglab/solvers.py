@@ -226,16 +226,20 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
 
 
 def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: int,
-                   iters: int, seed: int):
+                   iters: int, seed: int, project=None):
     """Best (value, point) over restarts of backtracking subgradient ascent on
     the unit sphere of C^dim, given z -> (value, complex-packed gradient).
-    Starts draw normal(dim), then + 1j * normal(dim) when complex_start."""
+    Starts draw normal(dim), then + 1j * normal(dim) when complex_start, and
+    pass through project when given; the ascent then stays in project's
+    range as long as the gradients do."""
     rng = np.random.default_rng(seed)
     best_value, best_z = -np.inf, None
     for _ in range(restarts):
         z = rng.normal(size=dim)
         if complex_start:
             z = z + 1j * rng.normal(size=dim)
+        if project is not None:
+            z = project(z)
         z = z / np.linalg.norm(z)
         value, grad = norm_and_grad(z)
         step = 0.5

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,8 +334,10 @@ class TestRowChunks:
             monkeypatch.setattr(clifford, name, lambda rows, family, kernel=kernel: (
                 blocks.append(rows.shape[0]) or kernel(rows, family)))
         # two rows per block: seven rows take four blocks
-        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * fam.parity.shape[0])
+        width = fam.parity.shape[0] + n
+        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * clifford._NORM_LIVE * width)
         chunked = clifford.dictator_embedding_norm(fld, fam)
+        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * clifford._GRADIENT_LIVE * width)
         value, grad = clifford.embedding_norm_and_gradient(fld, fam)
         assert blocks == [2, 2, 2, 1] * 2
 
@@ -344,6 +347,43 @@ class TestRowChunks:
         assert np.max(np.abs(grad - whole_grad)) <= 1e-12
         if mode == "monte_carlo":  # the zero and basis rows have no spread
             assert np.all(np.delete(whole.stderr, [2, 5]) > 0)
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # n=12 with 20000 sampled members has P = 4073 parity classes. One
+        # block of 300 rows held about 12 (300, P) temporaries at once, 112
+        # MiB; the blocks now keep all of them within _CHUNK_ENTRIES (32 MiB)
+        fam = clifford.build_phase_family(12, "monte_carlo", seed=5, sample_count=20000)
+        assert fam.parity.shape[0] == 4073
+        rng = np.random.default_rng(19)
+        fld = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
+        peaks, results = [], []
+        for fn in (clifford.dictator_embedding_norm, clifford.embedding_norm_and_gradient):
+            tracemalloc.start()
+            try:
+                results.append(fn(fld, fam))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 40 * 2**20
+        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2**40)  # one block
+        whole = clifford.dictator_embedding_norm(fld, fam)
+        whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
+        assert np.max(np.abs(results[0].value - whole.value)) <= 1e-12
+        assert np.max(np.abs(results[0].stderr - whole.stderr)) <= 1e-12
+        assert np.max(np.abs(results[1][0] - whole_value)) <= 1e-12
+        assert np.max(np.abs(results[1][1] - whole_grad)) <= 1e-12
+
+    # the benchmark's shapes: exhaustive n=6 at 40 vertices, pairwise n=8 at 300
+    @pytest.mark.parametrize("n, mode, rows", [(6, "exhaustive", 40),
+                                               (8, "pairwise_independent", 300)])
+    def test_bench_shapes_are_one_block(self, monkeypatch, n, mode, rows):
+        fam = cached_family(n, mode)
+        blocks = []
+        kernel = clifford._norm_and_gradient_rows
+        monkeypatch.setattr(clifford, "_norm_and_gradient_rows", lambda r, family: (
+            blocks.append(r.shape[0]) or kernel(r, family)))
+        clifford.embedding_norm_and_gradient(np.ones((rows, n)), fam)
+        assert blocks == [rows]
 
     def test_empty_batch(self):
         fam = cached_family(3, "exhaustive")

@@ -84,6 +84,8 @@ CASES = {
         ("fractional-n", replaced(["n"], 6.5)),
         ("fractional-vertex", replaced(["edges", 0, "u"], 1.5)),
         ("fractional-projection", replaced(["edges", 0, "pi_u", 0], 1.7)),
+        ("boolean-projection", replaced(["edges", 0, "pi_u", 0], True)),
+        ("boolean-vertex", replaced(["edges", 0, "u"], True)),
     ],
     "assignment": COMMON + [
         ("missing-labels", dropped(["labels"])),
@@ -93,6 +95,8 @@ CASES = {
         ("nested-labels", replaced(["labels"], lambda labels: [labels])),
         ("ragged-labels", replaced(["labels", 0], [1, 2])),
         ("fractional-label", replaced(["labels", 0], 1.7)),
+        ("boolean-label", replaced(["labels", 0], True)),
+        ("false-label", replaced(["labels", 1], False)),
     ],
     "field": COMMON + [
         *((f"missing-{name}", dropped([name])) for name in ("vertices", "n", "values")),
@@ -102,6 +106,8 @@ CASES = {
         ("missing-row", replaced(["values"], lambda rows: rows[:-1])),
         ("triple-not-pair", replaced(["values", 0, 0], [0.5, 0.5, 0.0])),
         ("fractional-n", replaced(["n"], 6.5)),
+        ("boolean-value", replaced(["values", 0, 0, 0], True)),
+        ("false-value", replaced(["values", 3, 2, 1], False)),
     ],
     "tensor": COMMON + [
         *((f"missing-{name}", dropped([name])) for name in ("d", "entries")),
@@ -112,6 +118,8 @@ CASES = {
         ("entries-not-a-list", replaced(["entries"], "none")),
         ("fractional-index", replaced(["entries", 1, 1], 1.9)),
         ("fractional-d", replaced(["d"], 2.5)),
+        ("boolean-index", replaced(["entries", 0, 0], True)),
+        ("boolean-entry-value", replaced(["entries", 1, 5], False)),
     ],
 }
 

@@ -1,10 +1,12 @@
-import re
+import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -79,11 +81,12 @@ class TestSubspaceBasis:
         basis = red.subspace_basis(cs)
         dense = cs.matrix.toarray()
         assert basis.dim == dense.shape[1] - np.linalg.matrix_rank(dense)
-        gram = basis.basis.T @ basis.basis / inst.num_vertices
-        np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-10)
-        for c in range(basis.dim):
-            fld = basis.to_field(np.eye(basis.dim)[c])
-            assert red.constraint_residual(cs, fld) <= 1e-10
+        proj = projector_matrix(basis)
+        # an orthogonal projection of rank dim whose range satisfies every constraint
+        np.testing.assert_allclose(proj @ proj, proj, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(proj, proj.T, rtol=0, atol=1e-10)
+        assert np.trace(proj) == pytest.approx(basis.dim, abs=1e-9)
+        assert np.max(np.abs(dense @ proj)) <= SUBSPACE_RESIDUAL_TOL
 
     def test_projection_is_idempotent(self):
         inst, _ = lc.generate_planted(6, 3, 4, 2, 2, seed=2)
@@ -95,30 +98,35 @@ class TestSubspaceBasis:
 
     @pytest.mark.parametrize("maker", [red.clifford_backend, red.comm_real_backend])
     def test_real_products_match_complex(self, maker):
+        # project works on the (len, 2) real view of a complex field; it must
+        # equal the complex product with the dense projector, in the input's
+        # shape, for C- and Fortran-ordered fields and for gradients alike
         inst = make_instance(*REFERENCE_INSTANCES[0])
-        basis = red.subspace_basis(red.build_constraints(inst))
+        cs = red.build_constraints(inst)
+        basis = red.subspace_basis(cs)
+        reference = scipy.linalg.null_space(cs.matrix.toarray())
+        dense = reference @ reference.T
         rng = np.random.default_rng(6)
-        z = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
         fld = rng.normal(size=(inst.num_vertices, inst.n)) + 1j * rng.normal(
             size=(inst.num_vertices, inst.n))
-        np.testing.assert_allclose(basis.to_field(z),
-                                   (basis.basis @ z).reshape(fld.shape), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(basis.coords_of(fld),
-                                   basis.basis.T @ fld.reshape(-1) / inst.num_vertices,
+        before = fld.copy()
+        expected = (dense @ fld.reshape(-1)).reshape(fld.shape)
+        np.testing.assert_allclose(basis.project(fld), expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fld, before)  # the input is not modified
+        np.testing.assert_allclose(basis.project(fld.reshape(-1)), expected.reshape(-1),
                                    rtol=0, atol=1e-12)
-        # a Fortran-ordered field flattens in C order like any other
-        np.testing.assert_allclose(basis.coords_of(np.asfortranarray(fld)),
-                                   basis.coords_of(fld), rtol=0, atol=0)
+        np.testing.assert_array_equal(basis.project(np.asfortranarray(fld)),
+                                      basis.project(fld))
         backend = maker(inst.n)
+        point = basis.project(fld.real if backend.is_real else fld)
+        _, grads = backend.norm_and_gradient(point)
         if backend.is_real:
-            z = z.real.astype(np.complex128)
-        value, grad = red._objective_and_gradient(z, basis, backend)
-        values, grads = backend.norm_and_gradient((basis.basis @ z).reshape(fld.shape))
-        expected = basis.basis.T @ (grads.reshape(-1) / inst.num_vertices)
+            grads = grads.real
+        projected = basis.project(grads)
+        np.testing.assert_allclose(projected, (dense @ grads.reshape(-1)).reshape(fld.shape),
+                                   rtol=0, atol=1e-12)
         if backend.is_real:
-            expected = expected.real.astype(np.complex128)
-        assert abs(value - np.mean(values)) <= 1e-12
-        np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
+            assert not np.any(projected.imag)
 
 
 def loop_constraints(inst):
@@ -160,21 +168,38 @@ def make_instance(kind, vertices, degree, n, k, t, seed):
     return lc.generate_random(vertices, degree, n, k, t, seed=seed)
 
 
-def assert_matches_svd_null_space(cs):
-    """The eigensolve basis spans the same subspace as a dense SVD null space,
-    is orthonormal under the vertex-averaged inner product, and satisfies
-    every constraint."""
+def projector_matrix(basis):
+    """basis.project as a dense real matrix, one projected unit vector per column."""
+    columns = [basis.project(e) for e in np.eye(basis.matrix.shape[1])]
+    proj = np.stack(columns, axis=1)
+    assert not np.any(proj.imag)
+    return proj.real
+
+
+def assert_matches_projector(cs, reference):
+    """The sparse-LU projector equals the orthogonal projector onto the span
+    of the orthonormal columns ``reference``: on unit vectors and on a
+    complex field, with rank, idempotence and self-adjointness to 1e-10, and
+    every projected vector satisfies every constraint."""
     basis = red.subspace_basis(cs)
-    reference = scipy.linalg.null_space(cs.matrix.toarray())
     assert basis.dim == reference.shape[1]
-    num_vertices = cs.num_vertices
-    np.testing.assert_allclose(basis.basis @ basis.basis.T / num_vertices,
-                               reference @ reference.T, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(basis.basis.T @ basis.basis / num_vertices,
-                               np.eye(basis.dim), rtol=0, atol=1e-10)
-    for c in range(basis.dim):
-        fld = basis.to_field(np.eye(basis.dim)[c])
-        assert red.constraint_residual(cs, fld) <= SUBSPACE_RESIDUAL_TOL
+    proj = projector_matrix(basis)
+    np.testing.assert_allclose(proj, reference @ reference.T, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(proj @ proj, proj, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(proj, proj.T, rtol=0, atol=1e-10)
+    assert np.linalg.matrix_rank(proj, tol=0.5) == basis.dim
+    rng = np.random.default_rng(9)
+    fld = rng.normal(size=(cs.num_vertices, cs.n)) + 1j * rng.normal(size=(cs.num_vertices,
+                                                                           cs.n))
+    np.testing.assert_allclose(basis.project(fld).reshape(-1),
+                               reference @ (reference.T @ fld.reshape(-1)), rtol=0, atol=1e-10)
+    assert red.constraint_residual(cs, basis.project(fld)) <= SUBSPACE_RESIDUAL_TOL
+    for column in proj.T:
+        assert red.constraint_residual(cs, column) <= SUBSPACE_RESIDUAL_TOL
+
+
+def assert_matches_svd_null_space(cs):
+    assert_matches_projector(cs, scipy.linalg.null_space(cs.matrix.toarray()))
 
 
 class TestConstraintsMatchLoop:
@@ -216,39 +241,18 @@ class TestSubspaceBasisMatchesSvd:
 
 
 def assert_fast_path_matches_eigensolve(cs):
-    """The pivoted-Cholesky basis passes its checks and equals the basis
-    from the full eigensolve."""
-    fast, problem = red._null_space_basis(cs, cholesky=True)
-    assert problem is None
-    full, problem = red._null_space_basis(cs, cholesky=False)
-    assert problem is None
-    assert fast.shape == full.shape
-    np.testing.assert_allclose(fast, full, rtol=0, atol=1e-10)
-
-
-def count_null_space_solves(monkeypatch, perturb_factor=0.0):
-    """Record every pivoted-Cholesky and full-eigensolve call of
-    subspace_basis; the Cholesky factor can be perturbed by perturb_factor."""
-    dpstrf, eigh = scipy.linalg.lapack.dpstrf, scipy.linalg.eigh
-    calls = []
-
-    def counted_dpstrf(a, **kwargs):
-        calls.append("dpstrf")
-        factor, piv, rank, info = dpstrf(a, **kwargs)
-        factor = factor + perturb_factor * np.random.default_rng(0).standard_normal(
-            factor.shape)
-        return factor, piv, rank, info
-
-    def counted_eigh(a, **kwargs):
-        calls.append("eigh")
-        return eigh(a, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counted_dpstrf)
-    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
-    return calls
+    """The sparse-LU projector equals the projector onto the eigenvectors of
+    the dense Gram matrix A^T A whose eigenvalues lie below its rank gap."""
+    gram = (cs.matrix.T @ cs.matrix).toarray()
+    values, vectors = scipy.linalg.eigh(gram)
+    gap = np.sqrt(np.finfo(np.float64).eps) * max(values.max(initial=0.0), 1.0)
+    assert_matches_projector(cs, vectors[:, values <= gap])
 
 
 class TestCholeskyFastPath:
+    """The sparse LU factorization of A A^T + mu I that replaced the pivoted
+    Cholesky factorization of A^T A, against the full eigensolve of A^T A."""
+
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
     def test_matches_full_eigensolve(self, params):
         assert_fast_path_matches_eigensolve(
@@ -266,48 +270,77 @@ class TestCholeskyFastPath:
         assert_fast_path_matches_eigensolve(red.build_constraints(inst))
 
     # Instances on which an earlier partial eigensolve returned null vectors
-    # with residual 1.9e-7 and 3.0e-9 though the rank is well separated; the
-    # pivoted Cholesky factorization needs no fallback on them
+    # with residual 1.9e-7 and 3.0e-9 though the rank is well separated
     @pytest.mark.parametrize("params", [("planted", 4, 2, 4, 4, 1, 29266),
                                         ("planted", 10, 2, 5, 5, 1, 5226)])
-    def test_pinned_instances(self, params, monkeypatch):
-        calls = count_null_space_solves(monkeypatch)
-        cs = red.build_constraints(make_instance(*params))
-        assert_matches_svd_null_space(cs)
-        assert calls == ["dpstrf"]
+    def test_pinned_instances(self, params):
+        assert_matches_svd_null_space(red.build_constraints(make_instance(*params)))
 
-    def test_inaccurate_factor_falls_back(self, monkeypatch):
-        calls = count_null_space_solves(monkeypatch, perturb_factor=1e-7)
+    def test_inaccurate_solve_raises(self, monkeypatch):
+        # solves off by 1e-7 leave a row-space component that the sweeps do
+        # not remove, so the fixed probe stays outside the subspace
+        splu = scipy.sparse.linalg.splu
+        noise = np.random.default_rng(0)
+
+        def perturbed(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            return SimpleNamespace(
+                perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U,
+                solve=lambda rhs: lu.solve(rhs) + 1e-7 * noise.standard_normal(rhs.shape))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", perturbed)
         cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
-        assert_matches_svd_null_space(cs)
-        assert calls == ["dpstrf", "eigh"]
-
-    # the pivot of singular value ~3e-5 lies inside the rank gap; that of ~1e-9
-    # is dropped, and the basis then violates a constraint by ~1e-9
-    @pytest.mark.parametrize("s, problem", [(6e-5, r"pivot \d\.\d+e-(09|10) between"),
-                                            (2e-9, "residual")])
-    def test_near_rank_deficient_reaches_fallback(self, s, problem, monkeypatch):
-        cs = near_rank_deficient_system(s)
-        assert re.search(problem, red._null_space_basis(cs, cholesky=True)[1])
-        calls = count_null_space_solves(monkeypatch)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"residual \d\.\d+e-\d+ on a fixed probe"):
             red.subspace_basis(cs)
-        assert calls == ["dpstrf", "eigh"]
+
+    def test_off_diagonal_pivot_raises(self, monkeypatch):
+        splu = scipy.sparse.linalg.splu
+
+        def swapped_rows(*args, **kwargs):
+            lu = splu(*args, **kwargs)
+            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U,
+                                   solve=lu.solve)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", swapped_rows)
+        cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
+        with pytest.raises(ValueError, match="off the diagonal"):
+            red.subspace_basis(cs)
+
+    @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:1] + REFERENCE_INSTANCES[4:5])
+    def test_dependent_pivots_sit_below_the_floor(self, params):
+        # the rank comes from the pivots: every one is either within the
+        # measured multiple of the shift or far above the rank gap
+        cs = red.build_constraints(make_instance(*params))
+        gram = (cs.matrix @ cs.matrix.T).tocsc()
+        g = float(np.asarray(abs(gram).sum(axis=1)).max())
+        lu = scipy.sparse.linalg.splu(
+            gram + red._SHIFT * g * scipy.sparse.identity(gram.shape[0], format="csc"),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True))
+        pivots = lu.U.diagonal() / (red._SHIFT * g)
+        dependent = pivots[pivots < 1e6]
+        assert dependent.size == red.subspace_basis(cs).dim - (
+            cs.matrix.shape[1] - cs.matrix.shape[0])
+        assert dependent.min() >= 1.0 and dependent.max() <= 1 + gram.shape[0]
+        assert np.min(pivots[pivots >= 1e6]) * red._SHIFT >= 1e-3
 
 
 class TestSubspaceBasisIsCanonical:
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:2] + REFERENCE_INSTANCES[4:5])
     def test_basis_depends_only_on_subspace(self, params):
-        # rescaled rows leave the null space unchanged but change the Gram
-        # matrix, so the eigensolver returns another basis of the zero
-        # eigenspace; the returned basis must not move
+        # rescaled rows leave the null space unchanged but change A A^T and
+        # its factorization; the projection must not move
         cs = red.build_constraints(make_instance(*params))
         scale = np.random.default_rng(8).uniform(0.5, 2.0, size=cs.matrix.shape[0])
         scaled = red.ConstraintSystem(matrix=scipy.sparse.diags(scale) @ cs.matrix,
                                       rows=cs.rows, num_vertices=cs.num_vertices,
                                       n=cs.n, k=cs.k)
-        np.testing.assert_allclose(red.subspace_basis(scaled).basis,
-                                   red.subspace_basis(cs).basis, rtol=0, atol=1e-10)
+        rng = np.random.default_rng(10)
+        fld = rng.normal(size=(cs.num_vertices, cs.n)) + 1j * rng.normal(
+            size=(cs.num_vertices, cs.n))
+        assert red.subspace_basis(scaled).dim == red.subspace_basis(cs).dim
+        np.testing.assert_allclose(red.subspace_basis(scaled).project(fld),
+                                   red.subspace_basis(cs).project(fld), rtol=0, atol=1e-10)
 
 
 def near_rank_deficient_system(s):
@@ -326,15 +359,17 @@ class TestRankGapGuard:
         assert_matches_svd_null_space(cs)
 
     def test_eigenvalue_inside_gap_raises(self):
-        # singular value ~3e-5: its Gram eigenvalue (~1e-9) is above the
-        # rounding floor but below sqrt(eps) * g
+        # singular value ~3.7e-5: its Gram eigenvalue (~1.3e-9), and the pivot
+        # of the second row (~2.7e-9), are above the null floor but below
+        # sqrt(eps) * g
         cs = near_rank_deficient_system(6e-5)
-        with pytest.raises(ValueError, match=r"eigenvalue \d\.\d+e-(09|10)"):
+        with pytest.raises(ValueError, match=r"pivot \d\.\d+e-(09|10) between"):
             red.subspace_basis(cs)
 
     def test_tiny_singular_value_raises(self):
-        # singular value ~1e-9: squared, it drops below the floor and would be
-        # counted as null; the basis then violates a constraint by ~1e-9
+        # singular value ~1.2e-9: squared, it drops below the shift and is
+        # counted as null; the projection then keeps that direction and
+        # violates a constraint by ~1e-9
         cs = near_rank_deficient_system(2e-9)
         with pytest.raises(ValueError, match="residual"):
             red.subspace_basis(cs)
@@ -517,8 +552,8 @@ class TestDecoder:
         inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=14)
         basis = red.subspace_basis(red.build_constraints(inst))
         rng = np.random.default_rng(15)
-        coords = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        fld = basis.to_field(coords / np.linalg.norm(coords))
+        fld = basis.project(rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6)))
+        fld /= red.field_l2_norm(fld)
         params = red.DecoderParams(eps=0.4, delta=0.5, t=inst.t, seed=0)
         labels, stats = red.decode(fld, params, inst)
         assert all(s <= stats.a1_bound for s in stats.a1_sizes)
@@ -534,8 +569,8 @@ class TestDecoder:
         inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=16)
         basis = red.subspace_basis(red.build_constraints(inst))
         rng = np.random.default_rng(17)
-        coords = rng.normal(size=basis.dim)
-        fld = basis.to_field(coords / np.linalg.norm(coords))
+        fld = basis.project(rng.normal(size=(8, 6)))
+        fld /= red.field_l2_norm(fld)
         params = red.DecoderParams(eps=0.4, delta=0.6, t=inst.t, seed=21)
         labels1, _ = red.decode(fld, params, inst)
         labels2, _ = red.decode(fld, params, inst)
@@ -560,13 +595,18 @@ class TestOperatorNormLowerBound:
         assert red.field_l2_norm(result.field) == pytest.approx(1.0, abs=1e-9)
 
     def test_trivial_subspace_degenerate(self):
+        # a full-column-rank system: only the zero field satisfies it
         inst = identity_projection_instance(num_vertices=4, n=2)
-        cs = red.build_constraints(inst)
-        empty = red.SubspaceBasis(basis=np.zeros((8, 0)), num_vertices=4, n=2)
+        cs = red.ConstraintSystem(matrix=scipy.sparse.csr_matrix(np.eye(8) + np.eye(8, k=1)),
+                                  rows=[], num_vertices=4, n=2, k=2)
+        basis = red.subspace_basis(cs)
+        assert basis.dim == 0
+        np.testing.assert_allclose(basis.project(np.ones((4, 2))), 0.0, rtol=0, atol=1e-14)
         result = red.operator_norm_lower_bound(inst, red.clifford_backend(2),
-                                               cs=cs, basis=empty, seed=0)
+                                               cs=cs, basis=basis, seed=0)
         assert result.degenerate
         assert result.value == 0.0
+        assert not np.any(result.field)
 
     def test_real_backend_stays_real(self):
         inst = identity_projection_instance(num_vertices=4, n=2)
@@ -586,11 +626,10 @@ class TestOperatorNormLowerBound:
         result = red.operator_norm_lower_bound(inst, backend, restarts=8,
                                                iters=150, seed=3, cs=cs, basis=basis)
         rng = np.random.default_rng(4)
-        sweep = 0.0
-        for _ in range(20000):
-            z = rng.normal(size=3) + 1j * rng.normal(size=3)
-            z /= np.linalg.norm(z)
-            sweep = max(sweep, red.apply_norm_F(basis.to_field(z), backend))
+        flds = (rng.normal(size=(20000, 4)) + 1j * rng.normal(size=(20000, 4))) @ (
+            projector_matrix(basis).T)
+        flds /= np.linalg.norm(flds, axis=1, keepdims=True) / np.sqrt(2)  # unit L2(V)
+        sweep = backend.norm(flds.reshape(-1, 2)).reshape(-1, 2).mean(axis=1).max()
         assert result.value >= sweep - 1e-6
         assert result.value <= 1.0 + 1e-6
 
@@ -609,3 +648,69 @@ class TestOperatorNormLowerBound:
         delta = backend.delta(eps)
         v0 = np.count_nonzero((l4 > delta * eps) & (l2 <= 1 / eps))
         assert v0 >= eps**2 * inst.num_vertices
+
+
+def dense_basis_ascent(inst, cs, backend, *, restarts, iters, seed):
+    """The coordinate ascent over an orthonormal SVD basis E of the subspace
+    that the field-space ascent replaced. Its starts are E^T of the same
+    Gaussian draws, so both ascents start from the same fields. Returns the
+    value and the field."""
+    basis = scipy.linalg.null_space(cs.matrix.toarray())
+    shape = (inst.num_vertices, inst.n)
+    scale = np.sqrt(inst.num_vertices)
+
+    def objective_and_gradient(z):
+        values, grads = backend.norm_and_gradient(scale * (basis @ z).reshape(shape))
+        grad = basis.T @ grads.reshape(-1) / scale
+        return float(np.mean(values)), grad.real if backend.is_real else grad
+
+    value, z = red._sphere_ascent(objective_and_gradient, inst.num_vertices * inst.n,
+                                  complex_start=not backend.is_real, restarts=restarts,
+                                  iters=iters, seed=seed, project=lambda g: basis.T @ g)
+    return value, scale * (basis @ z).reshape(shape)
+
+
+class TestFieldSpaceAscent:
+    @pytest.mark.parametrize("params, maker", [
+        (REFERENCE_INSTANCES[0], red.clifford_backend),
+        (REFERENCE_INSTANCES[4], red.clifford_backend),
+        (REFERENCE_INSTANCES[3], red.comm_real_backend),
+        (REFERENCE_INSTANCES[7], red.comm_complex_backend),
+    ])
+    def test_matches_dense_basis_ascent(self, params, maker):
+        inst = make_instance(*params)
+        cs = red.build_constraints(inst)
+        backend = maker(inst.n)
+        result = red.operator_norm_lower_bound(inst, backend, restarts=2, iters=20, seed=5,
+                                               cs=cs)
+        value, fld = dense_basis_ascent(inst, cs, backend, restarts=2, iters=20, seed=5)
+        assert abs(result.value - value) <= 1e-10
+        np.testing.assert_allclose(result.field, fld, rtol=0, atol=1e-8)
+        assert red.field_l2_norm(result.field) == pytest.approx(1.0, abs=1e-12)
+        assert result.max_residual <= SUBSPACE_RESIDUAL_TOL
+        assert red.constraint_residual(cs, result.field) <= result.max_residual
+
+    def test_large_instance_in_bounded_memory(self):
+        # V=1000, n=8: the dense Gram matrix A^T A alone would take 512 MB and
+        # a dense basis 65 MB; the projector, certificate and a 1x5 ascent
+        # take about 0.2 s and 9 MiB of traced allocations
+        inst, planted = lc.generate_planted(1000, 4, 8, 4, 2, seed=1)
+        backend = red.clifford_backend(8, "pairwise_independent")
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            cs = red.build_constraints(inst)
+            basis = red.subspace_basis(cs)
+            cert = red.completeness_certificate(inst, planted, backend, cs=cs)
+            result = red.operator_norm_lower_bound(inst, backend, restarts=1, iters=5,
+                                                   seed=0, cs=cs, basis=basis)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert elapsed <= 20.0
+        assert basis.dim == 1010
+        assert cert.passed
+        assert not result.degenerate and 0.8 <= result.value <= 1.0 + 1e-9
+        assert result.max_residual <= SUBSPACE_RESIDUAL_TOL
