@@ -324,6 +324,30 @@ class TestCholeskyFastPath:
         assert dependent.min() >= 1.0 and dependent.max() <= 1 + gram.shape[0]
         assert np.min(pivots[pivots >= 1e6]) * red._SHIFT >= 1e-3
 
+    # the pivot of singular value ~3.7e-5 lies inside the rank gap; that of
+    # ~1.2e-9 is counted as null, and the projection then violates a
+    # constraint by ~1e-9. Either way the one LU factorization is the whole
+    # path: its guard raises, and no dense eigensolve is tried as a fallback
+    @pytest.mark.parametrize("s, problem", [(6e-5, r"pivot \d\.\d+e-(09|10) between"),
+                                            (2e-9, "residual")])
+    def test_near_rank_deficient_reaches_fallback(self, s, problem, monkeypatch):
+        splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
+        calls = []
+
+        def counted_splu(*args, **kwargs):
+            calls.append("splu")
+            return splu(*args, **kwargs)
+
+        def counted_eigh(*args, **kwargs):
+            calls.append("eigh")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+        with pytest.raises(ValueError, match=problem):
+            red.subspace_basis(near_rank_deficient_system(s))
+        assert calls == ["splu"]
+
 
 class TestSubspaceBasisIsCanonical:
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:2] + REFERENCE_INSTANCES[4:5])
