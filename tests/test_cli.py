@@ -14,6 +14,10 @@ def run_in_tmpdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def gen_args(out="inst.json", planted="planted.json", seed=7, extra=()):
     return ["gen-labelcover", "--vertices", "8", "--degree", "3", "--n", "6",
             "--k", "3", "--t", "2", "--seed", str(seed), "--out", out,
@@ -61,29 +65,41 @@ class TestGenLabelcover:
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--planted-out", "planted.json"],
          {"inst.json": "7149ac546897860247ba812ff23336327ee0b36d0446ea3c6d13b74380abddbc",
-          "planted.json": "e99509b44fb84dabc4e06062eac1f72569ef9526a5122a592622932530b15019"}),
+          "planted.json": "e99509b44fb84dabc4e06062eac1f72569ef9526a5122a592622932530b15019",
+          "gen-labelcover.report.json":
+              "4cb3154a4a1dd7330bec86b66bf57f03b870ba3889b4bb32b0b8a0486be5aa10"}),
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--mode", "random"],
-         {"inst.json": "da4aad70d18b395e804da2957e1d4431df4edf709d8367a839d2297c4aa92941"}),
+         {"inst.json": "da4aad70d18b395e804da2957e1d4431df4edf709d8367a839d2297c4aa92941",
+          "gen-labelcover.report.json":
+              "1ccd9720d65e1de5a9946dda326fd1a01834d865c67cdc57dd153bc0b96aa91d"}),
         (["--vertices", "300", "--degree", "4", "--n", "8", "--k", "4", "--t", "2",
           "--seed", "1"],
-         {"inst.json": "b178ce2c983602e62e9b2e660dea869f43869a849f544b7acaed77fc23ac85e0"}),
+         {"inst.json": "b178ce2c983602e62e9b2e660dea869f43869a849f544b7acaed77fc23ac85e0",
+          "gen-labelcover.report.json":
+              "9b171552486e7f09b6d88740ec4d8e0e8e19d3501b2694b6295b9547576c3292"}),
     ])
     def test_output_files_golden_sha256(self, tmp_path, argv, digests):
         assert main(["gen-labelcover", *argv, "--out", "inst.json"]) == 0
         for name, sha256 in digests.items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha256
+            assert file_sha256(tmp_path / name) == sha256
 
 
 class TestCheckInstance:
-    def test_planted_instance_passes(self, tmp_path):
+    def test_planted_instance_passes(self, tmp_path, capsys):
         main(gen_args())
+        capsys.readouterr()
         code = main(["check-instance", "--instance", "inst.json",
                      "--assignment", "planted.json", "--deltas", "0.75,1.0"])
         assert code == 0
         report = json.loads((tmp_path / "check-instance.report.json").read_text())
         assert report["satisfied_fraction"] == 1.0
         assert report["checks"]["smoothness_ok"] is True
+        assert file_sha256(tmp_path / "check-instance.report.json") == \
+            "ed128209654f49e4c5791c2c3013b71303343b44803eba8a085a2ad52eb8622b"
+        assert capsys.readouterr().out == "".join(f"  {name}: PASS\n" for name in (
+            "regular", "connected", "preimage_bound", "smoothness_ok",
+            "weak_expansion")) + "PASS\n"
 
 
 class TestReduce:
@@ -169,26 +185,50 @@ class TestDecode:
         assert (tmp_path / "d1.json").read_bytes() == (tmp_path / "d2.json").read_bytes()
 
 
+# stdout of an embed-verify run whose checks all pass, with and without the
+# second-moment row that only exact families have
+EMBED_VERIFY_PASS = "".join(f"  {name}: PASS\n" for name in (
+    "generator_suite", "formula_vs_svd", "basis_norm_one", "norm_bound",
+    "second_moment")) + "PASS\n"
+EMBED_VERIFY_PASS_SAMPLED = EMBED_VERIFY_PASS.replace("  second_moment: PASS\n", "")
+
+
 class TestEmbedVerify:
-    def test_exhaustive_n4_passes(self, tmp_path):
+    # The report's rows carry each check's worst error, so these pins hold
+    # the checks' draws and arithmetic as well as the file format.
+    def test_exhaustive_n4_passes(self, tmp_path, capsys):
         code = main(["embed-verify", "--n", "4", "--seed", "3", "--trials", "50",
                      "--csv", "embed.csv"])
         assert code == 0
         lines = (tmp_path / "embed.csv").read_text().strip().splitlines()
         assert lines[0].startswith("check,")
         assert len(lines) >= 5
+        assert file_sha256(tmp_path / "embed.csv") == \
+            "3e808137aa3a57a327a295188edad9033df1d05214936f7916eb46f49d462849"
+        assert file_sha256(tmp_path / "embed-verify.report.json") == \
+            "81fc0f4b332e7fe913dcf01abcfbc84b96dbd46109d2fd9f8ffc9beb741790ed"
+        assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
-    def test_monte_carlo_mode(self, tmp_path):
+    def test_monte_carlo_mode(self, tmp_path, capsys):
         code = main(["embed-verify", "--n", "12", "--mode", "monte_carlo",
                      "--samples", "20000", "--seed", "3", "--trials", "20"])
         assert code == 0
+        assert file_sha256(tmp_path / "embed-verify.report.json") == \
+            "ef5ebd9c0e0336a9ee0c65f18a98ec7c5dc9f464d96cb0f9ea821edff7460ddd"
+        assert capsys.readouterr().out == EMBED_VERIFY_PASS_SAMPLED
 
-    def test_pairwise_mode(self):
+    def test_pairwise_mode(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "6", "--mode", "pairwise_independent",
                      "--seed", "3", "--trials", "30"]) == 0
+        assert file_sha256(tmp_path / "embed-verify.report.json") == \
+            "b95ec1c46115ead22662dc38c08a71cc4ab2338275ff602ea07356716c228889"
+        assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
-    def test_single_coordinate_degenerate_pass(self):
+    def test_single_coordinate_degenerate_pass(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "1", "--seed", "3", "--trials", "20"]) == 0
+        assert file_sha256(tmp_path / "embed-verify.report.json") == \
+            "9a124453a2d803a03f06529edf4b56134b1add7174bf647230680d12046e92e1"
+        assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
 
 class TestCommVerify:
@@ -199,6 +239,10 @@ class TestCommVerify:
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())
         values = {row["n"]: row["value"] for row in report["rows"]}
         assert values[2] == pytest.approx(2**-0.5, abs=1e-12)
+        assert file_sha256(tmp_path / "comm.csv") == \
+            "f5b1096ad659e14ab73d18ca78baf09d002b04427b424413dc091a502a1dcf92"
+        assert file_sha256(tmp_path / "comm-verify.report.json") == \
+            "ca19aa83a4f453ef820087a8b907636c35b4cc748e6ac4626b0f1db7cff7224e"
 
     def test_complex_value(self, tmp_path):
         code = main(["comm-verify", "--field", "complex", "--n-list", "1,2",
@@ -207,6 +251,8 @@ class TestCommVerify:
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())
         values = {row["n"]: row["value"] for row in report["rows"]}
         assert values[2] == pytest.approx((1 + np.sqrt(2)) / (2 * np.sqrt(2)), abs=1e-12)
+        assert file_sha256(tmp_path / "comm-verify.report.json") == \
+            "c6fcdbdd9210df2d6f484d63d250c93bdfe1e17dd975d9da75abcb47d43c7cf5"
 
 
 class TestLiftAndSolve:
@@ -223,6 +269,10 @@ class TestLiftAndSolve:
         assert report["monotone"] is True
         solution = json.loads((tmp_path / "solution.json").read_text())
         assert len(solution["a"]) == 4
+        assert file_sha256(tmp_path / "solve-ncg.report.json") == \
+            "0404cd4444e69d1e6d7c5f7bf7063ec913fce08aa0cb7951cee0f44725654f50"
+        assert file_sha256(tmp_path / "solution.json") == \
+            "f895393f8e6164e389ae890d613647c0c2fe9789c496c96a1eb5a3cad4792811"
 
     def test_tensor_roundtrip_byte_identical(self, tmp_path):
         main(["lift", "--backend", "comm_complex", "--n", "1", "--out", "t.json"])
@@ -322,15 +372,23 @@ def test_report_golden_sha256(tmp_path, argv, sha256):
 
 
 class TestReport:
-    def test_aggregates_and_exit_code(self, tmp_path):
+    def test_aggregates_and_exit_code(self, tmp_path, capsys):
         main(gen_args())
         main(["comm-verify", "--field", "real", "--n-list", "1,2", "--seed", "1",
               "--report", "cv.report.json"])
+        capsys.readouterr()
         code = main(["report", "--inputs", "gen-labelcover.report.json", "cv.report.json",
                      "--csv", "summary.csv"])
         assert code == 0
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        assert file_sha256(tmp_path / "summary.csv") == \
+            "039c72bcdb368c3e0d730fa6e732628362d31b4f883e4906df5c753a8f45eacb"
+        assert file_sha256(tmp_path / "report.report.json") == \
+            "062bfb508c9303dffe8f48e2f9753ee42211cf42c62d56db1b13dc4ddb95491c"
+        assert capsys.readouterr().out == (
+            "  gen-labelcover (gen-labelcover.report.json): PASS\n"
+            "  comm-verify (cv.report.json): PASS\nPASS\n")
         fileio.dump_json({"command": "reduce", "pass": False}, tmp_path / "bad.report.json")
         code = main(["report", "--inputs", "cv.report.json", "bad.report.json"])
         assert code == 1
