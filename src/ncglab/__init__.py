@@ -5,10 +5,10 @@ resulting operator-norm problems."""
 from .linalg import (block_diag, embed_complex_as_hermitian,
                      embed_hermitian_as_real_symmetric, polar_unitary, rho,
                      schatten1_norm, schatten_inf_norm)
-from .clifford import (CliffordGenerators, EmbeddingSpec, PhaseFamily,
-                       build_phase_family, clifford_map, dictator_embedding_norm,
-                       embedding_norm_bound, make_generators, materialize_embedding,
-                       parallelogram, randphase_second_moment, trace_norm_formula)
+from .clifford import (ETA, TAU, CliffordGenerators, PhaseFamily, build_phase_family,
+                       clifford_map, dictator_embedding_norm, embedding_norm_bound,
+                       make_generators, materialize_embedding, parallelogram,
+                       randphase_second_moment, spread_threshold, trace_norm_formula)
 from .commutative import (COMPLEX_LIMIT, REAL_LIMIT, SignEnsemble,
                           berry_esseen_profile, embedding_l1_norm, spread_ratio)
 from .labelcover import (LabelCoverInstance, check_smoothness, check_weak_expansion,

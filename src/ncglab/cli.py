@@ -11,12 +11,12 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-import math
 
 import numpy as np
 
-from . import clifford, commutative, fileio, labelcover, reduction, solvers
+from . import clifford, commutative, fileio, labelcover, linalg, reduction, solvers
 from .config import DEFAULT_EPS, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 
 
@@ -51,23 +51,31 @@ def _instance_checks(inst, smoothness: float) -> dict:
     }
 
 
+def _print_verdicts(verdicts) -> None:
+    """One '  name: PASS|FAIL' line per (name, ok) pair."""
+    for name, ok in verdicts:
+        print(f"  {name}: {'PASS' if ok else 'FAIL'}")
+
+
+def _table(path, header, rows) -> list[list[str]]:
+    """Write the rows under header as a CSV file at path, when a path is
+    given, and return them as the report's lists of strings."""
+    if path:
+        fileio.write_csv(path, header, rows)
+    return [[str(x) for x in row] for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report body, passed bool); main stamps the
 # body with "command" and "pass" before writing it.
 
 
 def _cmd_gen_labelcover(args):
-    if args.k * args.t < args.n:
-        raise ValueError("infeasible parameters: need k*t >= n")
+    sizes = (args.vertices, args.degree, args.n, args.k, args.t)
     if args.mode == "planted":
-        inst, planted = labelcover.generate_planted(
-            args.vertices, args.degree, args.n, args.k, args.t,
-            seed=args.seed, zeta=args.zeta)
+        inst, planted = labelcover.generate_planted(*sizes, seed=args.seed, zeta=args.zeta)
     else:
-        inst = labelcover.generate_random(
-            args.vertices, args.degree, args.n, args.k, args.t,
-            seed=args.seed, zeta=args.zeta)
-        planted = None
+        inst, planted = labelcover.generate_random(*sizes, seed=args.seed, zeta=args.zeta), None
     fileio.save_instance(inst, args.out)
     if planted is not None and args.planted_out:
         fileio.save_assignment(planted, args.planted_out)
@@ -75,7 +83,6 @@ def _cmd_gen_labelcover(args):
     checks = _instance_checks(inst, inst.gamma)
     if planted is not None:
         checks["planted_satisfies_all"] = labelcover.satisfied_fraction(inst, planted) == 1.0
-    passed = all(checks.values())
     report = {
         "params": {"vertices": args.vertices, "degree": args.degree, "n": args.n,
                    "k": args.k, "t": args.t, "zeta": args.zeta, "seed": args.seed,
@@ -87,7 +94,7 @@ def _cmd_gen_labelcover(args):
     }
     print(f"wrote {args.out}: |V|={inst.num_vertices} |E|={inst.num_edges} "
           f"smoothness={report['smoothness']:.4f} t={inst.t} regular={checks['regular']}")
-    return report, passed
+    return report, all(checks.values())
 
 
 def _cmd_check_instance(args):
@@ -108,10 +115,8 @@ def _cmd_check_instance(args):
     if args.assignment:
         labels = fileio.load_assignment(args.assignment)
         report["satisfied_fraction"] = labelcover.satisfied_fraction(inst, labels)
-    passed = all(checks.values())
-    for name, ok in checks.items():
-        print(f"  {name}: {'PASS' if ok else 'FAIL'}")
-    return report, passed
+    _print_verdicts(checks.items())
+    return report, all(checks.values())
 
 
 def _cmd_reduce(args):
@@ -136,8 +141,8 @@ def _cmd_reduce(args):
 def _cmd_decode(args):
     inst = fileio.load_instance(args.instance)
     fld = fileio.load_field(args.field)
-    # default spread threshold sqrt(2)*eps, saturated at the decoder's ceiling
-    delta = args.delta if args.delta is not None else min(math.sqrt(2.0) * args.eps, 1.0)
+    # default: the matrix embedding's spread threshold, saturated at the decoder's ceiling
+    delta = args.delta if args.delta is not None else min(clifford.spread_threshold(args.eps), 1.0)
     params = reduction.DecoderParams(eps=args.eps, delta=delta, t=inst.t, seed=args.seed)
     labels, stats = reduction.decode(fld, params, inst)
     if args.assignment_out:
@@ -146,7 +151,6 @@ def _cmd_decode(args):
         "a1_within_bound": all(s <= stats.a1_bound for s in stats.a1_sizes),
         "a2_within_bound": all(s <= stats.a2_bound for s in stats.a2_sizes),
     }
-    passed = all(checks.values())
     report = {
         "params": {"instance": args.instance, "field": args.field, "eps": args.eps,
                    "delta": delta, "seed": args.seed},
@@ -154,81 +158,63 @@ def _cmd_decode(args):
         "checks": checks,
     }
     print(f"decoded: |V0|/|V|={stats.v0_fraction:.3f} satisfied={stats.satisfied_fraction:.4f}")
-    return report, passed
+    return report, all(checks.values())
 
 
 def _cmd_embed_verify(args):
-    n = args.n
+    n, trials = args.n, args.trials
     rng = np.random.default_rng(args.seed)
-    rows = []
+
+    def vectors():
+        """One check's trials complex vectors, each drawn as its real part
+        then its imaginary part."""
+        parts = rng.normal(size=(trials, 2, n))
+        return parts[:, 0] + 1j * parts[:, 1]
 
     gens = clifford.make_generators(n)
-    suite_ok = True
     eye = np.eye(gens.dim)
-    for idx, c in enumerate(gens.matrices):
-        suite_ok &= bool(np.array_equal(c, c.conj().T))
-        suite_ok &= bool(np.array_equal(c @ c, eye))
-        suite_ok &= c.trace() == 0
-        for other in gens.matrices[idx + 1:]:
-            suite_ok &= not np.any(c @ other + other @ c)
-    rows.append(["generator_suite", n, "exact", 0.0, 0.0, suite_ok])
+    suite_ok = (all(np.array_equal(c, c.conj().T) and np.array_equal(c @ c, eye)
+                    and c.trace() == 0 for c in gens.matrices)
+                and not any(np.any(c @ d + d @ c)
+                            for c, d in itertools.combinations(gens.matrices, 2)))
+    rows = [["generator_suite", n, "exact", 0.0, 0.0, suite_ok]]
 
     family = clifford.build_phase_family(n, args.mode, seed=args.seed,
                                          sample_count=args.samples)
     exact = family.mode != "monte_carlo"
 
-    formula_err = 0.0
-    for _ in range(args.trials):
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        formula_err = max(formula_err, abs(
-            clifford.trace_norm_formula(a)
-            - np.linalg.svd(clifford.clifford_map(a, gens), compute_uv=False).sum() / gens.dim))
-    formula_ok = formula_err <= 1e-8
-    rows.append(["formula_vs_svd", n, f"{args.trials} trials", formula_err, 1e-8, formula_ok])
+    formula_err = max(abs(clifford.trace_norm_formula(a)
+                          - linalg.schatten1_norm(clifford.clifford_map(a, gens)))
+                      for a in vectors())
+    rows.append(["formula_vs_svd", n, f"{trials} trials", formula_err, 1e-8,
+                 formula_err <= 1e-8])
 
-    basis_err = 0.0
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        est = clifford.dictator_embedding_norm(e, family)
-        basis_err = max(basis_err, abs(est.value - 1.0))
-    basis_ok = basis_err <= (1e-10 if exact else 1e-8)
-    rows.append(["basis_norm_one", n, family.mode, basis_err, 1e-10, basis_ok])
+    basis_err = max(abs(clifford.dictator_embedding_norm(e, family).value - 1.0)
+                    for e in np.eye(n))
+    rows.append(["basis_norm_one", n, family.mode, basis_err, 1e-10,
+                 basis_err <= (1e-10 if exact else 1e-8)])
 
-    bound_ok = True
-    bound_worst = -np.inf
-    for _ in range(args.trials):
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        est = clifford.dictator_embedding_norm(a, family)
-        slack = 1e-8 + (3.0 * est.stderr if not exact else 0.0)
-        excess = est.value - clifford.embedding_norm_bound(a)
-        bound_worst = max(bound_worst, excess)
-        bound_ok &= excess <= slack
-    rows.append(["norm_bound", n, family.mode, bound_worst, 0.0, bound_ok])
+    estimates = [(a, clifford.dictator_embedding_norm(a, family)) for a in vectors()]
+    excess = [est.value - clifford.embedding_norm_bound(a) for a, est in estimates]
+    # a Monte-Carlo value may exceed the bound by three standard errors
+    slack = [1e-8 + (0.0 if exact else 3.0 * est.stderr) for _, est in estimates]
+    rows.append(["norm_bound", n, family.mode, max(excess), 0.0,
+                 all(e <= s for e, s in zip(excess, slack))])
 
-    moment_ok = True
-    moment_err = 0.0
     if exact:
-        for _ in range(args.trials):
-            a = rng.normal(size=n) + 1j * rng.normal(size=n)
-            a = a / np.linalg.norm(a)
-            lhs = clifford.randphase_second_moment(a, family)
-            rhs = float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4))
-            moment_err = max(moment_err, abs(lhs - rhs))
-        moment_ok = moment_err <= 1e-10
-        rows.append(["second_moment", n, family.mode, moment_err, 1e-10, moment_ok])
+        moment_err = max(abs(clifford.randphase_second_moment(a, family)
+                             - float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4)))
+                         for a in (a / np.linalg.norm(a) for a in vectors()))
+        rows.append(["second_moment", n, family.mode, moment_err, 1e-10,
+                     moment_err <= 1e-10])
 
-    passed = all(bool(r[5]) for r in rows)
-    if args.csv:
-        fileio.write_csv(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows)
     report = {
         "params": {"n": n, "mode": args.mode, "samples": args.samples,
-                   "trials": args.trials, "seed": args.seed},
-        "rows": [[str(x) for x in row] for row in rows],
+                   "trials": trials, "seed": args.seed},
+        "rows": _table(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows),
     }
-    for row in rows:
-        print(f"  {row[0]}: {'PASS' if row[5] else 'FAIL'}")
-    return report, passed
+    _print_verdicts((row[0], row[5]) for row in rows)
+    return report, all(row[5] for row in rows)
 
 
 def _cmd_comm_verify(args):
@@ -239,9 +225,8 @@ def _cmd_comm_verify(args):
     monotone = all(
         rows[i + 1].gap <= rows[i].gap + 3.0 * (rows[i].stderr + rows[i + 1].stderr) + 1e-12
         for i in range(len(rows) - 1))
-    if args.csv:
-        fileio.write_csv(args.csv, ["n", "spread", "value", "stderr", "gap"],
-                         [[r.n, r.spread, r.value, r.stderr, r.gap] for r in rows])
+    _table(args.csv, ["n", "spread", "value", "stderr", "gap"],
+           [[r.n, r.spread, r.value, r.stderr, r.gap] for r in rows])
     report = {
         "params": {"field": args.field, "n_list": args.n_list, "mode": args.mode,
                    "samples": args.samples, "seed": args.seed},
@@ -251,12 +236,14 @@ def _cmd_comm_verify(args):
     }
     for r in rows:
         print(f"  n={r.n}: value={r.value:.6f} gap={r.gap:.6f}")
-    print(f"  gap shrinkage: {'PASS' if monotone else 'FAIL'}")
+    _print_verdicts([("gap shrinkage", monotone)])
     return report, monotone
 
 
 def _cmd_lift(args):
-    if args.backend == "clifford":  # its backend would first build all 4^n phases
+    # the matrix embedding's little operator is built from its generators, not
+    # from a backend's kernel
+    if args.backend == "clifford":
         op = solvers.little_op_from_clifford(args.n)
     else:
         op = solvers.little_op_from_comm(reduction.BACKEND_BUILDERS[args.backend](args.n).kernel)
@@ -281,7 +268,6 @@ def _cmd_solve_ncg(args):
         for h in result.histories)
     unitary_ok = (result.unitarity_residual_a <= 1e-9
                   and result.unitarity_residual_b <= 1e-9)
-    passed = monotone and unitary_ok
     report = {
         "params": {"tensor": args.tensor, "restarts": args.restarts,
                    "iters": args.iters, "tol": args.tol, "seed": args.seed},
@@ -294,7 +280,7 @@ def _cmd_solve_ncg(args):
     print(f"opt lower bound: {result.value:.8f} "
           f"(unitarity residuals {result.unitarity_residual_a:.2e}, "
           f"{result.unitarity_residual_b:.2e})")
-    return report, passed
+    return report, monotone and unitary_ok
 
 
 def _cmd_report(args):
@@ -304,14 +290,11 @@ def _cmd_report(args):
         # a row passes only on a report object whose "pass" is JSON true
         doc = doc if isinstance(doc, dict) else {}
         rows.append([path, doc.get("command", "?"), doc.get("pass") is True])
-    if args.csv:
-        fileio.write_csv(args.csv, ["file", "command", "pass"], rows)
     report = {
         "params": {"inputs": list(args.inputs)},
-        "rows": [[str(x) for x in row] for row in rows],
+        "rows": _table(args.csv, ["file", "command", "pass"], rows),
     }
-    for path, command, ok in rows:
-        print(f"  {command} ({path}): {'PASS' if ok else 'FAIL'}")
+    _print_verdicts((f"{command} ({path})", ok) for path, command, ok in rows)
     return report, all(ok for _, _, ok in rows)
 
 

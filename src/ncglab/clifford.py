@@ -12,9 +12,10 @@ The pieces, in dependency order:
 * the exact trace-norm formula
   ``||C(a)||_S1 = (sqrt(s + 2 L) + sqrt(s - 2 L)) / 2`` with ``s = ||a||_2^2``;
 * phase families over ``{1, i, -1, -i}^n`` (exhaustive, pairwise independent,
-  or sampled) and the phase-averaged embedding norm
-  ``E_w ||C(a o w)||_S1``, which equals the trace norm of the direct sum
-  ``(+)_w C(a o w)`` because equal-size blocks average.
+  or sampled), held as their weighted parity classes, and the phase-averaged
+  embedding norm ``E_w ||C(a o w)||_S1``, which equals the trace norm of the
+  direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
+* the dictatorship-test constants ETA, TAU and spread_threshold(eps).
 
 The direct sum itself has dimension ``4^n * 2^m`` and is only materialized
 for tiny ``n`` (cross-checking); everything else works through the formula.
@@ -70,7 +71,7 @@ def _kron_chain(factors) -> np.ndarray:
     return out
 
 
-def make_generators(n: int, *, dense_dim_cap: int = DENSE_DIM_CAP) -> CliffordGenerators:
+def make_generators(n: int) -> CliffordGenerators:
     """Build the 2*ceil(n/2) Pauli-string generators for n coordinates.
 
     Pair j contributes Z^(j-1) x X x I^(m-j) and Z^(j-1) x Y x I^(m-j).
@@ -79,8 +80,8 @@ def make_generators(n: int, *, dense_dim_cap: int = DENSE_DIM_CAP) -> CliffordGe
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
-    if 2**m > dense_dim_cap:
-        raise ValueError(f"generator dimension 2^{m} exceeds cap {dense_dim_cap}")
+    if 2**m > DENSE_DIM_CAP:
+        raise ValueError(f"generator dimension 2^{m} exceeds cap {DENSE_DIM_CAP}")
     matrices = []
     for j in range(1, m + 1):
         prefix = [PAULI_Z] * (j - 1)
@@ -126,47 +127,34 @@ def trace_norm_formula(a) -> float:
 
 @dataclass
 class PhaseFamily:
-    """A weighted family of phase vectors w in {1, i, -1, -i}^n.
+    """A uniformly weighted family of ``size`` phase vectors w in
+    {1, i, -1, -i}^n, held as its parity classes.
 
-    exhaustive: all 4^n members, uniform weights.
+    exhaustive: all 4^n members.
     pairwise_independent: affine Z4 evaluations; every coordinate pair is
         exactly uniform over the 16 phase pairs, with only O(n^2) members.
-    monte_carlo: seeded i.i.d. samples, uniform weights.
+    monte_carlo: seeded i.i.d. samples.
 
     Every average below depends on a member only through its parity
     pattern O_j = [w_j imaginary]: (Re, Im) of a_j w_j is +-(x_j, y_j) for
     w_j = +-1 and +-(-y_j, x_j) for w_j = +-i, and the sign cancels in the
     sums p, q, r (see _pqr). parity keeps the P distinct patterns and
-    class_weights their summed weights; P = 64 for the 4096-member
+    class_weights the share of members in each; P = 64 for the 4096-member
     exhaustive family at n=6.
     """
 
     mode: str
     n: int
-    phases: np.ndarray  # (members, n) complex
-    weights: np.ndarray  # (members,) summing to 1
-    seed: int | None = None
-    sample_count: int | None = None
-    parity: np.ndarray = field(init=False, repr=False)  # (P, n), 1.0 where w_j is imaginary
+    size: int  # members
+    parity: np.ndarray = field(repr=False)  # (P, n), 1.0 where w_j is imaginary
+    class_weights: np.ndarray = field(repr=False)  # (P,) summing to 1
     even: np.ndarray = field(init=False, repr=False)  # (P, n), 1 - parity
     sign: np.ndarray = field(init=False, repr=False)  # (P, n), even - parity
-    class_weights: np.ndarray = field(init=False, repr=False)  # (P,) summed weights
 
     def __post_init__(self):
-        odd = self.phases.imag != 0.0
-        # one opaque byte string per member's packed pattern, so unique is a 1-d sort
-        packed = np.packbits(odd, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        self.parity = odd[first].astype(np.float64)
         # the kernels' other two (P, n) factors, kept so that no call rebuilds them
         self.even = 1.0 - self.parity
         self.sign = self.even - self.parity
-        self.class_weights = np.bincount(inverse, weights=self.weights)
-
-    @property
-    def size(self) -> int:
-        return self.phases.shape[0]
 
 
 def _exhaustive_exponents(n: int) -> np.ndarray:
@@ -187,6 +175,20 @@ def _pairwise_exponents(n: int) -> np.ndarray:
     return exps.reshape(-1, n)
 
 
+def _phase_exponents(n: int, mode: str, *, seed: int | None = None,
+                     sample_count: int | None = None) -> np.ndarray:
+    """The family's members as exponents k, w_j = i^k, one row per member."""
+    if mode == "exhaustive":
+        return _exhaustive_exponents(n)
+    if mode == "pairwise_independent":
+        return _pairwise_exponents(n)
+    if mode == "monte_carlo":
+        if sample_count is None or sample_count < 1:
+            raise ValueError("monte_carlo mode requires a positive sample_count")
+        return np.random.default_rng(seed).integers(0, 4, size=(sample_count, n))
+    raise ValueError(f"unknown phase family mode {mode!r}")
+
+
 def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                        sample_count: int | None = None) -> PhaseFamily:
     if n < 1:
@@ -194,20 +196,19 @@ def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = N
     if mode == "exhaustive":
         if 4**n > ENUMERATION_CAP:
             raise ValueError(f"exhaustive family size 4^{n} exceeds cap {ENUMERATION_CAP}")
-        exps = _exhaustive_exponents(n)
-    elif mode == "pairwise_independent":
-        exps = _pairwise_exponents(n)
-    elif mode == "monte_carlo":
-        if sample_count is None or sample_count < 1:
-            raise ValueError("monte_carlo mode requires a positive sample_count")
-        rng = np.random.default_rng(seed)
-        exps = rng.integers(0, 4, size=(sample_count, n))
-    else:
-        raise ValueError(f"unknown phase family mode {mode!r}")
-    phases = PHASE_VALUES[exps]
-    weights = np.full(phases.shape[0], 1.0 / phases.shape[0])
-    return PhaseFamily(mode=mode, n=n, phases=phases, weights=weights,
-                       seed=seed, sample_count=sample_count)
+        # every pattern holds 2^n of the 4^n members; listed in lexicographic
+        # order, coordinate 0 most significant, the order grouping them gives
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return PhaseFamily(mode=mode, n=n, size=4**n, parity=bits.astype(np.float64),
+                           class_weights=np.full(2**n, 0.5**n))
+    odd = _phase_exponents(n, mode, seed=seed, sample_count=sample_count) % 2 == 1
+    # one opaque byte string per member's packed pattern, so unique is a 1-d sort
+    packed = np.packbits(odd, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    size = odd.shape[0]
+    return PhaseFamily(mode=mode, n=n, size=size, parity=odd[first].astype(np.float64),
+                       class_weights=np.bincount(inverse, weights=np.full(size, 1.0 / size)))
 
 
 @dataclass
@@ -354,21 +355,17 @@ def materialize_embedding(a) -> np.ndarray:
     if n > MATERIALIZE_MAX_N:
         raise ValueError(f"materialization limited to n <= {MATERIALIZE_MAX_N}")
     gens = make_generators(n)
-    family = build_phase_family(n, "exhaustive")
-    blocks = [clifford_map(a * w, gens) for w in family.phases]
+    blocks = [clifford_map(a * w, gens) for w in PHASE_VALUES[_exhaustive_exponents(n)]]
     return linalg.block_diag(blocks)
 
 
-@dataclass
-class EmbeddingSpec:
-    """Dictatorship-test constants of the phase-averaged matrix embedding:
-    basis vectors reach norm eta = 1, spread unit vectors stay near
-    tau = 1/sqrt(2), and norms above (tau + eps) force an l4/l2 ratio
-    above delta(eps) = sqrt(2)*eps."""
+# Dictatorship-test constants of the phase-averaged matrix embedding: basis
+# vectors reach norm ETA, spread unit vectors stay near TAU, and norms above
+# TAU + eps force an l4/l2 ratio above spread_threshold(eps).
+ETA = 1.0
+TAU = 2**-0.5
 
-    n: int
-    eta: float = 1.0
-    tau: float = 2**-0.5
 
-    def delta(self, eps: float) -> float:
-        return math.sqrt(2.0) * eps
+def spread_threshold(eps: float) -> float:
+    """delta(eps) = sqrt(2) eps."""
+    return math.sqrt(2.0) * eps

@@ -18,7 +18,6 @@ one-hot fields always have norm exactly 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,10 +49,6 @@ class ConstraintSystem:
     """
 
     matrix: scipy.sparse.csr_matrix
-    rows: list[tuple[int, int]]
-    num_vertices: int
-    n: int
-    k: int
 
 
 def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
@@ -64,11 +59,8 @@ def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
     col_idx = inst.ends[:, :, None] * n + np.arange(n)
     data = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 2, 1), row_idx.shape)
     shape = (num_edges * k, inst.num_vertices * n)
-    matrix = scipy.sparse.csr_matrix((data.ravel(), (row_idx.ravel(), col_idx.ravel())),
-                                     shape=shape)
-    rows = list(itertools.product(range(num_edges), range(k)))
-    return ConstraintSystem(matrix=matrix, rows=rows,
-                            num_vertices=inst.num_vertices, n=n, k=k)
+    return ConstraintSystem(matrix=scipy.sparse.csr_matrix(
+        (data.ravel(), (row_idx.ravel(), col_idx.ravel())), shape=shape))
 
 
 # Shift of the factored A A^T + mu I, relative to the Gershgorin bound g:
@@ -237,14 +229,13 @@ class EmbeddingBackend:
         if not self._is_matrix:
             raise ValueError(f"backend {self.name!r} has no derived spread threshold; "
                              "pass delta explicitly")
-        return clifford.EmbeddingSpec(n=self.n).delta(eps)
+        return clifford.spread_threshold(eps)
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                      sample_count: int | None = None) -> EmbeddingBackend:
     family = clifford.build_phase_family(n, mode, seed=seed, sample_count=sample_count)
-    spec = clifford.EmbeddingSpec(n=n)
-    return EmbeddingBackend(name="clifford", n=n, eta=spec.eta, tau=spec.tau,
+    return EmbeddingBackend(name="clifford", n=n, eta=clifford.ETA, tau=clifford.TAU,
                             is_real=False, kernel=family)
 
 

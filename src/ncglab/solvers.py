@@ -127,14 +127,14 @@ def tensor_from_matrix(m) -> NcgTensor:
     return NcgTensor(d=m.shape[0], indices=np.stack([i, i, j, j], axis=1), coeffs=m[i, j])
 
 
-def lift_little_to_big(op: LittleOperator, *, cap: int = LIFT_CAP) -> NcgTensor:
+def lift_little_to_big(op: LittleOperator) -> NcgTensor:
     """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>, computed as the
     sparse product F^H F / d^2 of the (n, d^2) stack F of vectorized images.
     Entries come in (i, j, k, l) lexicographic order without exact zeros."""
     f = scipy.sparse.csr_matrix(op.images.reshape(op.n, op.d**2))
     size = int(np.sum(np.diff(f.indptr) ** 2))
-    if size > cap:
-        raise ValueError(f"lift size sum_m nnz(f_m)^2 = {size} exceeds cap {cap}")
+    if size > LIFT_CAP:
+        raise ValueError(f"lift size sum_m nnz(f_m)^2 = {size} exceeds cap {LIFT_CAP}")
     t = (f.conj().T @ f).tocsr()
     t.sort_indices()
     coeffs = t.data / op.d**2

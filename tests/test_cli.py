@@ -51,7 +51,9 @@ class TestGenLabelcover:
                      "--k", "2", "--t", "2", "--seed", "1", "--out", "x.json"])
         assert code == 1
         report = json.loads((tmp_path / "gen-labelcover.report.json").read_text())
-        assert report["pass"] is False and "error" in report
+        assert report["pass"] is False
+        assert report["error"] == "need k*t >= n so projections with preimage bound t exist"
+        assert not (tmp_path / "x.json").exists()
 
     def test_instance_roundtrip_byte_identical(self, tmp_path):
         main(gen_args())

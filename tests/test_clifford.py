@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncglab import clifford, linalg
-from ncglab.clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from ncglab.clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE_VALUES
 
 INV_SQRT2 = 2**-0.5
 
@@ -21,10 +21,27 @@ def cached_family(n, mode):
     return clifford.build_phase_family(n, mode)
 
 
-def member_reference(a, fam):
+def members(n, mode, **kwargs):
+    """The family's phase vectors, one row per member."""
+    return PHASE_VALUES[clifford._phase_exponents(n, mode, **kwargs)]
+
+
+def grouped_classes(exps):
+    """Reference parity classes of members given as exponents: the distinct
+    rows of exps % 2 in lexicographic order and each one's share of members."""
+    patterns, inverse = np.unique(exps % 2, axis=0, return_inverse=True)
+    size = exps.shape[0]
+    weights = np.bincount(inverse.reshape(-1), weights=np.full(size, 1.0 / size))
+    return patterns.astype(np.float64), weights
+
+
+def member_reference(a, fam, phases):
     """Value and complex-packed gradient of E_w ||C(a o w)||_S1 evaluated
-    member by member, without parity classes. Needs L(a o w) > 0."""
-    b = a * fam.phases
+    member by member over the family's phase vectors, each of weight
+    1/fam.size, without parity classes. Needs L(a o w) > 0."""
+    assert phases.shape == (fam.size, fam.n)
+    weight = 1.0 / fam.size
+    b = a * phases
     x, y = b.real, b.imag
     p, q, r = (x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)
     s = float(np.sum(np.abs(a) ** 2))
@@ -36,8 +53,8 @@ def member_reference(a, fam):
     grad_b = (2 * dgds[:, None] * b
               + 2 * dgdu[:, None] * (q[:, None] * x - r[:, None] * y
                                      + 1j * (p[:, None] * y - r[:, None] * x)))
-    grad = (fam.weights[:, None] * np.conj(fam.phases) * grad_b).sum(axis=0)
-    return float(fam.weights @ (0.5 * (plus + minus))), grad
+    grad = weight * (np.conj(phases) * grad_b).sum(axis=0)
+    return float(weight * np.sum(0.5 * (plus + minus))), grad
 
 
 
@@ -68,8 +85,9 @@ class TestGenerators:
                 assert not np.any(c @ other + other @ c)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            clifford.make_generators(100, dense_dim_cap=64)
+        # 2^50 rows exceed DENSE_DIM_CAP
+        with pytest.raises(ValueError, match="cap"):
+            clifford.make_generators(100)
 
 
 class TestCliffordMap:
@@ -144,9 +162,12 @@ class TestPhaseFamily:
     def test_exhaustive_n1(self):
         fam = clifford.build_phase_family(1, "exhaustive")
         assert fam.size == 4
-        np.testing.assert_array_equal(np.sort_complex(fam.phases[:, 0]),
+        np.testing.assert_array_equal(np.sort_complex(members(1, "exhaustive")[:, 0]),
                                       np.sort_complex(np.array([1, 1j, -1, -1j])))
-        np.testing.assert_allclose(fam.weights, 0.25)
+        assert 1 / fam.size == 0.25
+        # {1, -1} and {i, -i}, two members each
+        np.testing.assert_array_equal(fam.parity, [[0.0], [1.0]])
+        np.testing.assert_array_equal(fam.class_weights, [0.5, 0.5])
 
     def test_exhaustive_n2_sixteen(self):
         assert clifford.build_phase_family(2, "exhaustive").size == 16
@@ -158,7 +179,9 @@ class TestPhaseFamily:
     @pytest.mark.parametrize("n", [2, 4, 5])
     def test_pairwise_exactly_uniform_pairs(self, n):
         fam = clifford.build_phase_family(n, "pairwise_independent")
-        exps = np.rint(np.angle(fam.phases) / (np.pi / 2)).astype(int) % 4
+        phases = members(n, "pairwise_independent")
+        assert phases.shape[0] == fam.size
+        exps = np.rint(np.angle(phases) / (np.pi / 2)).astype(int) % 4
         for j in range(n):
             for k in range(j + 1, n):
                 counts = np.zeros((4, 4), dtype=int)
@@ -168,11 +191,41 @@ class TestPhaseFamily:
     def test_monte_carlo_deterministic(self):
         fam1 = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
         fam2 = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
-        np.testing.assert_array_equal(fam1.phases, fam2.phases)
+        np.testing.assert_array_equal(members(4, "monte_carlo", seed=5, sample_count=100),
+                                      members(4, "monte_carlo", seed=5, sample_count=100))
+        np.testing.assert_array_equal(fam1.parity, fam2.parity)
+        np.testing.assert_array_equal(fam1.class_weights, fam2.class_weights)
 
     def test_monte_carlo_needs_samples(self):
         with pytest.raises(ValueError):
             clifford.build_phase_family(4, "monte_carlo", seed=1)
+
+    @pytest.mark.parametrize("n, mode, kwargs", [
+        *[(n, "exhaustive", {}) for n in range(1, 9)],
+        (5, "pairwise_independent", {}),
+        (16, "pairwise_independent", {}),
+        (12, "monte_carlo", {"seed": 3, "sample_count": 20000}),
+    ])
+    def test_classes_match_grouped_members(self, n, mode, kwargs):
+        # grouping the members gives the family's classes in the same order,
+        # bit for bit; the exhaustive 2^n classes are generated directly
+        exps = clifford._phase_exponents(n, mode, **kwargs)
+        fam = clifford.build_phase_family(n, mode, **kwargs)
+        parity, weights = grouped_classes(exps)
+        assert fam.size == exps.shape[0]
+        np.testing.assert_array_equal(fam.parity, parity)
+        np.testing.assert_array_equal(fam.class_weights, weights)
+
+    def test_exhaustive_build_holds_only_its_classes(self):
+        # the 4^10 members as complex phases took a 289 MiB traced peak
+        tracemalloc.start()
+        try:
+            fam = clifford.build_phase_family(10, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.parity.shape == (2**10, 10)
+        assert peak <= 4 * 2**20
 
 
 class TestDictatorEmbeddingNorm:
@@ -212,7 +265,8 @@ class TestDictatorEmbeddingNorm:
         rng = np.random.default_rng(16)
         fam = clifford.build_phase_family(5, "monte_carlo", seed=4, sample_count=2000)
         a = random_complex_vec(rng, 5)
-        vals = np.array([clifford.trace_norm_formula(a * w) for w in fam.phases])
+        vals = np.array([clifford.trace_norm_formula(a * w)
+                         for w in members(5, "monte_carlo", seed=4, sample_count=2000)])
         est = clifford.dictator_embedding_norm(a, fam)
         assert abs(est.value - vals.mean()) <= 1e-12
         assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
@@ -291,6 +345,7 @@ class TestNormGradient:
     def test_batched_matches_rows_and_members(self, n, mode, kwargs):
         rng = np.random.default_rng(17)
         fam = clifford.build_phase_family(n, mode, **kwargs)
+        phases = members(n, mode, **kwargs)
         fld = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
         fld /= np.linalg.norm(fld, axis=1, keepdims=True)
         fld[3] = 0.0
@@ -303,7 +358,7 @@ class TestNormGradient:
             assert abs(values[v] - value) <= 1e-12
             assert np.max(np.abs(grads[v] - grad)) <= 1e-12
             if v not in (3, 4):
-                ref_value, ref_grad = member_reference(row, fam)
+                ref_value, ref_grad = member_reference(row, fam, phases)
                 assert abs(value - ref_value) <= 1e-12
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-12
         assert values[3] == 0.0 and not np.any(grads[3])
@@ -395,8 +450,7 @@ class TestRowChunks:
 
 class TestEmbeddingSpec:
     def test_constants(self):
-        spec = clifford.EmbeddingSpec(n=4)
-        assert spec.tau < spec.eta
-        assert spec.tau == pytest.approx(INV_SQRT2)
-        assert spec.delta(0.2) < spec.delta(0.3)
-        assert spec.delta(1.0) == pytest.approx(np.sqrt(2.0))
+        assert clifford.TAU < clifford.ETA == 1.0
+        assert clifford.TAU == pytest.approx(INV_SQRT2)
+        assert clifford.spread_threshold(0.2) < clifford.spread_threshold(0.3)
+        assert clifford.spread_threshold(1.0) == pytest.approx(np.sqrt(2.0))

@@ -39,7 +39,6 @@ class TestConstraints:
         cs = red.build_constraints(inst)
         assert cs.matrix.shape == (1, 4)
         np.testing.assert_array_equal(cs.matrix.toarray(), [[1, 1, -1, -1]])
-        assert cs.rows == [(0, 0)]
 
     def test_row_and_column_counts(self):
         inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=0)
@@ -131,9 +130,9 @@ class TestSubspaceBasis:
 
 def loop_constraints(inst):
     """Reference: one row per (edge, small label), filled entry by entry."""
-    data, row_idx, col_idx, rows = [], [], [], []
+    data, row_idx, col_idx = [], [], []
     r = 0
-    for e_idx, e in enumerate(inst.edges):
+    for e in inst.edges:
         for j in range(inst.k):
             for i in np.flatnonzero(e.pi_u == j):
                 data.append(1.0)
@@ -143,10 +142,9 @@ def loop_constraints(inst):
                 data.append(-1.0)
                 row_idx.append(r)
                 col_idx.append(e.v * inst.n + int(i))
-            rows.append((e_idx, j))
             r += 1
     shape = (r, inst.num_vertices * inst.n)
-    return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape), rows
+    return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
 
 
 # planted and random instances, (vertices, degree, n, k, t, seed)
@@ -189,10 +187,10 @@ def assert_matches_projector(cs, reference):
     np.testing.assert_allclose(proj, proj.T, rtol=0, atol=1e-10)
     assert np.linalg.matrix_rank(proj, tol=0.5) == basis.dim
     rng = np.random.default_rng(9)
-    fld = rng.normal(size=(cs.num_vertices, cs.n)) + 1j * rng.normal(size=(cs.num_vertices,
-                                                                           cs.n))
-    np.testing.assert_allclose(basis.project(fld).reshape(-1),
-                               reference @ (reference.T @ fld.reshape(-1)), rtol=0, atol=1e-10)
+    total = cs.matrix.shape[1]
+    fld = rng.normal(size=total) + 1j * rng.normal(size=total)
+    np.testing.assert_allclose(basis.project(fld), reference @ (reference.T @ fld),
+                               rtol=0, atol=1e-10)
     assert red.constraint_residual(cs, basis.project(fld)) <= SUBSPACE_RESIDUAL_TOL
     for column in proj.T:
         assert red.constraint_residual(cs, column) <= SUBSPACE_RESIDUAL_TOL
@@ -207,17 +205,16 @@ class TestConstraintsMatchLoop:
     def test_vectorized_matches_loop(self, params):
         inst = make_instance(*params)
         cs = red.build_constraints(inst)
-        ref, rows = loop_constraints(inst)
+        ref = loop_constraints(inst)
         assert cs.matrix.shape == ref.shape
         assert cs.matrix.nnz == ref.nnz
         assert (cs.matrix != ref).nnz == 0
-        assert cs.rows == rows
 
     def test_no_edges(self):
         inst = lc.LabelCoverInstance(num_vertices=3, n=2, k=1, t=2, gamma=1.0,
                                      zeta=0.1, edges=[])
         cs = red.build_constraints(inst)
-        assert cs.matrix.shape == (0, 6) and cs.rows == []
+        assert cs.matrix.shape == (0, 6)
 
 
 class TestSubspaceBasisMatchesSvd:
@@ -235,7 +232,7 @@ class TestSubspaceBasisMatchesSvd:
         inst = make_instance("planted" if planted else "random", vertices, degree, n, k, t,
                              seed)
         cs = red.build_constraints(inst)
-        ref, _ = loop_constraints(inst)
+        ref = loop_constraints(inst)
         assert (cs.matrix != ref).nnz == 0
         assert_matches_svd_null_space(cs)
 
@@ -354,14 +351,13 @@ class TestSubspaceBasisIsCanonical:
     def test_basis_depends_only_on_subspace(self, params):
         # rescaled rows leave the null space unchanged but change A A^T and
         # its factorization; the projection must not move
-        cs = red.build_constraints(make_instance(*params))
+        inst = make_instance(*params)
+        cs = red.build_constraints(inst)
         scale = np.random.default_rng(8).uniform(0.5, 2.0, size=cs.matrix.shape[0])
-        scaled = red.ConstraintSystem(matrix=scipy.sparse.diags(scale) @ cs.matrix,
-                                      rows=cs.rows, num_vertices=cs.num_vertices,
-                                      n=cs.n, k=cs.k)
+        scaled = red.ConstraintSystem(matrix=scipy.sparse.diags(scale) @ cs.matrix)
         rng = np.random.default_rng(10)
-        fld = rng.normal(size=(cs.num_vertices, cs.n)) + 1j * rng.normal(
-            size=(cs.num_vertices, cs.n))
+        shape = (inst.num_vertices, inst.n)
+        fld = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         assert red.subspace_basis(scaled).dim == red.subspace_basis(cs).dim
         np.testing.assert_allclose(red.subspace_basis(scaled).project(fld),
                                    red.subspace_basis(cs).project(fld), rtol=0, atol=1e-10)
@@ -372,8 +368,7 @@ def near_rank_deficient_system(s):
     so the second singular value is about s/2."""
     matrix = scipy.sparse.csr_matrix(np.array([[1.0, 1.0, -1.0, -1.0],
                                                [1.0, 1.0, -1.0, -1.0 + s]]))
-    return red.ConstraintSystem(matrix=matrix, rows=[(0, 0), (1, 0)],
-                                num_vertices=2, n=2, k=1)
+    return red.ConstraintSystem(matrix=matrix)
 
 
 class TestRankGapGuard:
@@ -621,8 +616,7 @@ class TestOperatorNormLowerBound:
     def test_trivial_subspace_degenerate(self):
         # a full-column-rank system: only the zero field satisfies it
         inst = identity_projection_instance(num_vertices=4, n=2)
-        cs = red.ConstraintSystem(matrix=scipy.sparse.csr_matrix(np.eye(8) + np.eye(8, k=1)),
-                                  rows=[], num_vertices=4, n=2, k=2)
+        cs = red.ConstraintSystem(matrix=scipy.sparse.csr_matrix(np.eye(8) + np.eye(8, k=1)))
         basis = red.subspace_basis(cs)
         assert basis.dim == 0
         np.testing.assert_allclose(basis.project(np.ones((4, 2))), 0.0, rtol=0, atol=1e-14)

@@ -128,20 +128,23 @@ class TestLift:
             assert abs(solvers.evaluate_bilinear(tensor, a_mat, b_mat)
                        - np.sum(ua * np.conj(ub))) <= 1e-10
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         rng = np.random.default_rng(8)
         op = solvers.LittleOperator(images=random_complex(rng, 2, 3, 3))
+        monkeypatch.setattr(solvers, "LIFT_CAP", 4)
         with pytest.raises(ValueError):
-            solvers.lift_little_to_big(op, cap=4)
+            solvers.lift_little_to_big(op)
 
-    def test_cap_bounds_sum_of_squared_image_nnz(self):
+    def test_cap_bounds_sum_of_squared_image_nnz(self, monkeypatch):
         # two images with 2 and 1 nonzeros: the lift has at most 2^2 + 1^2 entries
         images = np.zeros((2, 3, 3), dtype=complex)
         images[0, 0, 0] = images[0, 1, 2] = images[1, 2, 1] = 1.0
         op = solvers.LittleOperator(images=images)
-        assert solvers.lift_little_to_big(op, cap=5).nnz == 5
+        monkeypatch.setattr(solvers, "LIFT_CAP", 5)
+        assert solvers.lift_little_to_big(op).nnz == 5
+        monkeypatch.setattr(solvers, "LIFT_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
-            solvers.lift_little_to_big(op, cap=4)
+            solvers.lift_little_to_big(op)
 
     @pytest.mark.parametrize("make", [
         lambda: solvers.LittleOperator(
