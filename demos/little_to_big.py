@@ -7,13 +7,13 @@ Run:  python demos/little_to_big.py
 
 import numpy as np
 
-from ncglab import commutative, solvers
+from ncglab import solvers
+from ncglab.reduction import BACKEND_BUILDERS
 
 rng = np.random.default_rng(2)
 
 print("=== Materialize a little operator ===")
-ens = commutative.SignEnsemble(field="real", n=2)
-op = solvers.little_op_from_comm(ens)
+op = BACKEND_BUILDERS["comm_real"](2).little_op()
 print(f"sign embedding n=2 materialized as d={op.d} diagonal images")
 
 print()

@@ -241,12 +241,7 @@ def _cmd_comm_verify(args):
 
 
 def _cmd_lift(args):
-    # the matrix embedding's little operator is built from its generators, not
-    # from a backend's kernel
-    if args.backend == "clifford":
-        op = solvers.little_op_from_clifford(args.n)
-    else:
-        op = solvers.little_op_from_comm(reduction.BACKEND_BUILDERS[args.backend](args.n).kernel)
+    op = reduction.BACKEND_BUILDERS[args.backend](args.n).little_op()
     tensor = solvers.lift_little_to_big(op)
     fileio.save_tensor(tensor, args.out)
     report = {

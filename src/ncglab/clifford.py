@@ -17,8 +17,10 @@ The pieces, in dependency order:
   direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
 * the dictatorship-test constants ETA, TAU and spread_threshold(eps).
 
-The direct sum itself has dimension ``4^n * 2^m`` and is only materialized
-for tiny ``n`` (cross-checking); everything else works through the formula.
+The direct sum has dimension ``4^n * 2^m``. Only ``lift`` builds it, for
+``n <= MATERIALIZE_MAX_N``, from its images ``kron(diag(w_i over w), C_i)``
+(``reduction.EmbeddingBackend.little_op``); everything else works through
+the formula.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
 from .config import DENSE_DIM_CAP, ENUMERATION_CAP, RADICAND_CLAMP
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -38,8 +39,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# Largest n whose embedding materialize_embedding builds: the direct sum has
-# dimension 4^n * 2^ceil(n/2), 128 at n = 3.
+# Largest n whose embedding the lift builds: the direct sum has dimension
+# 4^n * 2^ceil(n/2), 256 at n = 3.
 MATERIALIZE_MAX_N = 3
 
 # Most float64 entries the batch kernels hold at once, summed over their
@@ -345,18 +346,6 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
     return value, gx + 1j * gy
-
-
-def materialize_embedding(a) -> np.ndarray:
-    """Explicit block-diagonal matrix (+)_w C(a o w) over the exhaustive
-    family. Exponential in n; only for cross-checking at n <= MATERIALIZE_MAX_N."""
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    n = a.size
-    if n > MATERIALIZE_MAX_N:
-        raise ValueError(f"materialization limited to n <= {MATERIALIZE_MAX_N}")
-    gens = make_generators(n)
-    blocks = [clifford_map(a * w, gens) for w in PHASE_VALUES[_exhaustive_exponents(n)]]
-    return linalg.block_diag(blocks)
 
 
 # Dictatorship-test constants of the phase-averaged matrix embedding: basis

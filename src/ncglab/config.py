@@ -1,6 +1,7 @@
 """Central numeric defaults. CLI flags and keyword arguments override these."""
 
-# Dense-matrix capacity for Clifford generator construction (2^ceil(n/2) <= cap).
+# Largest side of the Clifford generators (2^ceil(n/2)) and of a tensor (d),
+# checked before its (d^2 x d^2) matrix and solve-ncg's d x d unitaries exist.
 DENSE_DIM_CAP = 4096
 
 # Maximum member count for exhaustive sign/phase enumerations.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from . import clifford, commutative
+from . import clifford, commutative, solvers
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS,
                      SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
@@ -197,6 +197,7 @@ class EmbeddingBackend:
     complex-packed subgradients.
     bound(a) is the analytic upper bound on norm(a); delta(eps), for the
     matrix embedding, is the spread threshold paired with (eta, tau).
+    little_op() holds f's images, so f(a) = little_op().apply(a).
     """
 
     name: str
@@ -230,6 +231,30 @@ class EmbeddingBackend:
             raise ValueError(f"backend {self.name!r} has no derived spread threshold; "
                              "pass delta explicitly")
         return clifford.spread_threshold(eps)
+
+    def little_op(self) -> solvers.LittleOperator:
+        """f as images of the basis vectors over the exhaustive members w (all
+        phase vectors for the matrix embedding): f(e_i) = kron(diag(w_i over
+        w), G_i), with G_i the i-th Clifford generator, or [[1]] for a scalar
+        embedding. Sizes past the caps are refused before any image exists."""
+        if self._is_matrix:
+            if self.kernel.mode != "exhaustive":
+                raise ValueError(f"the matrix embedding's images need the exhaustive "
+                                 f"phase family, not {self.kernel.mode!r}")
+            if self.n > clifford.MATERIALIZE_MAX_N:
+                raise ValueError(f"materialization limited to n <= {clifford.MATERIALIZE_MAX_N}")
+            ens = commutative.SignEnsemble(field="complex", n=self.n)
+            blocks = clifford.make_generators(self.n).matrices
+        else:
+            ens, d = self.kernel, (2 if self.is_real else 4) ** self.n
+            # diagonal images: n * d^2 is both the lift's nnz bound and the dense stack
+            if self.n * d**2 > solvers.LIFT_CAP:
+                raise ValueError(f"lift size n*d^2 = {self.n * d**2} exceeds cap "
+                                 f"{solvers.LIFT_CAP}")
+            blocks = [np.ones((1, 1))] * self.n
+        members = commutative.exhaustive_members(ens)
+        return solvers.LittleOperator(images=np.stack(
+            [np.kron(np.diag(members[:, i]), blocks[i]) for i in range(self.n)]))
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from . import clifford, commutative
-from .config import DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
+from .config import DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_DIM_CAP
 from .linalg import as_matrix, polar_unitary
 
 # Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
@@ -56,27 +55,6 @@ class LittleOperator:
         return np.tensordot(a, self.images, axes=(0, 0))
 
 
-def little_op_from_comm(ens: commutative.SignEnsemble) -> LittleOperator:
-    """Materialize the sign/phase embedding: f(e_i) is the diagonal matrix of
-    the i-th coordinate over all ensemble members, so the normalized trace
-    norm of f(a) is exactly E|<a, Z>|."""
-    d = (2 if ens.field == "real" else 4) ** ens.n
-    # diagonal images: n * d^2 is both the lift's nnz bound and the dense stack
-    if ens.n * d**2 > LIFT_CAP:
-        raise ValueError(f"lift size n*d^2 = {ens.n * d**2} exceeds cap {LIFT_CAP}")
-    members = commutative.exhaustive_members(ens)
-    images = np.stack([np.diag(members[:, i]).astype(np.complex128)
-                       for i in range(ens.n)])
-    return LittleOperator(images=images)
-
-
-def little_op_from_clifford(n: int) -> LittleOperator:
-    """Materialize the phase-averaged matrix embedding at tiny n:
-    f(e_i) = (+)_w w_i C_i over the exhaustive phase family."""
-    return LittleOperator(images=np.stack([clifford.materialize_embedding(e)
-                                           for e in np.eye(n)]))
-
-
 def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
     """F*(A): the vector u with <u, a> = <A, F(a)> for every a, both inner
     products taken with the d^-1 Tr normalization on matrices."""
@@ -100,6 +78,8 @@ class NcgTensor:
     matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 1 <= self.d <= DENSE_DIM_CAP:
+            raise ValueError(f"tensor dimension d = {self.d} outside [1, {DENSE_DIM_CAP}]")
         self.indices = np.asarray(self.indices, dtype=np.int64).reshape(-1, 4)
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
         if self.indices.shape[0] != self.coeffs.shape[0]:
@@ -190,8 +170,6 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     half-step value histories for monotonicity audits; each history value
     reuses its half-step's contraction, |sum A o M_B| or |sum P o conj(B)|.
     """
-    if tensor.d < 1:
-        raise ValueError("tensor dimension must be >= 1")
     d, t_mat = tensor.d, tensor.matrix
     rng = np.random.default_rng(seed)
     best = None

@@ -220,12 +220,9 @@ def test_criterion_8_decoder():
 
 def _acceptance_little_ops():
     return [
-        ("comm_real n=1", solvers.little_op_from_comm(
-            commutative.SignEnsemble(field="real", n=1))),
-        ("comm_real n=2", solvers.little_op_from_comm(
-            commutative.SignEnsemble(field="real", n=2))),
-        ("comm_complex n=1", solvers.little_op_from_comm(
-            commutative.SignEnsemble(field="complex", n=1))),
+        ("comm_real n=1", red.BACKEND_BUILDERS["comm_real"](1).little_op()),
+        ("comm_real n=2", red.BACKEND_BUILDERS["comm_real"](2).little_op()),
+        ("comm_complex n=1", red.BACKEND_BUILDERS["comm_complex"](1).little_op()),
     ]
 
 

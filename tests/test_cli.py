@@ -103,6 +103,16 @@ class TestCheckInstance:
             "regular", "connected", "preimage_bound", "smoothness_ok",
             "weak_expansion")) + "PASS\n"
 
+    @pytest.mark.parametrize("deltas", ["0.001", "5", ","])
+    def test_unusable_delta_grid_fails(self, tmp_path, deltas):
+        # at |V| = 40 the subset sizes of deltas 0.001 and 5 are 0 and 200
+        main(["gen-labelcover", "--vertices", "40", "--degree", "4", "--n", "6", "--k", "3",
+              "--t", "2", "--seed", "1", "--out", "inst.json"])
+        code = main(["check-instance", "--instance", "inst.json", "--deltas", deltas])
+        assert code == 1
+        report = json.loads((tmp_path / "check-instance.report.json").read_text())
+        assert report["pass"] is False and "weak-expansion" in report["error"]
+
 
 class TestReduce:
     @pytest.mark.parametrize("backend", ["clifford", "comm_real", "comm_complex"])

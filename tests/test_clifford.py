@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncglab import clifford, linalg
 from ncglab.clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE_VALUES
+from ncglab.reduction import clifford_backend
 
 INV_SQRT2 = 2**-0.5
 
@@ -258,7 +259,11 @@ class TestDictatorEmbeddingNorm:
         rng = np.random.default_rng(12)
         fam = clifford.build_phase_family(2, "exhaustive")
         a = random_complex_vec(rng, 2)
-        direct = linalg.schatten1_norm(clifford.materialize_embedding(a))
+        gens = clifford.make_generators(2)
+        block = linalg.block_diag(
+            [clifford.clifford_map(a * w, gens) for w in members(2, "exhaustive")])
+        np.testing.assert_array_equal(clifford_backend(2).little_op().apply(a), block)
+        direct = linalg.schatten1_norm(block)
         assert abs(clifford.dictator_embedding_norm(a, fam).value - direct) <= 1e-10
 
     def test_monte_carlo_stderr_matches_members(self):
@@ -273,7 +278,7 @@ class TestDictatorEmbeddingNorm:
 
     def test_materialize_cap(self):
         with pytest.raises(ValueError):
-            clifford.materialize_embedding(np.ones(4))
+            clifford_backend(4).little_op()
 
 
 class TestSecondMoment:

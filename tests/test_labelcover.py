@@ -146,6 +146,15 @@ class TestWeakExpansion:
         assert rows[0].min_edges == 0
         assert not rows[0].passed
 
+    @pytest.mark.parametrize("grid,message", [([0.001], "delta 0.001 gives subset size 0"),
+                                              ([0.5, 5.0], "delta 5.0 gives subset size 200"),
+                                              ([], "empty")])
+    def test_grid_without_a_checkable_subset_size_raises(self, grid, message):
+        # at |V| = 40 the subset sizes round(delta |V|) are 0 and 200
+        inst = lc.generate_planted(40, 4, 6, 3, 2, seed=1)[0]
+        with pytest.raises(ValueError, match=message):
+            lc.check_weak_expansion(inst, grid)
+
 
 # ---------------------------------------------------------------------------
 # The array-form checkers against per-edge loop references

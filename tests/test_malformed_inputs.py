@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ncglab import fileio
+from ncglab.config import DENSE_DIM_CAP
 from ncglab.cli import main
 from ncglab.solvers import NcgTensor
 
@@ -118,6 +119,10 @@ CASES = {
         ("entries-not-a-list", replaced(["entries"], "none")),
         ("fractional-index", replaced(["entries", 1, 1], 1.9)),
         ("fractional-d", replaced(["d"], 2.5)),
+        # d outside [1, DENSE_DIM_CAP] is refused before the (d^2 x d^2) matrix exists
+        ("zero-d", replaced(["d"], 0)),
+        ("negative-d", replaced(["d"], -2)),
+        ("d-over-cap", replaced(["d"], DENSE_DIM_CAP + 1)),
         ("boolean-index", replaced(["entries", 0, 0], True)),
         ("boolean-entry-value", replaced(["entries", 1, 5], False)),
     ],

@@ -327,7 +327,7 @@ class TestCholeskyFastPath:
     # path: its guard raises, and no dense eigensolve is tried as a fallback
     @pytest.mark.parametrize("s, problem", [(6e-5, r"pivot \d\.\d+e-(09|10) between"),
                                             (2e-9, "residual")])
-    def test_near_rank_deficient_reaches_fallback(self, s, problem, monkeypatch):
+    def test_near_rank_deficient_raises_without_fallback(self, s, problem, monkeypatch):
         splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
         calls = []
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ncglab import commutative as comm
 from ncglab import solvers
 from ncglab.clifford import PAULI_X
 from ncglab.linalg import polar_unitary
+from ncglab.reduction import BACKEND_BUILDERS
 
 
 def random_complex(rng, *shape):
@@ -37,27 +37,27 @@ class TestLittleOperator:
         expected = sum(a[i] * op.images[i] for i in range(3))
         np.testing.assert_allclose(op.apply(a), expected, atol=1e-12)
 
-    def test_comm_materialization_matches_l1(self):
-        ens = comm.SignEnsemble(field="complex", n=2)
-        op = solvers.little_op_from_comm(ens)
-        assert op.d == 16
-        rng = np.random.default_rng(1)
-        a = random_complex(rng, 2)
+    @pytest.mark.parametrize("backend,d", [("clifford", 32), ("comm_complex", 16),
+                                           ("comm_real", 4)],
+                             ids=["clifford", "comm_complex", "comm_real"])
+    def test_materialization_matches_backend_norm(self, backend, d):
+        emb = BACKEND_BUILDERS[backend](2)
+        op = emb.little_op()
+        assert op.d == d
+        a = random_complex(np.random.default_rng(1), 2)
+        a = a.real if emb.is_real else a
         s = np.linalg.svd(op.apply(a), compute_uv=False).sum() / op.d
-        assert s == pytest.approx(comm.embedding_l1_norm(a, ens).value, abs=1e-12)
-
-    def test_clifford_materialization_matches_formula(self):
-        from ncglab import clifford
-        op = solvers.little_op_from_clifford(2)
-        fam = clifford.build_phase_family(2, "exhaustive")
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, 2)
-        s = np.linalg.svd(op.apply(a), compute_uv=False).sum() / op.d
-        assert s == pytest.approx(clifford.dictator_embedding_norm(a, fam).value, abs=1e-10)
+        assert s == pytest.approx(emb.norm(a), abs=1e-12)
 
     def test_clifford_materialization_cap(self):
-        with pytest.raises(ValueError):
-            solvers.little_op_from_clifford(4)
+        with pytest.raises(ValueError, match="n <= 3"):
+            BACKEND_BUILDERS["clifford"](4).little_op()
+
+    @pytest.mark.parametrize("mode,kwargs", [("pairwise_independent", {}),
+                                             ("monte_carlo", {"seed": 0, "sample_count": 64})])
+    def test_clifford_non_exhaustive_family_refused(self, mode, kwargs):
+        with pytest.raises(ValueError, match="exhaustive"):
+            BACKEND_BUILDERS["clifford"](2, mode, **kwargs).little_op()
 
 
 class TestAdjoint:
@@ -105,8 +105,7 @@ class TestLift:
         assert solvers.lift_little_to_big(op).nnz == 0
 
     def test_diagonal_images_give_commutative_support(self):
-        ens = comm.SignEnsemble(field="real", n=2)
-        op = solvers.little_op_from_comm(ens)
+        op = BACKEND_BUILDERS["comm_real"](2).little_op()
         tensor = solvers.lift_little_to_big(op)
         # all support on (i, i, k, k), matching a scalar-coefficient matrix
         assert np.all(tensor.indices[:, 0] == tensor.indices[:, 1])
@@ -149,12 +148,12 @@ class TestLift:
     @pytest.mark.parametrize("make", [
         lambda: solvers.LittleOperator(
             images=random_complex(np.random.default_rng(14), 2, 3, 3)),
-        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=1)),
-        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=2)),
-        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=1)),
-        lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=2)),
-        lambda: solvers.little_op_from_clifford(1),
-        lambda: solvers.little_op_from_clifford(2),
+        lambda: BACKEND_BUILDERS["comm_real"](1).little_op(),
+        lambda: BACKEND_BUILDERS["comm_real"](2).little_op(),
+        lambda: BACKEND_BUILDERS["comm_complex"](1).little_op(),
+        lambda: BACKEND_BUILDERS["comm_complex"](2).little_op(),
+        lambda: BACKEND_BUILDERS["clifford"](1).little_op(),
+        lambda: BACKEND_BUILDERS["clifford"](2).little_op(),
     ], ids=["random n=2 d=3", "comm_real n=1", "comm_real n=2", "comm_complex n=1",
             "comm_complex n=2", "clifford n=1", "clifford n=2"])
     def test_sparse_lift_matches_dense_formula(self, make):
@@ -166,7 +165,7 @@ class TestLift:
         np.testing.assert_array_equal(tensor.coeffs, dense[tuple(nz.T)])
 
     def test_clifford_n3_lift(self):
-        op = solvers.little_op_from_clifford(3)
+        op = BACKEND_BUILDERS["clifford"](3).little_op()
         tensor = solvers.lift_little_to_big(op)
         assert tensor.d == 256 and tensor.nnz == 114688
         rng = np.random.default_rng(15)
@@ -265,9 +264,8 @@ class TestNcgSolver:
         assert result.value == pytest.approx(2.0, abs=1e-9)
 
     def test_lifted_tensor_consistent_with_little_norm(self):
-        for make in (lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=2)),
-                     lambda: solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=1))):
-            op = make()
+        for op in (BACKEND_BUILDERS["comm_real"](2).little_op(),
+                   BACKEND_BUILDERS["comm_complex"](1).little_op()):
             tensor = solvers.lift_little_to_big(op)
             ncg = solvers.ncg_opt_lower_bound(tensor, restarts=8, iters=150, seed=2)
             little, _ = solvers.little_norm_lower_bound(op, restarts=8, iters=150, seed=3)
@@ -329,12 +327,12 @@ class TestNcgSolver:
 
 class TestLittleNormLowerBound:
     def test_reaches_basis_optimum_for_comm(self):
-        op = solvers.little_op_from_comm(comm.SignEnsemble(field="real", n=2))
+        op = BACKEND_BUILDERS["comm_real"](2).little_op()
         value, vec = solvers.little_norm_lower_bound(op, restarts=8, iters=150, seed=6)
         assert value == pytest.approx(1.0, abs=1e-6)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_never_exceeds_domination_bound(self):
-        op = solvers.little_op_from_comm(comm.SignEnsemble(field="complex", n=2))
+        op = BACKEND_BUILDERS["comm_complex"](2).little_op()
         value, _ = solvers.little_norm_lower_bound(op, restarts=4, iters=100, seed=7)
         assert value <= 1.0 + 1e-9
