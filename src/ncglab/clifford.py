@@ -76,13 +76,16 @@ def make_generators(n: int) -> CliffordGenerators:
     """Build the 2*ceil(n/2) Pauli-string generators for n coordinates.
 
     Pair j contributes Z^(j-1) x X x I^(m-j) and Z^(j-1) x Y x I^(m-j).
-    Entries are exactly in {0, +-1, +-i}.
+    Entries are exactly in {0, +-1, +-i}. The 2m dense (2^m x 2^m) matrices
+    are refused, before the first is built, when their entries exceed those
+    of one DENSE_DIM_CAP-sided matrix (n <= 18 passes).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
-    if 2**m > DENSE_DIM_CAP:
-        raise ValueError(f"generator dimension 2^{m} exceeds cap {DENSE_DIM_CAP}")
+    if 2 * m * 4**m > DENSE_DIM_CAP**2:
+        raise ValueError(f"generator entries 2m x 4^m with m={m} exceed cap "
+                         f"{DENSE_DIM_CAP}^2")
     matrices = []
     for j in range(1, m + 1):
         prefix = [PAULI_Z] * (j - 1)
@@ -158,58 +161,50 @@ class PhaseFamily:
         self.sign = self.even - self.parity
 
 
-def _exhaustive_exponents(n: int) -> np.ndarray:
-    k = np.arange(4**n)
-    return (k[:, None] // 4 ** np.arange(n)) % 4
+def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = None,
+                       sample_count: int | None = None) -> PhaseFamily:
+    """The family's parity classes, grouped from 0/1 parity rows of weight
+    1/rows each: one row per sampled member (monte_carlo), or one per parity
+    x in {0,1}^k of the members' k free Z4 digits (exact modes), which
+    stands for 2^k of the 4^k members.
 
+    exhaustive: k = n and the row is x.
+    pairwise_independent: coordinate j has tag c_j, its binary digits in
+        {0,1}^r, and member (u, b) in Z4^r x Z4 assigns exponent
+        (c_j . u + b) mod 4, so any two distinct coordinates, differing in a
+        +-1 entry of their tags, are exactly uniform over Z4 x Z4. Its
+        parity (c_j . u' + b') mod 2 needs only the parities x = (u', b'),
+        so k = r + 1.
 
-def _pairwise_exponents(n: int) -> np.ndarray:
-    # Tag coordinate j with its binary digits c_j (distinct vectors in {0,1}^r).
-    # Member (u, b) in Z4^r x Z4 assigns exponent (c_j . u + b) mod 4; any two
-    # distinct coordinates differ in a +-1 entry, which makes the pair exactly
-    # uniform over Z4 x Z4.
-    r = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-    tags = np.array([[(j >> bit) & 1 for bit in range(r)] for j in range(n)])
-    us = _exhaustive_exponents(r)  # reuse base-4 digit enumeration for u in Z4^r
-    cu = us @ tags.T  # (4^r, n)
-    exps = (cu[:, None, :] + np.arange(4)[None, :, None]) % 4  # add global shift b
-    return exps.reshape(-1, n)
-
-
-def _phase_exponents(n: int, mode: str, *, seed: int | None = None,
-                     sample_count: int | None = None) -> np.ndarray:
-    """The family's members as exponents k, w_j = i^k, one row per member."""
-    if mode == "exhaustive":
-        return _exhaustive_exponents(n)
-    if mode == "pairwise_independent":
-        return _pairwise_exponents(n)
+    An exact family is refused when its 2^k x n rows exceed ENUMERATION_CAP,
+    before any row exists.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if mode == "monte_carlo":
         if sample_count is None or sample_count < 1:
             raise ValueError("monte_carlo mode requires a positive sample_count")
-        return np.random.default_rng(seed).integers(0, 4, size=(sample_count, n))
-    raise ValueError(f"unknown phase family mode {mode!r}")
-
-
-def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = None,
-                       sample_count: int | None = None) -> PhaseFamily:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if mode == "exhaustive":
-        if 4**n > ENUMERATION_CAP:
-            raise ValueError(f"exhaustive family size 4^{n} exceeds cap {ENUMERATION_CAP}")
-        # every pattern holds 2^n of the 4^n members; listed in lexicographic
-        # order, coordinate 0 most significant, the order grouping them gives
-        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-        return PhaseFamily(mode=mode, n=n, size=4**n, parity=bits.astype(np.float64),
-                           class_weights=np.full(2**n, 0.5**n))
-    odd = _phase_exponents(n, mode, seed=seed, sample_count=sample_count) % 2 == 1
-    # one opaque byte string per member's packed pattern, so unique is a 1-d sort
+        size = sample_count
+        odd = np.random.default_rng(seed).integers(0, 4, size=(size, n)) % 2 == 1
+    elif mode in ("exhaustive", "pairwise_independent"):
+        k = n if mode == "exhaustive" else max(1, (n - 1).bit_length()) + 1
+        if 2**k * n > ENUMERATION_CAP:
+            raise ValueError(f"{mode} family rows 2^{k} x n={n} exceed cap {ENUMERATION_CAP}")
+        size = 4**k
+        # row x, over every x in {0,1}^k
+        odd = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
+        if mode == "pairwise_independent":
+            tags = (np.arange(n) >> np.arange(k - 1)[:, None]) & 1  # (r, n)
+            odd = (odd[:, :-1] @ tags + odd[:, -1:]) % 2 == 1
+    else:
+        raise ValueError(f"unknown phase family mode {mode!r}")
+    # one opaque byte string per row's packed pattern, so unique is a 1-d sort
     packed = np.packbits(odd, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    size = odd.shape[0]
+    rows = odd.shape[0]
     return PhaseFamily(mode=mode, n=n, size=size, parity=odd[first].astype(np.float64),
-                       class_weights=np.bincount(inverse, weights=np.full(size, 1.0 / size)))
+                       class_weights=np.bincount(inverse, weights=np.full(rows, 1.0 / rows)))
 
 
 @dataclass

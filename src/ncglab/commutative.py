@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import PHASE_VALUES, NormEstimate, _exhaustive_exponents, _rows
+from .clifford import PHASE_VALUES, NormEstimate, _rows
 from .config import ENUMERATION_CAP
 
 REAL_LIMIT = math.sqrt(2.0 / math.pi)
@@ -62,14 +62,15 @@ class SignEnsemble:
 
 
 def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
-    """All ensemble members as a (members, n) array."""
+    """All ensemble members as a (members, n) array: member k has the base-2
+    (real) or base-4 (complex) digits of k, coordinate 0 least significant,
+    as sign exponents (-1)^digit or phase exponents i^digit."""
     if ens.mode != "exhaustive":
         raise ValueError("members are only enumerable in exhaustive mode")
-    if ens.field == "real":
-        k = np.arange(2**ens.n)
-        bits = (k[:, None] >> np.arange(ens.n)) & 1
-        return 1.0 - 2.0 * bits
-    return PHASE_VALUES[_exhaustive_exponents(ens.n)]
+    bits = 1 if ens.field == "real" else 2  # per digit
+    k = np.arange(2 ** (bits * ens.n))
+    digits = (k[:, None] >> bits * np.arange(ens.n)) & (2**bits - 1)
+    return 1.0 - 2.0 * digits if ens.field == "real" else PHASE_VALUES[digits]
 
 
 def _check_rows(a, ens: SignEnsemble) -> np.ndarray:

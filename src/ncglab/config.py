@@ -1,10 +1,13 @@
 """Central numeric defaults. CLI flags and keyword arguments override these."""
 
-# Largest side of the Clifford generators (2^ceil(n/2)) and of a tensor (d),
-# checked before its (d^2 x d^2) matrix and solve-ncg's d x d unitaries exist.
+# Largest side of a tensor (d), checked before its (d^2 x d^2) matrix and
+# solve-ncg's d x d unitaries exist. The 2m Clifford generators, each
+# 2^m x 2^m with m = ceil(n/2), may hold at most DENSE_DIM_CAP^2 entries in
+# all, those of one largest permitted dense matrix; that allows n <= 18.
 DENSE_DIM_CAP = 4096
 
-# Maximum member count for exhaustive sign/phase enumerations.
+# Enumeration bound: the member rows of an exhaustive sign ensemble, and the
+# entries (parity rows x n) of an exact phase family.
 ENUMERATION_CAP = 2**20
 
 # Max-abs deviation allowed when an input must be Hermitian.

@@ -4,8 +4,9 @@ bounds, weak expansion).
 
 Instances here are synthetic: `generate_planted` hides a fully satisfying
 assignment (for completeness experiments), `generate_random` does not (for
-decoder stress). Structural parameters (zeta, gamma, t) are declared on the
-instance and checked post hoc, never guaranteed a priori.
+decoder stress). The structural parameters gamma and t are declared on the
+instance and checked post hoc, never guaranteed a priori; zeta is recorded
+only.
 """
 
 from __future__ import annotations

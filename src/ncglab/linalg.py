@@ -11,7 +11,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .config import HERMITIAN_TOL
 
@@ -59,6 +58,9 @@ def block_diag(blocks) -> np.ndarray:
         raise ValueError("block_diag requires at least one block")
     for b in blocks:
         _require_square(b)
+    # imported here: only tests call this, and scipy.linalg is a large import
+    import scipy.linalg
+
     return scipy.linalg.block_diag(*blocks).astype(np.complex128)
 
 

@@ -133,8 +133,8 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     g = float(np.asarray(abs(gram).sum(axis=1)).max(initial=0.0))
     if g == 0.0:
         return SubspaceBasis(matrix=matrix, lu=None, dim=total)
-    # imported here: scipy.sparse.linalg adds about 20 ms and 2 MiB to
-    # importing ncglab, and only the projector uses it
+    # imported here: only the projector uses scipy.sparse.linalg, which pulls
+    # in scipy.linalg; the first call in a process pays about 140 ms and 9 MiB
     from scipy.sparse.linalg import splu
 
     mu, gap = _SHIFT * g, math.sqrt(np.finfo(np.float64).eps) * g
@@ -225,12 +225,6 @@ class EmbeddingBackend:
         if self._is_matrix:
             return clifford.embedding_norm_bound(a)
         return float(np.linalg.norm(np.asarray(a).reshape(-1)))
-
-    def delta(self, eps: float) -> float:
-        if not self._is_matrix:
-            raise ValueError(f"backend {self.name!r} has no derived spread threshold; "
-                             "pass delta explicitly")
-        return clifford.spread_threshold(eps)
 
     def little_op(self) -> solvers.LittleOperator:
         """f as images of the basis vectors over the exhaustive members w (all
@@ -423,7 +417,6 @@ class AscentResult:
     value: float
     field: np.ndarray
     degenerate: bool = False
-    restarts_run: int = 0
     max_residual: float = 0.0
 
 
@@ -463,4 +456,4 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
                               complex_start=not backend.is_real, restarts=restarts,
                               iters=iters, seed=seed, project=basis.project)
     return AscentResult(value=value, field=scale * x.reshape(shape), degenerate=False,
-                        restarts_run=restarts, max_residual=worst)
+                        max_residual=worst)

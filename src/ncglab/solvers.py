@@ -142,7 +142,6 @@ class NcgResult:
     histories: list[list[float]] = field(default_factory=list)
     unitarity_residual_a: float = 0.0
     unitarity_residual_b: float = 0.0
-    restarts_run: int = 0
 
 
 def _haar_unitary(d: int, rng) -> np.ndarray:
@@ -199,8 +198,7 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     value, a_mat, b_mat = best
     return NcgResult(value=float(value), a=a_mat, b=b_mat, histories=histories,
                      unitarity_residual_a=_unitarity_residual(a_mat),
-                     unitarity_residual_b=_unitarity_residual(b_mat),
-                     restarts_run=restarts)
+                     unitarity_residual_b=_unitarity_residual(b_mat))
 
 
 def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: int,

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,32 @@ def cached_family(n, mode):
     return clifford.build_phase_family(n, mode)
 
 
+def base4_digits(n):
+    """All of Z4^n, member k holding the base-4 digits of k, coordinate 0
+    least significant."""
+    k = np.arange(4**n)
+    return (k[:, None] // 4 ** np.arange(n)) % 4
+
+
+def member_exponents(n, mode, *, seed=None, sample_count=None):
+    """The family's members as exponents k, w_j = i^k, one row per member,
+    enumerated member by member. Pairwise: coordinate j has tag c_j, the r
+    binary digits of j, and member (u, b) in Z4^r x Z4 has exponents
+    (c_j . u + b) mod 4. Monte Carlo: the seeded draws."""
+    if mode == "exhaustive":
+        return base4_digits(n)
+    if mode == "pairwise_independent":
+        r = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+        tags = np.array([[(j >> bit) & 1 for bit in range(r)] for j in range(n)])
+        cu = base4_digits(r) @ tags.T  # (4^r, n)
+        return ((cu[:, None, :] + np.arange(4)[None, :, None]) % 4).reshape(-1, n)
+    assert mode == "monte_carlo"
+    return np.random.default_rng(seed).integers(0, 4, size=(sample_count, n))
+
+
 def members(n, mode, **kwargs):
     """The family's phase vectors, one row per member."""
-    return PHASE_VALUES[clifford._phase_exponents(n, mode, **kwargs)]
+    return PHASE_VALUES[member_exponents(n, mode, **kwargs)]
 
 
 def grouped_classes(exps):
@@ -89,6 +113,17 @@ class TestGenerators:
         # 2^50 rows exceed DENSE_DIM_CAP
         with pytest.raises(ValueError, match="cap"):
             clifford.make_generators(100)
+
+    def test_entry_cap_refuses_n19_before_building(self, monkeypatch):
+        # n = 19 and 20 would hold 20 matrices of 4^10 entries, above
+        # DENSE_DIM_CAP^2; n = 18 holds 18 of 4^9
+        built = []
+        monkeypatch.setattr(clifford, "_kron_chain", built.append)
+        with pytest.raises(ValueError, match="cap"):
+            clifford.make_generators(19)
+        assert built == []
+        clifford.make_generators(18)
+        assert len(built) == 18
 
 
 class TestCliffordMap:
@@ -206,11 +241,15 @@ class TestPhaseFamily:
         (5, "pairwise_independent", {}),
         (16, "pairwise_independent", {}),
         (12, "monte_carlo", {"seed": 3, "sample_count": 20000}),
+        (17, "pairwise_independent", {}),
+        (33, "pairwise_independent", {}),
+        (64, "pairwise_independent", {}),
     ])
     def test_classes_match_grouped_members(self, n, mode, kwargs):
         # grouping the members gives the family's classes in the same order,
-        # bit for bit; the exhaustive 2^n classes are generated directly
-        exps = clifford._phase_exponents(n, mode, **kwargs)
+        # bit for bit; the exact families group only the parities of their
+        # members' free Z4 digits
+        exps = member_exponents(n, mode, **kwargs)
         fam = clifford.build_phase_family(n, mode, **kwargs)
         parity, weights = grouped_classes(exps)
         assert fam.size == exps.shape[0]
@@ -227,6 +266,36 @@ class TestPhaseFamily:
             tracemalloc.stop()
         assert fam.parity.shape == (2**10, 10)
         assert peak <= 4 * 2**20
+
+    def test_pairwise_n512_memory(self):
+        # the family stands for 4^10 members, whose int64 exponents would take
+        # 4 GiB; its 2^10 parity rows of 512 entries take 4 MiB per table
+        tracemalloc.start()
+        try:
+            fam = clifford.build_phase_family(512, "pairwise_independent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fam.size == 4**10 and fam.parity.shape == (2**10, 512)
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("n, mode", [(17, "exhaustive"), (513, "pairwise_independent")])
+    def test_exact_cap_refuses_before_any_row(self, n, mode):
+        # 2^k rows x n entries: 2^17 x 17 and 2^11 x 513 exceed ENUMERATION_CAP;
+        # either table would take megabytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                clifford.build_phase_family(n, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**10
+
+    def test_exhaustive_n16_builds(self):
+        fam = clifford.build_phase_family(16, "exhaustive")
+        assert fam.size == 4**16 and fam.parity.shape == (2**16, 16)
+        np.testing.assert_array_equal(fam.class_weights, np.full(2**16, 0.5**16))
 
 
 class TestDictatorEmbeddingNorm:
@@ -275,10 +344,6 @@ class TestDictatorEmbeddingNorm:
         est = clifford.dictator_embedding_norm(a, fam)
         assert abs(est.value - vals.mean()) <= 1e-12
         assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
-
-    def test_materialize_cap(self):
-        with pytest.raises(ValueError):
-            clifford_backend(4).little_op()
 
 
 class TestSecondMoment:

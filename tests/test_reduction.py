@@ -10,6 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ncglab import clifford
 from ncglab import labelcover as lc
 from ncglab import reduction as red
 from ncglab.config import SUBSPACE_RESIDUAL_TOL
@@ -432,11 +433,6 @@ class TestBackends:
             assert backend.norm(a) <= np.linalg.norm(a) + 1e-10
             assert backend.norm(a) <= backend.bound(a) + 1e-10
 
-    def test_delta_only_for_matrix_backend(self):
-        assert red.clifford_backend(2).delta(0.3) == pytest.approx(np.sqrt(2) * 0.3)
-        with pytest.raises(ValueError):
-            red.comm_real_backend(2).delta(0.3)
-
     @pytest.mark.parametrize("maker, n, kwargs", [
         (red.clifford_backend, 3, {}),
         (red.clifford_backend, 6, {}),
@@ -663,7 +659,7 @@ class TestOperatorNormLowerBound:
         mags = np.abs(fld)
         l2 = np.sqrt((mags**2).sum(axis=1))
         l4 = ((mags**4).sum(axis=1))**0.25
-        delta = backend.delta(eps)
+        delta = clifford.spread_threshold(eps)
         v0 = np.count_nonzero((l4 > delta * eps) & (l2 <= 1 / eps))
         assert v0 >= eps**2 * inst.num_vertices
 
