@@ -29,8 +29,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {value}")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {value}")
     return value
 
 

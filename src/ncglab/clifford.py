@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .config import DENSE_DIM_CAP, ENUMERATION_CAP, RADICAND_CLAMP
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -43,9 +44,6 @@ PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 # 4^n * 2^ceil(n/2), 256 at n = 3.
 MATERIALIZE_MAX_N = 3
 
-# Most float64 entries the batch kernels hold at once, summed over their
-# temporaries (32 MiB).
-_CHUNK_ENTRIES = 2**22
 # Temporaries each batch kernel holds at once, counted in (rows, P) arrays:
 # the traced peaks are 7.0-7.1 and 12.0-12.5 of them at P = 64 and P = 62409.
 _NORM_LIVE = 8
@@ -242,8 +240,8 @@ def _by_row_chunks(kernel, live: int, rows: np.ndarray, family: PhaseFamily):
     """kernel(rows, family) over blocks of rows, its outputs joined along the
     rows; an empty batch is one empty block. The kernel holds at most ``live``
     (block rows, P) or (block rows, n) float64 temporaries at once, so blocks
-    of _CHUNK_ENTRIES / (live (P + n)) rows keep their sum within _CHUNK_ENTRIES."""
-    step = max(1, _CHUNK_ENTRIES // (live * (family.parity.shape[0] + family.n)))
+    of config.CHUNK_ENTRIES / (live (P + n)) rows keep their sum within it."""
+    step = max(1, config.CHUNK_ENTRIES // (live * (family.parity.shape[0] + family.n)))
     outs = [kernel(rows[lo:lo + step], family)
             for lo in range(0, max(rows.shape[0], 1), step)]
     return [np.concatenate(parts) for parts in zip(*outs)]

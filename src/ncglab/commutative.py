@@ -6,6 +6,11 @@ norm, and for spread vectors the norm approaches sqrt(2/pi) (real) or
 sqrt(pi/4) (complex) at a Berry-Esseen rate. The limiting constants are
 checked empirically through gap profiles; no concrete Berry-Esseen constant
 is ever asserted.
+
+Both modes stream one byte code per member (exhaustive member k is the bytes
+of k, a Monte-Carlo sample those of its seeded words), so no member matrix is
+built: the uniform-vector norm at real n=20 takes 40-90 ms and 29 MiB traced,
+against 270-340 ms and 488 MiB through the full matrix (2-core VM).
 """
 
 from __future__ import annotations
@@ -15,19 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import config
 from .clifford import PHASE_VALUES, NormEstimate, _rows
-from .config import ENUMERATION_CAP
 
 REAL_LIMIT = math.sqrt(2.0 / math.pi)
 COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
 
-# Per-chunk entry budget for streamed Monte-Carlo estimation and batched
-# exhaustive norms and gradients.
-_CHUNK_ENTRIES = 2**22
-
-# Coordinates drawn by one random byte: 8 signs (one bit each) or 4 phases
-# (two bits each).
-_PER_BYTE = {"real": 8, "complex": 4}
+# The coordinates that byte b draws, low bits first: bit j is the sign
+# 1 - 2*bit of coordinate j (real), bits 2j, 2j+1 the phase i^digit (complex).
+_DECODE = {"real": 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1),
+           "complex": PHASE_VALUES[(np.arange(256)[:, None] >> 2 * np.arange(4)) & 3]}
 
 
 @dataclass
@@ -51,14 +53,40 @@ class SignEnsemble:
             raise ValueError(f"mode must be 'exhaustive' or 'monte_carlo', got {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.mode == "exhaustive":
-            base = 2 if self.field == "real" else 4
-            if base**self.n > ENUMERATION_CAP:
-                raise ValueError(
-                    f"exhaustive ensemble size {base}^{self.n} exceeds cap {ENUMERATION_CAP}")
-        else:
-            if self.sample_count is None or self.sample_count < 1:
-                raise ValueError("monte_carlo mode requires a positive sample_count")
+        if self.mode == "exhaustive" and self.size > config.ENUMERATION_CAP:
+            raise ValueError(f"exhaustive ensemble size {self.size} exceeds cap "
+                             f"{config.ENUMERATION_CAP}")
+        if self.mode == "monte_carlo" and (self.sample_count is None or self.sample_count < 1):
+            raise ValueError("monte_carlo mode requires a positive sample_count")
+
+    @property
+    def size(self) -> int:
+        """Members streamed: the sample_count draws, or all 2^n / 4^n."""
+        base = 2 if self.field == "real" else 4
+        return self.sample_count if self.mode == "monte_carlo" else base**self.n
+
+
+def _member_codes(ens: SignEnsemble, live: int):
+    """Yield the members' (size, groups) uint8 codes chunk by chunk, byte g
+    drawing the g-th group of coordinates (see _DECODE): exhaustive member k
+    is the little-endian bytes of k; Monte-Carlo sample s reads its own
+    ceil(groups/8) seeded 64-bit words (the tail unused), so no code depends on
+    the chunk size. Per member a chunk holds its code words and ``live``
+    float64 entries of the caller's, config.CHUNK_ENTRIES in all."""
+    groups = -(-ens.n // _DECODE[ens.field].shape[1])
+    words = -(-groups // 8)
+    bitgen = None if ens.mode == "exhaustive" else np.random.default_rng(ens.seed).bit_generator
+    chunk = max(1, config.CHUNK_ENTRIES // (words + live))
+    for lo in range(0, ens.size, chunk):
+        size = min(chunk, ens.size - lo)
+        raw = (np.arange(lo, lo + size, dtype=np.uint64) if bitgen is None
+               else bitgen.random_raw(size * words))
+        yield raw.astype("<u8", copy=False).view(np.uint8).reshape(size, 8 * words)[:, :groups]
+
+
+def _decode(codes: np.ndarray, ens: SignEnsemble) -> np.ndarray:
+    """The (size, n) members that (size, groups) codes draw."""
+    return _DECODE[ens.field][codes].reshape(codes.shape[0], -1)[:, :ens.n]
 
 
 def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
@@ -67,10 +95,13 @@ def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
     as sign exponents (-1)^digit or phase exponents i^digit."""
     if ens.mode != "exhaustive":
         raise ValueError("members are only enumerable in exhaustive mode")
-    bits = 1 if ens.field == "real" else 2  # per digit
-    k = np.arange(2 ** (bits * ens.n))
-    digits = (k[:, None] >> bits * np.arange(ens.n)) & (2**bits - 1)
-    return 1.0 - 2.0 * digits if ens.field == "real" else PHASE_VALUES[digits]
+    members = np.empty((ens.size, ens.n), _DECODE[ens.field].dtype)
+    lo = 0
+    # per member: its decoded bytes, at most n + 7 (complex: two float64 each)
+    for codes in _member_codes(ens, 2 * ens.n + 14):
+        members[lo:lo + codes.shape[0]] = _decode(codes, ens)
+        lo += codes.shape[0]
+    return members
 
 
 def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
@@ -84,43 +115,14 @@ def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
     return np.ascontiguousarray(rows.real)
 
 
-def _member_products(rows: np.ndarray, members: np.ndarray):
-    """Yield (row slice, rows[slice] @ members.T) in chunks of about
-    _CHUNK_ENTRIES products."""
-    chunk = max(1, _CHUNK_ENTRIES // members.shape[0])
-    for lo in range(0, rows.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        yield sl, rows[sl] @ members.T
-
-
 def _byte_tables(rows: np.ndarray, field: str) -> np.ndarray:
-    """Partial sums of <a, Z> over each group of _PER_BYTE[field]
-    coordinates (zero-padded at the end), for all 256 values of the byte
-    that draws the group: (V, groups * 256), group-major.
-
-    Bit j of the byte is the sign 1 - 2*bit_j of coordinate j (real); bits
-    2j, 2j+1 give the phase i^((b >> 2j) & 3) (complex). Those are exactly
-    the exhaustive members at n = 8 (real) or n = 4 (complex), in byte
-    order, so that enumeration decodes the bytes.
-    """
-    per = _PER_BYTE[field]
-    groups = -(-rows.shape[1] // per)
-    padded = np.zeros((rows.shape[0], groups * per), dtype=rows.dtype)
-    padded[:, :rows.shape[1]] = rows
-    decode = exhaustive_members(SignEnsemble(field=field, n=per))
-    return (padded.reshape(rows.shape[0], groups, per) @ decode.T).reshape(rows.shape[0], -1)
-
-
-def _byte_draws(ens: SignEnsemble, groups: int, chunk: int):
-    """Yield the (size, groups) uint8 draws chunk by chunk. Sample s reads
-    its own ceil(groups/8) 64-bit words of the seeded stream (little-endian
-    bytes, the tail unused), so the draws do not depend on the chunk size."""
-    bitgen = np.random.default_rng(ens.seed).bit_generator
-    words = -(-groups // 8)
-    for lo in range(0, ens.sample_count, chunk):
-        size = min(chunk, ens.sample_count - lo)
-        raw = bitgen.random_raw(size * words).astype("<u8", copy=False)
-        yield raw.view(np.uint8).reshape(size, 8 * words)[:, :groups]
+    """Partial sums of <a, Z> over each group of coordinates that one byte
+    draws (zero-padded at the end), for all 256 values of the byte:
+    (V, groups * 256), group-major; see _DECODE."""
+    decode = _DECODE[field]
+    padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % decode.shape[1])))
+    groups = padded.reshape(rows.shape[0], -1, decode.shape[1])
+    return (groups @ decode.T).reshape(rows.shape[0], -1)
 
 
 def _table_products(tables: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -134,33 +136,25 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     """E[ |sum_i a_i Z_i| ] under the ensemble.
 
     ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
-    giving (V,) arrays. Exhaustive mode is exact (stderr 0); monte_carlo
-    streams seeded uniform bytes, each drawing 8 signs or 4 phases looked
-    up in per-group partial-sum tables, uses the same draws for every row,
-    and reports the sample standard error.
+    giving (V,) arrays. Every row reads the same member codes, each byte
+    looked up in the row's per-group partial-sum tables. Exhaustive mode is
+    exact (stderr 0); monte_carlo reports the sample standard error.
     """
     rows = _check_rows(a, ens)
-    if ens.mode == "exhaustive":
-        members = exhaustive_members(ens)
-        value = np.empty(rows.shape[0])
-        for sl, w in _member_products(rows, members):
-            value[sl] = np.abs(w).mean(axis=1)
-        stderr = np.zeros_like(value)
-    else:
-        tables = _byte_tables(rows, ens.field)
-        groups = tables.shape[1] // 256
-        # per sample: the bytes, the int64 gather index and V gathered values per group
-        chunk = max(1, _CHUNK_ENTRIES // (groups * (2 + rows.shape[0])))
-        total = ens.sample_count
-        acc = np.zeros(rows.shape[0])
-        acc_sq = np.zeros(rows.shape[0])
-        for draws in _byte_draws(ens, groups, chunk):
-            mags = np.abs(_table_products(tables, draws))
-            acc += mags.sum(axis=1)
-            acc_sq += (mags * mags).sum(axis=1)
-        value = acc / total
-        var = np.maximum(acc_sq / total - value * value, 0.0)
-        stderr = np.sqrt(var / total)
+    tables = _byte_tables(rows, ens.field)
+    groups = tables.shape[1] // 256
+    acc, acc_sq = np.zeros((2, rows.shape[0]))
+    # per member: the gather index, V gathered entries per group, V sums (a
+    # complex entry is two float64) and the V magnitudes of the chunk before
+    live = groups + rows.shape[0] * (tables.itemsize // 8 * (groups + 1) + 1)
+    for codes in _member_codes(ens, live):
+        mags = np.abs(_table_products(tables, codes))
+        acc += mags.sum(axis=1)
+        acc_sq += (mags * mags).sum(axis=1)
+    value = acc / ens.size
+    stderr = np.zeros_like(value)
+    if ens.mode == "monte_carlo":
+        stderr = np.sqrt(np.maximum(acc_sq / ens.size - value * value, 0.0) / ens.size)
     if np.ndim(a) != 2:
         return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
     return NormEstimate(value=value, stderr=stderr)
@@ -168,20 +162,25 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
 
 def embedding_l1_gradient(a, ens: SignEnsemble):
     """Value and subgradient of a -> E|<a, Z>| (complex-packed like the
-    matrix-embedding gradient: d/dx_j = Re g_j, d/dy_j = Im g_j).
+    matrix-embedding gradient: d/dx_j = Re g_j, d/dy_j = Im g_j), in either
+    mode, over the members decoded chunk by chunk.
 
     ``a`` is one vector (n,), giving (float, (n,) gradient), or rows (V, n),
-    giving ((V,) values, (V, n) gradients) in chunks of ~_CHUNK_ENTRIES.
+    giving ((V,) values, (V, n) gradients).
     """
     rows = _check_rows(a, ens)
-    members = exhaustive_members(ens)
-    values = np.empty(rows.shape[0])
-    grads = np.empty(rows.shape, dtype=np.complex128)
-    for sl, w in _member_products(rows, members):
-        mags = np.abs(w)
-        values[sl] = mags.mean(axis=1)
-        unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
-        grads[sl] = (unit @ members.conj()) / members.shape[0]
+    values, grads = np.zeros(rows.shape[0]), np.zeros_like(rows)
+    # per member: its decoded bytes and their conjugate (n + 8 entries each at most), and
+    # V products, unit phases, magnitudes and masks (a complex entry is two float64)
+    width = rows.itemsize // 8
+    for codes in _member_codes(ens, 2 * (width * (ens.n + 8 + rows.shape[0]) + rows.shape[0])):
+        members = _decode(codes, ens)
+        prods = rows @ members.T
+        mags = np.abs(prods)
+        values += mags.sum(axis=1)
+        unit = np.divide(prods, mags, out=np.zeros_like(prods), where=mags > 0.0)
+        grads += unit @ members.conj()
+    values, grads = values / ens.size, (grads / ens.size).astype(np.complex128, copy=False)
     if np.ndim(a) != 2:
         return float(values[0]), grads[0]
     return values, grads
@@ -219,15 +218,12 @@ def berry_esseen_profile(n_values, field: str, *, mode: str = "auto",
     limit = REAL_LIMIT if field == "real" else COMPLEX_LIMIT
     rows = []
     for idx, n in enumerate(n_values):
-        base = 2 if field == "real" else 4
-        if mode == "exhaustive" or (mode == "auto" and base**n <= ENUMERATION_CAP):
-            ens = SignEnsemble(field=field, n=n, mode="exhaustive")
-        else:
-            if sample_count is None:
-                raise ValueError("Monte-Carlo profile rows require sample_count")
-            row_seed = None if seed is None else seed + idx
-            ens = SignEnsemble(field=field, n=n, mode="monte_carlo",
-                               seed=row_seed, sample_count=sample_count)
+        exact = mode == "exhaustive" or (
+            mode == "auto" and (2 if field == "real" else 4) ** n <= config.ENUMERATION_CAP)
+        if not exact and sample_count is None:
+            raise ValueError("Monte-Carlo profile rows require sample_count")
+        ens = SignEnsemble(field=field, n=n, mode="exhaustive" if exact else "monte_carlo",
+                           seed=None if seed is None else seed + idx, sample_count=sample_count)
         a = np.full(n, n**-0.5)
         est = embedding_l1_norm(a, ens)
         rows.append(ProfileRow(n=n, spread=n**-0.5, value=est.value,

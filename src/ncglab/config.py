@@ -6,9 +6,14 @@
 # all, those of one largest permitted dense matrix; that allows n <= 18.
 DENSE_DIM_CAP = 4096
 
-# Enumeration bound: the member rows of an exhaustive sign ensemble, and the
-# entries (parity rows x n) of an exact phase family.
+# Enumeration bound: the members an exhaustive sign ensemble streams (only
+# little_op, which checks LIFT_CAP first, and the tests materialize them) and
+# the entries (parity rows x n) of an exact phase family.
 ENUMERATION_CAP = 2**20
+
+# Most entries (as float64, 32 MiB) a chunked kernel holds in temporaries at once:
+# Clifford row blocks, scalar-embedding member chunks, check_smoothness vertex blocks.
+CHUNK_ENTRIES = 2**22
 
 # Max-abs deviation allowed when an input must be Hermitian.
 HERMITIAN_TOL = 1e-9

@@ -78,11 +78,12 @@ def _table(value, kind: str, name: str, shape: tuple, integral: bool):
         if table.ndim != len(shape) or any(dim not in (None, got)
                                            for dim, got in zip(shape, table.shape)):
             raise ValueError
-        if integral and not np.all(np.isfinite(table) & (table == np.trunc(table))):
+        # json reads NaN and Infinity as floats
+        if not np.all(np.isfinite(table)) or integral and np.any(table != np.trunc(table)):
             raise ValueError
     except ValueError:
         dims = ", ".join("*" if dim is None else str(dim) for dim in shape)
-        raise ValueError(f"{kind} file {name} must be {'whole ' if integral else ''}"
+        raise ValueError(f"{kind} file {name} must be finite {'whole ' if integral else ''}"
                          f"numbers of shape ({dims})") from None
     table = table.astype(np.int64) if integral else table
     return table if shape else table.item() if integral else value

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
+
 # Largest vertex count for which check_weak_expansion enumerates every subset.
 EXHAUSTIVE_LIMIT = 12
-
-# Most (side, label, label) comparisons check_smoothness holds at once.
-_CHUNK_ENTRIES = 2**22
 
 
 @dataclass(eq=False)
@@ -190,14 +189,14 @@ def check_smoothness(inst: LabelCoverInstance) -> float:
 
     Edge sides are grouped by the vertex that owns them and compared label
     pair by label pair, in blocks of whole vertices holding at most about
-    _CHUNK_ENTRIES comparisons.
+    config.CHUNK_ENTRIES comparisons.
     """
     n = inst.n
     sides = inst.pis.reshape(-1, n)[np.argsort(inst.ends.ravel(), kind="stable")]
     deg = inst.degrees()
     deg = deg[deg > 0]
     starts = np.cumsum(deg) - deg
-    per_block = max(1, _CHUNK_ENTRIES // (int(deg.max(initial=1)) * n * n))
+    per_block = max(1, config.CHUNK_ENTRIES // (int(deg.max(initial=1)) * n * n))
     label = np.arange(n)
     worst = 0.0
     for lo in range(0, deg.size, per_block):

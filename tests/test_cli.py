@@ -46,6 +46,13 @@ class TestGenLabelcover:
                   "--k", "3", "--t", "0", "--seed", "1", "--out", "x.json"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("zeta", ["nan", "inf", "-1"])
+    def test_non_finite_zeta_is_usage_error(self, tmp_path, zeta):
+        with pytest.raises(SystemExit) as err:
+            main(gen_args(extra=("--zeta", zeta)))
+        assert err.value.code == 2
+        assert not (tmp_path / "inst.json").exists()
+
     def test_infeasible_params_fail_with_report(self, tmp_path):
         code = main(["gen-labelcover", "--vertices", "8", "--degree", "3", "--n", "6",
                      "--k", "2", "--t", "2", "--seed", "1", "--out", "x.json"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncglab import clifford, linalg
+from ncglab import clifford, config, linalg
 from ncglab.clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE_VALUES
 from ncglab.reduction import clifford_backend
 
@@ -460,9 +460,9 @@ class TestRowChunks:
                 blocks.append(rows.shape[0]) or kernel(rows, family)))
         # two rows per block: seven rows take four blocks
         width = fam.parity.shape[0] + n
-        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * clifford._NORM_LIVE * width)
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * clifford._NORM_LIVE * width)
         chunked = clifford.dictator_embedding_norm(fld, fam)
-        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2 * clifford._GRADIENT_LIVE * width)
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * clifford._GRADIENT_LIVE * width)
         value, grad = clifford.embedding_norm_and_gradient(fld, fam)
         assert blocks == [2, 2, 2, 1] * 2
 
@@ -476,7 +476,7 @@ class TestRowChunks:
     def test_peak_memory_is_bounded(self, monkeypatch):
         # n=12 with 20000 sampled members has P = 4073 parity classes. One
         # block of 300 rows held about 12 (300, P) temporaries at once, 112
-        # MiB; the blocks now keep all of them within _CHUNK_ENTRIES (32 MiB)
+        # MiB; the blocks now keep all of them within CHUNK_ENTRIES (32 MiB)
         fam = clifford.build_phase_family(12, "monte_carlo", seed=5, sample_count=20000)
         assert fam.parity.shape[0] == 4073
         rng = np.random.default_rng(19)
@@ -490,7 +490,7 @@ class TestRowChunks:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 40 * 2**20
-        monkeypatch.setattr(clifford, "_CHUNK_ENTRIES", 2**40)  # one block
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**40)  # one block
         whole = clifford.dictator_embedding_norm(fld, fam)
         whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
         assert np.max(np.abs(results[0].value - whole.value)) <= 1e-12

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncglab import commutative as comm
+from ncglab import config
+from ncglab.clifford import PHASE_VALUES
 
 INV_SQRT2 = 2**-0.5
 # E|w1 + w2|/sqrt(2) over fourth roots of unity: (2 + sqrt(2) + sqrt(2) + 0)/4/sqrt(2)
@@ -27,6 +31,25 @@ def decoded_draws(fld, n, seed, count):
     return draws, np.array([1, 1j, -1, -1j])[digits & 3]
 
 
+def digit_members(fld, n, lo, hi):
+    """Members lo .. hi-1 by digit enumeration: member k has the base-2
+    (real) or base-4 (complex) digits of k, coordinate 0 least significant,
+    as sign exponents (-1)^digit or phase exponents i^digit."""
+    bits = 1 if fld == "real" else 2  # per digit
+    k = np.arange(lo, hi)
+    digits = (k[:, None] >> bits * np.arange(n)) & (2**bits - 1)
+    return 1.0 - 2.0 * digits if fld == "real" else PHASE_VALUES[digits]
+
+
+def counted_chunks(monkeypatch):
+    """The member count of each chunk the member stream yields from now on."""
+    sizes = []
+    stream = comm._member_codes
+    monkeypatch.setattr(comm, "_member_codes", lambda ens, live: (
+        sizes.append(codes.shape[0]) or codes for codes in stream(ens, live)))
+    return sizes
+
+
 def unit_vector(rng, fld, n):
     a = rng.normal(size=n)
     if fld == "complex":
@@ -44,6 +67,24 @@ class TestEnsemble:
     def test_exhaustive_members_complex_count(self):
         ens = comm.SignEnsemble(field="complex", n=2)
         assert comm.exhaustive_members(ens).shape == (16, 2)
+
+    @pytest.mark.parametrize("fld, n", [("real", n) for n in range(1, 21)]
+                             + [("complex", n) for n in range(1, 11)])
+    def test_exhaustive_members_are_the_digit_enumeration(self, fld, n):
+        # member k is the bytes of k; compared bit for bit, dtype included,
+        # in blocks so the reference stays small
+        members = comm.exhaustive_members(comm.SignEnsemble(field=fld, n=n))
+        size = (2 if fld == "real" else 4) ** n
+        assert members.shape == (size, n) and members.flags.c_contiguous
+        for lo in range(0, size, 2**16):
+            ref = digit_members(fld, n, lo, min(lo + 2**16, size))
+            block = members[lo:lo + 2**16]
+            assert block.dtype == ref.dtype and block.tobytes() == ref.tobytes()
+
+    def test_exhaustive_members_refuse_monte_carlo(self):
+        with pytest.raises(ValueError):
+            comm.exhaustive_members(comm.SignEnsemble(field="real", n=3, mode="monte_carlo",
+                                                      seed=1, sample_count=10))
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError):
@@ -127,8 +168,8 @@ class TestByteTableSampler:
         direct = z @ a
         tables = comm._byte_tables(a.reshape(1, -1), fld)
         assert np.max(np.abs(comm._table_products(tables, draws)[0] - direct)) <= 1e-12
-        # chunks of 7 samples, so the estimate spans many chunk boundaries
-        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 7 * 3 * draws.shape[1])
+        # chunks of a few samples, so the estimate spans many chunk boundaries
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 7 * 3 * draws.shape[1])
         est = comm.embedding_l1_norm(a, comm.SignEnsemble(
             field=fld, n=n, mode="monte_carlo", seed=seed, sample_count=count))
         mags = np.abs(direct)
@@ -153,13 +194,17 @@ class TestByteTableSampler:
         ens = comm.SignEnsemble(field=fld, n=n, mode=mode, seed=9, sample_count=1000)
         rng = np.random.default_rng(12)
         rows = np.array([unit_vector(rng, fld, n) for _ in range(7)])
-        # small chunks whose size depends on the row count (Monte-Carlo) or
-        # that split the rows (exhaustive)
-        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 3 * 4**n)
+        # small member chunks whose size depends on the row count, so one
+        # row and seven rows split the stream at different members
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", ens.size)
+        chunks = counted_chunks(monkeypatch)
         batch = comm.embedding_l1_norm(rows, ens)
+        assert len(chunks) >= 3 and sum(chunks) == ens.size
         assert batch.value.shape == batch.stderr.shape == (7,)
         for v, row in enumerate(rows):
+            chunks.clear()
             est = comm.embedding_l1_norm(row, ens)
+            assert len(chunks) >= 3 and sum(chunks) == ens.size
             assert abs(batch.value[v] - est.value) <= 1e-12
             assert abs(batch.stderr[v] - est.stderr) <= 1e-12
 
@@ -189,20 +234,61 @@ class TestGradient:
 
     @pytest.mark.parametrize("fld", ["real", "complex"])
     def test_batched_rows_across_chunks(self, fld, monkeypatch):
-        ens = comm.SignEnsemble(field=fld, n=3)
+        n = 5
+        ens = comm.SignEnsemble(field=fld, n=n)
         rng = np.random.default_rng(5)
-        rows = rng.normal(size=(7, 3))
+        rows = rng.normal(size=(7, n))
         if fld == "complex":
-            rows = rows + 1j * rng.normal(size=(7, 3))
+            rows = rows + 1j * rng.normal(size=(7, n))
         whole = comm.embedding_l1_gradient(rows, ens)
-        # three rows per chunk, so 7 rows take two full chunks and a partial one
-        monkeypatch.setattr(comm, "_CHUNK_ENTRIES", 3 * comm.exhaustive_members(ens).shape[0])
+        # a few members per chunk, fewer for seven rows than for one
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 8 * ens.size)
+        chunks = counted_chunks(monkeypatch)
         chunked = comm.embedding_l1_gradient(rows, ens)
+        assert len(chunks) >= 3 and sum(chunks) == ens.size
         for v, row in enumerate(rows):
+            chunks.clear()
             value, grad = comm.embedding_l1_gradient(row, ens)
+            assert len(chunks) >= 3 and sum(chunks) == ens.size
             for values, grads in (whole, chunked):
                 assert abs(values[v] - value) <= 1e-12
                 assert np.max(np.abs(grads[v] - grad)) <= 1e-12
+
+    @pytest.mark.parametrize("fld, n", [("real", 3), ("real", 21), ("complex", 5),
+                                        ("complex", 9)])
+    def test_monte_carlo_matches_decoded_draws(self, fld, n, monkeypatch):
+        count, seed = 300, 60 + n
+        rng = np.random.default_rng(n)
+        rows = np.array([unit_vector(rng, fld, n) for _ in range(4)])
+        rows[2] = 0.0
+        _, z = decoded_draws(fld, n, seed, count)
+        w = rows @ z.T
+        mags = np.abs(w)
+        unit = np.divide(w, mags, out=np.zeros_like(w), where=mags > 0.0)
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 4000)  # several chunks
+        values, grads = comm.embedding_l1_gradient(rows, comm.SignEnsemble(
+            field=fld, n=n, mode="monte_carlo", seed=seed, sample_count=count))
+        assert grads.dtype == np.complex128
+        assert np.max(np.abs(values - mags.mean(axis=1))) <= 1e-12
+        assert np.max(np.abs(grads - unit @ z.conj() / count)) <= 1e-12
+        assert not np.any(grads[2])
+
+    @pytest.mark.parametrize("fld, n", [("real", 20), ("complex", 10)])
+    def test_peak_memory_is_bounded(self, fld, n):
+        # 2^20 members at V=40: a full member matrix alone is 160 MiB (real)
+        # or 80 MiB (complex) before any product
+        ens = comm.SignEnsemble(field=fld, n=n)
+        rows = np.array([unit_vector(np.random.default_rng(v), fld, n) for v in range(40)])
+        peaks, results = [], []
+        for fn in (comm.embedding_l1_norm, comm.embedding_l1_gradient):
+            tracemalloc.start()
+            try:
+                results.append(fn(rows, ens))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 64 * 2**20
+        assert np.max(np.abs(results[0].value - results[1][0])) <= 1e-12
 
 
 class TestRealFieldArithmetic:

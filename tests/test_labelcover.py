@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ncglab import config
 from ncglab import labelcover as lc
 
 
@@ -305,7 +306,7 @@ class TestCheckersMatchLoops:
         # a budget below one vertex's comparisons gives one vertex per block
         instances = [lc.generate_random(20, 4, 5, 3, 2, seed=1),
                      random_edge_instance(9, 25, 4, 2, seed=2)]
-        monkeypatch.setattr(lc, "_CHUNK_ENTRIES", budget)
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", budget)
         for inst in instances:
             assert lc.check_smoothness(inst) == loop_smoothness(inst)
 

@@ -4,6 +4,7 @@ traceback. Files are taken from a valid set and broken one field at a time."""
 
 import functools
 import json
+import math
 import operator
 
 import numpy as np
@@ -87,6 +88,9 @@ CASES = {
         ("fractional-projection", replaced(["edges", 0, "pi_u", 0], 1.7)),
         ("boolean-projection", replaced(["edges", 0, "pi_u", 0], True)),
         ("boolean-vertex", replaced(["edges", 0, "u"], True)),
+        # json reads NaN and Infinity; every numeric field must be finite
+        ("nan-gamma", replaced(["gamma"], math.nan)),
+        ("infinite-zeta", replaced(["zeta"], math.inf)),
     ],
     "assignment": COMMON + [
         ("missing-labels", dropped(["labels"])),
@@ -109,6 +113,8 @@ CASES = {
         ("fractional-n", replaced(["n"], 6.5)),
         ("boolean-value", replaced(["values", 0, 0, 0], True)),
         ("false-value", replaced(["values", 3, 2, 1], False)),
+        *((f"{name}-values", replaced(["values"], lambda rows, x=x: np.full_like(rows, x).tolist()))
+          for name, x in (("nan", math.nan), ("infinite", math.inf))),
     ],
     "tensor": COMMON + [
         *((f"missing-{name}", dropped([name])) for name in ("d", "entries")),
@@ -125,6 +131,7 @@ CASES = {
         ("d-over-cap", replaced(["d"], DENSE_DIM_CAP + 1)),
         ("boolean-index", replaced(["entries", 0, 0], True)),
         ("boolean-entry-value", replaced(["entries", 1, 5], False)),
+        ("nan-entry-value", replaced(["entries", 0, 4], math.nan)),
     ],
 }
 
