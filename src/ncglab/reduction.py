@@ -189,23 +189,33 @@ def assignment_to_field(inst: LabelCoverInstance, labels) -> np.ndarray:
 
 @dataclass(eq=False)
 class EmbeddingBackend:
-    """A concrete embedding f with its dictatorship-test constants.
+    """A concrete embedding f, built from its kernel alone: the matrix
+    embedding's PhaseFamily or a scalar SignEnsemble. The kernel fixes n, the
+    name, is_real and the dictatorship-test constants: basis vectors have norm
+    eta, and unit vectors without a large coordinate tend to at most tau.
 
-    kernel is the matrix embedding's PhaseFamily or a scalar SignEnsemble.
     norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of
     a field (V, n) in one call; norm_and_gradient maps either to norms and
-    complex-packed subgradients.
-    bound(a) is the analytic upper bound on norm(a); delta(eps), for the
-    matrix embedding, is the spread threshold paired with (eta, tau).
-    little_op() holds f's images, so f(a) = little_op().apply(a).
+    complex-packed subgradients; bound(a) is the analytic upper bound on
+    norm(a). little_op() holds f's images, so f(a) = little_op().apply(a).
     """
 
-    name: str
-    n: int
-    eta: float
-    tau: float
-    is_real: bool
     kernel: clifford.PhaseFamily | commutative.SignEnsemble
+    name: str = field(init=False)
+    n: int = field(init=False)
+    eta: float = field(init=False)
+    tau: float = field(init=False)
+    is_real: bool = field(init=False)
+
+    def __post_init__(self):
+        self.n = self.kernel.n
+        if self._is_matrix:
+            self.name, self.eta, self.tau, self.is_real = ("clifford", clifford.ETA,
+                                                           clifford.TAU, False)
+        else:
+            self.name, self.eta = f"comm_{self.kernel.field}", 1.0
+            self.is_real = self.kernel.field == "real"
+            self.tau = commutative.REAL_LIMIT if self.is_real else commutative.COMPLEX_LIMIT
 
     @property
     def _is_matrix(self) -> bool:
@@ -230,17 +240,17 @@ class EmbeddingBackend:
         """f as images of the basis vectors over the exhaustive members w (all
         phase vectors for the matrix embedding): f(e_i) = kron(diag(w_i over
         w), G_i), with G_i the i-th Clifford generator, or [[1]] for a scalar
-        embedding. Sizes past the caps are refused before any image exists."""
+        embedding. A kernel that is not exhaustive, and sizes past the caps,
+        are refused before any image exists."""
+        if self.kernel.mode != "exhaustive":
+            raise ValueError(f"images need an exhaustive kernel, not {self.kernel.mode!r}")
         if self._is_matrix:
-            if self.kernel.mode != "exhaustive":
-                raise ValueError(f"the matrix embedding's images need the exhaustive "
-                                 f"phase family, not {self.kernel.mode!r}")
             if self.n > clifford.MATERIALIZE_MAX_N:
                 raise ValueError(f"materialization limited to n <= {clifford.MATERIALIZE_MAX_N}")
             ens = commutative.SignEnsemble(field="complex", n=self.n)
             blocks = clifford.make_generators(self.n).matrices
         else:
-            ens, d = self.kernel, (2 if self.is_real else 4) ** self.n
+            ens, d = self.kernel, self.kernel.size
             # diagonal images: n * d^2 is both the lift's nnz bound and the dense stack
             if self.n * d**2 > solvers.LIFT_CAP:
                 raise ValueError(f"lift size n*d^2 = {self.n * d**2} exceeds cap "
@@ -253,26 +263,18 @@ class EmbeddingBackend:
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                      sample_count: int | None = None) -> EmbeddingBackend:
-    family = clifford.build_phase_family(n, mode, seed=seed, sample_count=sample_count)
-    return EmbeddingBackend(name="clifford", n=n, eta=clifford.ETA, tau=clifford.TAU,
-                            is_real=False, kernel=family)
-
-
-def _comm_backend(n: int, fld: str, tau: float, mode: str, seed, sample_count) -> EmbeddingBackend:
-    ens = commutative.SignEnsemble(field=fld, n=n, mode=mode, seed=seed,
-                                   sample_count=sample_count)
-    return EmbeddingBackend(name=f"comm_{fld}", n=n, eta=1.0, tau=tau,
-                            is_real=(fld == "real"), kernel=ens)
+    return EmbeddingBackend(clifford.build_phase_family(n, mode, seed=seed,
+                                                        sample_count=sample_count))
 
 
 def comm_real_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                       sample_count: int | None = None) -> EmbeddingBackend:
-    return _comm_backend(n, "real", commutative.REAL_LIMIT, mode, seed, sample_count)
+    return EmbeddingBackend(commutative.SignEnsemble("real", n, mode, seed, sample_count))
 
 
 def comm_complex_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                          sample_count: int | None = None) -> EmbeddingBackend:
-    return _comm_backend(n, "complex", commutative.COMPLEX_LIMIT, mode, seed, sample_count)
+    return EmbeddingBackend(commutative.SignEnsemble("complex", n, mode, seed, sample_count))
 
 
 BACKEND_BUILDERS = {
@@ -376,28 +378,26 @@ def decode(fld, params: DecoderParams, inst: LabelCoverInstance):
     mags = np.abs(fld)
     l2 = np.sqrt((mags**2).sum(axis=1))
     l4 = ((mags**4).sum(axis=1)) ** 0.25
-    in_v0 = (l4 > params.delta * params.eps) & (l2 <= 1.0 / params.eps)
+    v0 = np.flatnonzero((l4 > params.delta * params.eps) & (l2 <= 1.0 / params.eps))
 
     beta = params.beta
     labels = np.zeros(inst.num_vertices, dtype=int)
-    a1_sizes, a2_sizes = [], []
-    for v in np.flatnonzero(in_v0):
-        a1 = np.flatnonzero(mags[v] >= beta / 4.0)
-        if a1.size == 0:
-            raise DecodeInvariantError(
-                f"vertex {v} is in V0 but has no coordinate above beta/4 = {beta / 4.0}")
-        a2 = np.flatnonzero(mags[v] >= beta / (4.0 * params.t))
-        a1_sizes.append(int(a1.size))
-        a2_sizes.append(int(a2.size))
-        labels[v] = int(a1[rng.integers(0, a1.size)])
+    a1 = mags[v0] >= beta / 4.0
+    a1_sizes = a1.sum(axis=1)
+    if not a1_sizes.all():
+        raise DecodeInvariantError(f"vertex {v0[np.argmin(a1_sizes)]} is in V0 but has no "
+                                   f"coordinate above beta/4 = {beta / 4.0}")
+    # one draw per V0 vertex in vertex order; label = the pick-th index of A1_v
+    picks = rng.integers(0, a1_sizes)
+    labels[v0] = np.argmax(np.cumsum(a1, axis=1) > picks[:, None], axis=1)
+    a2_sizes = (mags[v0] >= beta / (4.0 * params.t)).sum(axis=1)
 
-    v0_size = int(in_v0.sum())
     stats = DecodeStats(
-        v0_size=v0_size,
-        v0_fraction=v0_size / inst.num_vertices,
+        v0_size=v0.size,
+        v0_fraction=v0.size / inst.num_vertices,
         beta=beta,
-        a1_sizes=a1_sizes,
-        a2_sizes=a2_sizes,
+        a1_sizes=a1_sizes.tolist(),
+        a2_sizes=a2_sizes.tolist(),
         a1_bound=16.0 / (params.eps**2 * beta**2),
         a2_bound=16.0 * params.t**2 / (params.eps**2 * beta**2),
         satisfied_fraction=satisfied_fraction(inst, labels),
@@ -448,8 +448,6 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
         fld = scale * x.reshape(shape)
         worst = max(worst, constraint_residual(cs, fld))
         values, grads = backend.norm_and_gradient(fld)
-        if backend.is_real:
-            grads = grads.real
         return float(np.mean(values)), basis.project(grads).reshape(-1) / scale
 
     value, x = _sphere_ascent(objective_and_gradient, inst.num_vertices * inst.n,

@@ -169,7 +169,7 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     half-step value histories for monotonicity audits; each history value
     reuses its half-step's contraction, |sum A o M_B| or |sum P o conj(B)|.
     """
-    d, t_mat = tensor.d, tensor.matrix
+    d, t_mat, t_transposed = tensor.d, tensor.matrix, tensor.matrix.T
     rng = np.random.default_rng(seed)
     best = None
     histories = []
@@ -183,7 +183,7 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
             if np.any(m_b):
                 a_mat = polar_unitary(np.conj(m_b))
             history.append(float(np.abs(np.sum(a_mat * m_b))))
-            p = (t_mat.T @ a_mat.reshape(-1)).reshape(d, d)
+            p = (t_transposed @ a_mat.reshape(-1)).reshape(d, d)
             if np.any(p):
                 b_mat = polar_unitary(p)
             value = float(np.abs(np.sum(p * np.conj(b_mat))))

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -10,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncglab import clifford
+from ncglab import clifford, commutative
 from ncglab import labelcover as lc
 from ncglab import reduction as red
 from ncglab.config import SUBSPACE_RESIDUAL_TOL
@@ -238,7 +239,7 @@ class TestSubspaceBasisMatchesSvd:
         assert_matches_svd_null_space(cs)
 
 
-def assert_fast_path_matches_eigensolve(cs):
+def assert_sparse_lu_matches_eigensolve(cs):
     """The sparse-LU projector equals the projector onto the eigenvectors of
     the dense Gram matrix A^T A whose eigenvalues lie below its rank gap."""
     gram = (cs.matrix.T @ cs.matrix).toarray()
@@ -247,13 +248,13 @@ def assert_fast_path_matches_eigensolve(cs):
     assert_matches_projector(cs, vectors[:, values <= gap])
 
 
-class TestCholeskyFastPath:
-    """The sparse LU factorization of A A^T + mu I that replaced the pivoted
-    Cholesky factorization of A^T A, against the full eigensolve of A^T A."""
+class TestSparseLuProjector:
+    """The projector from the sparse LU factorization of A A^T + mu I,
+    against the full eigensolve of A^T A."""
 
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
     def test_matches_full_eigensolve(self, params):
-        assert_fast_path_matches_eigensolve(
+        assert_sparse_lu_matches_eigensolve(
             red.build_constraints(make_instance(*params)))
 
     @settings(max_examples=60, deadline=None)
@@ -265,7 +266,7 @@ class TestCholeskyFastPath:
         t = -(-n // k)
         inst = make_instance("planted" if planted else "random", vertices, degree, n, k, t,
                              seed)
-        assert_fast_path_matches_eigensolve(red.build_constraints(inst))
+        assert_sparse_lu_matches_eigensolve(red.build_constraints(inst))
 
     # Instances on which an earlier partial eigensolve returned null vectors
     # with residual 1.9e-7 and 3.0e-9 though the rank is well separated
@@ -464,6 +465,46 @@ class TestBackends:
         assert grad.shape == (3,)
 
 
+# (name, eta, tau, is_real) of each builder's backend, as literals
+BACKEND_FIELDS = {
+    "clifford": ("clifford", 1.0, 0.7071067811865476, False),
+    "comm_real": ("comm_real", 1.0, 0.7978845608028654, True),
+    "comm_complex": ("comm_complex", 1.0, 0.8862269254527579, False),
+}
+
+
+class TestBackendFromKernel:
+    @pytest.mark.parametrize("name, n, kwargs", [
+        (name, n, kwargs) for name in BACKEND_FIELDS for n in (1, 4, 6)
+        for kwargs in ({}, {"mode": "monte_carlo", "seed": 3, "sample_count": 700})
+    ] + [("clifford", n, {"mode": "pairwise_independent"}) for n in (1, 4, 8)])
+    def test_derived_fields_match_the_builders_table(self, name, n, kwargs):
+        backend = red.BACKEND_BUILDERS[name](n, **kwargs)
+        derived = (backend.name, backend.n, backend.eta, backend.tau, backend.is_real)
+        expected = (BACKEND_FIELDS[name][0], n, *BACKEND_FIELDS[name][1:])
+        assert derived == expected
+        assert [type(x) for x in derived] == [str, int, float, float, bool]
+
+    @pytest.mark.parametrize("maker", [red.comm_real_backend, red.comm_complex_backend])
+    def test_scalar_monte_carlo_little_op_refused_before_members(self, maker, monkeypatch):
+        def never(ens):
+            raise AssertionError("exhaustive_members called")
+
+        monkeypatch.setattr(commutative, "exhaustive_members", never)
+        backend = maker(2, "monte_carlo", seed=0, sample_count=64)
+        with pytest.raises(ValueError, match="exhaustive"):
+            backend.little_op()
+
+    def test_kernel_is_the_only_init_field(self):
+        assert [f.name for f in dataclasses.fields(red.EmbeddingBackend) if f.init] == ["kernel"]
+        kernel = commutative.SignEnsemble(field="real", n=3)
+        assert red.EmbeddingBackend(kernel).kernel is kernel
+        with pytest.raises(TypeError):
+            red.EmbeddingBackend(kernel=kernel, name="comm_real")
+        with pytest.raises(TypeError):
+            red.EmbeddingBackend(kernel, 3)
+
+
 class TestApplyNormF:
     def test_planted_field_reaches_one(self):
         inst, planted = lc.generate_planted(8, 3, 5, 3, 2, seed=8)
@@ -598,6 +639,91 @@ class TestDecoder:
             red.DecoderParams(eps=0.5, delta=1.5, t=2)
         with pytest.raises(ValueError):
             red.DecoderParams(eps=0.5, delta=0.5, t=0)
+
+
+def loop_decode(fld, params, inst):
+    """Reference: the decoder's draws one V0 vertex at a time, in vertex order."""
+    fld = np.asarray(fld, dtype=np.complex128)
+    rng = np.random.default_rng(params.seed)
+    mags = np.abs(fld)
+    l2 = np.sqrt((mags**2).sum(axis=1))
+    l4 = ((mags**4).sum(axis=1)) ** 0.25
+    in_v0 = (l4 > params.delta * params.eps) & (l2 <= 1.0 / params.eps)
+    beta = params.beta
+    labels = np.zeros(inst.num_vertices, dtype=int)
+    a1_sizes, a2_sizes = [], []
+    for v in np.flatnonzero(in_v0):
+        a1 = np.flatnonzero(mags[v] >= beta / 4.0)
+        assert a1.size > 0
+        a2 = np.flatnonzero(mags[v] >= beta / (4.0 * params.t))
+        a1_sizes.append(int(a1.size))
+        a2_sizes.append(int(a2.size))
+        labels[v] = int(a1[rng.integers(0, a1.size)])
+    v0_size = int(in_v0.sum())
+    stats = red.DecodeStats(
+        v0_size=v0_size, v0_fraction=v0_size / inst.num_vertices, beta=beta,
+        a1_sizes=a1_sizes, a2_sizes=a2_sizes,
+        a1_bound=16.0 / (params.eps**2 * beta**2),
+        a2_bound=16.0 * params.t**2 / (params.eps**2 * beta**2),
+        satisfied_fraction=lc.satisfied_fraction(inst, labels))
+    return labels, stats
+
+
+def assert_decode_matches_loop(fld, params, inst):
+    labels, stats = red.decode(fld, params, inst)
+    ref_labels, ref_stats = loop_decode(fld, params, inst)
+    np.testing.assert_array_equal(labels, ref_labels)
+    assert vars(stats) == vars(ref_stats)
+    assert all(type(s) is int for s in stats.a1_sizes + stats.a2_sizes)
+    assert type(stats.v0_size) is int
+    return labels, stats
+
+
+class TestDecoderMatchesLoop:
+    @pytest.mark.parametrize("noise, eps, delta", [(0.05, 0.9, 0.9), (0.3, 0.9, 0.9),
+                                                   (0.3, 0.5, 0.5), (1.0, 0.5, 0.5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_planted_fields(self, noise, eps, delta, seed):
+        inst, planted = lc.generate_planted(60, 4, 8, 4, 2, seed=seed)
+        basis = red.subspace_basis(red.build_constraints(inst))
+        rng = np.random.default_rng(seed + 100)
+        shape = (inst.num_vertices, inst.n)
+        fld = basis.project(red.assignment_to_field(inst, planted) + noise / np.sqrt(2) * (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        params = red.DecoderParams(eps=eps, delta=delta, t=inst.t, seed=seed)
+        _, stats = assert_decode_matches_loop(fld, params, inst)
+        assert stats.v0_size > 0
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_fields_with_many_candidates(self, seed):
+        # magnitudes mostly above beta/4 = 0.0078: most V0 vertices draw
+        # among several labels, so equal labels mean equal draws in equal order
+        rng = np.random.default_rng(seed)
+        inst = lc.generate_random(40, 4, 8, 4, 2, seed=seed)
+        fld = rng.normal(size=(40, 8)) + 1j * rng.normal(size=(40, 8))
+        fld *= rng.uniform(0.05, 0.6, size=(40, 1)) * (rng.random((40, 8)) < 0.8)
+        params = red.DecoderParams(eps=0.5, delta=0.5, t=inst.t, seed=seed)
+        labels, stats = assert_decode_matches_loop(fld, params, inst)
+        assert stats.v0_size >= 20 and max(stats.a1_sizes) >= 4
+        firsts = np.argmax(np.abs(fld) >= params.beta / 4.0, axis=1)
+        assert np.any(labels != firsts)
+
+    def test_empty_v0(self):
+        inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=12)
+        fld = np.full((8, 6), 10.0 + 0j)  # every ||b_v||_2 exceeds 1/eps
+        params = red.DecoderParams(eps=0.5, delta=0.5, t=inst.t, seed=3)
+        labels, stats = assert_decode_matches_loop(fld, params, inst)
+        assert stats.v0_size == 0 and stats.a1_sizes == [] and not np.any(labels)
+
+    def test_invariant_error_names_first_v0_vertex(self, monkeypatch):
+        inst, planted = lc.generate_planted(8, 3, 6, 3, 2, seed=11)
+        fld = red.assignment_to_field(inst, planted)
+        fld[:2] = 0.0  # vertices 0 and 1 leave V0, so vertex 2 is its first
+        params = red.DecoderParams(eps=0.5, delta=0.5, t=inst.t, seed=0)
+        # past the constructor's check: beta/4 = 2 exceeds every |b_v(i)| <= 1
+        monkeypatch.setattr(red.DecoderParams, "beta", property(lambda self: 8.0))
+        with pytest.raises(red.DecodeInvariantError, match=r"^vertex 2 is in V0 .* = 2\.0$"):
+            red.decode(fld, params, inst)
 
 
 class TestOperatorNormLowerBound:
