@@ -293,6 +293,16 @@ class TestLiftAndSolve:
         assert file_sha256(tmp_path / "solution.json") == \
             "f895393f8e6164e389ae890d613647c0c2fe9789c496c96a1eb5a3cad4792811"
 
+    def test_clifford_solve_golden_sha256(self, tmp_path):
+        # Clifford images are not diagonal, so every polar step takes the SVD.
+        assert main(["lift", "--backend", "clifford", "--n", "2", "--out", "tensor.json"]) == 0
+        assert main(["solve-ncg", "--tensor", "tensor.json", "--restarts", "4",
+                     "--seed", "1", "--out", "solution.json"]) == 0
+        assert file_sha256(tmp_path / "solve-ncg.report.json") == \
+            "7e6ec8918acdf17faf9f798f1218ba84378e08660acc8d85f6c33145a4bb3b6b"
+        assert file_sha256(tmp_path / "solution.json") == \
+            "95b09b871854eb9c5cf723708fbe66ad2dd59fd110cef9a72e065dfd6586a2a9"
+
     def test_tensor_roundtrip_byte_identical(self, tmp_path):
         main(["lift", "--backend", "comm_complex", "--n", "1", "--out", "t.json"])
         tensor = fileio.load_tensor(tmp_path / "t.json")
