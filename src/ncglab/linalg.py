@@ -102,13 +102,19 @@ def rho(a) -> np.ndarray:
 def polar_unitary(m) -> np.ndarray:
     """Unitary factor U = u @ vh of the SVD, maximizing Re Tr(U* M).
 
-    The all-zero matrix is degenerate (any unitary is optimal); the identity
-    is returned and a RuntimeWarning is emitted.
+    A nonsingular diagonal M (every off-diagonal entry exactly 0, no zero on
+    the diagonal) has a unique polar factor, diag(m_ii / |m_ii|), returned in
+    closed form; it equals u @ vh up to rounding. Every other input takes the
+    SVD. The all-zero matrix is degenerate (any unitary is optimal); the
+    identity is returned and a RuntimeWarning is emitted.
     """
     m = _require_square(as_matrix(m))
     if not np.any(m):
         warnings.warn("polar_unitary of an all-zero matrix is degenerate; returning identity",
                       RuntimeWarning, stacklevel=2)
         return np.eye(m.shape[0], dtype=np.complex128)
+    diag = np.diag(m)
+    if np.all(diag) and np.count_nonzero(m) == diag.size:
+        return np.diag(diag / np.abs(diag))
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh

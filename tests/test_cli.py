@@ -289,9 +289,9 @@ class TestLiftAndSolve:
         solution = json.loads((tmp_path / "solution.json").read_text())
         assert len(solution["a"]) == 4
         assert file_sha256(tmp_path / "solve-ncg.report.json") == \
-            "0404cd4444e69d1e6d7c5f7bf7063ec913fce08aa0cb7951cee0f44725654f50"
+            "9752dcc652952bddc4c64e77a68f91e45cad897fbc0522ab0ab0bd980017dad2"
         assert file_sha256(tmp_path / "solution.json") == \
-            "f895393f8e6164e389ae890d613647c0c2fe9789c496c96a1eb5a3cad4792811"
+            "d7a9192f58fff895a7d8861397f28a3da674869f8bf85ec3cc56727c844dfea2"
 
     def test_clifford_solve_golden_sha256(self, tmp_path):
         # Clifford images are not diagonal, so every polar step takes the SVD.

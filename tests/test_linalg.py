@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncglab import linalg
 from ncglab.clifford import PAULI_X, PAULI_Y, PAULI_Z
@@ -12,6 +14,29 @@ def random_complex(rng, *shape):
 def random_unitary(rng, d):
     q, r = np.linalg.qr(random_complex(rng, d, d))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def svd_polar(m):
+    """Reference polar factor u @ vh from the SVD alone, for any input."""
+    u, _, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128), full_matrices=False)
+    return u @ vh
+
+
+def spread_diagonal(field, d, decades, seed):
+    """Nonzero diagonal entries with magnitudes 10^[-decades, decades] and
+    random signs (real) or phases (complex)."""
+    rng = np.random.default_rng(seed)
+    mags = 10.0 ** rng.uniform(-decades, decades, size=d)
+    if field == "real":
+        return mags * rng.choice([-1.0, 1.0], size=d)
+    return mags * np.exp(2j * np.pi * rng.random(d))
+
+
+# Past a magnitude ratio of about 1e300 the SVD rounds the smallest diagonal
+# entries to zero singular values and returns 1 there, so the reference only
+# holds within that ratio.
+DIAGONALS = dict(field=st.sampled_from(["real", "complex"]), d=st.integers(1, 128),
+                 decades=st.floats(0, 100), seed=st.integers(0, 2**32 - 1))
 
 
 class TestSchattenNorms:
@@ -182,3 +207,29 @@ class TestPolarUnitary:
             w = random_unitary(rng, 5)
             assert float(np.trace(w.conj().T @ m).real) <= achieved + 1e-9
 
+
+class TestPolarClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(**DIAGONALS)
+    def test_nonsingular_diagonal_matches_svd(self, field, d, decades, seed):
+        m = np.diag(spread_diagonal(field, d, decades, seed))
+        out = linalg.polar_unitary(m)
+        assert np.abs(out - svd_polar(m)).max() <= 1e-15
+        assert np.count_nonzero(out - np.diag(np.diag(out))) == 0
+        assert np.abs(out.conj().T @ out - np.eye(d)).max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(**{**DIAGONALS, "d": st.integers(2, 128)})
+    def test_other_inputs_take_the_svd_bit_for_bit(self, field, d, decades, seed):
+        # every 1 x 1 matrix is diagonal, so these need d >= 2
+        rng = np.random.default_rng(seed + 1)
+        diag = spread_diagonal(field, d, decades, seed)
+        singular = diag.copy()
+        singular[rng.permutation(d)[:rng.integers(1, d)]] = 0.0
+        off_diagonal = np.diag(diag).astype(np.complex128)
+        i, j = rng.choice(d, size=2, replace=False)
+        off_diagonal[i, j] = 1e-300
+        swapped = np.diag(diag)  # as many nonzeros as a diagonal, two of them off it
+        swapped[[i, j]] = swapped[[j, i]]
+        for m in (np.diag(singular), off_diagonal, swapped, random_complex(rng, d, d)):
+            assert linalg.polar_unitary(m).tobytes() == svd_polar(m).tobytes()

@@ -16,6 +16,12 @@ def random_unitary(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def svd_polar(m):
+    """Reference polar factor u @ vh from the SVD alone, for any input."""
+    u, _, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ vh
+
+
 def duality_gap(op, a, a_mat):
     """| <F*(A), a> - <A, F(a)> | with both inner products linear in the
     first argument and the d^-1 Tr normalization on matrices."""
@@ -323,6 +329,38 @@ class TestNcgSolver:
             sample = abs(solvers.evaluate_bilinear(tensor, random_unitary(rng, d),
                                                    random_unitary(rng, d)))
             assert sample <= result.value + 1e-9
+
+
+class TestClosedFormPolarSteps:
+    """Scalar-backend lifts and tensor_from_matrix tensors have only T_{iijj}
+    entries, so their polar steps take the closed form for diagonal matrices;
+    a run must match one whose every step takes the SVD."""
+
+    @staticmethod
+    def assert_matches_svd_steps(monkeypatch, tensor):
+        fast = solvers.ncg_opt_lower_bound(tensor, restarts=8, seed=3)
+        monkeypatch.setattr(solvers, "polar_unitary", svd_polar)
+        reference = solvers.ncg_opt_lower_bound(tensor, restarts=8, seed=3)
+        # values only: restarts can tie in value and pick different unitaries
+        assert [len(h) for h in fast.histories] == [len(h) for h in reference.histories]
+        for got, want in zip(fast.histories, reference.histories):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(fast.value - reference.value) <= 1e-12
+        for history in fast.histories + reference.histories:
+            assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
+
+    @pytest.mark.parametrize("backend,n", [*(("comm_real", n) for n in range(1, 5)),
+                                           *(("comm_complex", n) for n in range(1, 4))])
+    def test_scalar_lift(self, monkeypatch, backend, n):
+        op = BACKEND_BUILDERS[backend](n).little_op()
+        self.assert_matches_svd_steps(monkeypatch, solvers.lift_little_to_big(op))
+
+    @pytest.mark.parametrize("field,d,seed", [("real", 7, 21), ("complex", 5, 22),
+                                              ("complex", 16, 23)])
+    def test_tensor_from_matrix(self, monkeypatch, field, d, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(d, d)) if field == "real" else random_complex(rng, d, d)
+        self.assert_matches_svd_steps(monkeypatch, solvers.tensor_from_matrix(m))
 
 
 class TestLittleNormLowerBound:
