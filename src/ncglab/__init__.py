@@ -2,9 +2,8 @@
 label-cover norm reduction built on them, and little-to-big lifts of the
 resulting operator-norm problems."""
 
-from .linalg import (block_diag, embed_complex_as_hermitian,
-                     embed_hermitian_as_real_symmetric, polar_unitary, rho,
-                     schatten1_norm, schatten_inf_norm)
+from .linalg import (embed_complex_as_hermitian, embed_hermitian_as_real_symmetric,
+                     polar_unitary, rho, schatten1_norm, schatten_inf_norm)
 from .clifford import (ETA, TAU, CliffordGenerators, PhaseFamily, build_phase_family,
                        clifford_map, dictator_embedding_norm, embedding_norm_bound,
                        make_generators, parallelogram, randphase_second_moment,
@@ -19,8 +18,7 @@ from .reduction import (ConstraintSystem, DecodeInvariantError, DecoderParams,
                         comm_complex_backend, comm_real_backend,
                         completeness_certificate, decode, field_l2_norm,
                         operator_norm_lower_bound, subspace_basis)
-from .solvers import (LittleOperator, NcgTensor, adjoint_apply, evaluate_bilinear,
-                      lift_little_to_big, little_norm_lower_bound, ncg_opt_lower_bound,
-                      tensor_from_matrix)
+from .solvers import (LittleOperator, NcgTensor, adjoint_apply, lift_little_to_big,
+                      little_norm_lower_bound, ncg_opt_lower_bound, tensor_from_matrix)
 
 __version__ = "0.1.0"

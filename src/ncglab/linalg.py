@@ -1,6 +1,5 @@
-"""Dense complex linear algebra: normalized Schatten norms, block-diagonal
-composition, and the norm-preserving rewrites complex -> Hermitian -> real
-symmetric.
+"""Dense complex linear algebra: normalized Schatten norms and the
+norm-preserving rewrites complex -> Hermitian -> real symmetric.
 
 All trace norms here are NORMALIZED: ||A||_S1 = d^-1 * sum of singular values.
 The un-normalized variant is deliberately not exposed.
@@ -44,24 +43,6 @@ def schatten_inf_norm(m) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def block_diag(blocks) -> np.ndarray:
-    """Direct sum of square blocks.
-
-    For equal-size blocks the normalized trace norm of the result equals the
-    mean of the blocks' normalized trace norms (for mixed sizes the identity
-    holds with dimension weights instead).
-    """
-    blocks = [as_matrix(b) for b in blocks]
-    if not blocks:
-        raise ValueError("block_diag requires at least one block")
-    for b in blocks:
-        _require_square(b)
-    # imported here: only tests call this, and scipy.linalg is a large import
-    import scipy.linalg
-
-    return scipy.linalg.block_diag(*blocks).astype(np.complex128)
 
 
 def embed_complex_as_hermitian(a) -> np.ndarray:

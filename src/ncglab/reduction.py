@@ -425,12 +425,12 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
                               seed: int = 0, cs: ConstraintSystem | None = None,
                               basis: SubspaceBasis | None = None) -> AscentResult:
     """Best value of E_v ||f(b_v)|| over unit-norm fields b in the constraint
-    subspace, via projected subgradient ascent with backtracking line search
-    and random restarts. A certified lower bound on the operator norm.
+    subspace H, via the fixed-point sphere ascent b <- P_H grad / ||P_H grad||
+    with random restarts. A certified lower bound on the operator norm.
 
     The ascent runs on x = b / sqrt(|V|), whose Euclidean norm is the L2(V)
-    norm of b. Starts are projected Gaussian fields and steps the projected
-    gradients, so every iterate stays in the subspace without re-projection.
+    norm of b. Starts are projected Gaussian fields and steps the normalized
+    projected gradients, so every iterate stays in H without re-projection.
     """
     if cs is None:
         cs = build_constraints(inst)
@@ -448,7 +448,7 @@ def operator_norm_lower_bound(inst: LabelCoverInstance, backend: EmbeddingBacken
         fld = scale * x.reshape(shape)
         worst = max(worst, constraint_residual(cs, fld))
         values, grads = backend.norm_and_gradient(fld)
-        return float(np.mean(values)), basis.project(grads).reshape(-1) / scale
+        return float(np.mean(values)), basis.project(grads).reshape(-1)
 
     value, x = _sphere_ascent(objective_and_gradient, inst.num_vertices * inst.n,
                               complex_start=not backend.is_real, restarts=restarts,

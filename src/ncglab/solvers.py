@@ -125,15 +125,6 @@ def lift_little_to_big(op: LittleOperator) -> NcgTensor:
     return NcgTensor(d=op.d, indices=indices, coeffs=coeffs[keep])
 
 
-def evaluate_bilinear(tensor: NcgTensor, a_mat, b_mat) -> complex:
-    """Exact sparse contraction sum T_{ijkl} A_{ij} conj(B_{kl})."""
-    a_mat = as_matrix(a_mat)
-    b_mat = as_matrix(b_mat)
-    if a_mat.shape != (tensor.d, tensor.d) or b_mat.shape != (tensor.d, tensor.d):
-        raise ValueError("matrix shapes do not match tensor dimension")
-    return complex(a_mat.reshape(-1) @ (tensor.matrix @ b_mat.conj().reshape(-1)))
-
-
 @dataclass
 class NcgResult:
     value: float
@@ -203,11 +194,19 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
 
 def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: int,
                    iters: int, seed: int, project=None):
-    """Best (value, point) over restarts of backtracking subgradient ascent on
-    the unit sphere of C^dim, given z -> (value, complex-packed gradient).
-    Starts draw normal(dim), then + 1j * normal(dim) when complex_start, and
-    pass through project when given; the ascent then stays in project's
-    range as long as the gradients do."""
+    """Best (value, point) over restarts of the fixed-point ascent z <- g / ||g||
+    on the unit sphere of C^dim, given z -> (value f(z), complex-packed
+    gradient g). Starts draw normal(dim), then + 1j * normal(dim) when
+    complex_start, and pass through project when given; the ascent then stays
+    in project's range as long as the gradients do.
+
+    For a convex 1-homogeneous f, with g its gradient projected into the
+    range, Euler's identity f(z) = Re<g, z> and the subgradient inequality
+    f(z') >= Re<g, z'> give, for unit z in the range and z' = g / ||g||,
+    f(z) = Re<g, z> <= ||g|| = Re<g, z'> <= f(z'): a step never lowers the
+    value, and g != 0 wherever f(z) > 0. A restart stops at the first step
+    that does not raise the value, so each iteration makes one evaluation.
+    """
     rng = np.random.default_rng(seed)
     best_value, best_z = -np.inf, None
     for _ in range(restarts):
@@ -218,19 +217,12 @@ def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: in
             z = project(z)
         z = z / np.linalg.norm(z)
         value, grad = norm_and_grad(z)
-        step = 0.5
         for _ in range(iters):
-            while step >= 1e-12:
-                cand = z + step * grad
-                cand = cand / np.linalg.norm(cand)
-                cand_value, cand_grad = norm_and_grad(cand)
-                if cand_value > value + 1e-15:
-                    z, value, grad = cand, cand_value, cand_grad
-                    step *= 1.3
-                    break
-                step *= 0.5
-            else:  # no step size improved on z
+            cand = grad / np.linalg.norm(grad)
+            cand_value, grad = norm_and_grad(cand)
+            if cand_value <= value:
                 break
+            z, value = cand, cand_value
         if value > best_value:
             best_value, best_z = value, z
     return float(best_value), best_z
@@ -238,8 +230,9 @@ def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: in
 
 def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTARTS,
                             iters: int = DEFAULT_ITERS, seed: int = 0):
-    """Heuristic lower bound on sup_{||a||=1} ||F(a)||_S1 by sphere ascent
-    with the trace-norm subgradient (polar factor of the current image).
+    """Heuristic lower bound on sup_{||a||=1} ||F(a)||_S1 by the fixed-point
+    sphere ascent a <- F*(U) / ||F*(U)||, with U the polar factor of F(a)
+    (F*(U) is the trace-norm subgradient at a).
 
     Returns (value, maximizing vector).
     """

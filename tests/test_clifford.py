@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -329,8 +330,8 @@ class TestDictatorEmbeddingNorm:
         fam = clifford.build_phase_family(2, "exhaustive")
         a = random_complex_vec(rng, 2)
         gens = clifford.make_generators(2)
-        block = linalg.block_diag(
-            [clifford.clifford_map(a * w, gens) for w in members(2, "exhaustive")])
+        block = scipy.linalg.block_diag(
+            *[clifford.clifford_map(a * w, gens) for w in members(2, "exhaustive")])
         np.testing.assert_array_equal(clifford_backend(2).little_op().apply(a), block)
         direct = linalg.schatten1_norm(block)
         assert abs(clifford.dictator_embedding_norm(a, fam).value - direct) <= 1e-10

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -417,6 +418,12 @@ class TestAssignmentField:
         assert red.constraint_residual(cs, fld) > 0.5
 
 
+@functools.lru_cache(maxsize=None)
+def cached_backend(name, n, mode):
+    kwargs = {"seed": 3, "sample_count": 700} if mode == "monte_carlo" else {}
+    return red.BACKEND_BUILDERS[name](n, mode, **kwargs)
+
+
 class TestBackends:
     @pytest.mark.parametrize("maker", [red.clifford_backend, red.comm_real_backend,
                                        red.comm_complex_backend])
@@ -455,6 +462,27 @@ class TestBackends:
             value, grad = backend.norm_and_gradient(row)
             assert abs(values[v] - value) <= 1e-12
             assert np.max(np.abs(grads[v] - grad)) <= 1e-12
+
+    @pytest.mark.parametrize("name, n, mode", [
+        ("clifford", 5, "exhaustive"), ("clifford", 8, "pairwise_independent"),
+        ("clifford", 5, "monte_carlo"), ("comm_real", 5, "exhaustive"),
+        ("comm_real", 5, "monte_carlo"), ("comm_complex", 4, "exhaustive"),
+        ("comm_complex", 4, "monte_carlo"),
+    ])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_euler_identity(self, name, n, mode, seed, scale):
+        # Re<grad f(a), a> = f(a) row by row, for f convex and 1-homogeneous:
+        # the premise of the fixed-point sphere ascent
+        backend = cached_backend(name, n, mode)
+        rng = np.random.default_rng(seed)
+        fld = rng.normal(size=(5, n))
+        if not backend.is_real:
+            fld = fld + 1j * rng.normal(size=(5, n))
+        fld *= scale
+        values, grads = backend.norm_and_gradient(fld)
+        euler = np.sum(np.conj(grads) * fld, axis=1).real
+        assert np.all(np.abs(euler - values) <= 1e-12 * values)
 
     def test_gradient_matches_norm(self):
         backend = red.clifford_backend(3)

@@ -1,6 +1,13 @@
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncglab import labelcover as lc
+from ncglab import reduction as red
 from ncglab import solvers
 from ncglab.clifford import PAULI_X
 from ncglab.linalg import polar_unitary
@@ -20,6 +27,13 @@ def svd_polar(m):
     """Reference polar factor u @ vh from the SVD alone, for any input."""
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return u @ vh
+
+
+def evaluate_bilinear(tensor, a_mat, b_mat):
+    """Reference sparse contraction sum T_{ijkl} A_{ij} conj(B_{kl})."""
+    a_mat = np.asarray(a_mat, dtype=np.complex128)
+    b_mat = np.asarray(b_mat, dtype=np.complex128)
+    return complex(a_mat.reshape(-1) @ (tensor.matrix @ b_mat.conj().reshape(-1)))
 
 
 def duality_gap(op, a, a_mat):
@@ -101,7 +115,7 @@ class TestLift:
         rng = np.random.default_rng(6)
         for _ in range(10):
             a_mat, b_mat = random_complex(rng, 2, 2), random_complex(rng, 2, 2)
-            direct = solvers.evaluate_bilinear(tensor, a_mat, b_mat)
+            direct = evaluate_bilinear(tensor, a_mat, b_mat)
             ua = solvers.adjoint_apply(op, a_mat)
             ub = solvers.adjoint_apply(op, b_mat)
             assert abs(direct - np.sum(ua * np.conj(ub))) <= 1e-12
@@ -130,7 +144,7 @@ class TestLift:
             a_mat, b_mat = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
             ua = solvers.adjoint_apply(op, a_mat)
             ub = solvers.adjoint_apply(op, b_mat)
-            assert abs(solvers.evaluate_bilinear(tensor, a_mat, b_mat)
+            assert abs(evaluate_bilinear(tensor, a_mat, b_mat)
                        - np.sum(ua * np.conj(ub))) <= 1e-10
 
     def test_cap(self, monkeypatch):
@@ -179,19 +193,19 @@ class TestLift:
             a_mat, b_mat = random_complex(rng, 256, 256), random_complex(rng, 256, 256)
             ua = solvers.adjoint_apply(op, a_mat)
             ub = solvers.adjoint_apply(op, b_mat)
-            assert abs(solvers.evaluate_bilinear(tensor, a_mat, b_mat)
+            assert abs(evaluate_bilinear(tensor, a_mat, b_mat)
                        - np.sum(ua * np.conj(ub))) <= 1e-10
 
 
 class TestEvaluateBilinear:
     def test_zero_tensor(self):
         tensor = solvers.NcgTensor(d=2, indices=np.zeros((0, 4)), coeffs=np.zeros(0))
-        assert solvers.evaluate_bilinear(tensor, np.eye(2), np.eye(2)) == 0
+        assert evaluate_bilinear(tensor, np.eye(2), np.eye(2)) == 0
 
     def test_single_entry_identity(self):
         tensor = solvers.NcgTensor(d=2, indices=np.array([[0, 0, 0, 0]]),
                                    coeffs=np.array([1.0 + 0j]))
-        assert solvers.evaluate_bilinear(tensor, np.eye(2), np.eye(2)) == pytest.approx(1.0)
+        assert evaluate_bilinear(tensor, np.eye(2), np.eye(2)) == pytest.approx(1.0)
 
     def test_matches_dense_contraction(self):
         rng = np.random.default_rng(9)
@@ -206,7 +220,7 @@ class TestEvaluateBilinear:
         brute = sum(dense[i, j, k, l] * a_mat[i, j] * np.conj(b_mat[k, l])
                     for i in range(d) for j in range(d)
                     for k in range(d) for l in range(d))
-        assert abs(solvers.evaluate_bilinear(tensor, a_mat, b_mat) - brute) <= 1e-12
+        assert abs(evaluate_bilinear(tensor, a_mat, b_mat) - brute) <= 1e-12
 
     def test_sesquilinearity(self):
         rng = np.random.default_rng(10)
@@ -215,13 +229,13 @@ class TestEvaluateBilinear:
         tensor = solvers.NcgTensor(d=d, indices=idx, coeffs=random_complex(rng, len(idx)))
         a1, a2, b1, b2 = (random_complex(rng, d, d) for _ in range(4))
         z = complex(rng.normal(), rng.normal())
-        lhs = solvers.evaluate_bilinear(tensor, z * a1 + a2, b1)
-        rhs = z * solvers.evaluate_bilinear(tensor, a1, b1) \
-            + solvers.evaluate_bilinear(tensor, a2, b1)
+        lhs = evaluate_bilinear(tensor, z * a1 + a2, b1)
+        rhs = z * evaluate_bilinear(tensor, a1, b1) \
+            + evaluate_bilinear(tensor, a2, b1)
         assert abs(lhs - rhs) <= 1e-12
-        lhs = solvers.evaluate_bilinear(tensor, a1, z * b1 + b2)
-        rhs = np.conj(z) * solvers.evaluate_bilinear(tensor, a1, b1) \
-            + solvers.evaluate_bilinear(tensor, a1, b2)
+        lhs = evaluate_bilinear(tensor, a1, z * b1 + b2)
+        rhs = np.conj(z) * evaluate_bilinear(tensor, a1, b1) \
+            + evaluate_bilinear(tensor, a1, b2)
         assert abs(lhs - rhs) <= 1e-12
 
     def test_duplicate_indices_rejected(self):
@@ -289,7 +303,7 @@ class TestNcgSolver:
             assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
         assert result.unitarity_residual_a <= 1e-9
         assert result.unitarity_residual_b <= 1e-9
-        achieved = abs(solvers.evaluate_bilinear(tensor, result.a, result.b))
+        achieved = abs(evaluate_bilinear(tensor, result.a, result.b))
         assert achieved == pytest.approx(result.value, abs=1e-9)
 
     def test_histories_match_dense_replay(self):
@@ -326,7 +340,7 @@ class TestNcgSolver:
         tensor = solvers.NcgTensor(d=d, indices=idx, coeffs=random_complex(rng, len(idx)))
         result = solvers.ncg_opt_lower_bound(tensor, restarts=8, iters=100, seed=5)
         for _ in range(50):
-            sample = abs(solvers.evaluate_bilinear(tensor, random_unitary(rng, d),
+            sample = abs(evaluate_bilinear(tensor, random_unitary(rng, d),
                                                    random_unitary(rng, d)))
             assert sample <= result.value + 1e-9
 
@@ -374,3 +388,94 @@ class TestLittleNormLowerBound:
         op = BACKEND_BUILDERS["comm_complex"](2).little_op()
         value, _ = solvers.little_norm_lower_bound(op, restarts=4, iters=100, seed=7)
         assert value <= 1.0 + 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def cached_little_op(backend, n):
+    return BACKEND_BUILDERS[backend](n).little_op()
+
+
+def log_ascent_values(monkeypatch):
+    """Patch the sphere ascent of solvers and reduction so that it logs every
+    objective value it evaluates, rejected candidates included, as one list
+    per restart. A restart begins where its start is projected (an identity
+    projection when the caller passes none)."""
+    runs = []
+    ascent = solvers._sphere_ascent
+
+    def logged_ascent(norm_and_grad, dim, *, project=None, **kwargs):
+        def start(z):
+            runs.append([])
+            return z if project is None else project(z)
+
+        def logged(z):
+            value, grad = norm_and_grad(z)
+            runs[-1].append(value)
+            return value, grad
+
+        return ascent(logged, dim, project=start, **kwargs)
+
+    monkeypatch.setattr(solvers, "_sphere_ascent", logged_ascent)
+    monkeypatch.setattr(red, "_sphere_ascent", logged_ascent)
+    return runs
+
+
+def assert_monotone_runs(runs, *, restarts, iters, best):
+    """Each restart's logged values are non-decreasing to rounding and number
+    at most iters + 1, and the returned value is the best one evaluated."""
+    assert len(runs) == restarts
+    for values in runs:
+        assert 2 <= len(values) <= iters + 1
+        for prev, value in zip(values, values[1:]):
+            assert value >= prev - 1e-12 * max(1.0, abs(prev))
+    assert best == max(max(values) for values in runs)
+
+
+class TestSphereAscent:
+    @pytest.mark.parametrize("backend", ["clifford", "comm_real", "comm_complex"])
+    def test_operator_norm_ascent_is_monotone(self, monkeypatch, backend):
+        runs = log_ascent_values(monkeypatch)
+        inst, _ = lc.generate_planted(8, 3, 4, 2, 2, seed=18)
+        result = red.operator_norm_lower_bound(inst, BACKEND_BUILDERS[backend](4), restarts=4,
+                                               iters=30, seed=2)
+        assert_monotone_runs(runs, restarts=4, iters=30, best=result.value)
+
+    @pytest.mark.parametrize("backend, n", [("clifford", 2), ("comm_real", 4),
+                                            ("comm_complex", 3)])
+    def test_little_norm_ascent_is_monotone(self, monkeypatch, backend, n):
+        runs = log_ascent_values(monkeypatch)
+        value, _ = solvers.little_norm_lower_bound(cached_little_op(backend, n), restarts=4,
+                                                   iters=30, seed=1)
+        assert_monotone_runs(runs, restarts=4, iters=30, best=value)
+
+    def test_one_evaluation_per_iteration(self, monkeypatch):
+        # each objective evaluation makes one adjoint_apply call
+        runs = log_ascent_values(monkeypatch)
+        calls = []
+        adjoint_apply = solvers.adjoint_apply
+
+        def counted(op, a_mat):
+            calls.append(1)
+            return adjoint_apply(op, a_mat)
+
+        monkeypatch.setattr(solvers, "adjoint_apply", counted)
+        value, _ = solvers.little_norm_lower_bound(cached_little_op("clifford", 3), restarts=4,
+                                                   iters=50, seed=1)
+        assert_monotone_runs(runs, restarts=4, iters=50, best=value)
+        assert len(calls) == sum(len(values) for values in runs) <= 4 * (50 + 1)
+
+    @pytest.mark.parametrize("backend, n", [("clifford", 2), ("comm_real", 4),
+                                            ("comm_complex", 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+    def test_little_gradient_euler_identity(self, backend, n, seed, scale):
+        # Re<F*(U), a> = ||F(a)||_S1 for U the polar factor of F(a): the
+        # premise of the fixed-point step
+        objectives = []
+        with mock.patch.object(solvers, "_sphere_ascent",
+                               lambda f, *args, **kwargs: objectives.append(f)):
+            solvers.little_norm_lower_bound(cached_little_op(backend, n))
+        rng = np.random.default_rng(seed)
+        a = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        value, grad = objectives[0](a)
+        assert abs(np.vdot(grad, a).real - value) <= 1e-12 * value
