@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .config import DENSE_DIM_CAP, ENUMERATION_CAP, RADICAND_CLAMP
+from .config import DENSE_DIM_CAP, ENUMERATION_CAP
 
 PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -109,10 +109,8 @@ def parallelogram(a) -> float:
     """Area of the parallelogram spanned by Re(a) and Im(a)."""
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     x, y = a.real, a.imag
-    radicand = float((x @ x) * (y @ y) - (x @ y) ** 2)
-    if radicand < RADICAND_CLAMP:
-        raise FloatingPointError(f"parallelogram radicand {radicand} below clamp threshold")
-    return math.sqrt(max(radicand, 0.0))
+    # >= 0 by Cauchy-Schwarz; a negative value is rounding
+    return math.sqrt(max(float((x @ x) * (y @ y) - (x @ y) ** 2), 0.0))
 
 
 def trace_norm_formula(a) -> float:
@@ -121,9 +119,7 @@ def trace_norm_formula(a) -> float:
     this is just ||a||_2 (L = 0), i.e. the map is a real isometry."""
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     s = float(np.sum(np.abs(a) ** 2))
-    lam = parallelogram(a)
-    if s - 2 * lam < -1e-12:
-        raise FloatingPointError(f"trace-norm radicand {s - 2 * lam} is negative")
+    lam = parallelogram(a)  # s >= 2 ||x|| ||y|| >= 2L, so s - 2L < 0 is rounding
     return 0.5 * math.sqrt(s + 2 * lam) + 0.5 * math.sqrt(max(s - 2 * lam, 0.0))
 
 

@@ -215,11 +215,13 @@ def berry_esseen_profile(n_values, field: str, *, mode: str = "auto",
     """
     if not n_values:
         raise ValueError("n_values must be nonempty")
+    if mode not in ("auto", "exhaustive"):
+        raise ValueError(f"mode must be 'auto' or 'exhaustive', got {mode!r}")
     limit = REAL_LIMIT if field == "real" else COMPLEX_LIMIT
+    base = 2 if field == "real" else 4
     rows = []
     for idx, n in enumerate(n_values):
-        exact = mode == "exhaustive" or (
-            mode == "auto" and (2 if field == "real" else 4) ** n <= config.ENUMERATION_CAP)
+        exact = mode == "exhaustive" or base**n <= config.ENUMERATION_CAP
         if not exact and sample_count is None:
             raise ValueError("Monte-Carlo profile rows require sample_count")
         ens = SignEnsemble(field=field, n=n, mode="exhaustive" if exact else "monte_carlo",

@@ -18,9 +18,6 @@ CHUNK_ENTRIES = 2**22
 # Max-abs deviation allowed when an input must be Hermitian.
 HERMITIAN_TOL = 1e-9
 
-# Floating-point guard for the parallelogram radicand.
-RADICAND_CLAMP = -1e-14
-
 # Alternating / ascent solver defaults.
 DEFAULT_RESTARTS = 32
 DEFAULT_ITERS = 200

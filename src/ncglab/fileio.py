@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import FORMAT_VERSION
-from .labelcover import Edge, LabelCoverInstance
+from .labelcover import LabelCoverInstance
 from .solvers import NcgTensor
 
 
@@ -118,10 +118,10 @@ def load_instance(path) -> LabelCoverInstance:
     doc = _read(path, "instance", {"vertices": (), "n": (), "k": (), "t": (), "gamma": (),
                                    "zeta": (), "edges": edge},
                 integers=("vertices", "n", "k", "t", *edge))
-    edges = [Edge(u=u - 1, v=v - 1, pi_u=pi_u - 1, pi_v=pi_v - 1) for u, v, pi_u, pi_v
-             in zip(doc["u"].tolist(), doc["v"].tolist(), doc["pi_u"], doc["pi_v"])]
     return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"],
-                              t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"], edges=edges)
+                              t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"],
+                              ends=np.stack([doc["u"], doc["v"]], axis=1) - 1,
+                              pis=np.stack([doc["pi_u"], doc["pi_v"]], axis=1) - 1)
 
 
 def save_assignment(labels, path) -> None:

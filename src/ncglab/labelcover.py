@@ -12,7 +12,7 @@ only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,19 +23,11 @@ EXHAUSTIVE_LIMIT = 12
 
 
 @dataclass(eq=False)
-class Edge:
-    u: int
-    v: int
-    pi_u: np.ndarray  # (n,) values in [0, k)
-    pi_v: np.ndarray
-
-
-@dataclass(eq=False)
 class LabelCoverInstance:
     """Regular connected graph + per-edge projections [n] -> [k].
 
     Vertices and labels are 0-based internally; the JSON format is 1-based.
-    The checkers read ``edges`` as arrays built once here: ``ends`` (E, 2)
+    An instance holds its E edges only as two integer arrays: ``ends`` (E, 2)
     of (u, v) and ``pis`` (E, 2, n) of (pi_u, pi_v).
     """
 
@@ -45,18 +37,18 @@ class LabelCoverInstance:
     t: int
     gamma: float
     zeta: float
-    edges: list[Edge] = field(default_factory=list)
-    ends: np.ndarray = field(init=False, repr=False)
-    pis: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray
+    pis: np.ndarray
 
     def __post_init__(self):
         if self.num_vertices < 1 or self.n < 1 or self.k < 1 or self.t < 1:
             raise ValueError("num_vertices, n, k, t must all be positive")
-        pairs = [(e.pi_u, e.pi_v) for e in self.edges]
-        if any(np.shape(pi) != (self.n,) for pair in pairs for pi in pair):
+        self.ends = np.asarray(self.ends, dtype=np.int64)
+        self.pis = np.asarray(self.pis, dtype=np.int64)
+        if self.ends.ndim != 2 or self.ends.shape[1] != 2:
+            raise ValueError("edge ends must be an (E, 2) array")
+        if self.pis.shape != (len(self.ends), 2, self.n):
             raise ValueError("projection must be a length-n array")
-        self.ends = np.array([(e.u, e.v) for e in self.edges], dtype=np.int64).reshape(-1, 2)
-        self.pis = np.array(pairs, dtype=np.int64).reshape(-1, 2, self.n)
         if np.any((self.ends < 0) | (self.ends >= self.num_vertices)):
             raise ValueError("edge endpoint out of range")
         if np.any(self.ends[:, 0] == self.ends[:, 1]):
@@ -66,7 +58,7 @@ class LabelCoverInstance:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.ends.ravel(), minlength=self.num_vertices)
@@ -113,8 +105,8 @@ def satisfied_fraction(inst: LabelCoverInstance, labels) -> float:
     return int(np.count_nonzero(small[:, 0] == small[:, 1])) / inst.num_edges
 
 
-def _circulant_edges(num_vertices: int, degree: int) -> list[tuple[int, int]]:
-    """Edge list of a connected degree-regular circulant graph."""
+def _circulant_edges(num_vertices: int, degree: int) -> np.ndarray:
+    """(E, 2) ends of a connected degree-regular circulant graph."""
     if degree < 1 or degree >= num_vertices:
         raise ValueError("degree must satisfy 1 <= degree < num_vertices")
     if degree % 2 == 1 and num_vertices % 2 == 1:
@@ -122,21 +114,12 @@ def _circulant_edges(num_vertices: int, degree: int) -> list[tuple[int, int]]:
     offsets = list(range(1, degree // 2 + 1))
     if degree % 2 == 1:
         offsets.append(num_vertices // 2)
-    edges = []
+    blocks = []
     for off in offsets:
-        if 2 * off == num_vertices:
-            # antipodal offset contributes one edge per vertex pair
-            edges.extend((v, (v + off) % num_vertices) for v in range(num_vertices // 2))
-        else:
-            edges.extend((v, (v + off) % num_vertices) for v in range(num_vertices))
-    return edges
-
-
-def _random_projection(n: int, k: int, t: int, rng) -> np.ndarray:
-    """Random total map [n] -> [k] with all preimages of size <= t."""
-    pool = np.repeat(np.arange(k), t)
-    rng.shuffle(pool)
-    return pool[:n].copy()
+        # an antipodal offset contributes one edge per vertex pair
+        v = np.arange(num_vertices // 2 if 2 * off == num_vertices else num_vertices)
+        blocks.append(np.stack([v, (v + off) % num_vertices], axis=1))
+    return np.concatenate(blocks)
 
 
 def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: int,
@@ -146,10 +129,13 @@ def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: i
         raise ValueError("need k*t >= n so projections with preimage bound t exist")
     rng = np.random.default_rng(seed)
     planted = rng.integers(0, n, size=num_vertices) if plant else None
-    edges = []
-    for u, v in _circulant_edges(num_vertices, degree):
-        pi_u = _random_projection(n, k, t, rng)
-        pi_v = _random_projection(n, k, t, rng)
+    ends = _circulant_edges(num_vertices, degree)
+    pis = np.empty((len(ends), 2, n), dtype=np.int64)
+    # a shuffled pool's first n entries: a random map [n] -> [k], preimages of size <= t
+    pool = np.repeat(np.arange(k), t)
+    for (u, v), (pi_u, pi_v) in zip(ends.tolist(), pis):
+        pi_u[:] = rng.permutation(pool)[:n]
+        pi_v[:] = rng.permutation(pool)[:n]
         if plant and pi_v[planted[v]] != pi_u[planted[u]]:
             target = pi_u[planted[u]]
             hits = np.flatnonzero(pi_v == target)
@@ -158,9 +144,8 @@ def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: i
                 pi_v[swap], pi_v[planted[v]] = pi_v[planted[v]], pi_v[swap]
             else:
                 pi_v[planted[v]] = target
-        edges.append(Edge(u=u, v=v, pi_u=pi_u, pi_v=pi_v))
     inst = LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=t,
-                              gamma=1.0, zeta=zeta, edges=edges)
+                              gamma=1.0, zeta=zeta, ends=ends, pis=pis)
     if not inst.is_connected():
         raise ValueError("parameters produce a disconnected graph")
     inst.gamma = check_smoothness(inst)

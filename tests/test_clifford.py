@@ -195,6 +195,44 @@ class TestTraceNormFormula:
             assert abs(clifford.trace_norm_formula(x) - np.linalg.norm(x)) <= 1e-10
 
 
+class TestClosedFormRounding:
+    """Both radicands are >= 0 in exact arithmetic (Cauchy-Schwarz, and
+    s >= 2 ||Re a|| ||Im a|| >= 2L); a rounded negative value reads as 0."""
+
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    def test_rotated_real_vectors(self, n):
+        # e^{i theta} x is an isometric input: L = 0 and the value is ||x||_2
+        rng = np.random.default_rng(n)
+        rounded_below_zero = 0
+        for _ in range(2000):
+            x = rng.normal(size=n)
+            a = np.exp(1j * rng.uniform(0, 2 * np.pi)) * x
+            re, im = a.real, a.imag
+            rounded_below_zero += (re @ re) * (im @ im) - (re @ im) ** 2 < 0
+            norm = np.linalg.norm(x)
+            assert abs(clifford.trace_norm_formula(a) - norm) <= 1e-12 * norm
+        assert rounded_below_zero > 0
+
+    def test_nearly_aligned_large_vectors(self):
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            x = rng.normal(size=6)
+            a = 1e4 * (x + 1j * (x + 1e-9 * rng.normal(size=6)))
+            norm = np.linalg.norm(a)
+            assert abs(clifford.trace_norm_formula(a) - norm) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-8, 9))
+    def test_homogeneous(self, scale):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            a = random_complex_vec(rng, 6)
+            if rng.random() < 0.5:  # an aligned input, whose radicands round near 0
+                a = a.real * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            c = scale * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            want = scale * clifford.trace_norm_formula(a)
+            assert abs(clifford.trace_norm_formula(c * a) - want) <= 1e-12 * want
+
+
 class TestPhaseFamily:
     def test_exhaustive_n1(self):
         fam = clifford.build_phase_family(1, "exhaustive")

@@ -366,3 +366,8 @@ class TestProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             comm.berry_esseen_profile([], "real")
+
+    @pytest.mark.parametrize("mode", ["monte_carlo", "pairwise_independent", "Auto"])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match=f"got '{mode}'"):
+            comm.berry_esseen_profile([2], "real", mode=mode, sample_count=100, seed=0)

@@ -1,30 +1,33 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncglab import config
+from ncglab import config, fileio
 from ncglab import labelcover as lc
 
 
 def tiny_instance():
     """Single edge, n=k=2, identity projections."""
-    ident = np.array([0, 1])
-    edge = lc.Edge(u=0, v=1, pi_u=ident.copy(), pi_v=ident.copy())
+    ident = [0, 1]
     return lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0.0,
-                                 zeta=0.1, edges=[edge])
+                                 zeta=0.1, ends=[[0, 1]], pis=[[ident, ident]])
 
 
 class TestInstanceModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            lc.LabelCoverInstance(num_vertices=0, n=1, k=1, t=1, gamma=0, zeta=0, edges=[])
+            lc.LabelCoverInstance(num_vertices=0, n=1, k=1, t=1, gamma=0, zeta=0,
+                                  ends=np.empty((0, 2)), pis=np.empty((0, 2, 1)))
         with pytest.raises(ValueError):  # out-of-range projection value
             lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
-                                  edges=[lc.Edge(0, 1, np.array([0, 5]), np.array([0, 1]))])
+                                  ends=[[0, 1]], pis=[[[0, 5], [0, 1]]])
         with pytest.raises(ValueError):  # self loop
             lc.LabelCoverInstance(num_vertices=2, n=1, k=1, t=1, gamma=0, zeta=0,
-                                  edges=[lc.Edge(0, 0, np.array([0]), np.array([0]))])
+                                  ends=[[0, 0]], pis=[[[0], [0]]])
 
     def test_degree_and_connectivity(self):
         inst = tiny_instance()
@@ -43,7 +46,8 @@ class TestSatisfiedFraction:
         rng = np.random.default_rng(4)
         labels = rng.integers(0, 5, inst.num_vertices)
         brute = sum(
-            1 for e in inst.edges if e.pi_u[labels[e.u]] == e.pi_v[labels[e.v]]
+            1 for (u, v), (pi_u, pi_v) in zip(inst.ends, inst.pis)
+            if pi_u[labels[u]] == pi_v[labels[v]]
         ) / inst.num_edges
         assert lc.satisfied_fraction(inst, labels) == pytest.approx(brute)
 
@@ -51,11 +55,10 @@ class TestSatisfiedFraction:
         inst, planted = lc.generate_planted(8, 3, 4, 2, 2, seed=5)
         rng = np.random.default_rng(6)
         perm = rng.permutation(inst.num_vertices)
-        edges = [lc.Edge(u=int(perm[e.u]), v=int(perm[e.v]),
-                         pi_u=e.pi_u.copy(), pi_v=e.pi_v.copy()) for e in inst.edges]
         shuffled = lc.LabelCoverInstance(num_vertices=inst.num_vertices, n=inst.n,
                                          k=inst.k, t=inst.t, gamma=inst.gamma,
-                                         zeta=inst.zeta, edges=edges)
+                                         zeta=inst.zeta, ends=perm[inst.ends],
+                                         pis=inst.pis.copy())
         relabeled = np.empty_like(planted)
         relabeled[perm] = planted
         assert lc.satisfied_fraction(shuffled, relabeled) == \
@@ -107,7 +110,7 @@ class TestSmoothness:
         pi_u = np.array([0, 0])
         pi_v = np.array([0, 1])
         inst = lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=2, gamma=1.0,
-                                     zeta=0.1, edges=[lc.Edge(0, 1, pi_u, pi_v)])
+                                     zeta=0.1, ends=[[0, 1]], pis=[[pi_u, pi_v]])
         assert lc.check_smoothness(inst) == 1.0
 
     def test_at_most_one(self):
@@ -163,9 +166,9 @@ class TestWeakExpansion:
 
 def loop_degrees(inst):
     deg = np.zeros(inst.num_vertices, dtype=int)
-    for e in inst.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    for u, v in inst.ends:
+        deg[u] += 1
+        deg[v] += 1
     return deg
 
 
@@ -173,9 +176,9 @@ def loop_is_connected(inst):
     if inst.num_vertices == 1:
         return True
     adj = [[] for _ in range(inst.num_vertices)]
-    for e in inst.edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
+    for u, v in inst.ends:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = np.zeros(inst.num_vertices, dtype=bool)
     stack = [0]
     seen[0] = True
@@ -190,8 +193,8 @@ def loop_is_connected(inst):
 
 def loop_max_preimage_size(inst):
     worst = 0
-    for e in inst.edges:
-        for pi in (e.pi_u, e.pi_v):
+    for pair in inst.pis:
+        for pi in pair:
             worst = max(worst, int(np.bincount(pi, minlength=inst.k).max()))
     return worst
 
@@ -199,15 +202,16 @@ def loop_max_preimage_size(inst):
 def loop_satisfied_fraction(inst, labels):
     if inst.num_edges == 0:
         return 1.0
-    good = sum(1 for e in inst.edges if e.pi_u[labels[e.u]] == e.pi_v[labels[e.v]])
+    good = sum(1 for (u, v), (pi_u, pi_v) in zip(inst.ends, inst.pis)
+               if pi_u[labels[u]] == pi_v[labels[v]])
     return good / inst.num_edges
 
 
 def loop_smoothness(inst):
     worst = 0.0
-    for v in range(inst.num_vertices):
-        incident = [pi for e in inst.edges for end, pi in ((e.u, e.pi_u), (e.v, e.pi_v))
-                    if end == v]
+    for vertex in range(inst.num_vertices):
+        incident = [pi for ends, pair in zip(inst.ends, inst.pis)
+                    for end, pi in zip(ends, pair) if end == vertex]
         if not incident:
             continue
         counts = np.zeros((inst.n, inst.n), dtype=int)
@@ -238,13 +242,30 @@ def random_edge_instance(num_vertices, num_edges, n, k, seed):
     """Arbitrary multigraph (irregular, possibly disconnected) with random
     projections; no preimage bound is imposed."""
     rng = np.random.default_rng(seed)
-    edges = []
-    for _ in range(num_edges):
-        u, v = rng.choice(num_vertices, size=2, replace=False)
-        edges.append(lc.Edge(u=int(u), v=int(v), pi_u=rng.integers(0, k, n),
-                             pi_v=rng.integers(0, k, n)))
+    ends = np.empty((num_edges, 2), dtype=np.int64)
+    pis = np.empty((num_edges, 2, n), dtype=np.int64)
+    for end, pair in zip(ends, pis):
+        end[:] = rng.choice(num_vertices, size=2, replace=False)
+        pair[0], pair[1] = rng.integers(0, k, n), rng.integers(0, k, n)
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=n, gamma=1.0,
-                                 zeta=0.1, edges=edges)
+                                 zeta=0.1, ends=ends, pis=pis)
+
+
+def assert_file_round_trip(inst):
+    """save_instance then load_instance gives the same instance, and saving
+    what was loaded writes the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        fileio.save_instance(inst, first)
+        loaded = fileio.load_instance(first)
+        for name in ("num_vertices", "n", "k", "t", "gamma", "zeta"):
+            assert getattr(loaded, name) == getattr(inst, name)
+        for name in ("ends", "pis"):
+            got, want = getattr(loaded, name), getattr(inst, name)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        fileio.save_instance(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
 
 
 class TestCheckersMatchLoops:
@@ -268,24 +289,23 @@ class TestCheckersMatchLoops:
     @given(vertices=st.integers(2, 10), num_edges=st.integers(0, 20),
            n=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**16))
     def test_arbitrary_multigraphs(self, vertices, num_edges, n, k, seed):
-        assert_checkers_match_loops(random_edge_instance(vertices, num_edges, n, k, seed),
-                                    seed)
+        inst = random_edge_instance(vertices, num_edges, n, k, seed)
+        assert_checkers_match_loops(inst, seed)
+        assert_file_round_trip(inst)
 
     def test_disconnected(self):
-        ident = np.arange(3)
-        edges = [lc.Edge(0, 1, ident.copy(), ident.copy()),
-                 lc.Edge(2, 3, np.array([0, 0, 1]), ident.copy())]
+        ident = [0, 1, 2]
         inst = lc.LabelCoverInstance(num_vertices=4, n=3, k=3, t=2, gamma=1.0,
-                                     zeta=0.1, edges=edges)
+                                     zeta=0.1, ends=[[0, 1], [2, 3]],
+                                     pis=[[ident, ident], [[0, 0, 1], ident]])
         assert not inst.is_connected() and inst.is_regular()
         assert lc.check_smoothness(inst) == 1.0
         assert_checkers_match_loops(inst)
 
     def test_isolated_vertex(self):
-        edges = [lc.Edge(0, 1, np.array([0, 1]), np.array([1, 1])),
-                 lc.Edge(1, 2, np.array([0, 1]), np.array([0, 1]))]
         inst = lc.LabelCoverInstance(num_vertices=4, n=2, k=2, t=2, gamma=1.0,
-                                     zeta=0.1, edges=edges)
+                                     zeta=0.1, ends=[[0, 1], [1, 2]],
+                                     pis=[[[0, 1], [1, 1]], [[0, 1], [0, 1]]])
         np.testing.assert_array_equal(inst.degrees(), [1, 2, 1, 0])
         assert not inst.is_connected() and not inst.is_regular()
         assert lc.check_smoothness(inst) == 0.5  # vertex 1: one collision in two sides
@@ -294,7 +314,7 @@ class TestCheckersMatchLoops:
     @pytest.mark.parametrize("num_vertices", [1, 3])
     def test_no_edges(self, num_vertices):
         inst = lc.LabelCoverInstance(num_vertices=num_vertices, n=2, k=1, t=2, gamma=1.0,
-                                     zeta=0.1, edges=[])
+                                     zeta=0.1, ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
         assert inst.ends.shape == (0, 2) and inst.pis.shape == (0, 2, 2)
         assert inst.max_preimage_size() == 0 and lc.check_smoothness(inst) == 0.0
         assert inst.is_connected() == (num_vertices == 1)
@@ -317,19 +337,20 @@ class TestEdgeArrays:
         assert inst.ends.dtype == np.int64 and inst.pis.dtype == np.int64
         assert inst.ends.shape == (inst.num_edges, 2)
         assert inst.pis.shape == (inst.num_edges, 2, inst.n)
-        for e, (u, v), (pi_u, pi_v) in zip(inst.edges, inst.ends, inst.pis):
-            assert (e.u, e.v) == (u, v)
-            np.testing.assert_array_equal(e.pi_u, pi_u)
-            np.testing.assert_array_equal(e.pi_v, pi_v)
 
-    @pytest.mark.parametrize("edge", [
-        lc.Edge(0, 1, np.array([0, 1, 0]), np.array([0, 1])),  # wrong length
-        lc.Edge(0, 1, np.array([[0, 1]]), np.array([0, 1])),  # wrong shape
-        lc.Edge(0, 2, np.array([0, 1]), np.array([0, 1])),  # endpoint out of range
-        lc.Edge(-1, 1, np.array([0, 1]), np.array([0, 1])),  # negative endpoint
-        lc.Edge(0, 1, np.array([0, -1]), np.array([0, 1])),  # negative label
+    @pytest.mark.parametrize("ends,pis,message", [
+        pytest.param([[0, 1]], [[[0, 1, 0], [0, 1, 0]]], "length-n", id="wrong-length"),
+        pytest.param([[0, 1]], [[[0, 1]]], "length-n", id="wrong-shape"),
+        pytest.param([[0, 1]], [[[0, 1], [0, 1]]] * 2, "length-n", id="wrong-edge-count"),
+        pytest.param([0, 1], [[[0, 1], [0, 1]]], r"\(E, 2\)", id="flat-ends"),
+        pytest.param([[0, 2]], [[[0, 1], [0, 1]]], "endpoint out of range",
+                     id="endpoint-out-of-range"),
+        pytest.param([[-1, 1]], [[[0, 1], [0, 1]]], "endpoint out of range",
+                     id="negative-endpoint"),
+        pytest.param([[0, 1]], [[[0, -1], [0, 1]]], "projection value out of range",
+                     id="negative-label"),
     ])
-    def test_validation(self, edge):
-        with pytest.raises(ValueError):
+    def test_validation(self, ends, pis, message):
+        with pytest.raises(ValueError, match=message):
             lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
-                                  edges=[edge])
+                                  ends=ends, pis=pis)

@@ -20,20 +20,16 @@ from ncglab.config import SUBSPACE_RESIDUAL_TOL
 
 def single_edge_constant_projection():
     """One edge, n=2, k=1: both projections send everything to label 0."""
-    const = np.zeros(2, dtype=int)
-    edge = lc.Edge(u=0, v=1, pi_u=const.copy(), pi_v=const.copy())
     return lc.LabelCoverInstance(num_vertices=2, n=2, k=1, t=2, gamma=1.0,
-                                 zeta=0.1, edges=[edge])
+                                 zeta=0.1, ends=[[0, 1]], pis=np.zeros((1, 2, 2)))
 
 
 def identity_projection_instance(num_vertices=4, degree=2, n=3):
-    ident = np.arange(n)
-    edges = []
-    for v in range(num_vertices):
-        edges.append(lc.Edge(u=v, v=(v + 1) % num_vertices,
-                             pi_u=ident.copy(), pi_v=ident.copy()))
+    vertices = np.arange(num_vertices)
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=n, t=1,
-                                 gamma=0.0, zeta=0.1, edges=edges)
+                                 gamma=0.0, zeta=0.1,
+                                 ends=np.stack([vertices, (vertices + 1) % num_vertices], axis=1),
+                                 pis=np.tile(np.arange(n), (num_vertices, 2, 1)))
 
 
 class TestConstraints:
@@ -135,16 +131,16 @@ def loop_constraints(inst):
     """Reference: one row per (edge, small label), filled entry by entry."""
     data, row_idx, col_idx = [], [], []
     r = 0
-    for e in inst.edges:
+    for (u, v), (pi_u, pi_v) in zip(inst.ends, inst.pis):
         for j in range(inst.k):
-            for i in np.flatnonzero(e.pi_u == j):
+            for i in np.flatnonzero(pi_u == j):
                 data.append(1.0)
                 row_idx.append(r)
-                col_idx.append(e.u * inst.n + int(i))
-            for i in np.flatnonzero(e.pi_v == j):
+                col_idx.append(u * inst.n + int(i))
+            for i in np.flatnonzero(pi_v == j):
                 data.append(-1.0)
                 row_idx.append(r)
-                col_idx.append(e.v * inst.n + int(i))
+                col_idx.append(v * inst.n + int(i))
             r += 1
     shape = (r, inst.num_vertices * inst.n)
     return scipy.sparse.csr_matrix((data, (row_idx, col_idx)), shape=shape)
@@ -215,7 +211,7 @@ class TestConstraintsMatchLoop:
 
     def test_no_edges(self):
         inst = lc.LabelCoverInstance(num_vertices=3, n=2, k=1, t=2, gamma=1.0,
-                                     zeta=0.1, edges=[])
+                                     zeta=0.1, ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
         cs = red.build_constraints(inst)
         assert cs.matrix.shape == (0, 6)
 
