@@ -17,10 +17,10 @@ The pieces, in dependency order:
   direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
 * the dictatorship-test constants ETA, TAU and spread_threshold(eps).
 
-The direct sum has dimension ``4^n * 2^m``. Only ``lift`` builds it, for
-``n <= MATERIALIZE_MAX_N``, from its images ``kron(diag(w_i over w), C_i)``
-(``reduction.EmbeddingBackend.little_op``); everything else works through
-the formula.
+The direct sum has dimension ``4^n * 2^m``. Only ``lift`` builds it, while
+that side is at most DENSE_DIM_CAP (n <= 3), from its images
+``kron(diag(w_i over w), C_i)`` (``reduction.EmbeddingBackend.little_op``);
+everything else works through the formula.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-
-# Largest n whose embedding the lift builds: the direct sum has dimension
-# 4^n * 2^ceil(n/2), 256 at n = 3.
-MATERIALIZE_MAX_N = 3
 
 # Temporaries each batch kernel holds at once, counted in (rows, P) arrays:
 # the traced peaks are 7.0-7.1 and 12.0-12.5 of them at P = 64 and P = 62409.
@@ -74,16 +70,14 @@ def make_generators(n: int) -> CliffordGenerators:
     """Build the 2*ceil(n/2) Pauli-string generators for n coordinates.
 
     Pair j contributes Z^(j-1) x X x I^(m-j) and Z^(j-1) x Y x I^(m-j).
-    Entries are exactly in {0, +-1, +-i}. The 2m dense (2^m x 2^m) matrices
-    are refused, before the first is built, when their entries exceed those
-    of one DENSE_DIM_CAP-sided matrix (n <= 18 passes).
+    Entries are exactly in {0, +-1, +-i}. A side 2^m above DENSE_DIM_CAP is
+    refused before the first matrix is built (n <= 18 passes).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
-    if 2 * m * 4**m > DENSE_DIM_CAP**2:
-        raise ValueError(f"generator entries 2m x 4^m with m={m} exceed cap "
-                         f"{DENSE_DIM_CAP}^2")
+    if 2**m > DENSE_DIM_CAP:
+        raise ValueError(f"generator side 2^{m} exceeds cap {DENSE_DIM_CAP}")
     matrices = []
     for j in range(1, m + 1):
         prefix = [PAULI_Z] * (j - 1)

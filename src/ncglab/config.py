@@ -1,14 +1,13 @@
 """Central numeric defaults. CLI flags and keyword arguments override these."""
 
-# Largest side of a tensor (d), checked before its (d^2 x d^2) matrix and
-# solve-ncg's d x d unitaries exist. The 2m Clifford generators, each
-# 2^m x 2^m with m = ceil(n/2), may hold at most DENSE_DIM_CAP^2 entries in
-# all, those of one largest permitted dense matrix; that allows n <= 18.
-DENSE_DIM_CAP = 4096
+# Largest side of any dense square matrix, checked before it exists: Clifford
+# generators (2^ceil(n/2), n <= 18), little_op images and a tensor's d x d
+# unitaries in solve-ncg. 512 is the largest lift's side (comm_real, n = 9).
+DENSE_DIM_CAP = 512
 
 # Enumeration bound: the members an exhaustive sign ensemble streams (only
-# little_op, which checks LIFT_CAP first, and the tests materialize them) and
-# the entries (parity rows x n) of an exact phase family.
+# little_op, after its DENSE_DIM_CAP check, and the tests materialize them)
+# and the entries (parity rows x n) of an exact phase family.
 ENUMERATION_CAP = 2**20
 
 # Most entries (as float64, 32 MiB) a chunked kernel holds in temporaries at once:

@@ -43,8 +43,7 @@ class LabelCoverInstance:
     def __post_init__(self):
         if self.num_vertices < 1 or self.n < 1 or self.k < 1 or self.t < 1:
             raise ValueError("num_vertices, n, k, t must all be positive")
-        self.ends = np.asarray(self.ends, dtype=np.int64)
-        self.pis = np.asarray(self.pis, dtype=np.int64)
+        self.ends, self.pis = _int64(self.ends, "ends"), _int64(self.pis, "pis")
         if self.ends.ndim != 2 or self.ends.shape[1] != 2:
             raise ValueError("edge ends must be an (E, 2) array")
         if self.pis.shape != (len(self.ends), 2, self.n):
@@ -87,8 +86,18 @@ class LabelCoverInstance:
         return int(np.bincount(slots.ravel()).max(initial=0))
 
 
+def _int64(values, name: str) -> np.ndarray:
+    """values as int64; a value the conversion would change is refused by name."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
+        out = raw.astype(np.int64)
+    if np.any(out != raw):
+        raise ValueError(f"{name} must hold integers, not {raw[out != raw][0]}")
+    return out
+
+
 def check_assignment(inst: LabelCoverInstance, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=int).reshape(-1)
+    labels = _int64(labels, "labels").reshape(-1)
     if labels.shape != (inst.num_vertices,):
         raise ValueError("assignment must give one label per vertex")
     if labels.min() < 0 or labels.max() >= inst.n:

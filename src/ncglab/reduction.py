@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 
 from . import clifford, commutative, solvers
-from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS,
+from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS, DENSE_DIM_CAP,
                      SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
 from .solvers import _sphere_ascent
@@ -79,20 +79,21 @@ class SubspaceBasis:
     constant |V|.
 
     ``project`` runs x <- x - A^T M^-1 A x twice, with M = A A^T + mu I
-    factored once (``lu``, None when A is zero). Every update lies in the row
-    space of A, and one sweep leaves the row-space component along a
-    singular value s scaled by mu / (s^2 + mu), so the sweeps converge to the
-    orthogonal projection. A is real, so a complex field goes through as the
-    two columns of its (len, 2) float64 view.
+    factored once (``lu``, None when A is zero) and A^T a CSC view of A's
+    arrays, made once: making it costs more than a product at small V. Every
+    update lies in the row space of A, and one sweep leaves the row-space
+    component along a singular value s scaled by mu / (s^2 + mu), so the sweeps
+    converge to the orthogonal projection. A is real, so a complex field goes
+    through as the two columns of its (len, 2) float64 view.
     """
 
     matrix: scipy.sparse.csr_matrix
     lu: scipy.sparse.linalg.SuperLU | None
     dim: int
-    transpose: scipy.sparse.csr_matrix = field(init=False, repr=False)
+    transpose: scipy.sparse.csc_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.transpose = self.matrix.T.tocsr()
+        self.transpose = self.matrix.T
 
     def project(self, fld) -> np.ndarray:
         """The projection of a field (V, n), or of its flattening, in fld's shape."""
@@ -240,22 +241,17 @@ class EmbeddingBackend:
         """f as images of the basis vectors over the exhaustive members w (all
         phase vectors for the matrix embedding): f(e_i) = kron(diag(w_i over
         w), G_i), with G_i the i-th Clifford generator, or [[1]] for a scalar
-        embedding. A kernel that is not exhaustive, and sizes past the caps,
-        are refused before any image exists."""
+        embedding. A kernel that is not exhaustive, and an image side d = members
+        x block side above DENSE_DIM_CAP, are refused before any image exists."""
         if self.kernel.mode != "exhaustive":
             raise ValueError(f"images need an exhaustive kernel, not {self.kernel.mode!r}")
-        if self._is_matrix:
-            if self.n > clifford.MATERIALIZE_MAX_N:
-                raise ValueError(f"materialization limited to n <= {clifford.MATERIALIZE_MAX_N}")
-            ens = commutative.SignEnsemble(field="complex", n=self.n)
-            blocks = clifford.make_generators(self.n).matrices
-        else:
-            ens, d = self.kernel, self.kernel.size
-            # diagonal images: n * d^2 is both the lift's nnz bound and the dense stack
-            if self.n * d**2 > solvers.LIFT_CAP:
-                raise ValueError(f"lift size n*d^2 = {self.n * d**2} exceeds cap "
-                                 f"{solvers.LIFT_CAP}")
-            blocks = [np.ones((1, 1))] * self.n
+        d = self.kernel.size * (2 ** ((self.n + 1) // 2) if self._is_matrix else 1)
+        if d > DENSE_DIM_CAP:
+            raise ValueError(f"{self.name} image side d = {d} at n={self.n} exceeds cap "
+                             f"{DENSE_DIM_CAP}")
+        ens = commutative.SignEnsemble("complex", self.n) if self._is_matrix else self.kernel
+        blocks = (clifford.make_generators(self.n).matrices if self._is_matrix
+                  else [np.ones((1, 1))] * self.n)
         members = commutative.exhaustive_members(ens)
         return solvers.LittleOperator(images=np.stack(
             [np.kron(np.diag(members[:, i]), blocks[i]) for i in range(self.n)]))
@@ -342,8 +338,6 @@ class DecoderParams:
             raise ValueError("delta must lie in (0, 1]")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.beta > self.delta:
-            raise ValueError("beta = delta^2 eps^3 exceeds delta; parameters inconsistent")
 
     @property
     def beta(self) -> float:

@@ -204,8 +204,9 @@ def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: in
     range, Euler's identity f(z) = Re<g, z> and the subgradient inequality
     f(z') >= Re<g, z'> give, for unit z in the range and z' = g / ||g||,
     f(z) = Re<g, z> <= ||g|| = Re<g, z'> <= f(z'): a step never lowers the
-    value, and g != 0 wherever f(z) > 0. A restart stops at the first step
-    that does not raise the value, so each iteration makes one evaluation.
+    value, and g = 0 only where f(z) = Re<g, z> = 0, a value z attains. A
+    restart stops at such a z, and at the first step that does not raise the
+    value, so each iteration makes one evaluation.
     """
     rng = np.random.default_rng(seed)
     best_value, best_z = -np.inf, None
@@ -218,6 +219,8 @@ def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: in
         z = z / np.linalg.norm(z)
         value, grad = norm_and_grad(z)
         for _ in range(iters):
+            if not np.any(grad):
+                break
             cand = grad / np.linalg.norm(grad)
             cand_value, grad = norm_and_grad(cand)
             if cand_value <= value:

@@ -116,8 +116,7 @@ class TestGenerators:
             clifford.make_generators(100)
 
     def test_entry_cap_refuses_n19_before_building(self, monkeypatch):
-        # n = 19 and 20 would hold 20 matrices of 4^10 entries, above
-        # DENSE_DIM_CAP^2; n = 18 holds 18 of 4^9
+        # n = 19 and 20 need side 2^10, above DENSE_DIM_CAP; n = 18 has side 2^9
         built = []
         monkeypatch.setattr(clifford, "_kron_chain", built.append)
         with pytest.raises(ValueError, match="cap"):

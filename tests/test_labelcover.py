@@ -29,6 +29,28 @@ class TestInstanceModel:
             lc.LabelCoverInstance(num_vertices=2, n=1, k=1, t=1, gamma=0, zeta=0,
                                   ends=[[0, 0]], pis=[[[0], [0]]])
 
+    @pytest.mark.parametrize("ends, pis, match", [
+        ([[0.9, 1.7]], [[[0, 1.5], [1, 0]]], "ends must hold integers, not 0.9"),
+        ([[0, 1]], [[[0, np.nan], [1, 0]]], "pis must hold integers, not nan"),
+    ], ids=["fractional", "nan"])
+    def test_non_integer_arrays_refused(self, ends, pis, match):
+        with pytest.raises(ValueError, match=match):
+            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+                                  ends=ends, pis=pis)
+
+    @pytest.mark.parametrize("labels, match", [([0.7, 1.0], "labels must hold integers, not 0.7"),
+                                               ([np.nan, 1], "labels must hold integers, not nan")],
+                             ids=["fractional", "nan"])
+    def test_non_integer_labels_refused(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            lc.check_assignment(tiny_instance(), labels)
+
+    def test_whole_valued_floats_accepted(self):
+        inst = lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+                                     ends=[[0.0, 1.0]], pis=[[[1.0, 0.0], [0.0, 1.0]]])
+        assert inst.ends.dtype == inst.pis.dtype == np.int64
+        assert inst.ends.tolist() == [[0, 1]] and inst.pis.tolist() == [[[1, 0], [0, 1]]]
+
     def test_degree_and_connectivity(self):
         inst = tiny_instance()
         assert inst.is_regular() and inst.is_connected()

@@ -151,6 +151,12 @@ def test_malformed_file_fails_with_report(tmp_path, capsys, command, kind, mutat
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_tensor_at_the_side_cap_loads(tmp_path):
+    path = tmp_path / "tensor.json"
+    path.write_text(json.dumps(replaced(["d"], DENSE_DIM_CAP)(json.loads(path.read_text()))))
+    assert fileio.load_tensor(path).d == DENSE_DIM_CAP
+
+
 @pytest.mark.parametrize("kind", ["instance", "assignment", "field", "tensor"])
 def test_invalid_json_names_the_kind(tmp_path, kind):
     (tmp_path / f"{kind}.json").write_text('{"version": 1,')

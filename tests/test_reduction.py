@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ncglab import clifford, commutative
 from ncglab import labelcover as lc
 from ncglab import reduction as red
-from ncglab.config import SUBSPACE_RESIDUAL_TOL
+from ncglab.config import DENSE_DIM_CAP, SUBSPACE_RESIDUAL_TOL
 
 
 def single_edge_constant_projection():
@@ -93,6 +93,14 @@ class TestSubspaceBasis:
         fld = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         once = basis.project(fld)
         np.testing.assert_allclose(basis.project(once), once, atol=1e-12)
+
+    @pytest.mark.parametrize("vertices, n, k", [(40, 6, 3), (300, 8, 4)])
+    def test_transpose_view_matches_a_csr_copy_bit_for_bit(self, vertices, n, k):
+        inst, _ = lc.generate_planted(vertices, 4, n, k, 2, seed=1)
+        basis = red.subspace_basis(red.build_constraints(inst))
+        assert np.shares_memory(basis.transpose.data, basis.matrix.data)
+        y = np.random.default_rng(0).normal(size=(basis.matrix.shape[0], 2))
+        np.testing.assert_array_equal(basis.transpose @ y, basis.matrix.T.tocsr() @ y)
 
     @pytest.mark.parametrize("maker", [red.clifford_backend, red.comm_real_backend])
     def test_real_products_match_complex(self, maker):
@@ -519,6 +527,22 @@ class TestBackendFromKernel:
         with pytest.raises(ValueError, match="exhaustive"):
             backend.little_op()
 
+    @pytest.mark.parametrize("maker, largest, d", [
+        (red.clifford_backend, 3, 256), (red.comm_real_backend, 9, 512),
+        (red.comm_complex_backend, 4, 256)])
+    def test_little_op_side_cap(self, maker, largest, d, monkeypatch):
+        """The largest n builds; one more gives side 1024 and is refused
+        before any member exists."""
+        assert maker(largest).little_op().d == d <= DENSE_DIM_CAP
+
+        def never(ens):
+            raise AssertionError("exhaustive_members called")
+
+        monkeypatch.setattr(commutative, "exhaustive_members", never)
+        with pytest.raises(ValueError, match=f"d = 1024 at n={largest + 1} exceeds cap "
+                                             f"{DENSE_DIM_CAP}$"):
+            maker(largest + 1).little_op()
+
     def test_kernel_is_the_only_init_field(self):
         assert [f.name for f in dataclasses.fields(red.EmbeddingBackend) if f.init] == ["kernel"]
         kernel = commutative.SignEnsemble(field="real", n=3)
@@ -664,6 +688,13 @@ class TestDecoder:
         with pytest.raises(ValueError):
             red.DecoderParams(eps=0.5, delta=0.5, t=0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           delta=st.floats(0.0, 1.0, exclude_min=True), t=st.integers(1, 10**9))
+    def test_every_parameter_in_range_constructs(self, eps, delta, t):
+        # beta = delta^2 eps^3 < delta on the whole range, so no further check is needed
+        assert red.DecoderParams(eps=eps, delta=delta, t=t).beta <= delta
+
 
 def loop_decode(fld, params, inst):
     """Reference: the decoder's draws one V0 vertex at a time, in vertex order."""
@@ -744,7 +775,7 @@ class TestDecoderMatchesLoop:
         fld = red.assignment_to_field(inst, planted)
         fld[:2] = 0.0  # vertices 0 and 1 leave V0, so vertex 2 is its first
         params = red.DecoderParams(eps=0.5, delta=0.5, t=inst.t, seed=0)
-        # past the constructor's check: beta/4 = 2 exceeds every |b_v(i)| <= 1
+        # a beta that no (eps, delta) in range gives: beta/4 = 2 exceeds every |b_v(i)| <= 1
         monkeypatch.setattr(red.DecoderParams, "beta", property(lambda self: 8.0))
         with pytest.raises(red.DecodeInvariantError, match=r"^vertex 2 is in V0 .* = 2\.0$"):
             red.decode(fld, params, inst)

@@ -70,7 +70,7 @@ class TestLittleOperator:
         assert s == pytest.approx(emb.norm(a), abs=1e-12)
 
     def test_clifford_materialization_cap(self):
-        with pytest.raises(ValueError, match="n <= 3"):
+        with pytest.raises(ValueError, match="d = 1024 at n=4 exceeds cap"):
             BACKEND_BUILDERS["clifford"](4).little_op()
 
     @pytest.mark.parametrize("mode,kwargs", [("pairwise_independent", {}),
@@ -463,6 +463,14 @@ class TestSphereAscent:
                                                    iters=50, seed=1)
         assert_monotone_runs(runs, restarts=4, iters=50, best=value)
         assert len(calls) == sum(len(values) for values in runs) <= 4 * (50 + 1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_operator_stops_at_the_start(self):
+        # every gradient is exactly 0, so each restart keeps its unit start
+        value, a = solvers.little_norm_lower_bound(
+            solvers.LittleOperator(images=np.zeros((2, 2, 2))), restarts=3)
+        assert value == 0.0
+        assert np.all(np.isfinite(a)) and np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("backend, n", [("clifford", 2), ("comm_real", 4),
                                             ("comm_complex", 3)])
