@@ -81,21 +81,27 @@ def rho(a) -> np.ndarray:
 
 
 def polar_unitary(m) -> np.ndarray:
-    """Unitary factor U = u @ vh of the SVD, maximizing Re Tr(U* M).
+    """Unitary polar factors U = u @ vh of the SVD of a square matrix or of
+    each block of a (..., b, b) stack, maximizing Re Tr(U* M) blockwise.
 
-    A nonsingular diagonal M (every off-diagonal entry exactly 0, no zero on
-    the diagonal) has a unique polar factor, diag(m_ii / |m_ii|), returned in
-    closed form; it equals u @ vh up to rounding. Every other input takes the
-    SVD. The all-zero matrix is degenerate (any unitary is optimal); the
-    identity is returned and a RuntimeWarning is emitted.
+    A 1 x 1 block's factor is m / |m| in closed form. A zero block is
+    degenerate (any unitary is optimal) and gets the identity block; an input
+    with no nonzero entry at all also emits a RuntimeWarning.
     """
-    m = _require_square(as_matrix(m))
-    if not np.any(m):
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    identity = np.eye(m.shape[-1], dtype=np.complex128)
+    zero = ~np.any(m, axis=(-2, -1))
+    if np.all(zero):
         warnings.warn("polar_unitary of an all-zero matrix is degenerate; returning identity",
                       RuntimeWarning, stacklevel=2)
-        return np.eye(m.shape[0], dtype=np.complex128)
-    diag = np.diag(m)
-    if np.all(diag) and np.count_nonzero(m) == diag.size:
-        return np.diag(diag / np.abs(diag))
+        return np.broadcast_to(identity, m.shape).copy()
+    if m.shape[-1] == 1:
+        return np.divide(m, np.abs(m), out=np.ones_like(m), where=m != 0)
     u, _, vh = np.linalg.svd(m, full_matrices=False)
-    return u @ vh
+    out = u @ vh
+    out[zero] = identity
+    return out

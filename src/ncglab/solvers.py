@@ -13,6 +13,13 @@ sum T_{ijkl} A_{ij} conj(B_{kl}), held as one sparse (d^2 x d^2) matrix with
 rows i*d+j and columns k*d+l. Its optimum over pairs of unitaries equals
 ||F||^2, so alternating closed-form polar steps on T give certified lower
 bounds for the squared operator norm.
+
+The form reads A and B only inside the diagonal blocks that T's support
+spans: the connected components of the index graph with edges (i, j) and
+(k, l) for every entry. Every image kron(diag(w_i / w), G_i) is
+block-diagonal, so lifts have many small blocks. The solver restricts T to
+the block coordinates and takes its polar steps blockwise, advancing the
+restarts of a chunk together.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .config import DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL, DENSE_DIM_CAP
+from .config import (CHUNK_ENTRIES, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
+                     DENSE_DIM_CAP)
 from .linalg import as_matrix, polar_unitary
 
 # Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
@@ -135,6 +143,88 @@ class NcgResult:
     unitarity_residual_b: float = 0.0
 
 
+class _Blocks:
+    """Diagonal blocks of d x d matrices found from a support: the connected
+    components of the graph on range(d) with an edge (i, j) for each support
+    position i*d + j. Every position of the support lies in one block.
+
+    ``groups`` holds one (count, b) array of block indices per side b, sides
+    ascending, blocks by least index, indices ascending. A block stack is a
+    vector over the block coordinates, group by group and block by block in
+    row-major order; ``coords`` are their flat positions i*d + j."""
+
+    def __init__(self, d: int, groups: list[np.ndarray]):
+        self.d, self.groups = d, groups
+        self.coords = np.concatenate([(g[:, :, None] * d + g[:, None, :]).reshape(-1)
+                                      for g in groups])
+
+    @property
+    def size(self) -> int:
+        return self.coords.size
+
+    def dense(self, stack: np.ndarray) -> np.ndarray:
+        """The d x d matrix with the blocks of ``stack`` and zeros elsewhere."""
+        out = np.zeros(self.d * self.d, dtype=np.complex128)
+        out[self.coords] = stack
+        return out.reshape(self.d, self.d)
+
+    def polar(self, m: np.ndarray) -> np.ndarray:
+        """Polar factors of the blocks of each row of m, (rows, size), with one
+        batched polar_unitary call per side. A side that is zero in every row
+        takes identity blocks without a call."""
+        out = np.empty_like(m)
+        start = 0
+        for g in self.groups:
+            count, b = g.shape
+            stop = start + count * b * b
+            x = m[:, start:stop].reshape(len(m), count, b, b)
+            out[:, start:stop] = (polar_unitary(x).reshape(len(m), -1) if np.any(x)
+                                  else np.tile(np.eye(b).reshape(-1), count))
+            start = stop
+        return out
+
+
+def _blocks(d: int, support) -> _Blocks:
+    """Blocks of the flat positions ``support``: each index starts as its own
+    root, every edge hooks the larger of its two roots under the smaller, and
+    full path compression follows, until no edge joins two roots; a root is
+    then its component's least index."""
+    support = np.asarray(support, dtype=np.int64)
+    u, v = support // d, support % d
+    root = np.arange(d)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not np.any(split):
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    side = np.bincount(root, minlength=d)[root]
+    order = np.lexsort((np.arange(d), root, side))
+    sides = side[order]
+    return _Blocks(d, [order[sides == b].reshape(-1, b) for b in np.unique(sides)])
+
+
+def _tensor_blocks(tensor: NcgTensor) -> _Blocks:
+    """Blocks of a tensor's support, its rows (i, j) and columns (k, l)."""
+    mat = tensor.matrix
+    return _blocks(tensor.d, np.union1d(np.flatnonzero(np.diff(mat.indptr)), mat.indices))
+
+
+def _restrict(mat: scipy.sparse.csr_matrix, coords: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Rows and columns ``coords`` of a square CSR matrix whose entries all lie
+    there, each row's entries kept in their order, so products with it sum in
+    the same order as products with ``mat``."""
+    pos = np.zeros(mat.shape[1], dtype=np.int64)
+    pos[coords] = np.arange(coords.size)
+    counts = np.diff(mat.indptr)[coords]
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    take = np.repeat(mat.indptr[coords] - indptr[:-1], counts) + np.arange(indptr[-1])
+    return scipy.sparse.csr_matrix((mat.data[take], pos[mat.indices[take]], indptr),
+                                   shape=(coords.size, coords.size))
+
+
 def _haar_unitary(d: int, rng) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
@@ -159,35 +249,62 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     (the problem is nonconvex; no optimality claim), with per-restart
     half-step value histories for monotonicity audits; each history value
     reuses its half-step's contraction, |sum A o M_B| or |sum P o conj(B)|.
+
+    T reads A and B only in the diagonal blocks its support spans, and M_B
+    and P are block-diagonal too, so the solve holds A and B as block stacks
+    and takes each polar step blockwise; A and B are returned as d x d
+    block-diagonal unitaries. Restart r starts from B holding the diagonal
+    blocks of the r-th Haar unitary drawn from default_rng(seed). Restarts
+    advance together in chunks, and a restart stops at its first B half-step
+    that moves the value by at most tol * max(1, value).
     """
-    d, t_mat, t_transposed = tensor.d, tensor.matrix, tensor.matrix.T
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be positive")
+    d = tensor.d
+    blocks = _tensor_blocks(tensor)
+    t_mat = _restrict(tensor.matrix, blocks.coords)
+    t_transposed = t_mat.T
+    # a chunk holds at most ten (chunk, size) complex stacks at once (A, B, a
+    # product and its input, a polar step's input, u, vh and output), each
+    # entry two float64 entries of the CHUNK_ENTRIES budget
+    chunk = max(1, CHUNK_ENTRIES // (20 * blocks.size))
     rng = np.random.default_rng(seed)
     best = None
     histories = []
-    for _ in range(restarts):
-        b_mat = _haar_unitary(d, rng)
-        a_mat = np.eye(d, dtype=np.complex128)
-        history = []
-        prev = -np.inf
+    for first in range(0, restarts, chunk):
+        count = min(chunk, restarts - first)
+        b_stack = np.stack([_haar_unitary(d, rng).reshape(-1)[blocks.coords]
+                            for _ in range(count)])
+        a_stack = np.empty_like(b_stack)
+        runs = [[] for _ in range(count)]
+        prev = np.full(count, -np.inf)
+        active = np.arange(count)
         for _ in range(iters):
-            m_b = (t_mat @ b_mat.conj().reshape(-1)).reshape(d, d)
-            if np.any(m_b):
-                a_mat = polar_unitary(np.conj(m_b))
-            history.append(float(np.abs(np.sum(a_mat * m_b))))
-            p = (t_transposed @ a_mat.reshape(-1)).reshape(d, d)
-            if np.any(p):
-                b_mat = polar_unitary(p)
-            value = float(np.abs(np.sum(p * np.conj(b_mat))))
-            history.append(value)
-            if abs(value - prev) <= tol * max(1.0, abs(value)):
-                prev = value
+            # m is M_B, then P; each history value sums a contiguous row as
+            # the dense form sums its d x d matrix
+            m = np.ascontiguousarray((t_mat @ b_stack[active].conj().T).T)
+            a_mat = blocks.polar(m.conj())
+            a_values = np.abs(np.sum(a_mat * m, axis=1))
+            m = np.ascontiguousarray((t_transposed @ a_mat.T).T)
+            a_stack[active] = a_mat
+            del a_mat
+            b_mat = blocks.polar(m)
+            values = np.abs(np.sum(m * b_mat.conj(), axis=1))
+            b_stack[active] = b_mat
+            for r, x, y in zip(active.tolist(), a_values.tolist(), values.tolist()):
+                runs[r].extend((x, y))
+            done = np.abs(values - prev[active]) <= tol * np.maximum(1.0, values)
+            prev[active] = values
+            active = active[~done]
+            if not active.size:
                 break
-            prev = value
-        histories.append(history)
-        if best is None or prev > best[0]:
-            best = (prev, a_mat, b_mat)
-    value, a_mat, b_mat = best
-    return NcgResult(value=float(value), a=a_mat, b=b_mat, histories=histories,
+        histories += runs
+        for r in range(count):
+            if best is None or prev[r] > best[0]:
+                best = (float(prev[r]), a_stack[r].copy(), b_stack[r].copy())
+    value, a_blocks, b_blocks = best
+    a_mat, b_mat = blocks.dense(a_blocks), blocks.dense(b_blocks)
+    return NcgResult(value=value, a=a_mat, b=b_mat, histories=histories,
                      unitarity_residual_a=_unitarity_residual(a_mat),
                      unitarity_residual_b=_unitarity_residual(b_mat))
 
@@ -235,16 +352,22 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
                             iters: int = DEFAULT_ITERS, seed: int = 0):
     """Heuristic lower bound on sup_{||a||=1} ||F(a)||_S1 by the fixed-point
     sphere ascent a <- F*(U) / ||F*(U)||, with U the polar factor of F(a)
-    (F*(U) is the trace-norm subgradient at a).
+    (F*(U) is the trace-norm subgradient at a). F(a) is evaluated as the stack
+    of the diagonal blocks that the images' union support spans, and U is
+    taken blockwise.
 
     Returns (value, maximizing vector).
     """
+    images = op.images.reshape(op.n, -1)
+    blocks = _blocks(op.d, np.flatnonzero(np.any(images, axis=0)))
+    images = images[:, blocks.coords]
+
     def norm_and_grad(a):
-        m = op.apply(a)
-        u, s, vh = np.linalg.svd(m)
-        value = float(s.sum()) / op.d
+        m = (a @ images)[None]
+        u = blocks.polar(m)
+        value = float(np.sum(u.conj() * m).real) / op.d
         # complex-packed subgradient: F* of the polar factor
-        return value, adjoint_apply(op, u @ vh)
+        return value, images.conj() @ u[0] / op.d
 
     return _sphere_ascent(norm_and_grad, op.n, complex_start=True, restarts=restarts,
                           iters=iters, seed=seed)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ncglab import cli, fileio
+from ncglab import cli, fileio, solvers
 from ncglab.cli import main
+from ncglab.config import CHUNK_ENTRIES
 
 
 @pytest.fixture(autouse=True)
@@ -294,14 +296,15 @@ class TestLiftAndSolve:
             "d7a9192f58fff895a7d8861397f28a3da674869f8bf85ec3cc56727c844dfea2"
 
     def test_clifford_solve_golden_sha256(self, tmp_path):
-        # Clifford images are not diagonal, so every polar step takes the SVD.
+        # Clifford images have 2 x 2 blocks, so every polar step takes a
+        # batched SVD; test_solvers checks this case against the dense solve.
         assert main(["lift", "--backend", "clifford", "--n", "2", "--out", "tensor.json"]) == 0
         assert main(["solve-ncg", "--tensor", "tensor.json", "--restarts", "4",
                      "--seed", "1", "--out", "solution.json"]) == 0
         assert file_sha256(tmp_path / "solve-ncg.report.json") == \
-            "7e6ec8918acdf17faf9f798f1218ba84378e08660acc8d85f6c33145a4bb3b6b"
+            "e72fd45ebe686e6d10ac1ccd3c221ff06d9626305b45d6a5ddb13fa51fb44fcc"
         assert file_sha256(tmp_path / "solution.json") == \
-            "95b09b871854eb9c5cf723708fbe66ad2dd59fd110cef9a72e065dfd6586a2a9"
+            "371d0217f6f564288016ddb42a3eb909f600275efbc2f56d69707b8062d312a1"
 
     def test_tensor_roundtrip_byte_identical(self, tmp_path):
         main(["lift", "--backend", "comm_complex", "--n", "1", "--out", "t.json"])
@@ -345,6 +348,68 @@ class TestLiftAndSolve:
         report = json.loads((tmp_path / "lift.report.json").read_text())
         assert report["pass"] is False and "error" in report
         assert report["command"] == "lift"
+
+
+def write_tensor(path, d, entries):
+    """A tensor file: 1-based (i, j, k, l) and the coefficient's (re, im)."""
+    path.write_text(json.dumps({"version": 1, "d": d, "entries": entries}))
+
+
+def unitarity_residual(pairs):
+    u = np.asarray(pairs)[..., 0] + 1j * np.asarray(pairs)[..., 1]
+    return np.abs(u.conj().T @ u - np.eye(len(u))).max()
+
+
+class TestDegenerateTensors:
+    """Tensors that leave indices, or whole sides of blocks, without an entry:
+    the solve gives those blocks identity blocks, so A and B stay unitary."""
+
+    @staticmethod
+    def solve(tmp_path, *extra):
+        assert main(["solve-ncg", "--tensor", "t.json", "--seed", "0", *extra]) == 0
+        report = json.loads((tmp_path / "solve-ncg.report.json").read_text())
+        assert report["pass"] is True and report["monotone"] is True
+        assert max(report["unitarity_residuals"]) <= 1e-9
+        return report
+
+    def test_no_entries(self, tmp_path):
+        write_tensor(tmp_path / "t.json", 3, [])
+        report = self.solve(tmp_path, "--restarts", "3", "--out", "s.json")
+        assert report["value"] == 0
+        solution = json.loads((tmp_path / "s.json").read_text())
+        assert max(unitarity_residual(solution["a"]), unitarity_residual(solution["b"])) <= 1e-9
+
+    def test_indices_no_entry_touches(self, tmp_path):
+        # one entry, on indices 1 and 3 (1-based) of 6; the other four have none
+        write_tensor(tmp_path / "t.json", 6, [[1, 3, 3, 3, 0.3, -0.4]])
+        report = self.solve(tmp_path, "--restarts", "4", "--out", "s.json")
+        assert report["value"] == pytest.approx(0.5, abs=1e-12)
+        solution = json.loads((tmp_path / "s.json").read_text())
+        assert max(unitarity_residual(solution["a"]), unitarity_residual(solution["b"])) <= 1e-9
+
+    def test_one_entry_at_the_side_cap(self, tmp_path):
+        write_tensor(tmp_path / "t.json", 512, [[3, 7, 5, 2, 0.6, -0.8]])
+        report = self.solve(tmp_path, "--restarts", "4")
+        assert report["value"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_block_restarts_stay_in_the_chunk_budget(self, tmp_path):
+        # a cycle through all 128 indices makes one block; its 64 restarts run
+        # in chunks whose traced peak stays within CHUNK_ENTRIES float64
+        # entries, beside the d x d Haar draw each start is cut from
+        d = 128
+        write_tensor(tmp_path / "t.json", d,
+                     [[i + 1, (i + 1) % d + 1, (i + 1) % d + 1, i + 1, 1.0, 0.0]
+                      for i in range(d)])
+        tracemalloc.start()
+        try:
+            solvers._haar_unitary(d, np.random.default_rng(0))
+            draw = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            self.solve(tmp_path, "--restarts", "64", "--iters", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * CHUNK_ENTRIES + draw
 
 
 # Reports of the commands that take a backend name or decode a field, pinned

@@ -221,16 +221,27 @@ class TestPolarClosedForm:
     @settings(max_examples=60, deadline=None)
     @given(**DIAGONALS)
     def test_nonsingular_diagonal_matches_svd(self, field, d, decades, seed):
-        m = np.diag(spread_diagonal(field, d, decades, seed))
-        out = linalg.polar_unitary(m)
-        assert np.abs(out - svd_polar(m)).max() <= 1e-15
-        assert np.count_nonzero(out - np.diag(np.diag(out))) == 0
-        assert np.abs(out.conj().T @ out - np.eye(d)).max() <= 1e-15
+        # the entries of a diagonal as a (d, 1, 1) stack take m / |m|; as the
+        # blocks of the diagonal matrix they are its SVD polar factor
+        diag = spread_diagonal(field, d, decades, seed)
+        m = np.diag(diag)
+        out = linalg.polar_unitary(diag.reshape(d, 1, 1))
+        assert out.shape == (d, 1, 1)
+        closed = np.diag(out.reshape(d))
+        np.testing.assert_array_equal(out.reshape(d), diag.astype(np.complex128) / np.abs(diag))
+        assert np.abs(closed - svd_polar(m)).max() <= 1e-15
+        assert np.abs(np.abs(out) - 1).max() <= 1e-15
+        assert np.abs(closed.conj().T @ closed - np.eye(d)).max() <= 1e-15
+        # the 2-D diagonal has no branch of its own: past d = 1 it takes the
+        # SVD, whose unitarity residual can pass 1e-15 (1.1e-15 at d = 75)
+        dense = linalg.polar_unitary(m)
+        assert dense.tobytes() == (closed if d == 1 else svd_polar(m)).tobytes()
+        assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(**{**DIAGONALS, "d": st.integers(2, 128)})
     def test_other_inputs_take_the_svd_bit_for_bit(self, field, d, decades, seed):
-        # every 1 x 1 matrix is diagonal, so these need d >= 2
+        # 1 x 1 blocks take the closed form, so these need d >= 2
         rng = np.random.default_rng(seed + 1)
         diag = spread_diagonal(field, d, decades, seed)
         singular = diag.copy()
@@ -242,3 +253,43 @@ class TestPolarClosedForm:
         swapped[[i, j]] = swapped[[j, i]]
         for m in (np.diag(singular), off_diagonal, swapped, random_complex(rng, d, d)):
             assert linalg.polar_unitary(m).tobytes() == svd_polar(m).tobytes()
+
+
+class TestPolarStacks:
+    @pytest.mark.parametrize("b", [1, 2, 3, 5])
+    def test_stack_matches_each_block(self, b):
+        rng = np.random.default_rng(50 + b)
+        stack = random_complex(rng, 4, 3, b, b)
+        out = linalg.polar_unitary(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(4, 3):
+            assert np.abs(out[idx] - svd_polar(stack[idx])).max() <= 1e-14
+            if b > 1:
+                assert out[idx].tobytes() == svd_polar(stack[idx]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_zero_blocks_give_identity_blocks(self, b):
+        rng = np.random.default_rng(60 + b)
+        stack = random_complex(rng, 5, b, b)
+        stack[[1, 3]] = 0
+        out = linalg.polar_unitary(stack)
+        for k in (1, 3):
+            np.testing.assert_array_equal(out[k], np.eye(b))
+        for k in (0, 2, 4):
+            assert np.abs(out[k] - svd_polar(stack[k])).max() <= 1e-14
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_all_zero_stack_warns(self, b):
+        with pytest.warns(RuntimeWarning):
+            out = linalg.polar_unitary(np.zeros((3, b, b)))
+        np.testing.assert_array_equal(out, np.broadcast_to(np.eye(b), (3, b, b)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError):
+            linalg.polar_unitary(np.ones(shape))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.polar_unitary(np.full((2, 1, 1), np.nan))

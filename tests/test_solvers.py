@@ -1,4 +1,5 @@
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from ncglab import labelcover as lc
 from ncglab import reduction as red
 from ncglab import solvers
 from ncglab.clifford import PAULI_X
+from ncglab.config import DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 from ncglab.linalg import polar_unitary
 from ncglab.reduction import BACKEND_BUILDERS
 
@@ -345,36 +347,201 @@ class TestNcgSolver:
             assert sample <= result.value + 1e-9
 
 
+def dense_reference(tensor, *, restarts=DEFAULT_RESTARTS, iters=DEFAULT_ITERS,
+                    tol=DEFAULT_TOL, seed=0):
+    """The alternating maximization one restart after another on dense d x d
+    unitaries, every polar step an SVD of the whole d x d matrix: the loop the
+    block solver replaced, kept as its reference."""
+    d, t_mat, t_transposed = tensor.d, tensor.matrix, tensor.matrix.T
+    rng = np.random.default_rng(seed)
+    best = None
+    histories = []
+    for _ in range(restarts):
+        b_mat = solvers._haar_unitary(d, rng)
+        a_mat = np.eye(d, dtype=np.complex128)
+        history = []
+        prev = -np.inf
+        for _ in range(iters):
+            m_b = (t_mat @ b_mat.conj().reshape(-1)).reshape(d, d)
+            if np.any(m_b):
+                a_mat = svd_polar(np.conj(m_b))
+            history.append(float(np.abs(np.sum(a_mat * m_b))))
+            p = (t_transposed @ a_mat.reshape(-1)).reshape(d, d)
+            if np.any(p):
+                b_mat = svd_polar(p)
+            value = float(np.abs(np.sum(p * np.conj(b_mat))))
+            history.append(value)
+            if abs(value - prev) <= tol * max(1.0, abs(value)):
+                prev = value
+                break
+            prev = value
+        histories.append(history)
+        if best is None or prev > best[0]:
+            best = (prev, a_mat, b_mat)
+    value, a_mat, b_mat = best
+    return solvers.NcgResult(value=float(value), a=a_mat, b=b_mat, histories=histories)
+
+
+def unitarity_residual(u):
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def tensor_blocks(tensor):
+    """The blocks the solver finds for a tensor, as sorted index lists."""
+    return [row.tolist() for group in solvers._tensor_blocks(tensor).groups for row in group]
+
+
+def assert_matches_dense(tensor, **kwargs):
+    """The block solve against the dense reference: equal history lengths,
+    every history value and the value within 1e-12, and unitary matrices
+    that attain the value. Values only: restarts can tie in value and pick
+    different unitaries. Returns both results."""
+    got = solvers.ncg_opt_lower_bound(tensor, **kwargs)
+    want = dense_reference(tensor, **kwargs)
+    assert [len(h) for h in got.histories] == [len(h) for h in want.histories]
+    for block_history, dense_history in zip(got.histories, want.histories):
+        np.testing.assert_allclose(block_history, dense_history, rtol=0, atol=1e-12)
+    assert abs(got.value - want.value) <= 1e-12
+    for mat, reported in ((got.a, got.unitarity_residual_a), (got.b, got.unitarity_residual_b)):
+        assert reported == unitarity_residual(mat) <= 1e-9
+    assert abs(evaluate_bilinear(tensor, got.a, got.b)) == pytest.approx(got.value, abs=1e-9)
+    return got, want
+
+
+def planted_block_tensor(rng, sides, density):
+    """Random tensor whose blocks are a random partition of range(sum(sides))
+    into blocks of the given sides: every (i, j, k, l) with i, j in one block
+    and k, l in another for a random share ``density`` of the block pairs,
+    and always for a block with itself. Returns the tensor and its blocks."""
+    d = sum(sides)
+    blocks = np.split(rng.permutation(d), np.cumsum(sides)[:-1])
+    quads = [q for beta in blocks for gamma in blocks
+             if beta is gamma or rng.random() < density
+             for q in itertools.product(beta, beta, gamma, gamma)]
+    tensor = solvers.NcgTensor(d=d, indices=np.array(quads),
+                               coeffs=random_complex(rng, len(quads)))
+    return tensor, sorted(sorted(block.tolist()) for block in blocks)
+
+
+class TestBlockSolveMatchesDense:
+    """The block solve equals the dense reference. Scalar-backend lifts and
+    tensor_from_matrix tensors are checked in TestClosedFormPolarSteps."""
+
+    @pytest.mark.parametrize("n,restarts,seed,side", [(2, 8, 3, 2), (2, 4, 1, 2),
+                                                      (3, 2, 3, 4)],
+                             ids=["n=2", "n=2 solve-ncg pin", "n=3"])
+    def test_clifford_lift(self, n, restarts, seed, side):
+        tensor = solvers.lift_little_to_big(cached_little_op("clifford", n))
+        assert {len(block) for block in tensor_blocks(tensor)} == {side}
+        assert_matches_dense(tensor, restarts=restarts, seed=seed)
+
+    @pytest.mark.parametrize("sides,seed", [((1, 2, 3), 30), ((3, 1, 1, 2, 3, 2), 31),
+                                            ((2, 2, 1, 3, 1, 3, 1), 32)])
+    def test_planted_blocks_of_mixed_sides(self, sides, seed):
+        rng = np.random.default_rng(seed)
+        tensor, blocks = planted_block_tensor(rng, sides, density=0.4)
+        assert tensor_blocks(tensor) == sorted(blocks, key=lambda b: (len(b), b))
+        assert_matches_dense(tensor, restarts=6, iters=100, seed=seed)
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_one_block(self, d):
+        # random quadruples, chained so that the index graph is connected
+        rng = np.random.default_rng(40 + d)
+        chain = [(i, i + 1, i + 1, i) for i in range(d - 1)]
+        quads = np.unique(np.vstack([rng.integers(0, d, size=(3 * d, 4)), chain]), axis=0)
+        tensor = solvers.NcgTensor(d=d, indices=quads, coeffs=random_complex(rng, len(quads)))
+        assert tensor_blocks(tensor) == [list(range(d))]
+        assert_matches_dense(tensor, restarts=6, iters=100, seed=d)
+
+    def test_restarts_across_chunks(self, monkeypatch):
+        # chunks of 3 restarts: the seeded starts and the histories are unchanged
+        tensor, _ = planted_block_tensor(np.random.default_rng(33), (1, 2, 3), density=0.5)
+        whole = solvers.ncg_opt_lower_bound(tensor, restarts=8, iters=60, seed=5)
+        monkeypatch.setattr(solvers, "CHUNK_ENTRIES", 3 * 20 * (1 + 4 + 9))
+        chunked, _ = assert_matches_dense(tensor, restarts=8, iters=60, seed=5)
+        assert chunked.histories == whole.histories
+        assert chunked.value == whole.value
+
+
 class TestClosedFormPolarSteps:
     """Scalar-backend lifts and tensor_from_matrix tensors have only T_{iijj}
-    entries, so their polar steps take the closed form for diagonal matrices;
-    a run must match one whose every step takes the SVD."""
+    entries, so their blocks have side 1 and every polar step takes the
+    closed form m / |m|; a run must match the dense reference, whose every
+    step takes the SVD."""
 
     @staticmethod
-    def assert_matches_svd_steps(monkeypatch, tensor):
-        fast = solvers.ncg_opt_lower_bound(tensor, restarts=8, seed=3)
-        monkeypatch.setattr(solvers, "polar_unitary", svd_polar)
-        reference = solvers.ncg_opt_lower_bound(tensor, restarts=8, seed=3)
-        # values only: restarts can tie in value and pick different unitaries
-        assert [len(h) for h in fast.histories] == [len(h) for h in reference.histories]
-        for got, want in zip(fast.histories, reference.histories):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert abs(fast.value - reference.value) <= 1e-12
+    def assert_matches_svd_steps(tensor):
+        assert {len(block) for block in tensor_blocks(tensor)} == {1}
+        fast, reference = assert_matches_dense(tensor, restarts=8, seed=3)
         for history in fast.histories + reference.histories:
             assert all(history[i + 1] >= history[i] - 1e-9 for i in range(len(history) - 1))
 
     @pytest.mark.parametrize("backend,n", [*(("comm_real", n) for n in range(1, 5)),
                                            *(("comm_complex", n) for n in range(1, 4))])
-    def test_scalar_lift(self, monkeypatch, backend, n):
-        op = BACKEND_BUILDERS[backend](n).little_op()
-        self.assert_matches_svd_steps(monkeypatch, solvers.lift_little_to_big(op))
+    def test_scalar_lift(self, backend, n):
+        self.assert_matches_svd_steps(solvers.lift_little_to_big(cached_little_op(backend, n)))
 
     @pytest.mark.parametrize("field,d,seed", [("real", 7, 21), ("complex", 5, 22),
                                               ("complex", 16, 23)])
-    def test_tensor_from_matrix(self, monkeypatch, field, d, seed):
+    def test_tensor_from_matrix(self, field, d, seed):
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(d, d)) if field == "real" else random_complex(rng, d, d)
-        self.assert_matches_svd_steps(monkeypatch, solvers.tensor_from_matrix(m))
+        self.assert_matches_svd_steps(solvers.tensor_from_matrix(m))
+
+
+def union_find_blocks(d, quads):
+    """Oracle: the components of the index graph by a union-find loop."""
+    parent = list(range(d))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j, k, l in quads:
+        for x, y in ((i, j), (k, l)):
+            parent[find(x)] = find(y)
+    components = {}
+    for x in range(d):
+        components.setdefault(find(x), []).append(x)
+    return sorted(components.values())
+
+
+class TestBlockFinder:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blocks_are_the_connected_components(self, data):
+        d = data.draw(st.integers(1, 12))
+        index = st.integers(0, d - 1)
+        quads = data.draw(st.lists(st.tuples(index, index, index, index), max_size=40))
+        support = [i * d + j for i, j, _, _ in quads] + [k * d + l for _, _, k, l in quads]
+        found = solvers._blocks(d, support)
+        blocks = [row.tolist() for group in found.groups for row in group]
+        # a partition of range(d)
+        assert sorted(x for block in blocks for x in block) == list(range(d))
+        owner = {x: n for n, block in enumerate(blocks) for x in block}
+        # each entry's (i, j) and (k, l) inside one block
+        for i, j, k, l in quads:
+            assert owner[i] == owner[j] and owner[k] == owner[l]
+        # every block connected by the edges inside it
+        for block in blocks:
+            reached, frontier = {block[0]}, [block[0]]
+            while frontier:
+                x = frontier.pop()
+                for i, j, k, l in quads:
+                    for u, v in ((i, j), (j, i), (k, l), (l, k)):
+                        if u == x and v not in reached:
+                            reached.add(v)
+                            frontier.append(v)
+            assert reached == set(block)
+        assert sorted(blocks) == union_find_blocks(d, quads)
+        # grouped by side, then by least index, indices ascending
+        assert [len(b) for b in blocks] == sorted(len(b) for b in blocks)
+        assert all(block == sorted(block) for block in blocks)
+        for group in found.groups:
+            assert list(group[:, 0]) == sorted(group[:, 0])
+        assert found.coords.tolist() == [i * d + j for block in blocks
+                                         for i in block for j in block]
 
 
 class TestLittleNormLowerBound:
@@ -449,16 +616,16 @@ class TestSphereAscent:
         assert_monotone_runs(runs, restarts=4, iters=30, best=value)
 
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        # each objective evaluation makes one adjoint_apply call
+        # each objective evaluation makes one batched polar_unitary call: the
+        # Clifford images have blocks of one side
         runs = log_ascent_values(monkeypatch)
         calls = []
-        adjoint_apply = solvers.adjoint_apply
 
-        def counted(op, a_mat):
+        def counted(m):
             calls.append(1)
-            return adjoint_apply(op, a_mat)
+            return polar_unitary(m)
 
-        monkeypatch.setattr(solvers, "adjoint_apply", counted)
+        monkeypatch.setattr(solvers, "polar_unitary", counted)
         value, _ = solvers.little_norm_lower_bound(cached_little_op("clifford", 3), restarts=4,
                                                    iters=50, seed=1)
         assert_monotone_runs(runs, restarts=4, iters=50, best=value)
