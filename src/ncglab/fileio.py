@@ -1,28 +1,76 @@
 """Versioned JSON file formats (label cover instances, assignments, vertex
 fields, bilinear-form tensors, reports) and CSV tables.
 
-Serialization is canonical: sorted keys, fixed separators, newline at end.
-Writing what was read reproduces the file byte for byte, and a fixed seed
-reproduces identical outputs. Vertices and labels are 1-based on disk and
-0-based in memory; complex scalars are stored as [re, im] pairs.
+Serialization is canonical: every file is what json.dumps(doc, sort_keys=True,
+indent=2) writes, plus a newline. Writing what was read reproduces the file
+byte for byte, and a fixed seed reproduces identical outputs. Vertices and
+labels are 1-based on disk and 0-based in memory; complex scalars are stored
+as [re, im] pairs. Writers refuse what their readers would refuse (labels
+that are not integers, non-finite numbers) before any file exists.
+
+Numeric tables reach dump_json as numpy arrays and are rendered in one pass
+rather than number by number: one call of json's C encoder gives every
+number's text exactly as indent 2 would, and each gap between neighbours gets
+the separator indent 2 puts there, which depends only on how many trailing
+axes roll over at that gap. Every other value goes through json.dumps.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .config import FORMAT_VERSION
 from .labelcover import LabelCoverInstance
+from .linalg import _int64
 from .solvers import NcgTensor
 
 
-def dump_json(obj, path) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+def dump_json(obj: dict, path) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, where a
+    numpy array among obj's values stands for its ``tolist()``."""
+    items = [f"\n  {json.dumps(key)}: {_value_text(obj[key])}" for key in sorted(obj)]
+    Path(path).write_text("{" + ",".join(items) + "\n}\n" if items else "{}\n")
+
+
+def _value_text(value) -> str:
+    """A top-level value as indent 2 writes it one level deep."""
+    if isinstance(value, np.ndarray):
+        return _table_text(value)
+    # a JSON string holds no raw newline, so every newline starts a line
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _table_text(table: np.ndarray) -> str:
+    """json.dumps(table.tolist(), indent=2), shifted one level deep, built
+    in one pass: the numbers from one C-encoder call, the separators picked
+    by the number of trailing axes that roll over at each gap."""
+    shape = table.shape
+    if 0 in shape:  # every list around the first empty axis is []
+        shape = shape[:shape.index(0)]
+        cells = ["[]"] * math.prod(shape)
+    else:
+        cells = json.dumps(table.ravel().tolist(), separators=(",", ":"))[1:-1].split(",")
+    if not shape:
+        return "[]"
+    depth = len(shape)
+    # a list at depth m opens with "[" and its first item's indent, 2 + m
+    # levels, and closes on a line of its own at 1 + m levels
+    opens = ["[\n" + "  " * (2 + m) for m in range(depth)]
+    closes = ["\n" + "  " * (1 + m) + "]" for m in reversed(range(depth))]
+    gaps = np.array(["".join(closes[:r]) + ",\n" + "  " * (1 + depth - r)
+                     + "".join(opens[depth - r:]) for r in range(depth)], dtype=object)
+    rolls = np.zeros(len(cells) - 1, dtype=np.intp)
+    for m in range(1, depth):  # the gap after every block of shape[m:] rolls axis m over
+        block = math.prod(shape[m:])
+        rolls[block - 1::block] += 1
+    pieces = np.empty(2 * len(cells) - 1, dtype=object)
+    pieces[0::2], pieces[1::2] = cells, gaps[rolls]
+    return "".join(opens) + "".join(pieces.tolist()) + "".join(closes)
 
 
 def load_json(path):
@@ -89,6 +137,13 @@ def _table(value, kind: str, name: str, shape: tuple, integral: bool):
     return table if shape else table.item() if integral else value
 
 
+def _finite(table, kind: str, name: str):
+    """table, refused with a ValueError naming kind if any entry is not finite."""
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{kind} file {name} must be finite numbers")
+    return table
+
+
 def _pairs(values: np.ndarray) -> np.ndarray:
     """Complex array -> float array with a trailing [re, im] axis."""
     return np.stack([values.real, values.imag], axis=-1)
@@ -125,8 +180,8 @@ def load_instance(path) -> LabelCoverInstance:
 
 
 def save_assignment(labels, path) -> None:
-    labels = np.asarray(labels, dtype=int).reshape(-1)
-    dump_json({"version": FORMAT_VERSION, "labels": (labels + 1).tolist()}, path)
+    labels = _int64(labels, "labels").reshape(-1)
+    dump_json({"version": FORMAT_VERSION, "labels": labels + 1}, path)
 
 
 def load_assignment(path) -> np.ndarray:
@@ -142,7 +197,7 @@ def save_field(fld, path) -> None:
     if fld.ndim != 2:
         raise ValueError("field must be a (vertices, n) array")
     dump_json({"version": FORMAT_VERSION, "vertices": fld.shape[0], "n": fld.shape[1],
-               "values": _pairs(fld).tolist()}, path)
+               "values": _finite(_pairs(fld), "field", "values")}, path)
 
 
 def load_field(path) -> np.ndarray:
@@ -156,8 +211,9 @@ def load_field(path) -> np.ndarray:
 
 
 def save_tensor(tensor: NcgTensor, path) -> None:
-    columns = [*(tensor.indices + 1).T.tolist(), *_pairs(tensor.coeffs).T.tolist()]
-    entries = list(map(list, zip(*columns)))
+    # one (nnz, 6) table of Python ints and floats, so indices print as ints
+    entries = np.concatenate([(tensor.indices + 1).astype(object),
+                              _pairs(tensor.coeffs).astype(object)], axis=1)
     dump_json({"version": FORMAT_VERSION, "d": tensor.d, "entries": entries}, path)
 
 
@@ -170,9 +226,9 @@ def load_tensor(path) -> NcgTensor:
 
 def save_solution(value: float, a_mat, b_mat, path) -> None:
     """The value and the unitary pair (A, B) of a bilinear-form solve."""
-    dump_json({"version": FORMAT_VERSION, "value": value,
-               "a": _pairs(np.asarray(a_mat)).tolist(),
-               "b": _pairs(np.asarray(b_mat)).tolist()}, path)
+    dump_json({"version": FORMAT_VERSION, "value": _finite(value, "solution", "value"),
+               "a": _finite(_pairs(np.asarray(a_mat)), "solution", "a"),
+               "b": _finite(_pairs(np.asarray(b_mat)), "solution", "b")}, path)
 
 
 # ---------------------------------------------------------------------------

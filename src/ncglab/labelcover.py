@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .linalg import _int64
 
 # Largest vertex count for which check_weak_expansion enumerates every subset.
 EXHAUSTIVE_LIMIT = 12
@@ -84,16 +85,6 @@ class LabelCoverInstance:
         sides = self.pis.reshape(-1, self.n)
         slots = np.arange(sides.shape[0])[:, None] * self.k + sides
         return int(np.bincount(slots.ravel()).max(initial=0))
-
-
-def _int64(values, name: str) -> np.ndarray:
-    """values as int64; a value the conversion would change is refused by name."""
-    raw = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
-        out = raw.astype(np.int64)
-    if np.any(out != raw):
-        raise ValueError(f"{name} must hold integers, not {raw[out != raw][0]}")
-    return out
 
 
 def check_assignment(inst: LabelCoverInstance, labels) -> np.ndarray:

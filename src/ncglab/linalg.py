@@ -24,6 +24,16 @@ def as_matrix(m) -> np.ndarray:
     return m
 
 
+def _int64(values, name: str) -> np.ndarray:
+    """values as int64; a value the conversion would change is refused by name."""
+    raw = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and infinities are refused below
+        out = raw.astype(np.int64)
+    if np.any(out != raw):
+        raise ValueError(f"{name} must hold integers, not {raw[out != raw][0]}")
+    return out
+
+
 def _require_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

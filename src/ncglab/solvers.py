@@ -31,7 +31,7 @@ import scipy.sparse
 
 from .config import (CHUNK_ENTRIES, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
                      DENSE_DIM_CAP)
-from .linalg import as_matrix, polar_unitary
+from .linalg import _int64, as_matrix, polar_unitary
 
 # Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
 LIFT_CAP = 1 << 22
@@ -88,8 +88,11 @@ class NcgTensor:
     def __post_init__(self):
         if not 1 <= self.d <= DENSE_DIM_CAP:
             raise ValueError(f"tensor dimension d = {self.d} outside [1, {DENSE_DIM_CAP}]")
-        self.indices = np.asarray(self.indices, dtype=np.int64).reshape(-1, 4)
+        self.indices = _int64(self.indices, "indices").reshape(-1, 4)
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
+        bad = ~np.isfinite(self.coeffs)
+        if np.any(bad):
+            raise ValueError(f"coeffs must be finite, not {self.coeffs[bad][0]}")
         if self.indices.shape[0] != self.coeffs.shape[0]:
             raise ValueError("index and coefficient counts differ")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.d):

@@ -245,6 +245,19 @@ class TestEvaluateBilinear:
             solvers.NcgTensor(d=2, indices=np.array([[0, 0, 0, 0], [0, 0, 0, 0]]),
                               coeffs=np.array([1.0, 2.0], dtype=complex))
 
+    @pytest.mark.parametrize("indices, match", [
+        ([[0.9, 1.7, 0, 0]], "indices must hold integers, not 0.9"),
+        ([[0, 0, np.nan, 0]], "indices must hold integers, not nan"),
+    ])
+    def test_non_integer_indices_rejected(self, indices, match):
+        with pytest.raises(ValueError, match=match):
+            solvers.NcgTensor(d=2, indices=indices, coeffs=[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0, np.inf), -np.inf])
+    def test_non_finite_coeffs_rejected(self, bad):
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            solvers.NcgTensor(d=2, indices=[[0, 0, 0, 0], [1, 1, 1, 1]], coeffs=[1, bad])
+
     def test_matrix_holds_entries_at_flattened_positions(self):
         rng = np.random.default_rng(16)
         d = 3
