@@ -11,6 +11,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -67,7 +68,8 @@ def _table(path, header, rows) -> list[list[str]]:
 
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report body, passed bool); main stamps the
-# body with "command" and "pass" before writing it.
+# body with "command" and "pass" before writing it. The handler of command
+# "x-y" is _cmd_x_y, looked up when main runs it.
 
 
 def _cmd_gen_labelcover(args):
@@ -297,7 +299,22 @@ def _cmd_report(args):
 # Parser
 
 
+class _BackendNames:
+    """The names in reduction.BACKEND_BUILDERS at the time they are asked for,
+    sorted, so the parser built once takes a backend added to the table later."""
+
+    def __contains__(self, name) -> bool:
+        return name in reduction.BACKEND_BUILDERS
+
+    def __iter__(self):
+        return iter(sorted(reduction.BACKEND_BUILDERS))
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on its first call and shared after.
+    It holds no handler, and every default is immutable or a string that
+    argparse converts anew on each parse."""
     parser = argparse.ArgumentParser(
         prog="ncglab",
         description="Verification pipeline for trace-norm embedding gadgets and "
@@ -321,25 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["planted", "random"], default="planted")
     p.add_argument("--out", required=True)
     p.add_argument("--planted-out", default=None)
-    p.set_defaults(handler=_cmd_gen_labelcover)
 
     p = add_parser("check-instance", help="structural checks on an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--assignment", default=None)
-    p.add_argument("--deltas", type=_comma_floats, default=[0.25, 0.5])
+    p.add_argument("--deltas", type=_comma_floats, default="0.25,0.5")
     p.add_argument("--subset-samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_check_instance)
 
     p = add_parser("reduce", help="completeness certificate for an assignment")
     p.add_argument("--instance", required=True)
     p.add_argument("--assignment", required=True)
-    p.add_argument("--backend", choices=sorted(reduction.BACKEND_BUILDERS), required=True)
+    p.add_argument("--backend", choices=_BackendNames(), required=True)
     p.add_argument("--mode", choices=["exhaustive", "pairwise_independent", "monte_carlo"],
                    default="exhaustive")
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_reduce)
 
     p = add_parser("decode", help="decode a field into an assignment")
     p.add_argument("--instance", required=True)
@@ -348,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_positive_float, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--assignment-out", default=None)
-    p.set_defaults(handler=_cmd_decode)
 
     p = add_parser("embed-verify", help="verify the matrix embedding invariants")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -358,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_cmd_embed_verify)
 
     p = add_parser("comm-verify", help="scalar embedding limit profile")
     p.add_argument("--field", choices=["real", "complex"], required=True)
@@ -367,13 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_cmd_comm_verify)
 
     p = add_parser("lift", help="materialize a little operator and lift it")
-    p.add_argument("--backend", choices=sorted(reduction.BACKEND_BUILDERS), required=True)
+    p.add_argument("--backend", choices=_BackendNames(), required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_lift)
 
     p = add_parser("solve-ncg", help="alternating maximization over unitary pairs")
     p.add_argument("--tensor", required=True)
@@ -382,12 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_solve_ncg)
 
     p = add_parser("report", help="aggregate command reports into a summary")
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -397,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report_path = args.report or f"{args.command}.report.json"
     try:
-        body, passed = args.handler(args)
+        body, passed = globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
     except (ValueError, OSError, MemoryError, reduction.DecodeInvariantError) as exc:
         message = str(exc) or type(exc).__name__
         fileio.save_report({"command": args.command, "error": message, "pass": False},

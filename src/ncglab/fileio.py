@@ -18,6 +18,7 @@ axes roll over at that gap. Every other value goes through json.dumps.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -116,10 +117,14 @@ def _table(value, kind: str, name: str, shape: tuple, integral: bool):
         table = np.asarray(value)  # ragged nesting raises here
         if table.size and table.dtype.kind not in "iuf":  # nulls and strings
             raise ValueError
-        # numpy reads a true or false among listed numbers as 1 or 0
-        if isinstance(value, list) and bool in set(
-                map(type, np.asarray(value, dtype=object).ravel().tolist())):
-            raise ValueError
+        # numpy reads a true or false among listed numbers as 1 or 0, so the
+        # leaves, table.ndim levels down, are checked for a bool
+        if isinstance(value, list):
+            leaves = value
+            for _ in range(table.ndim - 1):
+                leaves = itertools.chain.from_iterable(leaves)
+            if bool in set(map(type, leaves)):
+                raise ValueError
         table = table.astype(np.float64)
         if not table.size:  # [] has no shape of its own
             table = table.reshape([dim or 0 for dim in shape])

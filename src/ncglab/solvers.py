@@ -171,19 +171,38 @@ class _Blocks:
         out[self.coords] = stack
         return out.reshape(self.d, self.d)
 
+    def spans(self):
+        """(slice of a block stack, block count, side) of each side's group."""
+        start = 0
+        for g in self.groups:
+            count, b = g.shape
+            yield slice(start, start + count * b * b), count, b
+            start += count * b * b
+
     def polar(self, m: np.ndarray) -> np.ndarray:
         """Polar factors of the blocks of each row of m, (rows, size), with one
         batched polar_unitary call per side. A side that is zero in every row
         takes identity blocks without a call."""
         out = np.empty_like(m)
-        start = 0
-        for g in self.groups:
-            count, b = g.shape
-            stop = start + count * b * b
-            x = m[:, start:stop].reshape(len(m), count, b, b)
-            out[:, start:stop] = (polar_unitary(x).reshape(len(m), -1) if np.any(x)
-                                  else np.tile(np.eye(b).reshape(-1), count))
-            start = stop
+        for span, count, b in self.spans():
+            x = m[:, span].reshape(len(m), count, b, b)
+            out[:, span] = (polar_unitary(x).reshape(len(m), -1) if np.any(x)
+                            else np.tile(np.eye(b).reshape(-1), count))
+        return out
+
+    def haar(self, normals: np.ndarray) -> np.ndarray:
+        """Independent Haar unitary blocks from (rows, 2, size) standard
+        normals: each block of normals[:, 0] + 1j * normals[:, 1] goes to the Q
+        of its QR factorization with each column scaled by the phase of R's
+        diagonal entry, one batched QR per side. The blocks overwrite their
+        complex normals in the returned stack."""
+        out = np.empty((len(normals), self.size), dtype=np.complex128)
+        out.real, out.imag = normals[:, 0], normals[:, 1]
+        for span, count, b in self.spans():
+            q, r = np.linalg.qr(out[:, span].reshape(len(out), count, b, b))
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
+            q *= (diag / np.abs(diag))[..., None, :]
+            out[:, span] = q.reshape(len(out), -1)
         return out
 
 
@@ -228,12 +247,6 @@ def _restrict(mat: scipy.sparse.csr_matrix, coords: np.ndarray) -> scipy.sparse.
                                    shape=(coords.size, coords.size))
 
 
-def _haar_unitary(d: int, rng) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
@@ -256,28 +269,30 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     T reads A and B only in the diagonal blocks its support spans, and M_B
     and P are block-diagonal too, so the solve holds A and B as block stacks
     and takes each polar step blockwise; A and B are returned as d x d
-    block-diagonal unitaries. Restart r starts from B holding the diagonal
-    blocks of the r-th Haar unitary drawn from default_rng(seed). Restarts
+    block-diagonal unitaries. Restart r starts from B with an independent
+    Haar unitary in every block, drawn from the r-th slice of 2 * size
+    normals of default_rng(seed) (see _Blocks.haar), so its start depends
+    neither on the chunk size nor on the number of restarts. Restarts
     advance together in chunks, and a restart stops at its first B half-step
     that moves the value by at most tol * max(1, value).
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
-    d = tensor.d
     blocks = _tensor_blocks(tensor)
     t_mat = _restrict(tensor.matrix, blocks.coords)
     t_transposed = t_mat.T
-    # a chunk holds at most ten (chunk, size) complex stacks at once (A, B, a
-    # product and its input, a polar step's input, u, vh and output), each
-    # entry two float64 entries of the CHUNK_ENTRIES budget
+    # a chunk holds at most ten (chunk, size) complex stacks at once: A, B, a
+    # product and its input, a polar step's input, u, vh and output while it
+    # runs; while it draws its starts, the last chunk's A, B and two
+    # products, the normals, B, and a QR's copy of its input, Q and R. Each
+    # entry is two float64 entries of the CHUNK_ENTRIES budget
     chunk = max(1, CHUNK_ENTRIES // (20 * blocks.size))
     rng = np.random.default_rng(seed)
     best = None
     histories = []
     for first in range(0, restarts, chunk):
         count = min(chunk, restarts - first)
-        b_stack = np.stack([_haar_unitary(d, rng).reshape(-1)[blocks.coords]
-                            for _ in range(count)])
+        b_stack = blocks.haar(rng.normal(size=(count, 2, blocks.size)))
         a_stack = np.empty_like(b_stack)
         runs = [[] for _ in range(count)]
         prev = np.full(count, -np.inf)

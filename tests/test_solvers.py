@@ -332,13 +332,14 @@ class TestNcgSolver:
         dense = np.zeros((d, d, d, d), dtype=complex)
         dense[tuple(idx.T)] = coeffs
         result = solvers.ncg_opt_lower_bound(tensor, restarts=3, iters=30, seed=6)
-        replay = np.random.default_rng(6)
+        blocks = solvers._tensor_blocks(tensor)
+        starts = blocks.haar(np.random.default_rng(6).normal(size=(3, 2, blocks.size)))
 
         def form(a_mat, b_mat):
             return abs(np.einsum("ijkl,ij,kl->", dense, a_mat, b_mat.conj()))
 
-        for history in result.histories:
-            b_mat = solvers._haar_unitary(d, replay)
+        for history, start in zip(result.histories, starts, strict=True):
+            b_mat = blocks.dense(start)
             expected = []
             for _ in range(len(history) // 2):
                 m_b = np.einsum("ijkl,kl->ij", dense, b_mat.conj())
@@ -364,13 +365,15 @@ def dense_reference(tensor, *, restarts=DEFAULT_RESTARTS, iters=DEFAULT_ITERS,
                     tol=DEFAULT_TOL, seed=0):
     """The alternating maximization one restart after another on dense d x d
     unitaries, every polar step an SVD of the whole d x d matrix: the loop the
-    block solver replaced, kept as its reference."""
+    block solver replaced, kept as its reference. Each restart draws its own
+    slice of normals and starts from their block-Haar unitaries made dense."""
     d, t_mat, t_transposed = tensor.d, tensor.matrix, tensor.matrix.T
+    blocks = solvers._tensor_blocks(tensor)
     rng = np.random.default_rng(seed)
     best = None
     histories = []
     for _ in range(restarts):
-        b_mat = solvers._haar_unitary(d, rng)
+        b_mat = blocks.dense(blocks.haar(rng.normal(size=(1, 2, blocks.size)))[0])
         a_mat = np.eye(d, dtype=np.complex128)
         history = []
         prev = -np.inf
@@ -474,6 +477,71 @@ class TestBlockSolveMatchesDense:
         chunked, _ = assert_matches_dense(tensor, restarts=8, iters=60, seed=5)
         assert chunked.histories == whole.histories
         assert chunked.value == whole.value
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_histories_do_not_depend_on_the_chunk(self, monkeypatch, chunk):
+        # Clifford n=2 has 16 blocks of side 2, 64 block coordinates
+        tensor = solvers.lift_little_to_big(cached_little_op("clifford", 2))
+        whole = solvers.ncg_opt_lower_bound(tensor, restarts=5, seed=9)
+        monkeypatch.setattr(solvers, "CHUNK_ENTRIES", chunk * 20 * 64)
+        chunked = solvers.ncg_opt_lower_bound(tensor, restarts=5, seed=9)
+        assert chunked.histories == whole.histories
+        assert chunked.value == whole.value
+        np.testing.assert_array_equal(chunked.a, whole.a)
+        np.testing.assert_array_equal(chunked.b, whole.b)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_fewer_restarts_run_a_prefix(self, k):
+        tensor, _ = planted_block_tensor(np.random.default_rng(34), (1, 2, 3), density=0.5)
+        fewer = solvers.ncg_opt_lower_bound(tensor, restarts=k, iters=60, seed=8)
+        more = solvers.ncg_opt_lower_bound(tensor, restarts=k + 1, iters=60, seed=8)
+        assert fewer.histories == more.histories[:k]
+
+
+class TestBlockHaarStarts:
+    @pytest.mark.parametrize("sides,seed", [((1, 2, 3), 50), ((4, 1, 1, 2, 5), 51)])
+    def test_start_blocks_are_unitary_and_zero_off_the_blocks(self, monkeypatch, sides,
+                                                             seed):
+        # record the start stacks the solver draws
+        starts = []
+        haar = solvers._Blocks.haar
+
+        def spy(self, normals):
+            starts.append(haar(self, normals))
+            return starts[-1].copy()
+
+        monkeypatch.setattr(solvers._Blocks, "haar", spy)
+        tensor, blocks = planted_block_tensor(np.random.default_rng(seed), sides,
+                                              density=0.3)
+        solvers.ncg_opt_lower_bound(tensor, restarts=7, iters=3, seed=seed)
+        starts = np.concatenate(starts)
+        assert len(starts) == 7
+        on_blocks = np.zeros((tensor.d, tensor.d), dtype=bool)
+        for block in blocks:
+            on_blocks[np.ix_(block, block)] = True
+        finder = solvers._tensor_blocks(tensor)
+        for start in starts:
+            b_mat = finder.dense(start)
+            assert not np.any(b_mat[~on_blocks])
+            for block in blocks:
+                assert unitarity_residual(b_mat[np.ix_(block, block)]) <= 1e-12
+        # independent draws: no two restarts share a start
+        assert len({start.tobytes() for start in starts}) == len(starts)
+
+    def test_blocks_are_the_positive_diagonal_qr_of_their_normals(self):
+        # Q with R = Q* G upper triangular and diag(R) > 0 is Haar distributed
+        # for a complex Gaussian G (Mezzadri's construction)
+        tensor, _ = planted_block_tensor(np.random.default_rng(53), (1, 2, 3, 4), density=0.3)
+        blocks = solvers._tensor_blocks(tensor)
+        normals = np.random.default_rng(0).normal(size=(5, 2, blocks.size))
+        starts = blocks.haar(normals)
+        gauss = normals[:, 0] + 1j * normals[:, 1]
+        for span, _, b in blocks.spans():
+            q = starts[:, span].reshape(-1, b, b)
+            r = q.conj().swapaxes(-1, -2) @ gauss[:, span].reshape(-1, b, b)
+            assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-12
+            diag = np.diagonal(r, axis1=-2, axis2=-1)
+            assert np.all(diag.real > 0) and np.abs(diag.imag).max() <= 1e-12
 
 
 class TestClosedFormPolarSteps:
