@@ -17,10 +17,9 @@ The pieces, in dependency order:
   direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
 * the dictatorship-test constants ETA, TAU and spread_threshold(eps).
 
-The direct sum has dimension ``4^n * 2^m``. Only ``lift`` builds it, while
-that side is at most DENSE_DIM_CAP (n <= 3), from its images
-``kron(diag(w_i over w), C_i)`` (``reduction.EmbeddingBackend.little_op``);
-everything else works through the formula.
+Only ``lift`` builds a direct sum, one block per parity class, through
+``reduction.EmbeddingBackend.little_op`` (side 2^n * 2^m for the exhaustive
+family, within DENSE_DIM_CAP for n <= 6); everything else uses the formula.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def make_generators(n: int) -> CliffordGenerators:
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
-    if 2**m > DENSE_DIM_CAP:
+    if m >= DENSE_DIM_CAP.bit_length():  # 2^m > DENSE_DIM_CAP, without the power
         raise ValueError(f"generator side 2^{m} exceeds cap {DENSE_DIM_CAP}")
     matrices = []
     for j in range(1, m + 1):
@@ -176,7 +175,7 @@ def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = N
         odd = np.random.default_rng(seed).integers(0, 4, size=(size, n)) % 2 == 1
     elif mode in ("exhaustive", "pairwise_independent"):
         k = n if mode == "exhaustive" else max(1, (n - 1).bit_length()) + 1
-        if 2**k * n > ENUMERATION_CAP:
+        if k >= ENUMERATION_CAP.bit_length() or 2**k * n > ENUMERATION_CAP:
             raise ValueError(f"{mode} family rows 2^{k} x n={n} exceed cap {ENUMERATION_CAP}")
         size = 4**k
         # row x, over every x in {0,1}^k

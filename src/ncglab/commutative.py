@@ -53,8 +53,9 @@ class SignEnsemble:
             raise ValueError(f"mode must be 'exhaustive' or 'monte_carlo', got {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.mode == "exhaustive" and self.size > config.ENUMERATION_CAP:
-            raise ValueError(f"exhaustive ensemble size {self.size} exceeds cap "
+        bits = self.n * (1 if self.field == "real" else 2)
+        if self.mode == "exhaustive" and bits >= config.ENUMERATION_CAP.bit_length():
+            raise ValueError(f"exhaustive ensemble size 2^{bits} exceeds cap "
                              f"{config.ENUMERATION_CAP}")
         if self.mode == "monte_carlo" and (self.sample_count is None or self.sample_count < 1):
             raise ValueError("monte_carlo mode requires a positive sample_count")
@@ -218,10 +219,10 @@ def berry_esseen_profile(n_values, field: str, *, mode: str = "auto",
     if mode not in ("auto", "exhaustive"):
         raise ValueError(f"mode must be 'auto' or 'exhaustive', got {mode!r}")
     limit = REAL_LIMIT if field == "real" else COMPLEX_LIMIT
-    base = 2 if field == "real" else 4
+    bits = 1 if field == "real" else 2
     rows = []
     for idx, n in enumerate(n_values):
-        exact = mode == "exhaustive" or base**n <= config.ENUMERATION_CAP
+        exact = mode == "exhaustive" or n * bits < config.ENUMERATION_CAP.bit_length()
         if not exact and sample_count is None:
             raise ValueError("Monte-Carlo profile rows require sample_count")
         ens = SignEnsemble(field=field, n=n, mode="exhaustive" if exact else "monte_carlo",

@@ -2,12 +2,13 @@
 
 # Largest side of any dense square matrix, checked before it exists: Clifford
 # generators (2^ceil(n/2), n <= 18), little_op images and a tensor's d x d
-# unitaries in solve-ncg. 512 is the largest lift's side (comm_real, n = 9).
+# unitaries in solve-ncg. 512 is the largest lift's side (comm_real, n = 9;
+# exhaustive Clifford, n = 6: 2^6 parity classes x side 8).
 DENSE_DIM_CAP = 512
 
-# Enumeration bound: the members an exhaustive sign ensemble streams (only
-# little_op, after its DENSE_DIM_CAP check, and the tests materialize them)
-# and the entries (parity rows x n) of an exact phase family.
+# Enumeration bound: the members an exhaustive sign ensemble streams (only a
+# scalar little_op, after its DENSE_DIM_CAP check, and the tests materialize
+# them) and the entries (parity rows x n) of an exact phase family.
 ENUMERATION_CAP = 2**20
 
 # Most entries (as float64, 32 MiB) a chunked kernel holds in temporaries at once:

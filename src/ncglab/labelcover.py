@@ -211,17 +211,20 @@ def check_weak_expansion(inst: LabelCoverInstance, delta_grid, *,
     """For each delta, verify that vertex subsets of size delta*|V| induce at
     least (delta^2/2)*|E| edges. Exhaustive over all subsets when |V| is at
     most EXHAUSTIVE_LIMIT, sampled otherwise (sampling certifies only the
-    subsets it saw). An empty grid, or a delta whose subset size falls
-    outside [1, |V|], raises a ValueError.
+    subsets it saw). An empty grid, a delta whose subset size (nan or inf
+    too) falls outside [1, |V|], or subset_samples < 1 raises a ValueError.
     """
     if len(delta_grid) == 0:
         raise ValueError("weak-expansion delta grid is empty")
+    if subset_samples < 1:
+        raise ValueError(f"weak-expansion subset_samples must be positive, not {subset_samples}")
     rng = np.random.default_rng(seed)
     us, vs = inst.ends.T
     rows = []
     for delta in delta_grid:
-        size = int(round(delta * inst.num_vertices))
-        if size < 1 or size > inst.num_vertices:
+        size = delta * inst.num_vertices
+        size = int(round(size)) if np.isfinite(size) else size
+        if not 1 <= size <= inst.num_vertices:
             raise ValueError(f"weak-expansion delta {delta} gives subset size {size} "
                              f"outside [1, {inst.num_vertices}]")
         required = (delta**2 / 2.0) * inst.num_edges

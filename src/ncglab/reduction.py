@@ -238,23 +238,31 @@ class EmbeddingBackend:
         return float(np.linalg.norm(np.asarray(a).reshape(-1)))
 
     def little_op(self) -> solvers.LittleOperator:
-        """f as images of the basis vectors over the exhaustive members w (all
-        phase vectors for the matrix embedding): f(e_i) = kron(diag(w_i over
-        w), G_i), with G_i the i-th Clifford generator, or [[1]] for a scalar
-        embedding. A kernel that is not exhaustive, and an image side d = members
-        x block side above DENSE_DIM_CAP, are refused before any image exists."""
-        if self.kernel.mode != "exhaustive":
+        """f as images of the basis vectors, f(e_i) = kron(diag(c_i over rows
+        c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
+        embedding, whose rows are its exhaustive members. The matrix embedding
+        has a row per parity class, in any mode: class c, of parity O_c and
+        weight p_c out of P, gives the block P p_c C(a o w_c), w_c = i^O_c.
+        ||C(a o w)|| depends on w only through its parity (see PhaseFamily), and
+        P equal-side blocks average their normalized trace norms, so ||f(a)|| =
+        sum_c p_c ||C(a o w_c)|| = dictator_embedding_norm(a): the operator norm
+        and the lifted optimum are the family's. Exhaustive images have P p_c =
+        1 and entries in {0, +-1, +-i}. A scalar kernel that is not exhaustive,
+        and a side d = rows x block side above DENSE_DIM_CAP, are refused first."""
+        if not self._is_matrix and self.kernel.mode != "exhaustive":
             raise ValueError(f"images need an exhaustive kernel, not {self.kernel.mode!r}")
-        d = self.kernel.size * (2 ** ((self.n + 1) // 2) if self._is_matrix else 1)
+        rows = self.kernel.parity.shape[0] if self._is_matrix else self.kernel.size
+        d = rows * (2 ** ((self.n + 1) // 2) if self._is_matrix else 1)
         if d > DENSE_DIM_CAP:
             raise ValueError(f"{self.name} image side d = {d} at n={self.n} exceeds cap "
                              f"{DENSE_DIM_CAP}")
-        ens = commutative.SignEnsemble("complex", self.n) if self._is_matrix else self.kernel
-        blocks = (clifford.make_generators(self.n).matrices if self._is_matrix
-                  else [np.ones((1, 1))] * self.n)
-        members = commutative.exhaustive_members(ens)
+        if self._is_matrix:
+            diags = np.where(self.kernel.parity, 1j, 1) * rows * self.kernel.class_weights[:, None]
+            blocks = clifford.make_generators(self.n).matrices
+        else:
+            diags, blocks = commutative.exhaustive_members(self.kernel), [np.ones((1, 1))] * self.n
         return solvers.LittleOperator(images=np.stack(
-            [np.kron(np.diag(members[:, i]), blocks[i]) for i in range(self.n)]))
+            [np.kron(np.diag(diags[:, i]), blocks[i]) for i in range(self.n)]))
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,

@@ -16,7 +16,7 @@ bounds for the squared operator norm.
 
 The form reads A and B only inside the diagonal blocks that T's support
 spans: the connected components of the index graph with edges (i, j) and
-(k, l) for every entry. Every image kron(diag(w_i / w), G_i) is
+(k, l) for every entry. Every image kron(diag(c_i over c), G_i) is
 block-diagonal, so lifts have many small blocks. The solver restricts T to
 the block coordinates and takes its polar steps blockwise, advancing the
 restarts of a chunk together.
@@ -234,19 +234,6 @@ def _tensor_blocks(tensor: NcgTensor) -> _Blocks:
     return _blocks(tensor.d, np.union1d(np.flatnonzero(np.diff(mat.indptr)), mat.indices))
 
 
-def _restrict(mat: scipy.sparse.csr_matrix, coords: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Rows and columns ``coords`` of a square CSR matrix whose entries all lie
-    there, each row's entries kept in their order, so products with it sum in
-    the same order as products with ``mat``."""
-    pos = np.zeros(mat.shape[1], dtype=np.int64)
-    pos[coords] = np.arange(coords.size)
-    counts = np.diff(mat.indptr)[coords]
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    take = np.repeat(mat.indptr[coords] - indptr[:-1], counts) + np.arange(indptr[-1])
-    return scipy.sparse.csr_matrix((mat.data[take], pos[mat.indices[take]], indptr),
-                                   shape=(coords.size, coords.size))
-
-
 def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
@@ -279,7 +266,7 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
     blocks = _tensor_blocks(tensor)
-    t_mat = _restrict(tensor.matrix, blocks.coords)
+    t_mat = tensor.matrix[blocks.coords][:, blocks.coords]
     t_transposed = t_mat.T
     # a chunk holds at most ten (chunk, size) complex stacks at once: A, B, a
     # product and its input, a polar step's input, u, vh and output while it

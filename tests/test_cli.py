@@ -138,6 +138,28 @@ class TestCheckInstance:
         report = json.loads((tmp_path / "check-instance.report.json").read_text())
         assert report["pass"] is False and "weak-expansion" in report["error"]
 
+    # a non-finite delta, or one whose subset size delta * |V| overflows,
+    # has no subset size; each is refused by name instead of a traceback
+    @pytest.mark.parametrize("deltas, error", [
+        ("inf", "delta inf gives subset size inf"),
+        ("nan", "delta nan gives subset size nan"),
+        ("0.5,-inf", "delta -inf gives subset size -inf"),
+        ("1e308", "delta 1e+308 gives subset size inf")])
+    def test_non_finite_delta_fails_with_report(self, tmp_path, deltas, error):
+        main(gen_args())
+        code = main(["check-instance", "--instance", "inst.json", "--deltas", deltas])
+        assert code == 1
+        report = json.loads((tmp_path / "check-instance.report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"] == f"weak-expansion {error} outside [1, 8]"
+
+    def test_zero_subset_samples_is_usage_error(self, tmp_path):
+        main(gen_args())
+        with pytest.raises(SystemExit) as err:
+            main(["check-instance", "--instance", "inst.json", "--subset-samples", "0"])
+        assert err.value.code == 2
+        assert not (tmp_path / "check-instance.report.json").exists()
+
 
 class TestReduce:
     @pytest.mark.parametrize("backend", ["clifford", "comm_real", "comm_complex"])
@@ -291,6 +313,19 @@ class TestCommVerify:
         assert file_sha256(tmp_path / "comm-verify.report.json") == \
             "c6fcdbdd9210df2d6f484d63d250c93bdfe1e17dd975d9da75abcb47d43c7cf5"
 
+    # the exhaustive ensemble at n = 10^11 is refused on its exponent, before
+    # 4^n is formed; the auto profile needs --samples beyond the cap
+    @pytest.mark.parametrize("mode, error", [
+        ("auto", "Monte-Carlo profile rows require sample_count"),
+        ("exhaustive", "exhaustive ensemble size 2^200000000000 exceeds cap 1048576")],
+        ids=["auto", "exhaustive"])
+    def test_huge_n_fails_with_report(self, tmp_path, mode, error):
+        code = main(["comm-verify", "--field", "complex", "--n-list", "100000000000",
+                     "--mode", mode, "--seed", "1"])
+        assert code == 1
+        report = json.loads((tmp_path / "comm-verify.report.json").read_text())
+        assert report["pass"] is False and report["error"] == error
+
 
 class TestLiftAndSolve:
     def test_lift_solve_pipeline(self, tmp_path):
@@ -318,9 +353,20 @@ class TestLiftAndSolve:
         assert main(["solve-ncg", "--tensor", "tensor.json", "--restarts", "4",
                      "--seed", "1", "--out", "solution.json"]) == 0
         assert file_sha256(tmp_path / "solve-ncg.report.json") == \
-            "3a6990d788b7a704d4259f64d2adbba5736c2ce04c5789665b5b25e89a37b148"
+            "2af57d9e19f5951c7b4aa7594b616abf769f09f72783797924c3a732b9142a25"
         assert file_sha256(tmp_path / "solution.json") == \
-            "7288db04f66e61e4946259e69ca0b99b45bf9834fe477c217763b56247c7397f"
+            "b1a62c4f3560716ffbbbb8be4f5e909979b3c8c8dfb8e646d3409f17cb8aab79"
+
+    def test_clifford_lift_sides(self, tmp_path):
+        # one block per parity class: d = 2^n classes x generator side 2^ceil(n/2)
+        assert main(["lift", "--backend", "clifford", "--n", "4", "--out", "t4.json"]) == 0
+        report = json.loads((tmp_path / "lift.report.json").read_text())
+        assert report["d"] == fileio.load_tensor(tmp_path / "t4.json").d == 64
+        assert main(["lift", "--backend", "clifford", "--n", "7", "--out", "t7.json"]) == 1
+        report = json.loads((tmp_path / "lift.report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"] == "clifford image side d = 2048 at n=7 exceeds cap 512"
+        assert not (tmp_path / "t7.json").exists()
 
     def test_tensor_roundtrip_byte_identical(self, tmp_path):
         main(["lift", "--backend", "comm_complex", "--n", "1", "--out", "t.json"])
@@ -340,7 +386,7 @@ class TestLiftAndSolve:
     # representation cannot change the on-disk format or entry order.
     @pytest.mark.parametrize("backend,n,sha256", [
         ("comm_real", 2, "5a51203bff0567fa25605d01b597165ef76b4cca23b2f59ba97b7e81d2459250"),
-        ("clifford", 2, "bc9dddf945f4404092dc02ef479652d0da5e83d57a0cfa4af4e272b3a9a4079d"),
+        ("clifford", 2, "5b148d13e573bdf253d893c1e488e12b862dfcba05636faae48cda6c6a5efc29"),
         ("comm_complex", 3, "df7896d5e54c5f309e9360568d3d5a12dc6671185688b0fa9844b955a82b316e"),
     ])
     def test_tensor_file_golden_sha256(self, tmp_path, backend, n, sha256):
@@ -449,7 +495,7 @@ GOLDEN_REPORTS = {
          "992fa2130e984acba4b48ed6fab60c9f9d8d83eae416261548263c8555bc0ea9"),
     "lift-clifford":
         ([*LIFT, "clifford"],
-         "0d61d4692a855b66443c3d349bfcb14104cd71994c616dc532028ebd4724884e"),
+         "c1aed2458a310c87bc655efc0d817d62611c2fefcb189a1044d64ef932272e90"),
     "lift-comm-real":
         ([*LIFT, "comm_real"],
          "cb294e7eeb4900ae4350394873ace8c456d43b8ac23842d01c1f05dc7a31bd2f"),

@@ -330,6 +330,21 @@ class TestPhaseFamily:
             tracemalloc.stop()
         assert peak <= 64 * 2**10
 
+    @pytest.mark.parametrize("refuse", [
+        lambda: clifford.build_phase_family(10**8, "exhaustive"),
+        lambda: clifford.make_generators(10**8),
+    ], ids=["family", "generators"])
+    def test_huge_n_refused_on_its_exponent(self, refuse):
+        # 2^(10^8) alone is a 12 MiB integer; the caps compare the exponent first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_exhaustive_n16_builds(self):
         fam = clifford.build_phase_family(16, "exhaustive")
         assert fam.size == 4**16 and fam.parity.shape == (2**16, 16)
@@ -369,8 +384,10 @@ class TestDictatorEmbeddingNorm:
         gens = clifford.make_generators(2)
         block = scipy.linalg.block_diag(
             *[clifford.clifford_map(a * w, gens) for w in members(2, "exhaustive")])
-        np.testing.assert_array_equal(clifford_backend(2).little_op().apply(a), block)
         direct = linalg.schatten1_norm(block)
+        # little_op holds one block per parity class, not per member
+        by_class = linalg.schatten1_norm(clifford_backend(2).little_op().apply(a))
+        assert abs(by_class - direct) <= 1e-12
         assert abs(clifford.dictator_embedding_norm(a, fam).value - direct) <= 1e-10
 
     def test_monte_carlo_stderr_matches_members(self):

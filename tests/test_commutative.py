@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,30 @@ class TestEnsemble:
             comm.SignEnsemble(field="real", n=2, mode="monte_carlo")
         with pytest.raises(ValueError):
             comm.SignEnsemble(field="rational", n=2)
+
+    @pytest.mark.parametrize("fld, largest, refused", [("real", 20, "2^21"),
+                                                       ("complex", 10, "2^22")])
+    def test_cap_boundary(self, fld, largest, refused):
+        assert comm.SignEnsemble(field=fld, n=largest).size == config.ENUMERATION_CAP
+        with pytest.raises(ValueError, match=re.escape(f"size {refused} exceeds cap")):
+            comm.SignEnsemble(field=fld, n=largest + 1)
+
+    @pytest.mark.parametrize("refuse", [
+        lambda: comm.SignEnsemble(field="complex", n=10**8),
+        lambda: comm.SignEnsemble(field="real", n=10**8),
+        lambda: comm.berry_esseen_profile([10**8], "complex", mode="exhaustive"),
+        lambda: comm.berry_esseen_profile([10**8], "real", mode="auto"),
+    ], ids=["complex", "real", "profile-exhaustive", "profile-auto"])
+    def test_huge_n_refused_on_its_exponent(self, refuse):
+        # 4^(10^8) alone is a 23 MiB integer; the caps compare n first
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestEmbeddingL1Norm:

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -180,6 +181,23 @@ class TestWeakExpansion:
         inst = lc.generate_planted(40, 4, 6, 3, 2, seed=1)[0]
         with pytest.raises(ValueError, match=message):
             lc.check_weak_expansion(inst, grid)
+
+    @pytest.mark.parametrize("vertices", [8, 40])
+    @pytest.mark.parametrize("delta, size", [(np.inf, "inf"), (-np.inf, "-inf"),
+                                             (np.nan, "nan"), (1e308, "inf")])
+    def test_non_finite_subset_size_raises(self, vertices, delta, size):
+        # exhaustive (8 vertices) and sampled (40) alike; 1e308 * |V| overflows
+        inst = lc.generate_planted(vertices, 4, 6, 3, 2, seed=1)[0]
+        message = f"delta {delta} gives subset size {size} outside [1, {vertices}]"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            lc.check_weak_expansion(inst, [0.5, delta])
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_subset_samples_raises(self, samples):
+        inst = lc.generate_planted(40, 4, 6, 3, 2, seed=1)[0]
+        assert inst.num_vertices > lc.EXHAUSTIVE_LIMIT
+        with pytest.raises(ValueError, match=f"subset_samples must be positive, not {samples}$"):
+            lc.check_weak_expansion(inst, [0.5], subset_samples=samples)
 
 
 # ---------------------------------------------------------------------------

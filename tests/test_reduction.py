@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncglab import clifford, commutative
+from ncglab import clifford, commutative, linalg, solvers
 from ncglab import labelcover as lc
 from ncglab import reduction as red
 from ncglab.config import DENSE_DIM_CAP, SUBSPACE_RESIDUAL_TOL
@@ -528,18 +528,21 @@ class TestBackendFromKernel:
             backend.little_op()
 
     @pytest.mark.parametrize("maker, largest, d", [
-        (red.clifford_backend, 3, 256), (red.comm_real_backend, 9, 512),
+        (red.clifford_backend, 6, 512), (red.comm_real_backend, 9, 512),
         (red.comm_complex_backend, 4, 256)])
     def test_little_op_side_cap(self, maker, largest, d, monkeypatch):
-        """The largest n builds; one more gives side 1024 and is refused
-        before any member exists."""
+        """The largest n builds; one more gives side 1024 (Clifford: twice the
+        classes and the generator side, 2048) and is refused before any
+        member, generator or image exists."""
         assert maker(largest).little_op().d == d <= DENSE_DIM_CAP
+        refused = 2048 if maker is red.clifford_backend else 1024
 
-        def never(ens):
-            raise AssertionError("exhaustive_members called")
+        def never(*args):
+            raise AssertionError("members or generators built")
 
         monkeypatch.setattr(commutative, "exhaustive_members", never)
-        with pytest.raises(ValueError, match=f"d = 1024 at n={largest + 1} exceeds cap "
+        monkeypatch.setattr(clifford, "make_generators", never)
+        with pytest.raises(ValueError, match=f"d = {refused} at n={largest + 1} exceeds cap "
                                              f"{DENSE_DIM_CAP}$"):
             maker(largest + 1).little_op()
 
@@ -551,6 +554,63 @@ class TestBackendFromKernel:
             red.EmbeddingBackend(kernel=kernel, name="comm_real")
         with pytest.raises(TypeError):
             red.EmbeddingBackend(kernel, 3)
+
+
+def member_images(n):
+    """Reference Clifford images over all 4^n phase members w of the
+    exhaustive family, f(e_i) = kron(diag(w_i over w), G_i): one block per
+    member, in the digit order of exhaustive_members."""
+    members = commutative.exhaustive_members(commutative.SignEnsemble("complex", n))
+    gens = clifford.make_generators(n).matrices
+    return members, np.stack([np.kron(np.diag(members[:, i]), gens[i]) for i in range(n)])
+
+
+class TestClassImages:
+    """Clifford little_op images take one block per parity class of the
+    family, P p_c C(a o w_c) with w_c = i^O_c, instead of one per member."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_norms_match_member_images(self, n):
+        backend = red.clifford_backend(n)
+        classes = backend.little_op()
+        _, reference = member_images(n)
+        assert reference.shape[1] == 4**n * classes.d // 2**n
+        rng = np.random.default_rng(40 + n)
+        for a in [*np.eye(n), *(rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n)))]:
+            by_class = linalg.schatten1_norm(classes.apply(a))
+            by_member = linalg.schatten1_norm(np.tensordot(a, reference, axes=(0, 0)))
+            assert abs(by_class - by_member) <= 1e-12
+            assert abs(by_class - clifford.dictator_embedding_norm(a, backend.kernel).value) \
+                <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_class_blocks_are_member_blocks(self, n):
+        """Class c's block is exactly the block of the member w = i^O_c, the
+        one whose base-4 digits are its parity row."""
+        family = clifford.build_phase_family(n)
+        members, reference = member_images(n)
+        side = 2 ** ((n + 1) // 2)
+        picked = (family.parity.astype(int) * 4 ** np.arange(n)).sum(axis=1)
+        np.testing.assert_array_equal(members[picked], np.where(family.parity, 1j, 1))
+        blocks = reference.reshape(n, 4**n, side, 4**n, side)[:, picked][:, :, :, picked]
+        np.testing.assert_array_equal(red.clifford_backend(n).little_op().images,
+                                      blocks.reshape(n, len(picked) * side, -1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exhaustive_entries_are_exact_units(self, n):
+        images = red.clifford_backend(n).little_op().images
+        nonzero = images[images != 0]
+        # every generator has one nonzero per row
+        assert nonzero.size == n * images.shape[1]
+        assert set(nonzero.tolist()) <= {1, -1, 1j, -1j}
+
+    def test_lifted_optimum_matches_member_lift(self):
+        _, reference = member_images(2)
+        values = [solvers.ncg_opt_lower_bound(solvers.lift_little_to_big(op), restarts=4,
+                                              seed=0).value
+                  for op in (red.clifford_backend(2).little_op(),
+                             solvers.LittleOperator(images=reference))]
+        assert values == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 class TestApplyNormF:

@@ -59,27 +59,31 @@ class TestLittleOperator:
         expected = sum(a[i] * op.images[i] for i in range(3))
         np.testing.assert_allclose(op.apply(a), expected, atol=1e-12)
 
-    @pytest.mark.parametrize("backend,d", [("clifford", 32), ("comm_complex", 16),
-                                           ("comm_real", 4)],
-                             ids=["clifford", "comm_complex", "comm_real"])
-    def test_materialization_matches_backend_norm(self, backend, d):
-        emb = BACKEND_BUILDERS[backend](2)
+    # Clifford images have one block per parity class of the family: d is
+    # the class count times the generator side 2^ceil(n/2)
+    @pytest.mark.parametrize("backend,n,kwargs,d", [
+        pytest.param("clifford", 2, {}, 8, id="clifford"),
+        pytest.param("comm_complex", 2, {}, 16, id="comm_complex"),
+        pytest.param("comm_real", 2, {}, 4, id="comm_real"),
+    ] + [
+        pytest.param("clifford", n, {"mode": mode, **kwargs}, d, id=f"clifford-{mode}-n{n}")
+        for mode, kwargs, sides in [
+            ("exhaustive", {}, (4, 8, 32, 64, 256, 512)),
+            ("pairwise_independent", {}, (4, 8, 32, 32, 128, 128)),
+            ("monte_carlo", {"seed": 3, "sample_count": 700}, (4, 8, 32, 64, 256))]
+        for n, d in enumerate(sides, start=1) if (mode, n) != ("exhaustive", 2)])
+    def test_materialization_matches_backend_norm(self, backend, n, kwargs, d):
+        emb = BACKEND_BUILDERS[backend](n, **kwargs)
         op = emb.little_op()
         assert op.d == d
-        a = random_complex(np.random.default_rng(1), 2)
+        a = random_complex(np.random.default_rng(1), n)
         a = a.real if emb.is_real else a
         s = np.linalg.svd(op.apply(a), compute_uv=False).sum() / op.d
         assert s == pytest.approx(emb.norm(a), abs=1e-12)
 
     def test_clifford_materialization_cap(self):
-        with pytest.raises(ValueError, match="d = 1024 at n=4 exceeds cap"):
-            BACKEND_BUILDERS["clifford"](4).little_op()
-
-    @pytest.mark.parametrize("mode,kwargs", [("pairwise_independent", {}),
-                                             ("monte_carlo", {"seed": 0, "sample_count": 64})])
-    def test_clifford_non_exhaustive_family_refused(self, mode, kwargs):
-        with pytest.raises(ValueError, match="exhaustive"):
-            BACKEND_BUILDERS["clifford"](2, mode, **kwargs).little_op()
+        with pytest.raises(ValueError, match="d = 2048 at n=7 exceeds cap"):
+            BACKEND_BUILDERS["clifford"](7).little_op()
 
 
 class TestAdjoint:
@@ -189,10 +193,10 @@ class TestLift:
     def test_clifford_n3_lift(self):
         op = BACKEND_BUILDERS["clifford"](3).little_op()
         tensor = solvers.lift_little_to_big(op)
-        assert tensor.d == 256 and tensor.nnz == 114688
+        assert tensor.d == 32 and tensor.nnz == 1792
         rng = np.random.default_rng(15)
         for _ in range(3):
-            a_mat, b_mat = random_complex(rng, 256, 256), random_complex(rng, 256, 256)
+            a_mat, b_mat = random_complex(rng, 32, 32), random_complex(rng, 32, 32)
             ua = solvers.adjoint_apply(op, a_mat)
             ub = solvers.adjoint_apply(op, b_mat)
             assert abs(evaluate_bilinear(tensor, a_mat, b_mat)
