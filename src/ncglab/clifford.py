@@ -39,9 +39,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# Temporaries each batch kernel holds at once, counted in (rows, P) arrays:
-# the traced peaks are 7.0-7.1 and 12.0-12.5 of them at P = 64 and P = 62409.
-_NORM_LIVE = 8
+# Temporaries the batch kernel holds at once, counted in (rows, P) arrays:
+# the traced peaks are 12.5 of them at P = 64 (exhaustive n=6) and 12.0 at
+# P = 62409 (Monte Carlo n=16, standard errors included).
 _GRADIENT_LIVE = 13
 
 
@@ -245,24 +245,11 @@ def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
     purely real or purely imaginary, so L vanishes). Monte-Carlo mode
     reports a standard error.
     """
-    value, stderr = _by_row_chunks(_norm_rows, _NORM_LIVE, _rows(a, family.n), family)
+    value, _, stderr = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
+                                      _rows(a, family.n), family)
     if np.ndim(a) != 2:
         return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
     return NormEstimate(value=value, stderr=stderr)
-
-
-def _norm_rows(rows: np.ndarray, family: PhaseFamily):
-    p, q, r = _pqr(rows, family)
-    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
-    s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
-    vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
-    value = vals @ family.class_weights
-    stderr = np.zeros_like(value)
-    if family.mode == "monte_carlo" and family.size > 1:
-        # member sample variance; class_weights are class sizes over size
-        spread = (vals - value[:, None]) ** 2 @ family.class_weights
-        stderr = np.sqrt(spread / (family.size - 1))
-    return value, stderr
 
 
 def embedding_norm_bound(a) -> float:
@@ -292,26 +279,34 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    value, grad = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
-                                 _rows(a, family.n), family)
+    value, grad, _ = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
+                                    _rows(a, family.n), family)
     if np.ndim(a) != 2:
         return float(value[0]), grad[0]
     return value, grad
 
 
 def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
+    """(V,) values, (V, n) gradients and (V,) Monte-Carlo standard errors
+    (0 for an exact family) of a batch of rows."""
     x, y = rows.real, rows.imag
-    s = np.sum(x * x + y * y, axis=1)
+    s = np.sum(np.abs(rows) ** 2, axis=1)
     nonzero = s > 0.0
-    # A zero row has value and gradient 0. Setting s = 1 there only keeps the
-    # inverse square roots finite; its x = y = 0 zero the gradient.
+    # A zero row has value, gradient and stderr 0. Setting s = 1 there only
+    # keeps the inverse square roots finite; its x = y = 0 zero the gradient.
     s = np.where(nonzero, s, 1.0)[:, None]
     p, q, r = _pqr(rows, family)
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     sqrt_plus = np.sqrt(s + 2 * lam)
     sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
     w = family.class_weights
-    value = np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0)
+    value = 0.5 * (sqrt_plus + sqrt_minus) @ w
+    stderr = np.zeros_like(value)
+    if family.mode == "monte_carlo" and family.size > 1:
+        # member sample variance; class_weights are class sizes over size
+        spread = (0.5 * (sqrt_plus + sqrt_minus) - value[:, None]) ** 2 @ w
+        stderr = np.where(nonzero, np.sqrt(spread / (family.size - 1)), 0.0)
+    value = np.where(nonzero, value, 0.0)
 
     inv_plus = 1.0 / sqrt_plus
     inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))
@@ -327,7 +322,7 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     cross = (c * r) @ family.sign
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
-    return value, gx + 1j * gy
+    return value, gx + 1j * gy, stderr
 
 
 # Dictatorship-test constants of the phase-averaged matrix embedding: basis

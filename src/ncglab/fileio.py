@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import FORMAT_VERSION
 from .labelcover import LabelCoverInstance
-from .linalg import _int64
+from .linalg import _from_pairs, _int64, _pairs
 from .solvers import NcgTensor
 
 
@@ -131,14 +131,13 @@ def _table(value, kind: str, name: str, shape: tuple, integral: bool):
         if table.ndim != len(shape) or any(dim not in (None, got)
                                            for dim, got in zip(shape, table.shape)):
             raise ValueError
-        # json reads NaN and Infinity as floats
-        if not np.all(np.isfinite(table)) or integral and np.any(table != np.trunc(table)):
+        if not np.all(np.isfinite(table)):  # json reads NaN and Infinity as floats
             raise ValueError
+        table = _int64(table, name) if integral else table
     except ValueError:
         dims = ", ".join("*" if dim is None else str(dim) for dim in shape)
         raise ValueError(f"{kind} file {name} must be finite {'whole ' if integral else ''}"
                          f"numbers of shape ({dims})") from None
-    table = table.astype(np.int64) if integral else table
     return table if shape else table.item() if integral else value
 
 
@@ -147,18 +146,6 @@ def _finite(table, kind: str, name: str):
     if not np.all(np.isfinite(table)):
         raise ValueError(f"{kind} file {name} must be finite numbers")
     return table
-
-
-def _pairs(values: np.ndarray) -> np.ndarray:
-    """Complex array -> float array with a trailing [re, im] axis."""
-    return np.stack([values.real, values.imag], axis=-1)
-
-
-def _from_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Inverse of _pairs; keeps signed zeros, which re + 1j*im would not."""
-    out = np.empty(pairs.shape[:-1], dtype=np.complex128)
-    out.real, out.imag = pairs[..., 0], pairs[..., 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +219,8 @@ def load_tensor(path) -> NcgTensor:
 def save_solution(value: float, a_mat, b_mat, path) -> None:
     """The value and the unitary pair (A, B) of a bilinear-form solve."""
     dump_json({"version": FORMAT_VERSION, "value": _finite(value, "solution", "value"),
-               "a": _finite(_pairs(np.asarray(a_mat)), "solution", "a"),
-               "b": _finite(_pairs(np.asarray(b_mat)), "solution", "b")}, path)
+               "a": _finite(_pairs(a_mat), "solution", "a"),
+               "b": _finite(_pairs(b_mat), "solution", "b")}, path)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,35 @@ def _int64(values, name: str) -> np.ndarray:
     return out
 
 
+def _pairs(values) -> np.ndarray:
+    """values as float64 [re, im] pairs along a new trailing axis: a view of
+    a C-contiguous complex128 array, so writing to it writes to values."""
+    z = np.asarray(values, dtype=np.complex128, order="C")
+    return z.reshape(-1).view(np.float64).reshape(*z.shape, 2)
+
+
+def _from_pairs(pairs) -> np.ndarray:
+    """Inverse of _pairs; keeps signed zeros, which re + 1j*im would not."""
+    return np.asarray(pairs, dtype=np.float64, order="C").view(np.complex128)[..., 0]
+
+
+def _components(count: int, u, v) -> np.ndarray:
+    """The least index of each vertex's connected component in the graph on
+    range(count) with an edge (u[e], v[e]) per e. Each vertex starts as its
+    own root, every edge hooks the larger of its two roots under the
+    smaller, and full path compression follows, until no edge joins two
+    roots."""
+    root = np.arange(count)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not np.any(split):
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(up := root[root], root):
+            root = up
+
+
 def _require_square(m: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")

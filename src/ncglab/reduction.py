@@ -28,6 +28,7 @@ from . import clifford, commutative, solvers
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS, DENSE_DIM_CAP,
                      SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
+from .linalg import _pairs
 from .solvers import _sphere_ascent
 
 
@@ -99,16 +100,10 @@ class SubspaceBasis:
         """The projection of a field (V, n), or of its flattening, in fld's shape."""
         out = np.array(fld, dtype=np.complex128, order="C")
         if self.lu is not None:
-            pairs = _pairs(out)
+            pairs = _pairs(out).reshape(-1, 2)
             for _ in range(_SWEEPS):
                 pairs -= self.transpose @ self.lu.solve(self.matrix @ pairs)
         return out
-
-
-def _pairs(fld: np.ndarray) -> np.ndarray:
-    """The (len, 2) float64 view of a C-contiguous complex128 array's real
-    and imaginary parts, so that the real A multiplies it without a complex copy."""
-    return fld.reshape(-1).view(np.float64).reshape(-1, 2)
 
 
 def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
@@ -171,7 +166,7 @@ def field_l2_norm(fld) -> float:
 
 def constraint_residual(cs: ConstraintSystem, fld) -> float:
     """max |A b| over the constraint rows; 0 without rows."""
-    sums = cs.matrix @ _pairs(np.ascontiguousarray(fld, dtype=np.complex128))
+    sums = cs.matrix @ _pairs(fld).reshape(-1, 2)
     return float(np.hypot(sums[:, 0], sums[:, 1]).max(initial=0.0))
 
 

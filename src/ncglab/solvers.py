@@ -31,7 +31,7 @@ import scipy.sparse
 
 from .config import (CHUNK_ENTRIES, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
                      DENSE_DIM_CAP)
-from .linalg import _int64, as_matrix, polar_unitary
+from .linalg import _components, _int64, as_matrix, polar_unitary
 
 # Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
 LIFT_CAP = 1 << 22
@@ -207,21 +207,9 @@ class _Blocks:
 
 
 def _blocks(d: int, support) -> _Blocks:
-    """Blocks of the flat positions ``support``: each index starts as its own
-    root, every edge hooks the larger of its two roots under the smaller, and
-    full path compression follows, until no edge joins two roots; a root is
-    then its component's least index."""
+    """Blocks of the flat positions ``support``, each named by its least index."""
     support = np.asarray(support, dtype=np.int64)
-    u, v = support // d, support % d
-    root = np.arange(d)
-    while True:
-        ru, rv = root[u], root[v]
-        split = ru != rv
-        if not np.any(split):
-            break
-        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
-        while not np.array_equal(up := root[root], root):
-            root = up
+    root = _components(d, support // d, support % d)
     side = np.bincount(root, minlength=d)[root]
     order = np.lexsort((np.arange(d), root, side))
     sides = side[order]
@@ -330,6 +318,8 @@ def _sphere_ascent(norm_and_grad, dim: int, *, complex_start: bool, restarts: in
     restart stops at such a z, and at the first step that does not raise the
     value, so each iteration makes one evaluation.
     """
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be positive")
     rng = np.random.default_rng(seed)
     best_value, best_z = -np.inf, None
     for _ in range(restarts):

@@ -490,6 +490,51 @@ class TestNormGradient:
         assert values[4] == pytest.approx(1.0, abs=1e-12)
 
 
+def norm_rows_reference(rows, family):
+    """The value-only row kernel that the norm used before it shared the
+    gradient's: (V,) values and Monte-Carlo standard errors."""
+    p, q, r = clifford._pqr(rows, family)
+    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
+    s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
+    vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
+    value = vals @ family.class_weights
+    stderr = np.zeros_like(value)
+    if family.mode == "monte_carlo" and family.size > 1:
+        spread = (vals - value[:, None]) ** 2 @ family.class_weights
+        stderr = np.sqrt(spread / (family.size - 1))
+    return value, stderr
+
+
+class TestOneKernel:
+    """The norm and the ascent read one row kernel, so a certificate and an
+    ascent iterate give the same number for the same vector, and the norm
+    keeps the bits of the value-only formula it replaced."""
+
+    @pytest.mark.parametrize("n, mode, kwargs", [
+        (3, "exhaustive", {}),
+        (6, "exhaustive", {}),
+        (8, "pairwise_independent", {}),
+        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    ])
+    def test_norm_keeps_the_value_formula_bits(self, n, mode, kwargs):
+        rng = np.random.default_rng(20)
+        fam = clifford.build_phase_family(n, mode, **kwargs)
+        fld = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        fld[3] = 0.0
+        fld[4], fld[5] = np.eye(n)[0], 1j * np.eye(n)[n - 1]
+        fld[6] = rng.normal(size=n)  # real
+        est = clifford.dictator_embedding_norm(fld, fam)
+        value, stderr = norm_rows_reference(fld, fam)
+        assert est.value.tobytes() == value.tobytes()
+        assert est.stderr.tobytes() == stderr.tobytes()
+        assert clifford.embedding_norm_and_gradient(fld, fam)[0].tobytes() == value.tobytes()
+        for row in fld[:8]:
+            one = clifford.dictator_embedding_norm(row, fam)
+            ref_value, ref_stderr = norm_rows_reference(row[None], fam)
+            assert one.value == ref_value[0] and one.stderr == ref_stderr[0]
+            assert clifford.embedding_norm_and_gradient(row, fam)[0] == one.value
+
+
 class TestRowChunks:
     """The batch kernels work through blocks of rows; forcing several small
     blocks must give what one block gives."""
@@ -509,13 +554,13 @@ class TestRowChunks:
         whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
 
         blocks = []
-        for name in ("_norm_rows", "_norm_and_gradient_rows"):
+        for name in ("_norm_and_gradient_rows",):
             kernel = getattr(clifford, name)
             monkeypatch.setattr(clifford, name, lambda rows, family, kernel=kernel: (
                 blocks.append(rows.shape[0]) or kernel(rows, family)))
         # two rows per block: seven rows take four blocks
         width = fam.parity.shape[0] + n
-        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * clifford._NORM_LIVE * width)
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * clifford._GRADIENT_LIVE * width)
         chunked = clifford.dictator_embedding_norm(fld, fam)
         monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * clifford._GRADIENT_LIVE * width)
         value, grad = clifford.embedding_norm_and_gradient(fld, fam)

@@ -1,8 +1,10 @@
 """The numeric table writer against json's own indent-2 output, every writer
 against the plain json.dumps writer it replaced, and the writers' refusals."""
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -208,3 +210,43 @@ class TestWriterRefusals:
         assert report["pass"] is False
         assert report["error"] == "solution file a must be finite numbers"
         assert not (tmp_path / "s.json").exists()
+
+
+class TestReaderRefusals:
+    """Whole-number fields go through the one int64 conversion check, so a
+    float at or beyond 2^63 in magnitude is refused as not a whole number,
+    not cast to INT64_MIN and blamed on a range check downstream."""
+
+    @pytest.fixture
+    def files(self):
+        inst, planted = labelcover.generate_planted(8, 3, 6, 3, 2, seed=7)
+        fileio.save_instance(inst, "instance.json")
+        fileio.save_assignment(planted, "assignment.json")
+        fileio.save_tensor(NcgTensor(d=2, indices=[[0, 0, 0, 0], [0, 1, 1, 0]],
+                                     coeffs=[1.0, 0.5j]), "tensor.json")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("huge", [2.0**63, 1e19, -1e19, 1e300])
+    @pytest.mark.parametrize("kind, path, message", [
+        ("assignment", ["labels", 0], "assignment file labels must be finite whole numbers "
+                                      "of shape (*)"),
+        ("instance", ["t"], "instance file t must be finite whole numbers of shape ()"),
+        ("instance", ["edges", 0, "u"], "instance file u must be finite whole numbers "
+                                        "of shape (12)"),
+        ("instance", ["edges", 2, "v"], "instance file v must be finite whole numbers "
+                                        "of shape (12)"),
+        ("tensor", ["entries", 1, 2], "tensor file entry indices must be finite whole numbers "
+                                      "of shape (*, 4)"),
+        ("tensor", ["d"], "tensor file d must be finite whole numbers of shape ()"),
+    ])
+    def test_whole_numbers_beyond_int64(self, tmp_path, files, huge, kind, path, message):
+        file = tmp_path / f"{kind}.json"
+        doc = json.loads(file.read_text())
+        *head, last = path
+        functools.reduce(operator.getitem, head, doc)[last] = huge
+        file.write_text(json.dumps(doc))
+        loader = {"assignment": fileio.load_assignment, "instance": fileio.load_instance,
+                  "tensor": fileio.load_tensor}[kind]
+        with pytest.raises(ValueError) as info:
+            loader(file)
+        assert str(info.value) == message

@@ -333,6 +333,29 @@ class TestCheckersMatchLoops:
         assert_checkers_match_loops(inst, seed)
         assert_file_round_trip(inst)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_connectivity_matches_search(self, data):
+        # sparse edge lists, so disconnected graphs and isolated vertices
+        # occur; half of them start with a random spanning tree less up to two
+        # edges, so that connected graphs, and disconnected ones without an
+        # isolated vertex, occur too
+        vertices = data.draw(st.integers(1, 30))
+        vertex = st.integers(0, vertices - 1)
+        edges = []
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(vertices)))
+            cuts = data.draw(st.sets(st.integers(1, max(vertices - 1, 1)), max_size=2))
+            edges = [(order[i], order[data.draw(st.integers(0, i - 1))])
+                     for i in range(1, vertices) if i not in cuts]
+        edges += data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                                    max_size=60 - len(edges) if vertices > 1 else 0))
+        inst = lc.LabelCoverInstance(num_vertices=vertices, n=1, k=1, t=1, gamma=1.0,
+                                     zeta=0.1, ends=np.array(edges, dtype=int).reshape(-1, 2),
+                                     pis=np.zeros((len(edges), 2, 1), dtype=int))
+        assert type(inst.is_connected()) is bool
+        assert inst.is_connected() == loop_is_connected(inst)
+
     def test_disconnected(self):
         ident = [0, 1, 2]
         inst = lc.LabelCoverInstance(num_vertices=4, n=3, k=3, t=2, gamma=1.0,

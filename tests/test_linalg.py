@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncglab import linalg
 from ncglab.clifford import PAULI_X, PAULI_Y, PAULI_Z
@@ -293,3 +294,45 @@ class TestPolarStacks:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             linalg.polar_unitary(np.full((2, 1, 1), np.nan))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5, -0.1]
+PAIR_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+
+
+class TestPairs:
+    """_pairs and _from_pairs, the one [re, im] view pair that the projector,
+    the residual and the file readers and writers share."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                         max_side=4).map(lambda s: (*s, 2)),
+                            elements=PAIR_FLOATS),
+           strided=st.booleans())
+    def test_round_trip_keeps_every_byte(self, parts, strided):
+        z = np.empty(parts.shape[:-1], dtype=np.complex128)
+        z.real, z.imag = parts[..., 0], parts[..., 1]  # keeps signed zeros
+        if strided and z.ndim:  # non-contiguous input
+            z = z[..., ::2]
+        pairs = linalg._pairs(z)
+        assert pairs.dtype == np.float64 and pairs.shape == (*z.shape, 2)
+        assert pairs[..., 0].tobytes() == z.real.tobytes()
+        assert pairs[..., 1].tobytes() == z.imag.tobytes()
+        back = linalg._from_pairs(pairs)
+        assert back.dtype == np.complex128 and back.shape == z.shape
+        assert back.tobytes() == z.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                     max_side=4), elements=PAIR_FLOATS))
+    def test_real_input(self, x):
+        back = linalg._from_pairs(linalg._pairs(x))
+        assert back.tobytes() == x.astype(np.complex128).tobytes()
+
+    def test_contiguous_complex_is_a_view(self):
+        z = random_complex(np.random.default_rng(70), 3, 4)
+        pairs = linalg._pairs(z)
+        assert np.shares_memory(pairs, z)
+        pairs[1, 2] = [-0.0, 2.5]
+        assert z[1, 2].tobytes() == np.complex128(complex(-0.0, 2.5)).tobytes()
+        assert not np.shares_memory(linalg._pairs(z.T), z)

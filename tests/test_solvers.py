@@ -716,6 +716,17 @@ class TestSphereAscent:
         assert_monotone_runs(runs, restarts=4, iters=50, best=value)
         assert len(calls) == sum(len(values) for values in runs) <= 4 * (50 + 1)
 
+    @pytest.mark.parametrize("restarts, iters", [(0, 5), (-1, 5), (2, 0)])
+    def test_empty_runs_refused(self, restarts, iters):
+        # with no restart there is no best point to return
+        inst, _ = lc.generate_planted(8, 3, 4, 2, 2, seed=18)
+        with pytest.raises(ValueError, match="^restarts and iters must be positive$"):
+            red.operator_norm_lower_bound(inst, BACKEND_BUILDERS["clifford"](4),
+                                          restarts=restarts, iters=iters)
+        with pytest.raises(ValueError, match="^restarts and iters must be positive$"):
+            solvers.little_norm_lower_bound(cached_little_op("comm_real", 4),
+                                            restarts=restarts, iters=iters)
+
     @pytest.mark.filterwarnings("error")
     def test_zero_operator_stops_at_the_start(self):
         # every gradient is exactly 0, so each restart keeps its unit start
