@@ -68,8 +68,8 @@ def _table(path, header, rows) -> list[list[str]]:
 
 # ---------------------------------------------------------------------------
 # Command handlers: each returns (report body, passed bool); main stamps the
-# body with "command" and "pass" before writing it. The handler of command
-# "x-y" is _cmd_x_y, looked up when main runs it.
+# body with "params", "command" and "pass" before writing it. The handler of
+# command "x-y" is _cmd_x_y, looked up when main runs it.
 
 
 def _cmd_gen_labelcover(args):
@@ -86,9 +86,6 @@ def _cmd_gen_labelcover(args):
     if planted is not None:
         checks["planted_satisfies_all"] = labelcover.satisfied_fraction(inst, planted) == 1.0
     report = {
-        "params": {"vertices": args.vertices, "degree": args.degree, "n": args.n,
-                   "k": args.k, "t": args.t, "zeta": args.zeta, "seed": args.seed,
-                   "mode": args.mode},
         "instance_file": args.out,
         "smoothness": inst.gamma,
         "num_edges": inst.num_edges,
@@ -107,8 +104,6 @@ def _cmd_check_instance(args):
         inst, args.deltas, subset_samples=args.subset_samples, seed=args.seed)
     checks["weak_expansion"] = all(row.passed for row in expansion)
     report = {
-        "params": {"instance": args.instance, "deltas": args.deltas,
-                   "subset_samples": args.subset_samples, "seed": args.seed},
         "smoothness": smoothness,
         "declared_gamma": inst.gamma,
         "expansion": [vars(row) for row in expansion],
@@ -128,8 +123,6 @@ def _cmd_reduce(args):
         inst.n, args.mode, seed=args.seed, sample_count=args.samples)
     cert = reduction.completeness_certificate(inst, labels, backend)
     report = {
-        "params": {"instance": args.instance, "assignment": args.assignment,
-                   "backend": args.backend, "mode": args.mode, "seed": args.seed},
         "in_subspace": cert.in_subspace,
         "residual": cert.residual,
         "value": cert.value,
@@ -143,9 +136,11 @@ def _cmd_reduce(args):
 def _cmd_decode(args):
     inst = fileio.load_instance(args.instance)
     fld = fileio.load_field(args.field)
-    # default: the matrix embedding's spread threshold, saturated at the decoder's ceiling
-    delta = args.delta if args.delta is not None else min(clifford.spread_threshold(args.eps), 1.0)
-    params = reduction.DecoderParams(eps=args.eps, delta=delta, t=inst.t, seed=args.seed)
+    # default: the matrix embedding's spread threshold, saturated at the decoder's
+    # ceiling; kept on args so the report's params record the delta used
+    if args.delta is None:
+        args.delta = min(clifford.spread_threshold(args.eps), 1.0)
+    params = reduction.DecoderParams(eps=args.eps, delta=args.delta, t=inst.t, seed=args.seed)
     labels, stats = reduction.decode(fld, params, inst)
     if args.assignment_out:
         fileio.save_assignment(labels, args.assignment_out)
@@ -153,12 +148,7 @@ def _cmd_decode(args):
         "a1_within_bound": all(s <= stats.a1_bound for s in stats.a1_sizes),
         "a2_within_bound": all(s <= stats.a2_bound for s in stats.a2_sizes),
     }
-    report = {
-        "params": {"instance": args.instance, "field": args.field, "eps": args.eps,
-                   "delta": delta, "seed": args.seed},
-        "stats": vars(stats),
-        "checks": checks,
-    }
+    report = {"stats": vars(stats), "checks": checks}
     print(f"decoded: |V0|/|V|={stats.v0_fraction:.3f} satisfied={stats.satisfied_fraction:.4f}")
     return report, all(checks.values())
 
@@ -210,11 +200,7 @@ def _cmd_embed_verify(args):
         rows.append(["second_moment", n, family.mode, moment_err, 1e-10,
                      moment_err <= 1e-10])
 
-    report = {
-        "params": {"n": n, "mode": args.mode, "samples": args.samples,
-                   "trials": trials, "seed": args.seed},
-        "rows": _table(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows),
-    }
+    report = {"rows": _table(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows)}
     _print_verdicts((row[0], row[5]) for row in rows)
     return report, all(row[5] for row in rows)
 
@@ -230,8 +216,6 @@ def _cmd_comm_verify(args):
     _table(args.csv, ["n", "spread", "value", "stderr", "gap"],
            [[r.n, r.spread, r.value, r.stderr, r.gap] for r in rows])
     report = {
-        "params": {"field": args.field, "n_list": args.n_list, "mode": args.mode,
-                   "samples": args.samples, "seed": args.seed},
         "limit": limit,
         "rows": [vars(r) for r in rows],
         "gap_monotone": monotone,
@@ -246,12 +230,7 @@ def _cmd_lift(args):
     op = reduction.BACKEND_BUILDERS[args.backend](args.n).little_op()
     tensor = solvers.lift_little_to_big(op)
     fileio.save_tensor(tensor, args.out)
-    report = {
-        "params": {"backend": args.backend, "n": args.n},
-        "d": tensor.d,
-        "nnz": tensor.nnz,
-        "tensor_file": args.out,
-    }
+    report = {"d": tensor.d, "nnz": tensor.nnz, "tensor_file": args.out}
     print(f"lifted {args.backend} n={args.n} -> d={tensor.d}, {tensor.nnz} entries")
     return report, True
 
@@ -266,8 +245,6 @@ def _cmd_solve_ncg(args):
     unitary_ok = (result.unitarity_residual_a <= 1e-9
                   and result.unitarity_residual_b <= 1e-9)
     report = {
-        "params": {"tensor": args.tensor, "restarts": args.restarts,
-                   "iters": args.iters, "tol": args.tol, "seed": args.seed},
         "value": result.value,
         "unitarity_residuals": [result.unitarity_residual_a, result.unitarity_residual_b],
         "monotone": monotone,
@@ -287,10 +264,7 @@ def _cmd_report(args):
         # a row passes only on a report object whose "pass" is JSON true
         doc = doc if isinstance(doc, dict) else {}
         rows.append([path, doc.get("command", "?"), doc.get("pass") is True])
-    report = {
-        "params": {"inputs": list(args.inputs)},
-        "rows": _table(args.csv, ["file", "command", "pass"], rows),
-    }
+    report = {"rows": _table(args.csv, ["file", "command", "pass"], rows)}
     _print_verdicts((f"{command} ({path})", ok) for path, command, ok in rows)
     return report, all(ok for _, _, ok in rows)
 
@@ -400,6 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed names that a report's params leave out: the command and the paths
+# a command writes, the report itself among them.
+_NOT_PARAMS = {"command", "report", "out", "planted_out", "assignment_out", "csv"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -412,7 +391,9 @@ def main(argv=None) -> int:
                            report_path)
         print(f"error: {message}", file=sys.stderr)
         return 1
-    fileio.save_report({**body, "command": args.command, "pass": passed}, report_path)
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
+    fileio.save_report({"params": params, **body, "command": args.command, "pass": passed},
+                       report_path)
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 

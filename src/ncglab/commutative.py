@@ -31,6 +31,11 @@ COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
 _DECODE = {"real": 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1),
            "complex": PHASE_VALUES[(np.arange(256)[:, None] >> 2 * np.arange(4)) & 3]}
 
+# Most float64 entries (a complex entry is two) the byte tables hold at once: the
+# chunk budget at import, so shrinking config.CHUNK_ENTRIES later shrinks only the
+# member chunks. A row over it alone is refused: complex n > 32768, real n > 131072.
+TABLE_CAP = config.CHUNK_ENTRIES
+
 
 @dataclass
 class SignEnsemble:
@@ -139,19 +144,26 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
     giving (V,) arrays. Every row reads the same member codes, each byte
     looked up in the row's per-group partial-sum tables. Exhaustive mode is
-    exact (stderr 0); monte_carlo reports the sample standard error.
+    exact (stderr 0); monte_carlo reports the sample standard error. The
+    tables are built for as many rows at a time as fit TABLE_CAP.
     """
+    decode = _DECODE[ens.field]
+    width, groups = decode.itemsize // 8, -(-ens.n // decode.shape[1])
+    block = TABLE_CAP // (width * groups * 256)
+    if block < 1:
+        raise ValueError(f"{ens.field} n={ens.n}: one row's byte tables hold "
+                         f"{width * groups * 256} float64, over TABLE_CAP {TABLE_CAP}")
     rows = _check_rows(a, ens)
-    tables = _byte_tables(rows, ens.field)
-    groups = tables.shape[1] // 256
     acc, acc_sq = np.zeros((2, rows.shape[0]))
-    # per member: the gather index, V gathered entries per group, V sums (a
-    # complex entry is two float64) and the V magnitudes of the chunk before
-    live = groups + rows.shape[0] * (tables.itemsize // 8 * (groups + 1) + 1)
-    for codes in _member_codes(ens, live):
-        mags = np.abs(_table_products(tables, codes))
-        acc += mags.sum(axis=1)
-        acc_sq += (mags * mags).sum(axis=1)
+    for lo in range(0, rows.shape[0], block):
+        tables = _byte_tables(rows[lo:lo + block], ens.field)
+        # per member: the gather index, V gathered entries per group, V sums (a
+        # complex entry is two float64) and the V magnitudes of the chunk before
+        live = groups + tables.shape[0] * (width * (groups + 1) + 1)
+        for codes in _member_codes(ens, live):
+            mags = np.abs(_table_products(tables, codes))
+            acc[lo:lo + block] += mags.sum(axis=1)
+            acc_sq[lo:lo + block] += (mags * mags).sum(axis=1)
     value = acc / ens.size
     stderr = np.zeros_like(value)
     if ens.mode == "monte_carlo":

@@ -123,10 +123,17 @@ class TestCheckInstance:
         assert report["satisfied_fraction"] == 1.0
         assert report["checks"]["smoothness_ok"] is True
         assert file_sha256(tmp_path / "check-instance.report.json") == \
-            "ed128209654f49e4c5791c2c3013b71303343b44803eba8a085a2ad52eb8622b"
+            "5832ae0244f1e018ceff640594fa24498dd260ad2139b8c777f1f664af05bd8d"
         assert capsys.readouterr().out == "".join(f"  {name}: PASS\n" for name in (
             "regular", "connected", "preimage_bound", "smoothness_ok",
             "weak_expansion")) + "PASS\n"
+
+    def test_params_record_assignment(self, tmp_path):
+        main(gen_args())
+        assert main(["check-instance", "--instance", "inst.json",
+                     "--assignment", "planted.json", "--deltas", "0.75,1.0"]) == 0
+        report = json.loads((tmp_path / "check-instance.report.json").read_text())
+        assert report["params"]["assignment"] == "planted.json"
 
     @pytest.mark.parametrize("deltas", ["0.001", "5", ","])
     def test_unusable_delta_grid_fails(self, tmp_path, deltas):
@@ -190,7 +197,20 @@ class TestReduce:
                 "--backend", backend]
         assert main([*argv, "--report", "plain.json"]) == 0
         assert main([*argv, "--samples", "5", "--report", "samples.json"]) == 0
-        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "samples.json").read_bytes()
+        plain, samples = (json.loads((tmp_path / name).read_text())
+                          for name in ("plain.json", "samples.json"))
+        assert plain["params"]["samples"] is None and samples["params"]["samples"] == 5
+        del plain["params"], samples["params"]
+        assert json.dumps(plain) == json.dumps(samples)
+
+    def test_params_record_samples(self, tmp_path):
+        main(gen_args())
+        argv = ["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                "--backend", "clifford", "--mode", "monte_carlo", "--seed", "3"]
+        for samples in (2000, 4000):
+            assert main([*argv, "--samples", str(samples), "--report", f"{samples}.json"]) == 0
+            report = json.loads((tmp_path / f"{samples}.json").read_text())
+            assert report["params"]["samples"] == samples
 
     def test_backend_added_to_the_table_reaches_reduce_and_lift(self, tmp_path, monkeypatch):
         from ncglab import reduction
@@ -325,6 +345,20 @@ class TestCommVerify:
         assert code == 1
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())
         assert report["pass"] is False and report["error"] == error
+
+    def test_row_over_byte_table_cap_fails_with_report(self, tmp_path):
+        # one complex row at n = 65536 would take 64 MiB of byte tables
+        tracemalloc.start()
+        try:
+            code = main(["comm-verify", "--field", "complex", "--n-list", "65536",
+                         "--samples", "10", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        report = json.loads((tmp_path / "comm-verify.report.json").read_text())
+        assert report["pass"] is False and "over TABLE_CAP 4194304" in report["error"]
+        assert peak < 2**22
 
 
 class TestLiftAndSolve:
@@ -479,14 +513,14 @@ LIFT = ["lift", "--n", "2", "--out", "t.json", "--backend"]
 GOLDEN_REPORTS = {
     "reduce-clifford":
         ([*REDUCE, "--backend", "clifford"],
-         "fc168472ff7a166d9c3159f742c113f4c1edc6c0f532238d616145a74e9fb4b3"),
+         "af79b4172a66ba35f84611009088f9d8ce8fd870f89fa35aec379005d9e4881f"),
     "reduce-comm-real":
         ([*REDUCE, "--backend", "comm_real"],
-         "431ff950a83d5eea2a8aca41e610cc2e9363b02ced37b9175859bed919a51631"),
+         "fb6950f7b353e93e3a834a9a6fb9809a1fe64b2446571904f89b0813a9b36e87"),
     "reduce-clifford-monte-carlo":
         ([*REDUCE, "--backend", "clifford", "--mode", "monte_carlo",
           "--samples", "2000", "--seed", "3"],
-         "74588bae5c6320927376c9530d1c392d055ce5cec229c4dbb69a1b7201bbb4a6"),
+         "5e666022bae5f3a7d90cce7ae89ca46a7d8a9ed0e0069cf9a738597c9a68ac72"),
     "decode-noisy":
         ([*DECODE, "--field", "noisy.json"],
          "51ea588083156b299e2c5ad23d7ab94e1181913d00cbf725b6146c12320e13df"),

@@ -233,6 +233,50 @@ class TestByteTableSampler:
             assert abs(batch.value[v] - est.value) <= 1e-12
             assert abs(batch.stderr[v] - est.stderr) <= 1e-12
 
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+    def test_row_blocks_match_single_rows(self, fld, mode, monkeypatch):
+        n = 5
+        ens = comm.SignEnsemble(field=fld, n=n, mode=mode, seed=4, sample_count=500)
+        rng = np.random.default_rng(21)
+        rows = np.array([unit_vector(rng, fld, n) for _ in range(7)])
+        singles = [comm.embedding_l1_norm(row, ens) for row in rows]
+        # room for the tables of two rows: blocks of 2, 2, 2 and 1 rows
+        monkeypatch.setattr(comm, "TABLE_CAP", 2 * comm._byte_tables(rows[:1], fld).nbytes // 8)
+        blocks, build = [], comm._byte_tables
+        monkeypatch.setattr(comm, "_byte_tables", lambda r, f: blocks.append(len(r)) or build(r, f))
+        batch = comm.embedding_l1_norm(rows, ens)
+        assert blocks == [2, 2, 2, 1]
+        for v, est in enumerate(singles):
+            assert abs(batch.value[v] - est.value) <= 1e-12
+            assert abs(batch.stderr[v] - est.stderr) <= 1e-12
+
+    # one row's tables hold 256 entries per byte group: 1 KiB per complex
+    # coordinate (64 MiB at n = 65536), 256 B per real one
+    @pytest.mark.parametrize("fld, n, entries", [
+        ("complex", 32769, 2**22 + 512), ("real", 131073, 2**22 + 256),
+        ("complex", 65536, 2**23)])
+    def test_row_over_table_cap_refused_before_tables(self, fld, n, entries):
+        ens = comm.SignEnsemble(field=fld, n=n, mode="monte_carlo", seed=1, sample_count=10)
+        a = np.full(n, n**-0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{fld} n={n}: one row's byte tables hold {entries} float64, "
+                    f"over TABLE_CAP {2**22}")):
+                comm.embedding_l1_norm(a, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("fld, largest", [("complex", 32768), ("real", 131072)])
+    def test_largest_row_under_table_cap_runs(self, fld, largest):
+        ens = comm.SignEnsemble(field=fld, n=largest, mode="monte_carlo", seed=1,
+                                sample_count=4)
+        est = comm.embedding_l1_norm(np.full(largest, largest**-0.5), ens)
+        assert 0.0 < est.value <= 1.0 + 1e-12
+
 
 class TestGradient:
     @pytest.mark.parametrize("fld", ["real", "complex"])
