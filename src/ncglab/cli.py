@@ -58,6 +58,12 @@ def _print_verdicts(verdicts) -> None:
         print(f"  {name}: {'PASS' if ok else 'FAIL'}")
 
 
+def _refuse_unused_samples(args) -> None:
+    """--samples sizes a Monte-Carlo family; any other --mode would drop it."""
+    if args.samples is not None and args.mode != "monte_carlo":
+        raise ValueError(f"--samples applies only to --mode monte_carlo, not {args.mode}")
+
+
 def _table(path, header, rows) -> list[list[str]]:
     """Write the rows under header as a CSV file at path, when a path is
     given, and return them as the report's lists of strings."""
@@ -73,13 +79,16 @@ def _table(path, header, rows) -> list[list[str]]:
 
 
 def _cmd_gen_labelcover(args):
+    if args.mode == "random" and args.planted_out:
+        raise ValueError("--planted-out needs --mode planted: a random instance has no "
+                         "planted assignment")
     sizes = (args.vertices, args.degree, args.n, args.k, args.t)
     if args.mode == "planted":
         inst, planted = labelcover.generate_planted(*sizes, seed=args.seed, zeta=args.zeta)
     else:
         inst, planted = labelcover.generate_random(*sizes, seed=args.seed, zeta=args.zeta), None
     fileio.save_instance(inst, args.out)
-    if planted is not None and args.planted_out:
+    if args.planted_out:
         fileio.save_assignment(planted, args.planted_out)
     # the generators set gamma to the instance's measured smoothness
     checks = _instance_checks(inst, inst.gamma)
@@ -117,6 +126,7 @@ def _cmd_check_instance(args):
 
 
 def _cmd_reduce(args):
+    _refuse_unused_samples(args)
     inst = fileio.load_instance(args.instance)
     labels = fileio.load_assignment(args.assignment)
     backend = reduction.BACKEND_BUILDERS[args.backend](
@@ -154,6 +164,7 @@ def _cmd_decode(args):
 
 
 def _cmd_embed_verify(args):
+    _refuse_unused_samples(args)
     n, trials = args.n, args.trials
     rng = np.random.default_rng(args.seed)
 
@@ -206,9 +217,8 @@ def _cmd_embed_verify(args):
 
 
 def _cmd_comm_verify(args):
-    rows = commutative.berry_esseen_profile(
-        args.n_list, args.field, mode=args.mode,
-        sample_count=args.samples, seed=args.seed)
+    rows = commutative.berry_esseen_profile(args.n_list, args.field,
+                                            sample_count=args.samples, seed=args.seed)
     limit = commutative.REAL_LIMIT if args.field == "real" else commutative.COMPLEX_LIMIT
     monotone = all(
         rows[i + 1].gap <= rows[i].gap + 3.0 * (rows[i].stderr + rows[i + 1].stderr) + 1e-12
@@ -260,7 +270,10 @@ def _cmd_solve_ncg(args):
 def _cmd_report(args):
     rows = []
     for path in args.inputs:
-        doc = fileio.load_json(path)
+        try:
+            doc = fileio.load_json(path)
+        except (ValueError, OSError):  # not JSON, or unreadable: a FAIL row
+            doc = None
         # a row passes only on a report object whose "pass" is JSON true
         doc = doc if isinstance(doc, dict) else {}
         rows.append([path, doc.get("command", "?"), doc.get("pass") is True])
@@ -273,22 +286,12 @@ def _cmd_report(args):
 # Parser
 
 
-class _BackendNames:
-    """The names in reduction.BACKEND_BUILDERS at the time they are asked for,
-    sorted, so the parser built once takes a backend added to the table later."""
-
-    def __contains__(self, name) -> bool:
-        return name in reduction.BACKEND_BUILDERS
-
-    def __iter__(self):
-        return iter(sorted(reduction.BACKEND_BUILDERS))
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on its first call and shared after.
-    It holds no handler, and every default is immutable or a string that
-    argparse converts anew on each parse."""
+    It holds no handler, every default is immutable or a string that argparse
+    converts anew on each parse, and --backend offers the names that
+    reduction.BACKEND_BUILDERS holds when it is built."""
     parser = argparse.ArgumentParser(
         prog="ncglab",
         description="Verification pipeline for trace-norm embedding gadgets and "
@@ -297,6 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--report", default=None,
                         help="path for the JSON report (default <command>.report.json)")
     sub = parser.add_subparsers(dest="command", required=True)
+    backends = sorted(reduction.BACKEND_BUILDERS)
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("reduce", help="completeness certificate for an assignment")
     p.add_argument("--instance", required=True)
     p.add_argument("--assignment", required=True)
-    p.add_argument("--backend", choices=_BackendNames(), required=True)
+    p.add_argument("--backend", choices=backends, required=True)
     p.add_argument("--mode", choices=["exhaustive", "pairwise_independent", "monte_carlo"],
                    default="exhaustive")
     p.add_argument("--samples", type=_positive_int, default=None)
@@ -349,13 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("comm-verify", help="scalar embedding limit profile")
     p.add_argument("--field", choices=["real", "complex"], required=True)
     p.add_argument("--n-list", type=_comma_ints, required=True)
-    p.add_argument("--mode", choices=["auto", "exhaustive"], default="auto")
     p.add_argument("--samples", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
 
     p = add_parser("lift", help="materialize a little operator and lift it")
-    p.add_argument("--backend", choices=_BackendNames(), required=True)
+    p.add_argument("--backend", choices=backends, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
 

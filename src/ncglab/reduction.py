@@ -283,14 +283,6 @@ BACKEND_BUILDERS = {
 }
 
 
-def apply_norm_F(fld, backend: EmbeddingBackend) -> float:
-    """||F(b)||_{L1} = E_v ||f(b_v)||."""
-    fld = np.asarray(fld, dtype=np.complex128)
-    if fld.ndim != 2 or fld.shape[1] != backend.n:
-        raise ValueError(f"field shape {fld.shape} does not match backend n={backend.n}")
-    return float(np.mean(backend.norm(fld)))
-
-
 # ---------------------------------------------------------------------------
 # Completeness certificate
 
@@ -313,7 +305,7 @@ def completeness_certificate(inst: LabelCoverInstance, labels,
     fld = assignment_to_field(inst, labels)
     residual = constraint_residual(cs, fld)
     in_subspace = residual <= SUBSPACE_RESIDUAL_TOL
-    value = apply_norm_F(fld, backend)
+    value = float(np.mean(backend.norm(fld)))
     passed = in_subspace and value >= backend.eta - CERTIFICATE_SLACK
     return CertificateResult(in_subspace=in_subspace, residual=residual,
                              value=value, passed=passed)

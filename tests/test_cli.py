@@ -80,6 +80,14 @@ class TestGenLabelcover:
         assert report["error"] == "need k*t >= n so projections with preimage bound t exist"
         assert not (tmp_path / "x.json").exists()
 
+    def test_random_mode_refuses_planted_out(self, tmp_path):
+        # a random instance has no planted assignment to write
+        assert main(gen_args(extra=("--mode", "random"))) == 1
+        report = json.loads((tmp_path / "gen-labelcover.report.json").read_text())
+        assert report["pass"] is False and "--planted-out" in report["error"]
+        assert not (tmp_path / "inst.json").exists()
+        assert not (tmp_path / "planted.json").exists()
+
     def test_instance_roundtrip_byte_identical(self, tmp_path):
         main(gen_args())
         inst = fileio.load_instance(tmp_path / "inst.json")
@@ -191,17 +199,15 @@ class TestReduce:
 
 
     @pytest.mark.parametrize("backend", ["clifford", "comm_real"])
-    def test_exhaustive_ignores_samples(self, tmp_path, backend):
+    def test_exhaustive_refuses_samples(self, tmp_path, monkeypatch, backend):
+        from ncglab import reduction
         main(gen_args())
-        argv = ["reduce", "--instance", "inst.json", "--assignment", "planted.json",
-                "--backend", backend]
-        assert main([*argv, "--report", "plain.json"]) == 0
-        assert main([*argv, "--samples", "5", "--report", "samples.json"]) == 0
-        plain, samples = (json.loads((tmp_path / name).read_text())
-                          for name in ("plain.json", "samples.json"))
-        assert plain["params"]["samples"] is None and samples["params"]["samples"] == 5
-        del plain["params"], samples["params"]
-        assert json.dumps(plain) == json.dumps(samples)
+        # refused before any kernel is built: calling None would raise a TypeError
+        monkeypatch.setitem(reduction.BACKEND_BUILDERS, backend, None)
+        assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                     "--backend", backend, "--samples", "5"]) == 1
+        report = json.loads((tmp_path / "reduce.report.json").read_text())
+        assert report["pass"] is False and "--samples" in report["error"]
 
     def test_params_record_samples(self, tmp_path):
         main(gen_args())
@@ -211,19 +217,6 @@ class TestReduce:
             assert main([*argv, "--samples", str(samples), "--report", f"{samples}.json"]) == 0
             report = json.loads((tmp_path / f"{samples}.json").read_text())
             assert report["params"]["samples"] == samples
-
-    def test_backend_added_to_the_table_reaches_reduce_and_lift(self, tmp_path, monkeypatch):
-        from ncglab import reduction
-        monkeypatch.setitem(reduction.BACKEND_BUILDERS, "comm_real_copy",
-                            reduction.comm_real_backend)
-        main(gen_args())
-        for backend in ("comm_real", "comm_real_copy"):
-            assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
-                         "--backend", backend]) == 0
-            assert main(["lift", "--backend", backend, "--n", "2",
-                         "--out", f"{backend}.json"]) == 0
-        assert (tmp_path / "comm_real.json").read_bytes() == \
-            (tmp_path / "comm_real_copy.json").read_bytes()
 
 
 class TestDecode:
@@ -296,6 +289,13 @@ class TestEmbedVerify:
             "ef5ebd9c0e0336a9ee0c65f18a98ec7c5dc9f464d96cb0f9ea821edff7460ddd"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS_SAMPLED
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
+    def test_samples_outside_monte_carlo_refused(self, tmp_path, mode):
+        assert main(["embed-verify", "--n", "4", "--mode", mode, "--samples", "10",
+                     "--seed", "3"]) == 1
+        report = json.loads((tmp_path / "embed-verify.report.json").read_text())
+        assert report["pass"] is False and "--samples" in report["error"]
+
     def test_pairwise_mode(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "6", "--mode", "pairwise_independent",
                      "--seed", "3", "--trials", "30"]) == 0
@@ -321,7 +321,7 @@ class TestCommVerify:
         assert file_sha256(tmp_path / "comm.csv") == \
             "f5b1096ad659e14ab73d18ca78baf09d002b04427b424413dc091a502a1dcf92"
         assert file_sha256(tmp_path / "comm-verify.report.json") == \
-            "ca19aa83a4f453ef820087a8b907636c35b4cc748e6ac4626b0f1db7cff7224e"
+            "4cf625e98ecc82b17f4af704462709efdaefb4992b1d43221d9e75b2bf9e252f"
 
     def test_complex_value(self, tmp_path):
         code = main(["comm-verify", "--field", "complex", "--n-list", "1,2",
@@ -331,20 +331,17 @@ class TestCommVerify:
         values = {row["n"]: row["value"] for row in report["rows"]}
         assert values[2] == pytest.approx((1 + np.sqrt(2)) / (2 * np.sqrt(2)), abs=1e-12)
         assert file_sha256(tmp_path / "comm-verify.report.json") == \
-            "c6fcdbdd9210df2d6f484d63d250c93bdfe1e17dd975d9da75abcb47d43c7cf5"
+            "559416c49345c4c76fb7d326fc460c7ccb7b5b9b0ffb94785934bf4d1716ae50"
 
-    # the exhaustive ensemble at n = 10^11 is refused on its exponent, before
-    # 4^n is formed; the auto profile needs --samples beyond the cap
-    @pytest.mark.parametrize("mode, error", [
-        ("auto", "Monte-Carlo profile rows require sample_count"),
-        ("exhaustive", "exhaustive ensemble size 2^200000000000 exceeds cap 1048576")],
-        ids=["auto", "exhaustive"])
-    def test_huge_n_fails_with_report(self, tmp_path, mode, error):
+    # a row past the enumeration cap needs --samples; n = 10^11 is refused on
+    # its exponent, before 4^n is formed
+    def test_huge_n_fails_with_report(self, tmp_path):
         code = main(["comm-verify", "--field", "complex", "--n-list", "100000000000",
-                     "--mode", mode, "--seed", "1"])
+                     "--seed", "1"])
         assert code == 1
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())
-        assert report["pass"] is False and report["error"] == error
+        assert report["pass"] is False
+        assert report["error"] == "Monte-Carlo profile rows require sample_count"
 
     def test_row_over_byte_table_cap_fails_with_report(self, tmp_path):
         # one complex row at n = 65536 would take 64 MiB of byte tables

@@ -105,9 +105,9 @@ class TestEnsemble:
     @pytest.mark.parametrize("refuse", [
         lambda: comm.SignEnsemble(field="complex", n=10**8),
         lambda: comm.SignEnsemble(field="real", n=10**8),
-        lambda: comm.berry_esseen_profile([10**8], "complex", mode="exhaustive"),
-        lambda: comm.berry_esseen_profile([10**8], "real", mode="auto"),
-    ], ids=["complex", "real", "profile-exhaustive", "profile-auto"])
+        lambda: comm.berry_esseen_profile([10**8], "complex"),
+        lambda: comm.berry_esseen_profile([10**8], "real"),
+    ], ids=["complex", "real", "profile-complex", "profile-real"])
     def test_huge_n_refused_on_its_exponent(self, refuse):
         # 4^(10^8) alone is a 23 MiB integer; the caps compare n first
         tracemalloc.start()
@@ -400,17 +400,6 @@ class TestRealFieldArithmetic:
         assert np.max(np.abs(est.stderr - mags.std(axis=1) / np.sqrt(count))) <= 1e-12
 
 
-class TestSpreadRatio:
-    def test_examples(self):
-        assert comm.spread_ratio([0, 1, 0]) == pytest.approx(1.0)
-        assert comm.spread_ratio(np.full(4, 0.5)) == pytest.approx(0.5)
-        assert comm.spread_ratio(np.array([2.0, 1.0]) / np.sqrt(5)) == pytest.approx(2 / np.sqrt(5))
-
-    def test_zero_vector(self):
-        with pytest.raises(ValueError):
-            comm.spread_ratio(np.zeros(3))
-
-
 class TestProfile:
     def test_real_small_rows(self):
         rows = comm.berry_esseen_profile([1, 2], "real")
@@ -426,8 +415,7 @@ class TestProfile:
 
     @pytest.mark.parametrize("fld", ["real", "complex"])
     def test_gap_shrinks_through_monte_carlo(self, fld):
-        rows = comm.berry_esseen_profile([4, 16, 64, 256], fld, mode="auto",
-                                         sample_count=600_000, seed=42)
+        rows = comm.berry_esseen_profile([4, 16, 64, 256], fld, sample_count=600_000, seed=42)
         for prev, cur in zip(rows, rows[1:]):
             slack = 3.0 * (prev.stderr + cur.stderr) + 1e-12
             assert cur.gap <= prev.gap + slack
@@ -435,8 +423,3 @@ class TestProfile:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             comm.berry_esseen_profile([], "real")
-
-    @pytest.mark.parametrize("mode", ["monte_carlo", "pairwise_independent", "Auto"])
-    def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(ValueError, match=f"got '{mode}'"):
-            comm.berry_esseen_profile([2], "real", mode=mode, sample_count=100, seed=0)

@@ -166,23 +166,29 @@ def test_invalid_json_names_the_kind(tmp_path, kind):
     assert report["pass"] is False and kind in report["error"]
 
 
-@pytest.mark.parametrize("bad", [
-    pytest.param([{"command": "reduce", "pass": True}], id="list"),
-    pytest.param("PASS", id="string"),
-    pytest.param(None, id="null"),
-    pytest.param({"command": "reduce"}, id="no-pass"),
-    pytest.param({"command": "reduce", "pass": None}, id="null-pass"),
-    pytest.param({"command": "reduce", "pass": "false"}, id="string-pass"),
-    pytest.param({"command": "reduce", "pass": 1}, id="integer-pass"),
+@pytest.mark.parametrize("text, command", [
+    pytest.param(json.dumps([{"command": "reduce", "pass": True}]), "?", id="list"),
+    pytest.param(json.dumps("PASS"), "?", id="string"),
+    pytest.param(json.dumps(None), "?", id="null"),
+    pytest.param(json.dumps({"command": "reduce"}), "reduce", id="no-pass"),
+    pytest.param(json.dumps({"command": "reduce", "pass": None}), "reduce", id="null-pass"),
+    pytest.param(json.dumps({"command": "reduce", "pass": "false"}), "reduce",
+                 id="string-pass"),
+    pytest.param(json.dumps({"command": "reduce", "pass": 1}), "reduce", id="integer-pass"),
+    pytest.param("not json", "?", id="not-json"),
+    pytest.param(None, "?", id="unreadable"),
 ])
-def test_report_input_that_is_not_a_passing_report_is_a_fail_row(tmp_path, bad):
-    """report reads any JSON; only an object whose "pass" is true passes, and
-    every other input is a FAIL row that does not stop the aggregation."""
-    (tmp_path / "bad.json").write_text(json.dumps(bad))
+def test_report_input_that_is_not_a_passing_report_is_a_fail_row(tmp_path, text, command):
+    """report reads any file; only a JSON object whose "pass" is true passes,
+    and every other input, unreadable (here a directory) or not JSON among
+    them, is a FAIL row that does not stop the aggregation."""
+    if text is None:
+        (tmp_path / "bad.json").mkdir()
+    else:
+        (tmp_path / "bad.json").write_text(text)
     code = main(["report", "--inputs", "bad.json", "gen-labelcover.report.json"])
     assert code == 1
     report = json.loads((tmp_path / "report.report.json").read_text())
     assert report["pass"] is False
-    command = bad.get("command", "?") if isinstance(bad, dict) else "?"
     assert report["rows"] == [["bad.json", command, "False"],
                               ["gen-labelcover.report.json", "gen-labelcover", "True"]]
