@@ -198,14 +198,15 @@ class TestReduce:
         assert report["in_subspace"] is False
 
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
     @pytest.mark.parametrize("backend", ["clifford", "comm_real"])
-    def test_exhaustive_refuses_samples(self, tmp_path, monkeypatch, backend):
+    def test_samples_outside_monte_carlo_refused(self, tmp_path, monkeypatch, backend, mode):
         from ncglab import reduction
         main(gen_args())
         # refused before any kernel is built: calling None would raise a TypeError
         monkeypatch.setitem(reduction.BACKEND_BUILDERS, backend, None)
         assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
-                     "--backend", backend, "--samples", "5"]) == 1
+                     "--backend", backend, "--mode", mode, "--samples", "5"]) == 1
         report = json.loads((tmp_path / "reduce.report.json").read_text())
         assert report["pass"] is False and "--samples" in report["error"]
 
@@ -333,10 +334,11 @@ class TestCommVerify:
         assert file_sha256(tmp_path / "comm-verify.report.json") == \
             "559416c49345c4c76fb7d326fc460c7ccb7b5b9b0ffb94785934bf4d1716ae50"
 
-    # a row past the enumeration cap needs --samples; n = 10^11 is refused on
-    # its exponent, before 4^n is formed
-    def test_huge_n_fails_with_report(self, tmp_path):
-        code = main(["comm-verify", "--field", "complex", "--n-list", "100000000000",
+    # a row past the enumeration cap needs --samples; n = 10^11 is refused
+    # before 2^n or 4^n is formed
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    def test_huge_n_fails_with_report(self, tmp_path, fld):
+        code = main(["comm-verify", "--field", fld, "--n-list", "100000000000",
                      "--seed", "1"])
         assert code == 1
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())

@@ -420,6 +420,15 @@ class TestProfile:
             slack = 3.0 * (prev.stderr + cur.stderr) + 1e-12
             assert cur.gap <= prev.gap + slack
 
+    @pytest.mark.parametrize("fld, n_values", [("real", [2, 4, 8, 16]),
+                                               ("complex", [1, 2, 4, 8])])
+    def test_exact_rows_ignore_sample_count(self, fld, n_values):
+        # rows under the enumeration cap are enumerated whatever sample_count says
+        exact = comm.berry_esseen_profile(n_values, fld)
+        given = comm.berry_esseen_profile(n_values, fld, sample_count=100, seed=0)
+        assert exact == given
+        assert all(row.stderr == 0.0 for row in given)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             comm.berry_esseen_profile([], "real")
