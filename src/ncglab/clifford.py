@@ -171,6 +171,9 @@ def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = N
     if mode == "monte_carlo":
         if sample_count is None or sample_count < 1:
             raise ValueError("monte_carlo mode requires a positive sample_count")
+        if 2 * sample_count * n > config.CHUNK_ENTRIES:  # an int64 draw and its % 2 copy
+            raise ValueError(f"monte_carlo draw 2 x {sample_count} samples x n={n} exceeds "
+                             f"cap CHUNK_ENTRIES {config.CHUNK_ENTRIES}")
         size = sample_count
         odd = np.random.default_rng(seed).integers(0, 4, size=(size, n)) % 2 == 1
     elif mode in ("exhaustive", "pairwise_independent"):
@@ -302,10 +305,10 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     w = family.class_weights
     value = 0.5 * (sqrt_plus + sqrt_minus) @ w
     stderr = np.zeros_like(value)
-    if family.mode == "monte_carlo" and family.size > 1:
-        # member sample variance; class_weights are class sizes over size
+    if family.mode == "monte_carlo":
+        # member variance; class_weights are class sizes over size
         spread = (0.5 * (sqrt_plus + sqrt_minus) - value[:, None]) ** 2 @ w
-        stderr = np.where(nonzero, np.sqrt(spread / (family.size - 1)), 0.0)
+        stderr = np.where(nonzero, np.sqrt(spread / family.size), 0.0)
     value = np.where(nonzero, value, 0.0)
 
     inv_plus = 1.0 / sqrt_plus

@@ -233,8 +233,8 @@ def berry_esseen_profile(n_values, field: str, *, sample_count: int | None = Non
             raise ValueError("Monte-Carlo profile rows require sample_count")
         ens = SignEnsemble(field=field, n=n, mode="exhaustive" if exact else "monte_carlo",
                            seed=None if seed is None else seed + idx, sample_count=sample_count)
-        a = np.full(n, n**-0.5)
-        est = embedding_l1_norm(a, ens)
+        # a view of the row, so embedding_l1_norm checks TABLE_CAP before any copy
+        est = embedding_l1_norm(np.broadcast_to(n**-0.5, n), ens)
         rows.append(ProfileRow(n=n, spread=n**-0.5, value=est.value,
                                stderr=est.stderr, gap=abs(est.value - limit)))
     return rows

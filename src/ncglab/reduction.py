@@ -193,7 +193,7 @@ class EmbeddingBackend:
     norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of
     a field (V, n) in one call; norm_and_gradient maps either to norms and
     complex-packed subgradients; bound(a) is the analytic upper bound on
-    norm(a). little_op() holds f's images, so f(a) = little_op().apply(a).
+    norm(a). little_op() holds f as a sparse matrix: f(a) = little_op().apply(a).
     """
 
     kernel: clifford.PhaseFamily | commutative.SignEnsemble
@@ -233,17 +233,17 @@ class EmbeddingBackend:
         return float(np.linalg.norm(np.asarray(a).reshape(-1)))
 
     def little_op(self) -> solvers.LittleOperator:
-        """f as images of the basis vectors, f(e_i) = kron(diag(c_i over rows
-        c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
-        embedding, whose rows are its exhaustive members. The matrix embedding
-        has a row per parity class, in any mode: class c, of parity O_c and
-        weight p_c out of P, gives the block P p_c C(a o w_c), w_c = i^O_c.
-        ||C(a o w)|| depends on w only through its parity (see PhaseFamily), and
-        P equal-side blocks average their normalized trace norms, so ||f(a)|| =
-        sum_c p_c ||C(a o w_c)|| = dictator_embedding_norm(a): the operator norm
-        and the lifted optimum are the family's. Exhaustive images have P p_c =
-        1 and entries in {0, +-1, +-i}. A scalar kernel that is not exhaustive,
-        and a side d = rows x block side above DENSE_DIM_CAP, are refused first."""
+        """f as the sparse (n, d^2) matrix of row-major images f(e_i) = kron(diag(c_i
+        over rows c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
+        embedding, whose rows are its exhaustive members. The matrix embedding has
+        a row per parity class, in any mode: class c, of parity O_c and weight p_c
+        out of P, gives the block P p_c C(a o w_c), w_c = i^O_c. ||C(a o w)||
+        depends on w only through its parity (see PhaseFamily), and P equal-side
+        blocks average their normalized trace norms, so ||f(a)|| = sum_c p_c
+        ||C(a o w_c)|| = dictator_embedding_norm(a): the operator norm and the
+        lifted optimum are the family's. Exhaustive images have P p_c = 1 and
+        entries in {0, +-1, +-i}. A scalar kernel that is not exhaustive, and a
+        side d = rows x block side above DENSE_DIM_CAP, are refused first."""
         if not self._is_matrix and self.kernel.mode != "exhaustive":
             raise ValueError(f"images need an exhaustive kernel, not {self.kernel.mode!r}")
         rows = self.kernel.parity.shape[0] if self._is_matrix else self.kernel.size
@@ -253,11 +253,14 @@ class EmbeddingBackend:
                              f"{DENSE_DIM_CAP}")
         if self._is_matrix:
             diags = np.where(self.kernel.parity, 1j, 1) * rows * self.kernel.class_weights[:, None]
-            blocks = clifford.make_generators(self.n).matrices
+            gens = np.stack(clifford.make_generators(self.n).matrices[:self.n])
         else:
-            diags, blocks = commutative.exhaustive_members(self.kernel), [np.ones((1, 1))] * self.n
-        return solvers.LittleOperator(images=np.stack(
-            [np.kron(np.diag(diags[:, i]), blocks[i]) for i in range(self.n)]))
+            diags, gens = commutative.exhaustive_members(self.kernel), np.ones((self.n, 1, 1))
+        _, r, k = np.nonzero(gens)  # G_i has one nonzero per row r, k - r right of the diagonal
+        data = diags.T[:, :, None] * gens[gens != 0].reshape(self.n, 1, -1)
+        cols = np.arange(d) * (d + 1) + np.tile((k - r).reshape(self.n, -1), rows)
+        return solvers.LittleOperator(scipy.sparse.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(self.n + 1) * d), shape=(self.n, d * d)))
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,

@@ -1,10 +1,10 @@
 """Lifting operator-norm problems into four-index bilinear forms over pairs
 of unitaries, and a heuristic alternating maximizer for the latter.
 
-A little operator F: C^n -> (d x d matrices, normalized trace norm) is given
-by its images f(e_1)..f(e_n). With the inner product <X, Y> = d^-1 Tr(X* Y)
-its adjoint sends a matrix A to the vector u with u_m = d^-1 Tr(f(e_m)* A),
-and the lifted tensor
+A little operator F: C^n -> (d x d matrices, normalized trace norm) is held
+as the sparse (n, d^2) matrix F whose row m is f(e_m) flattened row-major.
+With the inner product <X, Y> = d^-1 Tr(X* Y) its adjoint sends a matrix A
+to the vector u with u_m = d^-1 Tr(f(e_m)* A), and the lifted tensor
 
     T_{ijkl} = d^-2 sum_m conj(f(e_m)_{ij}) f(e_m)_{kl}
 
@@ -24,6 +24,7 @@ restarts of a chunk together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,28 +40,25 @@ LIFT_CAP = 1 << 22
 
 @dataclass(eq=False)
 class LittleOperator:
-    """Linear map into d x d matrices, stored as the images of basis vectors."""
+    """Linear map into d x d matrices, held as the sparse (n, d^2) matrix f
+    whose row m is f(e_m) flattened row-major."""
 
-    images: np.ndarray  # (n, d, d) complex
+    f: scipy.sparse.csr_matrix
+    n: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.complex128)
-        if self.images.ndim != 3 or self.images.shape[1] != self.images.shape[2]:
-            raise ValueError("images must be a stack of square matrices")
-
-    @property
-    def n(self) -> int:
-        return self.images.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.images.shape[1]
+        self.f = scipy.sparse.csr_matrix(self.f, dtype=np.complex128)
+        self.n, cols = self.f.shape
+        self.d = math.isqrt(cols)
+        if self.d < 1 or self.d**2 != cols:
+            raise ValueError(f"f has {cols} columns, not d^2 for any d >= 1")
 
     def apply(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.complex128).reshape(-1)
         if a.size != self.n:
             raise ValueError("vector length does not match operator")
-        return np.tensordot(a, self.images, axes=(0, 0))
+        return (self.f.T @ a).reshape(self.d, self.d)
 
 
 def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
@@ -69,7 +67,7 @@ def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
     a_mat = as_matrix(a_mat)
     if a_mat.shape != (op.d, op.d):
         raise ValueError(f"matrix shape {a_mat.shape} does not match operator d={op.d}")
-    return np.einsum("mij,ij->m", op.images.conj(), a_mat) / op.d
+    return op.f.conj() @ a_mat.reshape(-1) / op.d
 
 
 @dataclass(eq=False)
@@ -120,20 +118,17 @@ def tensor_from_matrix(m) -> NcgTensor:
 
 def lift_little_to_big(op: LittleOperator) -> NcgTensor:
     """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>, computed as the
-    sparse product F^H F / d^2 of the (n, d^2) stack F of vectorized images.
-    Entries come in (i, j, k, l) lexicographic order without exact zeros."""
-    f = scipy.sparse.csr_matrix(op.images.reshape(op.n, op.d**2))
-    size = int(np.sum(np.diff(f.indptr) ** 2))
+    sparse product F^H F / d^2. Entries come in (i, j, k, l) lexicographic
+    order without exact zeros."""
+    size = int(np.sum(np.diff(op.f.indptr).astype(np.int64) ** 2))
     if size > LIFT_CAP:
         raise ValueError(f"lift size sum_m nnz(f_m)^2 = {size} exceeds cap {LIFT_CAP}")
-    t = (f.conj().T @ f).tocsr()
-    t.sort_indices()
-    coeffs = t.data / op.d**2
-    keep = coeffs != 0
-    rows = np.repeat(np.arange(op.d**2), np.diff(t.indptr))[keep]
-    cols = t.indices[keep]
-    indices = np.stack([rows // op.d, rows % op.d, cols // op.d, cols % op.d], axis=1)
-    return NcgTensor(d=op.d, indices=indices, coeffs=coeffs[keep])
+    t = (op.f.conj().T @ op.f).tocoo()
+    t.data /= op.d**2
+    t.eliminate_zeros()
+    t.sum_duplicates()  # a product has no duplicates: this sorts by (row, column)
+    indices = np.stack([t.row // op.d, t.row % op.d, t.col // op.d, t.col % op.d], axis=1)
+    return NcgTensor(d=op.d, indices=indices, coeffs=t.data)
 
 
 @dataclass
@@ -353,9 +348,8 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
 
     Returns (value, maximizing vector).
     """
-    images = op.images.reshape(op.n, -1)
-    blocks = _blocks(op.d, np.flatnonzero(np.any(images, axis=0)))
-    images = images[:, blocks.coords]
+    blocks = _blocks(op.d, np.unique(op.f.indices))
+    images = op.f[:, blocks.coords].toarray()
 
     def norm_and_grad(a):
         m = (a @ images)[None]

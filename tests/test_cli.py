@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ncglab import cli, fileio
+from ncglab import cli, config, fileio
 from ncglab.cli import main
 from ncglab.config import CHUNK_ENTRIES
 
@@ -290,6 +290,17 @@ class TestEmbedVerify:
             "ef5ebd9c0e0336a9ee0c65f18a98ec7c5dc9f464d96cb0f9ea821edff7460ddd"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS_SAMPLED
 
+    def test_monte_carlo_draw_over_the_chunk_budget_refused(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * 99 * 4)
+        assert main(["embed-verify", "--n", "4", "--mode", "monte_carlo", "--samples", "100",
+                     "--seed", "3"]) == 1
+        report = json.loads((tmp_path / "embed-verify.report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"] == ("monte_carlo draw 2 x 100 samples x n=4 exceeds cap "
+                                   "CHUNK_ENTRIES 792")
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
     def test_samples_outside_monte_carlo_refused(self, tmp_path, mode):
         assert main(["embed-verify", "--n", "4", "--mode", mode, "--samples", "10",
@@ -358,6 +369,21 @@ class TestCommVerify:
         report = json.loads((tmp_path / "comm-verify.report.json").read_text())
         assert report["pass"] is False and "over TABLE_CAP 4194304" in report["error"]
         assert peak < 2**22
+
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    def test_row_over_byte_table_cap_refused_before_the_row_exists(self, tmp_path, fld):
+        # the (n,) row alone would take 7.6 MiB at n = 10^6
+        tracemalloc.start()
+        try:
+            code = main(["comm-verify", "--field", fld, "--n-list", "1000000",
+                         "--samples", "10", "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        report = json.loads((tmp_path / "comm-verify.report.json").read_text())
+        assert report["pass"] is False and "over TABLE_CAP 4194304" in report["error"]
+        assert peak < 2**20
 
 
 class TestLiftAndSolve:

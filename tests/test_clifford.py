@@ -274,6 +274,17 @@ class TestPhaseFamily:
         with pytest.raises(ValueError):
             clifford.build_phase_family(4, "monte_carlo", seed=1)
 
+    def test_monte_carlo_draw_over_the_chunk_budget_refused(self, monkeypatch):
+        # the draw holds an int64 (samples, n) array and its % 2 copy
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * 100 * 4)
+        fam = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
+        parity, _ = grouped_classes(member_exponents(4, "monte_carlo", seed=5, sample_count=100))
+        np.testing.assert_array_equal(fam.parity, parity)
+        monkeypatch.setattr(np.random, "default_rng", None)  # refused before any draw
+        with pytest.raises(ValueError, match="^monte_carlo draw 2 x 101 samples x n=4 exceeds "
+                                             "cap CHUNK_ENTRIES 800$"):
+            clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=101)
+
     @pytest.mark.parametrize("n, mode, kwargs", [
         *[(n, "exhaustive", {}) for n in range(1, 9)],
         (5, "pairwise_independent", {}),
@@ -398,7 +409,7 @@ class TestDictatorEmbeddingNorm:
                          for w in members(5, "monte_carlo", seed=4, sample_count=2000)])
         est = clifford.dictator_embedding_norm(a, fam)
         assert abs(est.value - vals.mean()) <= 1e-12
-        assert abs(est.stderr - vals.std(ddof=1) / np.sqrt(vals.size)) <= 1e-12
+        assert abs(est.stderr - vals.std() / np.sqrt(vals.size)) <= 1e-12
 
 
 class TestSecondMoment:
@@ -499,9 +510,9 @@ def norm_rows_reference(rows, family):
     vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
     value = vals @ family.class_weights
     stderr = np.zeros_like(value)
-    if family.mode == "monte_carlo" and family.size > 1:
+    if family.mode == "monte_carlo":
         spread = (vals - value[:, None]) ** 2 @ family.class_weights
-        stderr = np.sqrt(spread / (family.size - 1))
+        stderr = np.sqrt(spread / family.size)
     return value, stderr
 
 

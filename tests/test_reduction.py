@@ -593,12 +593,14 @@ class TestClassImages:
         picked = (family.parity.astype(int) * 4 ** np.arange(n)).sum(axis=1)
         np.testing.assert_array_equal(members[picked], np.where(family.parity, 1j, 1))
         blocks = reference.reshape(n, 4**n, side, 4**n, side)[:, picked][:, :, :, picked]
-        np.testing.assert_array_equal(red.clifford_backend(n).little_op().images,
+        op = red.clifford_backend(n).little_op()
+        np.testing.assert_array_equal(op.f.toarray().reshape(op.n, op.d, op.d),
                                       blocks.reshape(n, len(picked) * side, -1))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive_entries_are_exact_units(self, n):
-        images = red.clifford_backend(n).little_op().images
+        op = red.clifford_backend(n).little_op()
+        images = op.f.toarray().reshape(op.n, op.d, op.d)
         nonzero = images[images != 0]
         # every generator has one nonzero per row
         assert nonzero.size == n * images.shape[1]
@@ -609,8 +611,40 @@ class TestClassImages:
         values = [solvers.ncg_opt_lower_bound(solvers.lift_little_to_big(op), restarts=4,
                                               seed=0).value
                   for op in (red.clifford_backend(2).little_op(),
-                             solvers.LittleOperator(images=reference))]
+                             solvers.LittleOperator(reference.reshape(len(reference), -1)))]
         assert values == pytest.approx([1.0, 1.0], abs=1e-9)
+
+
+def kron_factor(backend):
+    """Reference F of a backend's little_op, from the dense image stack
+    kron(diag(c_i over rows c), G_i) that little_op once built."""
+    n = backend.n
+    if backend.name == "clifford":
+        family = backend.kernel
+        diags = np.where(family.parity, 1j, 1) * len(family.parity) * family.class_weights[:, None]
+        blocks = clifford.make_generators(n).matrices
+    else:
+        diags, blocks = commutative.exhaustive_members(backend.kernel), [np.ones((1, 1))] * n
+    images = np.stack([np.kron(np.diag(diags[:, i]), blocks[i]) for i in range(n)])
+    return scipy.sparse.csr_matrix(images.reshape(n, -1).astype(np.complex128))
+
+
+class TestLittleOpFactor:
+    """little_op builds F's CSR arrays from the generators' one nonzero per
+    row, with the same arrays, to the bit, as the dense kron construction."""
+
+    @pytest.mark.parametrize("name, n, kwargs", [
+        *[(name, n, {}) for name in sorted(red.BACKEND_BUILDERS) for n in (1, 2, 3)],
+        ("clifford", 5, {"mode": "pairwise_independent"}),
+        ("clifford", 5, {"mode": "monte_carlo", "seed": 3, "sample_count": 700}),
+    ])
+    def test_f_matches_the_kron_construction(self, name, n, kwargs):
+        backend = red.BACKEND_BUILDERS[name](n, **kwargs)
+        f, reference = backend.little_op().f, kron_factor(backend)
+        np.testing.assert_array_equal(f.indptr, reference.indptr)
+        np.testing.assert_array_equal(f.indices, reference.indices)
+        assert f.data.dtype == reference.data.dtype == np.complex128
+        assert f.data.tobytes() == reference.data.tobytes()
 
 
 class TestBackendNorm:

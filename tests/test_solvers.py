@@ -1,9 +1,11 @@
 import functools
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +40,17 @@ def evaluate_bilinear(tensor, a_mat, b_mat):
     return complex(a_mat.reshape(-1) @ (tensor.matrix @ b_mat.conj().reshape(-1)))
 
 
+def little_operator(images):
+    """The little operator with the given (n, d, d) image stack."""
+    images = np.asarray(images)
+    return solvers.LittleOperator(images.reshape(len(images), -1))
+
+
+def images_of(op):
+    """A little operator's (n, d, d) dense image stack."""
+    return op.f.toarray().reshape(op.n, op.d, op.d)
+
+
 def duality_gap(op, a, a_mat):
     """| <F*(A), a> - <A, F(a)> | with both inner products linear in the
     first argument and the d^-1 Tr normalization on matrices."""
@@ -50,13 +63,24 @@ def duality_gap(op, a, a_mat):
 class TestLittleOperator:
     def test_validation(self):
         with pytest.raises(ValueError):
-            solvers.LittleOperator(images=np.zeros((2, 2, 3)))
+            little_operator(np.zeros((2, 2, 3)))
+
+    def test_column_count_must_be_a_square(self):
+        for cols in range(40):
+            d = math.isqrt(cols)
+            if cols and d * d == cols:
+                assert solvers.LittleOperator(scipy.sparse.csr_matrix((2, cols))).d == d
+            else:
+                with pytest.raises(ValueError, match=f"^f has {cols} columns, not d\\^2 "
+                                                     f"for any d >= 1$"):
+                    solvers.LittleOperator(scipy.sparse.csr_matrix((2, cols)))
 
     def test_apply_is_linear_combination(self):
         rng = np.random.default_rng(0)
-        op = solvers.LittleOperator(images=random_complex(rng, 3, 4, 4))
+        op = little_operator(random_complex(rng, 3, 4, 4))
         a = random_complex(rng, 3)
-        expected = sum(a[i] * op.images[i] for i in range(3))
+        images = images_of(op)
+        expected = sum(a[i] * images[i] for i in range(3))
         np.testing.assert_allclose(op.apply(a), expected, atol=1e-12)
 
     # Clifford images have one block per parity class of the family: d is
@@ -89,34 +113,34 @@ class TestLittleOperator:
 class TestAdjoint:
     def test_zero_matrix(self):
         rng = np.random.default_rng(3)
-        op = solvers.LittleOperator(images=random_complex(rng, 3, 4, 4))
+        op = little_operator(random_complex(rng, 3, 4, 4))
         np.testing.assert_array_equal(solvers.adjoint_apply(op, np.zeros((4, 4))),
                                       np.zeros(3))
 
     def test_orthogonal_images_pick_out_coordinates(self):
         images = np.stack([np.diag([1, 0, 0, 0]).astype(complex),
                            np.diag([0, 1, 0, 0]).astype(complex)])
-        op = solvers.LittleOperator(images=images)
+        op = little_operator(images)
         u = solvers.adjoint_apply(op, images[0])
         assert u[0] != 0 and u[1] == 0
 
     def test_duality_identity_random(self):
         rng = np.random.default_rng(4)
-        op = solvers.LittleOperator(images=random_complex(rng, 3, 4, 4))
+        op = little_operator(random_complex(rng, 3, 4, 4))
         for _ in range(50):
             assert duality_gap(op, random_complex(rng, 3),
                                random_complex(rng, 4, 4)) <= 1e-10
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(5)
-        op = solvers.LittleOperator(images=random_complex(rng, 3, 4, 4))
+        op = little_operator(random_complex(rng, 3, 4, 4))
         with pytest.raises(ValueError):
             solvers.adjoint_apply(op, np.zeros((3, 3)))
 
 
 class TestLift:
     def test_rank_one_from_pauli_x(self):
-        op = solvers.LittleOperator(images=PAULI_X[None])
+        op = little_operator(PAULI_X[None])
         tensor = solvers.lift_little_to_big(op)
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -127,7 +151,7 @@ class TestLift:
             assert abs(direct - np.sum(ua * np.conj(ub))) <= 1e-12
 
     def test_zero_operator(self):
-        op = solvers.LittleOperator(images=np.zeros((2, 3, 3), dtype=complex))
+        op = little_operator(np.zeros((2, 3, 3), dtype=complex))
         assert solvers.lift_little_to_big(op).nnz == 0
 
     def test_diagonal_images_give_commutative_support(self):
@@ -136,15 +160,15 @@ class TestLift:
         # all support on (i, i, k, k), matching a scalar-coefficient matrix
         assert np.all(tensor.indices[:, 0] == tensor.indices[:, 1])
         assert np.all(tensor.indices[:, 2] == tensor.indices[:, 3])
-        m = np.einsum("mi,mk->ik", op.images[:, range(op.d), range(op.d)].conj(),
-                      op.images[:, range(op.d), range(op.d)]) / op.d**2
+        diags = images_of(op)[:, range(op.d), range(op.d)]
+        m = np.einsum("mi,mk->ik", diags.conj(), diags) / op.d**2
         dense = np.zeros((op.d, op.d), dtype=complex)
         dense[tensor.indices[:, 0], tensor.indices[:, 2]] = tensor.coeffs
         np.testing.assert_allclose(dense, m, atol=1e-14)
 
     def test_lift_consistency_random_operator(self):
         rng = np.random.default_rng(7)
-        op = solvers.LittleOperator(images=random_complex(rng, 2, 3, 3))
+        op = little_operator(random_complex(rng, 2, 3, 3))
         tensor = solvers.lift_little_to_big(op)
         for _ in range(20):
             a_mat, b_mat = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
@@ -155,7 +179,7 @@ class TestLift:
 
     def test_cap(self, monkeypatch):
         rng = np.random.default_rng(8)
-        op = solvers.LittleOperator(images=random_complex(rng, 2, 3, 3))
+        op = little_operator(random_complex(rng, 2, 3, 3))
         monkeypatch.setattr(solvers, "LIFT_CAP", 4)
         with pytest.raises(ValueError):
             solvers.lift_little_to_big(op)
@@ -164,16 +188,23 @@ class TestLift:
         # two images with 2 and 1 nonzeros: the lift has at most 2^2 + 1^2 entries
         images = np.zeros((2, 3, 3), dtype=complex)
         images[0, 0, 0] = images[0, 1, 2] = images[1, 2, 1] = 1.0
-        op = solvers.LittleOperator(images=images)
+        op = little_operator(images)
         monkeypatch.setattr(solvers, "LIFT_CAP", 5)
         assert solvers.lift_little_to_big(op).nnz == 5
         monkeypatch.setattr(solvers, "LIFT_CAP", 4)
         with pytest.raises(ValueError, match="cap"):
             solvers.lift_little_to_big(op)
 
+    def test_cap_sums_in_int64(self):
+        # one image with 2^16 nonzeros: its squared count 2^32 wraps to 0 in
+        # the int32 of a small CSR matrix's indptr
+        op = solvers.LittleOperator(np.ones((1, 2**16)))
+        assert op.f.indptr.dtype == np.int32
+        with pytest.raises(ValueError, match=r"= 4294967296 exceeds cap 4194304$"):
+            solvers.lift_little_to_big(op)
+
     @pytest.mark.parametrize("make", [
-        lambda: solvers.LittleOperator(
-            images=random_complex(np.random.default_rng(14), 2, 3, 3)),
+        lambda: little_operator(random_complex(np.random.default_rng(14), 2, 3, 3)),
         lambda: BACKEND_BUILDERS["comm_real"](1).little_op(),
         lambda: BACKEND_BUILDERS["comm_real"](2).little_op(),
         lambda: BACKEND_BUILDERS["comm_complex"](1).little_op(),
@@ -184,7 +215,8 @@ class TestLift:
             "comm_complex n=2", "clifford n=1", "clifford n=2"])
     def test_sparse_lift_matches_dense_formula(self, make):
         op = make()
-        dense = np.einsum("mij,mkl->ijkl", op.images.conj(), op.images) / op.d**2
+        images = images_of(op)
+        dense = np.einsum("mij,mkl->ijkl", images.conj(), images) / op.d**2
         nz = np.argwhere(dense != 0)
         tensor = solvers.lift_little_to_big(op)
         np.testing.assert_array_equal(tensor.indices, nz)
@@ -731,7 +763,7 @@ class TestSphereAscent:
     def test_zero_operator_stops_at_the_start(self):
         # every gradient is exactly 0, so each restart keeps its unit start
         value, a = solvers.little_norm_lower_bound(
-            solvers.LittleOperator(images=np.zeros((2, 2, 2))), restarts=3)
+            little_operator(np.zeros((2, 2, 2))), restarts=3)
         assert value == 0.0
         assert np.all(np.isfinite(a)) and np.linalg.norm(a) == pytest.approx(1.0, abs=1e-15)
 
