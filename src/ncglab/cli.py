@@ -174,6 +174,10 @@ def _cmd_embed_verify(args):
         parts = rng.normal(size=(trials, 2, n))
         return parts[:, 0] + 1j * parts[:, 1]
 
+    family = clifford.build_phase_family(n, args.mode, seed=args.seed,
+                                         sample_count=args.samples)
+    exact = family.mode != "monte_carlo"
+
     gens = clifford.make_generators(n)
     eye = np.eye(gens.dim)
     suite_ok = (all(np.array_equal(c, c.conj().T) and np.array_equal(c @ c, eye)
@@ -181,10 +185,6 @@ def _cmd_embed_verify(args):
                 and not any(np.any(c @ d + d @ c)
                             for c, d in itertools.combinations(gens.matrices, 2)))
     rows = [["generator_suite", n, "exact", 0.0, 0.0, suite_ok]]
-
-    family = clifford.build_phase_family(n, args.mode, seed=args.seed,
-                                         sample_count=args.samples)
-    exact = family.mode != "monte_carlo"
 
     formula_err = max(abs(clifford.trace_norm_formula(a)
                           - linalg.schatten1_norm(clifford.clifford_map(a, gens)))

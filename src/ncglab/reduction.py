@@ -14,6 +14,8 @@ an assignment by sampling labels at coordinates of large magnitude.
 
 The L2(V) geometry is the vertex-averaged one: ||b||^2 = E_v ||b_v||^2, so
 one-hot fields always have norm exactly 1.
+
+scipy is imported where it is used, so `import ncglab` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import clifford, commutative, solvers
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS, DENSE_DIM_CAP,
@@ -60,6 +61,7 @@ def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
     col_idx = inst.ends[:, :, None] * n + np.arange(n)
     data = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 2, 1), row_idx.shape)
     shape = (num_edges * k, inst.num_vertices * n)
+    import scipy.sparse
     return ConstraintSystem(matrix=scipy.sparse.csr_matrix(
         (data.ravel(), (row_idx.ravel(), col_idx.ravel())), shape=shape))
 
@@ -123,16 +125,14 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     must meet SUBSPACE_RESIDUAL_TOL; each failure raises a ValueError naming
     it.
     """
+    import scipy.sparse
+    from scipy.sparse.linalg import splu
     matrix = scipy.sparse.csr_matrix(cs.matrix)
     rows, total = matrix.shape
     gram = (matrix @ matrix.T).tocsc()
     g = float(np.asarray(abs(gram).sum(axis=1)).max(initial=0.0))
     if g == 0.0:
         return SubspaceBasis(matrix=matrix, lu=None, dim=total)
-    # imported here: only the projector uses scipy.sparse.linalg, which pulls
-    # in scipy.linalg; the first call in a process pays about 140 ms and 9 MiB
-    from scipy.sparse.linalg import splu
-
     mu, gap = _SHIFT * g, math.sqrt(np.finfo(np.float64).eps) * g
     floor = min(16.0 * (1 + rows) * mu, gap / 16.0)
     lu = splu(gram + mu * scipy.sparse.identity(rows, format="csc"),
@@ -259,6 +259,7 @@ class EmbeddingBackend:
         _, r, k = np.nonzero(gens)  # G_i has one nonzero per row r, k - r right of the diagonal
         data = diags.T[:, :, None] * gens[gens != 0].reshape(self.n, 1, -1)
         cols = np.arange(d) * (d + 1) + np.tile((k - r).reshape(self.n, -1), rows)
+        import scipy.sparse
         return solvers.LittleOperator(scipy.sparse.csr_matrix(
             (data.ravel(), cols.ravel(), np.arange(self.n + 1) * d), shape=(self.n, d * d)))
 

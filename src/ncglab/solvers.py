@@ -20,6 +20,8 @@ spans: the connected components of the index graph with edges (i, j) and
 block-diagonal, so lifts have many small blocks. The solver restricts T to
 the block coordinates and takes its polar steps blockwise, advancing the
 restarts of a chunk together.
+
+scipy is imported where it is used, so `import ncglab` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .config import (CHUNK_ENTRIES, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
                      DENSE_DIM_CAP)
@@ -48,6 +49,7 @@ class LittleOperator:
     d: int = field(init=False)
 
     def __post_init__(self):
+        import scipy.sparse
         self.f = scipy.sparse.csr_matrix(self.f, dtype=np.complex128)
         self.n, cols = self.f.shape
         self.d = math.isqrt(cols)
@@ -96,6 +98,7 @@ class NcgTensor:
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.d):
             raise ValueError("tensor index out of range")
         i, j, k, l = self.indices.T
+        import scipy.sparse
         # building the CSR matrix sums duplicates, so a repeated quadruple
         # shows as fewer stored entries
         self.matrix = scipy.sparse.csr_matrix(

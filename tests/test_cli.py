@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +304,21 @@ class TestEmbedVerify:
         assert report["error"] == ("monte_carlo draw 2 x 100 samples x n=4 exceeds cap "
                                    "CHUNK_ENTRIES 792")
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_monte_carlo_draw_over_the_chunk_budget_refused_before_the_generators(
+            self, tmp_path):
+        # the sixteen dense 256 x 256 generators at n = 16 take 16 MiB
+        tracemalloc.start()
+        try:
+            code = main(["embed-verify", "--n", "16", "--mode", "monte_carlo",
+                         "--samples", "200000", "--seed", "3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        report = json.loads((tmp_path / "embed-verify.report.json").read_text())
+        assert report["pass"] is False and "exceeds cap CHUNK_ENTRIES" in report["error"]
+        assert peak < 2**20
 
     @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
     def test_samples_outside_monte_carlo_refused(self, tmp_path, mode):
@@ -723,3 +742,40 @@ class TestVectorizedFileio:
         assert code == 1
         report = json.loads((tmp_path / "solve-ncg.report.json").read_text())
         assert report["pass"] is False and "numbers" in report["error"]
+
+
+# One fresh interpreter runs the six commands that never build a sparse
+# matrix and checks that none of them loaded scipy, then runs reduce and
+# checks that it did, so the check is seen to be able to fail.
+SCIPY_FREE_SCRIPT = """
+import sys
+import numpy as np
+import ncglab
+from ncglab import cli, fileio
+def run(*argv):
+    return cli.main(list(argv))
+assert run("gen-labelcover", "--vertices", "8", "--degree", "3", "--n", "6", "--k", "3",
+           "--t", "2", "--seed", "7", "--out", "inst.json", "--planted-out", "planted.json") == 0
+assert run("check-instance", "--instance", "inst.json", "--assignment", "planted.json",
+           "--deltas", "0.75,1.0") == 0
+fileio.save_field(np.zeros((8, 6), dtype=complex), "zero.json")
+assert run("decode", "--instance", "inst.json", "--field", "zero.json", "--eps", "0.3",
+           "--seed", "5") == 0
+assert run("embed-verify", "--n", "4", "--seed", "3", "--trials", "20") == 0
+assert run("comm-verify", "--field", "real", "--n-list", "1,2,4", "--seed", "1") == 0
+assert run("report", "--inputs", "gen-labelcover.report.json", "check-instance.report.json",
+           "decode.report.json", "embed-verify.report.json", "comm-verify.report.json") == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+assert run("reduce", "--instance", "inst.json", "--assignment", "planted.json",
+           "--backend", "comm_real") == 0
+assert "scipy.sparse" in sys.modules
+"""
+
+
+def test_scipy_free_commands_do_not_import_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT], cwd=tmp_path,
+                           env={**os.environ, "PYTHONPATH": str(src)},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
