@@ -8,11 +8,11 @@ labels are 1-based on disk and 0-based in memory; complex scalars are stored
 as [re, im] pairs. Writers refuse what their readers would refuse (labels
 that are not integers, non-finite numbers) before any file exists.
 
-Numeric tables reach dump_json as numpy arrays and are rendered in one pass
-rather than number by number: one call of json's C encoder gives every
-number's text exactly as indent 2 would, and each gap between neighbours gets
-the separator indent 2 puts there, which depends only on how many trailing
-axes roll over at that gap. Every other value goes through json.dumps.
+Tables (numpy arrays, blocks side by side, the instance's edge records) are
+rendered in one pass: one call of json's C encoder over a table's distinct
+values, told apart by their bits, gives each cell's indent-2 text, and the
+text between cells depends only on its position. json.dumps writes only the
+scalars and reports; a reader scans tables for bools only if the file holds one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .solvers import NcgTensor
 
 def dump_json(obj: dict, path) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, where a
-    numpy array among obj's values stands for its ``tolist()``."""
+    numpy array among obj's values stands for its ``tolist()``, a tuple of
+    arrays for the table they make side by side, and a dict of arrays for
+    the records of _records_text."""
     items = [f"\n  {json.dumps(key)}: {_value_text(obj[key])}" for key in sorted(obj)]
     Path(path).write_text("{" + ",".join(items) + "\n}\n" if items else "{}\n")
 
@@ -41,21 +43,33 @@ def dump_json(obj: dict, path) -> None:
 def _value_text(value) -> str:
     """A top-level value as indent 2 writes it one level deep."""
     if isinstance(value, np.ndarray):
-        return _table_text(value)
+        value = (value,)
+    arrays = value.values() if isinstance(value, dict) else value
+    if isinstance(value, (tuple, dict)) and value and all(type(v) is np.ndarray for v in arrays):
+        return _records_text(value) if isinstance(value, dict) else _table_text(*value)
     # a JSON string holds no raw newline, so every newline starts a line
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
-def _table_text(table: np.ndarray) -> str:
-    """json.dumps(table.tolist(), indent=2), shifted one level deep, built
-    in one pass: the numbers from one C-encoder call, the separators picked
-    by the number of trailing axes that roll over at each gap."""
-    shape = table.shape
+def _cells(table: np.ndarray) -> np.ndarray:
+    """Each entry's json text, from one C-encoder call over the distinct
+    entries, told apart by their bits (so -0.0 is not 0.0)."""
+    distinct, inverse = np.unique(table.reshape(-1).view(f"u{table.itemsize}"),
+                                  return_inverse=True)
+    texts = json.dumps(distinct.view(table.dtype).tolist(), separators=(",", ":"))[1:-1]
+    return np.array(texts.split(","), dtype=object)[inverse].reshape(table.shape)
+
+
+def _table_text(*blocks: np.ndarray) -> str:
+    """json.dumps(table.tolist(), indent=2) one level deep, for the table the
+    blocks make side by side along their last axis, in one pass: the cells from
+    _cells, each gap's separator picked by how many trailing axes roll over."""
+    shape = (*blocks[0].shape[:-1], sum(block.shape[-1] for block in blocks))
     if 0 in shape:  # every list around the first empty axis is []
         shape = shape[:shape.index(0)]
         cells = ["[]"] * math.prod(shape)
     else:
-        cells = json.dumps(table.ravel().tolist(), separators=(",", ":"))[1:-1].split(",")
+        cells = np.concatenate([_cells(block) for block in blocks], axis=-1).reshape(-1)
     if not shape:
         return "[]"
     depth = len(shape)
@@ -74,6 +88,20 @@ def _table_text(table: np.ndarray) -> str:
     return "".join(opens) + "".join(pieces.tolist()) + "".join(closes)
 
 
+def _records_text(columns: dict) -> str:
+    """json.dumps(records, sort_keys=True, indent=2), shifted one level deep,
+    for the records whose value at each key is that key's row: a number from
+    a 1-D column, a list from a 2-D column of at least one column."""
+    columns = {key: columns[key] for key in sorted(columns)}
+    # one record's text, with a %s slot per cell (number text holds no %)
+    form = "{" + ",".join(f"\n      {json.dumps(key)}: " + (
+        "[\n        " + ",\n        ".join(["%s"] * col.shape[1]) + "\n      ]"
+        if col.ndim == 2 else "%s") for key, col in columns.items()) + "\n    }"
+    cells = np.column_stack([_cells(col) for col in columns.values()])
+    records = [form % tuple(row) for row in cells.tolist()]
+    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+
+
 def load_json(path):
     return json.loads(Path(path).read_text())
 
@@ -85,11 +113,13 @@ def _read(path, kind: str, fields: dict, integers=()) -> dict:
     integer read before) or, for a list of objects, to their fields' shapes.
     Tables come back float64 and scalars as written; ``integers`` come back as ints."""
     try:
-        doc = load_json(path)
+        doc = json.loads(text := Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{kind} file is not JSON: {exc}") from None
     if _field(doc, kind, "version") != FORMAT_VERSION:
         raise ValueError(f"unsupported {kind} format version {doc['version']!r}")
+    # a bool can only be read from a literal true or false
+    bools = "true" in text or "false" in text
     out = {}
     for name, shape in fields.items():
         value = _field(doc, kind, name)
@@ -101,7 +131,7 @@ def _read(path, kind: str, fields: dict, integers=()) -> dict:
                        for key, dims in shape.items()]
         for key, column, dims in columns:
             dims = tuple(out[dim] if isinstance(dim, str) else dim for dim in dims)
-            out[key] = _table(column, kind, key, dims, key in integers)
+            out[key] = _table(column, kind, key, dims, key in integers, bools)
     return out
 
 
@@ -111,15 +141,16 @@ def _field(doc, kind: str, name: str):
     return doc[name]
 
 
-def _table(value, kind: str, name: str, shape: tuple, integral: bool):
-    """Nested JSON lists of numbers -> array of ``shape``; see _read."""
+def _table(value, kind: str, name: str, shape: tuple, integral: bool, bools: bool = False):
+    """Nested JSON lists of numbers -> array of ``shape``; see _read. Only
+    when ``bools`` are the leaves scanned for a bool."""
     try:
         table = np.asarray(value)  # ragged nesting raises here
         if table.size and table.dtype.kind not in "iuf":  # nulls and strings
             raise ValueError
         # numpy reads a true or false among listed numbers as 1 or 0, so the
         # leaves, table.ndim levels down, are checked for a bool
-        if isinstance(value, list):
+        if bools and isinstance(value, list):
             leaves = value
             for _ in range(table.ndim - 1):
                 leaves = itertools.chain.from_iterable(leaves)
@@ -153,8 +184,8 @@ def _finite(table, kind: str, name: str):
 
 
 def save_instance(inst: LabelCoverInstance, path) -> None:
-    edges = [{"u": u, "v": v, "pi_u": pi_u, "pi_v": pi_v}
-             for (u, v), (pi_u, pi_v) in zip((inst.ends + 1).tolist(), (inst.pis + 1).tolist())]
+    ends, pis = inst.ends + 1, inst.pis + 1
+    edges = {"u": ends[:, 0], "v": ends[:, 1], "pi_u": pis[:, 0], "pi_v": pis[:, 1]}
     dump_json({"version": FORMAT_VERSION, "n": inst.n, "k": inst.k, "t": inst.t,
                "gamma": inst.gamma, "zeta": inst.zeta, "vertices": inst.num_vertices,
                "edges": edges}, path)
@@ -203,9 +234,8 @@ def load_field(path) -> np.ndarray:
 
 
 def save_tensor(tensor: NcgTensor, path) -> None:
-    # one (nnz, 6) table of Python ints and floats, so indices print as ints
-    entries = np.concatenate([(tensor.indices + 1).astype(object),
-                              _pairs(tensor.coeffs).astype(object)], axis=1)
+    # int indices beside float pairs: one (nnz, 6) table
+    entries = (tensor.indices + 1, _pairs(tensor.coeffs))
     dump_json({"version": FORMAT_VERSION, "d": tensor.d, "entries": entries}, path)
 
 

@@ -202,7 +202,8 @@ def check_weak_expansion(inst: LabelCoverInstance, delta_grid, *,
     """For each delta, verify that vertex subsets of size delta*|V| induce at
     least (delta^2/2)*|E| edges. Exhaustive over all subsets when |V| is at
     most EXHAUSTIVE_LIMIT, sampled otherwise (sampling certifies only the
-    subsets it saw). An empty grid, a delta whose subset size (nan or inf
+    subsets it saw). Subsets are counted in blocks of rows within
+    config.CHUNK_ENTRIES. An empty grid, a delta whose subset size (nan or inf
     too) falls outside [1, |V|], or subset_samples < 1 raises a ValueError.
     """
     if len(delta_grid) == 0:
@@ -226,16 +227,18 @@ def check_weak_expansion(inst: LabelCoverInstance, delta_grid, *,
             subsets = (rng.choice(inst.num_vertices, size=size, replace=False)
                        for _ in range(subset_samples))
             exhaustive = False
-        min_edges = None
-        checked = 0
-        for subset in subsets:
-            mask = np.zeros(inst.num_vertices, dtype=bool)
-            mask[list(subset)] = True
-            induced = int(np.count_nonzero(mask[us] & mask[vs]))
-            min_edges = induced if min_edges is None else min(min_edges, induced)
-            checked += 1
+        # a block holds its subsets, their (rows, V) mask and two (rows, E) gathers
+        per_block = max(1, config.CHUNK_ENTRIES // (inst.num_vertices + 2 * len(us) + size))
+        min_edges, checked = inst.num_edges, 0
+        while block := list(itertools.islice(subsets, per_block)):
+            mask = np.zeros((len(block), inst.num_vertices), dtype=bool)
+            np.put_along_axis(mask, np.array(block), True, axis=1)
+            induced = mask[:, us]
+            induced &= mask[:, vs]
+            min_edges = min(min_edges, int(np.count_nonzero(induced, axis=1).min()))
+            checked += len(block)
         rows.append(ExpansionRow(delta=float(delta), subset_size=size,
                                  subsets_checked=checked, exhaustive=exhaustive,
-                                 min_edges=int(min_edges), required=required,
+                                 min_edges=min_edges, required=required,
                                  passed=min_edges >= required))
     return rows

@@ -18,8 +18,8 @@ The form reads A and B only inside the diagonal blocks that T's support
 spans: the connected components of the index graph with edges (i, j) and
 (k, l) for every entry. Every image kron(diag(c_i over c), G_i) is
 block-diagonal, so lifts have many small blocks. The solver restricts T to
-the block coordinates and takes its polar steps blockwise, advancing the
-restarts of a chunk together.
+the block coordinates, held dense when no larger than as CSR, and takes its
+polar steps blockwise, advancing the restarts of a chunk together.
 
 scipy is imported where it is used, so `import ncglab` loads numpy alone.
 """
@@ -220,6 +220,13 @@ def _tensor_blocks(tensor: NcgTensor) -> _Blocks:
     return _blocks(tensor.d, np.union1d(np.flatnonzero(np.diff(mat.indptr)), mat.indices))
 
 
+def _restricted(tensor: NcgTensor, blocks: _Blocks):
+    """T on the block coordinates, dense when that takes no more memory than CSR
+    (16 B an entry against 16 B and a 4 B index a nonzero): size^2 <= 1.25 nnz."""
+    t_mat = tensor.matrix[blocks.coords][:, blocks.coords]
+    return t_mat.toarray() if 4 * blocks.size**2 <= 5 * t_mat.nnz else t_mat
+
+
 def _unitarity_residual(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
@@ -252,7 +259,7 @@ def ncg_opt_lower_bound(tensor: NcgTensor, *, restarts: int = DEFAULT_RESTARTS,
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be positive")
     blocks = _tensor_blocks(tensor)
-    t_mat = tensor.matrix[blocks.coords][:, blocks.coords]
+    t_mat = _restricted(tensor, blocks)
     t_transposed = t_mat.T
     # a chunk holds at most ten (chunk, size) complex stacks at once: A, B, a
     # product and its input, a polar step's input, u, vh and output while it

@@ -65,7 +65,7 @@ class TestTableText:
         ints = data.draw(hnp.arrays(np.int64, (rows, 4)))
         floats = data.draw(hnp.arrays(np.float64, (rows, 2), elements=FLOATS))
         table = np.concatenate([ints.astype(object), floats.astype(object)], axis=1)
-        assert _table_text(table) == nested(table)
+        assert _table_text(ints, floats) == nested(table)
 
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2), (2, 3, 0), (2, 0, 2), (1, 1, 1)])
     def test_empty_and_single_axes(self, shape):
@@ -165,6 +165,79 @@ class TestTensorRoundTrip:
         back = fileio.load_tensor("t.json")
         np.testing.assert_array_equal(back.indices, tensor.indices)
         assert back.coeffs.tobytes() == tensor.coeffs.tobytes()  # signed zeros too
+
+
+# few distinct values, so tables repeat them; a subnormal, -0.0 beside 0.0, +-1e308
+REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308,
+                                   1.5, 0.1, 1.0, -1.0])
+NEAR_2_62 = st.one_of(st.integers(2**62 - 4, 2**62 + 4), st.integers(-2**62 - 4, -2**62 + 4),
+                      st.sampled_from([0, -1, 2**63 - 1, -2**63]))
+TABLE_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5)
+
+
+def table_list(blocks):
+    """Reference: the nested lists of the table blocks make side by side."""
+    return np.concatenate([block.astype(object) for block in blocks], axis=-1).tolist()
+
+
+class TestDumpJsonMatchesReference:
+    """dump_json writes json.dumps(doc, sort_keys=True, indent=2) and a
+    newline for every numeric table, tuple of table blocks and dict of
+    record columns it is given."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_tables(self, data):
+        doc = {
+            "floats": data.draw(hnp.arrays(np.float64, TABLE_SHAPES, elements=REPEATED_FLOATS)),
+            "any_floats": data.draw(hnp.arrays(np.float64, TABLE_SHAPES, elements=FLOATS)),
+            "ints": data.draw(hnp.arrays(np.int64, TABLE_SHAPES, elements=NEAR_2_62)),
+            "bools": data.draw(hnp.arrays(np.bool_, TABLE_SHAPES)),
+            "scalar": data.draw(REPEATED_FLOATS),
+        }
+        fileio.dump_json(doc, "d.json")
+        reference = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                     for key, value in doc.items()}
+        assert open("d.json").read() == reference_text(reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(0, 6), widths=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           data=st.data())
+    def test_side_by_side_blocks(self, rows, widths, data):
+        kinds = [data.draw(st.sampled_from(["int", "float", "bool"])) for _ in widths]
+        blocks = tuple(
+            data.draw(hnp.arrays(np.int64, (rows, w), elements=NEAR_2_62)) if kind == "int"
+            else data.draw(hnp.arrays(np.float64, (rows, w), elements=REPEATED_FLOATS))
+            if kind == "float" else data.draw(hnp.arrays(np.bool_, (rows, w)))
+            for kind, w in zip(kinds, widths))
+        fileio.dump_json({"version": 1, "entries": blocks}, "d.json")
+        reference = {"version": 1, "entries": table_list(blocks)}
+        assert open("d.json").read() == reference_text(reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(0, 6), n=st.integers(1, 4), data=st.data())
+    def test_records(self, rows, n, data):
+        columns = {
+            "v": data.draw(hnp.arrays(np.int64, rows, elements=NEAR_2_62)),
+            "pi_v": data.draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(1, 3))),
+            "u": data.draw(hnp.arrays(np.float64, rows, elements=REPEATED_FLOATS)),
+            "pi_u": data.draw(hnp.arrays(np.bool_, (rows, n))),
+        }
+        fileio.dump_json({"version": 1, "edges": columns}, "d.json")
+        records = [{key: column[r].tolist() for key, column in columns.items()}
+                   for r in range(rows)]
+        assert open("d.json").read() == reference_text({"version": 1, "edges": records})
+
+    @pytest.mark.parametrize("backend,n", [*(("clifford", n) for n in (2, 3, 4)),
+                                           *(("comm_real", n) for n in (2, 3, 4, 5)),
+                                           *(("comm_complex", n) for n in (1, 2, 3))])
+    def test_backend_tensors(self, tmp_path, backend, n):
+        tensor = solvers.lift_little_to_big(reduction.BACKEND_BUILDERS[backend](n).little_op())
+        fileio.save_tensor(tensor, "t.json")
+        entries = [[int(i) + 1, int(j) + 1, int(k) + 1, int(l) + 1, *pair_lists(c)]
+                   for (i, j, k, l), c in zip(tensor.indices, tensor.coeffs)]
+        doc = {"version": 1, "d": tensor.d, "entries": entries}
+        assert (tmp_path / "t.json").read_text() == reference_text(doc)
 
 
 class TestWriterRefusals:

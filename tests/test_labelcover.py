@@ -1,3 +1,4 @@
+import itertools
 import re
 import tempfile
 from pathlib import Path
@@ -392,6 +393,77 @@ class TestCheckersMatchLoops:
         monkeypatch.setattr(config, "CHUNK_ENTRIES", budget)
         for inst in instances:
             assert lc.check_smoothness(inst) == loop_smoothness(inst)
+
+
+def loop_weak_expansion(inst, delta_grid, subset_samples=200, seed=0):
+    """Oracle: one mask per subset, subsets drawn one rng.choice at a time."""
+    rng = np.random.default_rng(seed)
+    us, vs = inst.ends.T
+    rows = []
+    for delta in delta_grid:
+        size = int(round(delta * inst.num_vertices))
+        if inst.num_vertices <= lc.EXHAUSTIVE_LIMIT:
+            subsets = list(itertools.combinations(range(inst.num_vertices), size))
+        else:
+            subsets = [rng.choice(inst.num_vertices, size=size, replace=False)
+                       for _ in range(subset_samples)]
+        counts = []
+        for subset in subsets:
+            mask = np.zeros(inst.num_vertices, dtype=bool)
+            mask[list(subset)] = True
+            counts.append(int(np.count_nonzero(mask[us] & mask[vs])))
+        required = (delta**2 / 2.0) * inst.num_edges
+        rows.append(lc.ExpansionRow(delta=float(delta), subset_size=size,
+                                    subsets_checked=len(subsets),
+                                    exhaustive=inst.num_vertices <= lc.EXHAUSTIVE_LIMIT,
+                                    min_edges=min(counts), required=required,
+                                    passed=min(counts) >= required))
+    return rows
+
+
+class TestWeakExpansionMatchesLoop:
+    """The blocked count gives the rows of the one-mask-per-subset loop,
+    with the seeded draws in the same order."""
+
+    @pytest.mark.parametrize("budget", [1, 300, config.CHUNK_ENTRIES])
+    @pytest.mark.parametrize("vertices,num_edges,seed", [(2, 1, 0), (5, 0, 1), (7, 9, 2),
+                                                         (10, 30, 3), (12, 20, 4)])
+    def test_exhaustive(self, monkeypatch, budget, vertices, num_edges, seed):
+        inst = random_edge_instance(vertices, num_edges, 2, 2, seed)
+        grid = [size / vertices for size in range(1, vertices + 1)]
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", budget)
+        got = lc.check_weak_expansion(inst, grid)
+        assert got == loop_weak_expansion(inst, grid)
+        assert all(row.exhaustive for row in got)
+        assert [type(row.min_edges) for row in got] == [int] * len(got)
+
+    @pytest.mark.parametrize("budget", [1, 1000, config.CHUNK_ENTRIES])
+    @pytest.mark.parametrize("seed", [0, 5, 7919])
+    def test_sampled(self, monkeypatch, budget, seed):
+        inst = lc.generate_planted(40, 4, 6, 3, 2, seed=1)[0]
+        grid = [0.25, 0.5, 0.9, 1.0]
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", budget)
+        got = lc.check_weak_expansion(inst, grid, subset_samples=37, seed=seed)
+        assert got == loop_weak_expansion(inst, grid, subset_samples=37, seed=seed)
+        assert not any(row.exhaustive for row in got)
+
+    def test_blocks_bound_memory(self, monkeypatch):
+        # 200 stacked subsets at V=20,000 would hold about 22 MB of masks;
+        # a budget of 2^18 entries allows 2 rows a block
+        import tracemalloc
+        num_vertices = 20_000
+        ends = lc._circulant_edges(num_vertices, 4)
+        inst = lc.LabelCoverInstance(num_vertices=num_vertices, n=1, k=1, t=1, gamma=1.0,
+                                     zeta=0.1, ends=ends, pis=np.zeros((len(ends), 2, 1)))
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**18)
+        tracemalloc.start()
+        try:
+            rows = lc.check_weak_expansion(inst, [0.5], subset_samples=200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[0].subsets_checked == 200
+        assert peak < 2**21
 
 
 class TestEdgeArrays:

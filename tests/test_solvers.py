@@ -606,6 +606,50 @@ class TestClosedFormPolarSteps:
         self.assert_matches_svd_steps(solvers.tensor_from_matrix(m))
 
 
+class TestDenseRestrictedTensor:
+    """The solve holds the block-restricted T dense exactly when the dense
+    array takes no more memory than its CSR form, (sum b^2)^2 <= 1.25 nnz.
+    A dense-held solve must match the dense reference and the same solve
+    with T held as CSR."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: solvers.lift_little_to_big(cached_little_op("comm_complex", 3)),
+        lambda: solvers.tensor_from_matrix(random_complex(np.random.default_rng(24), 12, 12)),
+    ], ids=["comm_complex n=3 lift", "tensor_from_matrix"])
+    def test_dense_form_matches_sparse_and_reference(self, monkeypatch, make):
+        tensor = make()
+        blocks = solvers._tensor_blocks(tensor)
+        assert isinstance(solvers._restricted(tensor, blocks), np.ndarray)
+        dense, _ = assert_matches_dense(tensor, restarts=8, seed=3)
+        for history in dense.histories:
+            assert all(history[i + 1] >= history[i] - 1e-12 for i in range(len(history) - 1))
+        assert max(dense.unitarity_residual_a, dense.unitarity_residual_b) <= 1e-12
+        # the same solve with T held as CSR
+        restricted = solvers._restricted
+        monkeypatch.setattr(solvers, "_restricted",
+                            lambda t, b: scipy.sparse.csr_matrix(restricted(t, b)))
+        sparse = solvers.ncg_opt_lower_bound(tensor, restarts=8, seed=3)
+        assert [len(h) for h in sparse.histories] == [len(h) for h in dense.histories]
+        for got, want in zip(dense.histories, sparse.histories):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert abs(dense.value - sparse.value) <= 1e-12
+
+    @pytest.mark.parametrize("backend,n,dense", [("clifford", 2, False), ("clifford", 4, False),
+                                                 ("comm_real", 2, False), ("comm_real", 5, True),
+                                                 ("comm_complex", 3, True)])
+    def test_density_rule(self, backend, n, dense):
+        # Clifford n=4: 256 block coordinates and 6,144 nonzeros, far below the rule
+        tensor = solvers.lift_little_to_big(cached_little_op(backend, n))
+        blocks = solvers._tensor_blocks(tensor)
+        held = solvers._restricted(tensor, blocks)
+        nnz = tensor.matrix[blocks.coords][:, blocks.coords].nnz
+        assert (blocks.size**2 <= 1.25 * nnz) == dense
+        assert isinstance(held, np.ndarray) == dense
+        assert scipy.sparse.issparse(held) != dense
+        # never more memory than CSR's 16 B value and 4 B column index per nonzero
+        assert (held.nbytes if dense else held.data.nbytes + held.indices.nbytes) <= 20 * nnz
+
+
 def union_find_blocks(d, quads):
     """Oracle: the components of the index graph by a union-find loop."""
     parent = list(range(d))
