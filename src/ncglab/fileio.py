@@ -8,11 +8,13 @@ labels are 1-based on disk and 0-based in memory; complex scalars are stored
 as [re, im] pairs. Writers refuse what their readers would refuse (labels
 that are not integers, non-finite numbers) before any file exists.
 
-Tables (numpy arrays, blocks side by side, the instance's edge records) are
+Tables (numpy arrays, blocks side by side, an instance's ends and pis) are
 rendered in one pass: one call of json's C encoder over a table's distinct
 values, told apart by their bits, gives each cell's indent-2 text, and the
 text between cells depends only on its position. json.dumps writes only the
 scalars and reports; a reader scans tables for bools only if the file holds one.
+An instance file of per-edge {u, v, pi_u, pi_v} records, the layout before
+the edge tables, is refused as having no field 'ends'.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from .solvers import NcgTensor
 
 def dump_json(obj: dict, path) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, where a
-    numpy array among obj's values stands for its ``tolist()``, a tuple of
-    arrays for the table they make side by side, and a dict of arrays for
-    the records of _records_text."""
+    numpy array among obj's values stands for its ``tolist()`` and a tuple of
+    arrays for the table they make side by side."""
     items = [f"\n  {json.dumps(key)}: {_value_text(obj[key])}" for key in sorted(obj)]
     Path(path).write_text("{" + ",".join(items) + "\n}\n" if items else "{}\n")
 
@@ -44,9 +45,8 @@ def _value_text(value) -> str:
     """A top-level value as indent 2 writes it one level deep."""
     if isinstance(value, np.ndarray):
         value = (value,)
-    arrays = value.values() if isinstance(value, dict) else value
-    if isinstance(value, (tuple, dict)) and value and all(type(v) is np.ndarray for v in arrays):
-        return _records_text(value) if isinstance(value, dict) else _table_text(*value)
+    if isinstance(value, tuple) and value and all(type(v) is np.ndarray for v in value):
+        return _table_text(*value)
     # a JSON string holds no raw newline, so every newline starts a line
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
 
@@ -88,20 +88,6 @@ def _table_text(*blocks: np.ndarray) -> str:
     return "".join(opens) + "".join(pieces.tolist()) + "".join(closes)
 
 
-def _records_text(columns: dict) -> str:
-    """json.dumps(records, sort_keys=True, indent=2), shifted one level deep,
-    for the records whose value at each key is that key's row: a number from
-    a 1-D column, a list from a 2-D column of at least one column."""
-    columns = {key: columns[key] for key in sorted(columns)}
-    # one record's text, with a %s slot per cell (number text holds no %)
-    form = "{" + ",".join(f"\n      {json.dumps(key)}: " + (
-        "[\n        " + ",\n        ".join(["%s"] * col.shape[1]) + "\n      ]"
-        if col.ndim == 2 else "%s") for key, col in columns.items()) + "\n    }"
-    cells = np.column_stack([_cells(col) for col in columns.values()])
-    records = [form % tuple(row) for row in cells.tolist()]
-    return "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-
-
 def load_json(path):
     return json.loads(Path(path).read_text())
 
@@ -109,9 +95,9 @@ def load_json(path):
 def _read(path, kind: str, fields: dict, integers=()) -> dict:
     """The checked fields of a ``kind`` file; the one place an outside file is
     checked, and every rejection is a ValueError naming kind. ``fields`` maps
-    a name to its shape (lengths, None for any length, or the name of an
-    integer read before) or, for a list of objects, to their fields' shapes.
-    Tables come back float64 and scalars as written; ``integers`` come back as ints."""
+    a name to its shape: lengths, None for any length, or the name of an
+    integer read before. Tables come back float64 and scalars as written;
+    ``integers`` come back as ints."""
     try:
         doc = json.loads(text := Path(path).read_text())
     except ValueError as exc:
@@ -122,16 +108,8 @@ def _read(path, kind: str, fields: dict, integers=()) -> dict:
     bools = "true" in text or "false" in text
     out = {}
     for name, shape in fields.items():
-        value = _field(doc, kind, name)
-        columns = [(name, value, shape)]
-        if isinstance(shape, dict):  # a list of objects, read column by column
-            if not isinstance(value, list):
-                raise ValueError(f"{kind} file {name} must be a list")
-            columns = [(key, [_field(row, kind, key) for row in value], (len(value), *dims))
-                       for key, dims in shape.items()]
-        for key, column, dims in columns:
-            dims = tuple(out[dim] if isinstance(dim, str) else dim for dim in dims)
-            out[key] = _table(column, kind, key, dims, key in integers, bools)
+        dims = tuple(out[dim] if isinstance(dim, str) else dim for dim in shape)
+        out[name] = _table(_field(doc, kind, name), kind, name, dims, name in integers, bools)
     return out
 
 
@@ -184,22 +162,19 @@ def _finite(table, kind: str, name: str):
 
 
 def save_instance(inst: LabelCoverInstance, path) -> None:
-    ends, pis = inst.ends + 1, inst.pis + 1
-    edges = {"u": ends[:, 0], "v": ends[:, 1], "pi_u": pis[:, 0], "pi_v": pis[:, 1]}
     dump_json({"version": FORMAT_VERSION, "n": inst.n, "k": inst.k, "t": inst.t,
-               "gamma": inst.gamma, "zeta": inst.zeta, "vertices": inst.num_vertices,
-               "edges": edges}, path)
+               "gamma": _finite(inst.gamma, "instance", "gamma"),
+               "zeta": _finite(inst.zeta, "instance", "zeta"),
+               "vertices": inst.num_vertices, "ends": inst.ends + 1, "pis": inst.pis + 1}, path)
 
 
 def load_instance(path) -> LabelCoverInstance:
-    edge = {"u": (), "v": (), "pi_u": ("n",), "pi_v": ("n",)}
     doc = _read(path, "instance", {"vertices": (), "n": (), "k": (), "t": (), "gamma": (),
-                                   "zeta": (), "edges": edge},
-                integers=("vertices", "n", "k", "t", *edge))
+                                   "zeta": (), "ends": (None, 2), "pis": (None, 2, "n")},
+                integers=("vertices", "n", "k", "t", "ends", "pis"))
     return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"],
                               t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"],
-                              ends=np.stack([doc["u"], doc["v"]], axis=1) - 1,
-                              pis=np.stack([doc["pi_u"], doc["pi_v"]], axis=1) - 1)
+                              ends=doc["ends"] - 1, pis=doc["pis"] - 1)
 
 
 def save_assignment(labels, path) -> None:

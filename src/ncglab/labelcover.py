@@ -48,7 +48,8 @@ class LabelCoverInstance:
         if self.ends.ndim != 2 or self.ends.shape[1] != 2:
             raise ValueError("edge ends must be an (E, 2) array")
         if self.pis.shape != (len(self.ends), 2, self.n):
-            raise ValueError("projection must be a length-n array")
+            raise ValueError(f"pis must have shape (E, 2, n) = {(len(self.ends), 2, self.n)}, "
+                             f"not {self.pis.shape}")
         if np.any((self.ends < 0) | (self.ends >= self.num_vertices)):
             raise ValueError("edge endpoint out of range")
         if np.any(self.ends[:, 0] == self.ends[:, 1]):

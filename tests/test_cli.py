@@ -103,18 +103,18 @@ class TestGenLabelcover:
     @pytest.mark.parametrize("argv,digests", [
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--planted-out", "planted.json"],
-         {"inst.json": "7149ac546897860247ba812ff23336327ee0b36d0446ea3c6d13b74380abddbc",
+         {"inst.json": "a14ea7f7d941281cc30d142f4a7cb5817fda10a6bc1713d293b738f55554b640",
           "planted.json": "e99509b44fb84dabc4e06062eac1f72569ef9526a5122a592622932530b15019",
           "gen-labelcover.report.json":
               "4cb3154a4a1dd7330bec86b66bf57f03b870ba3889b4bb32b0b8a0486be5aa10"}),
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--mode", "random"],
-         {"inst.json": "da4aad70d18b395e804da2957e1d4431df4edf709d8367a839d2297c4aa92941",
+         {"inst.json": "98929d8ea5ff1ef15af08778dd0ae53e667a6568bb4f09173888ad89c30b92e6",
           "gen-labelcover.report.json":
               "1ccd9720d65e1de5a9946dda326fd1a01834d865c67cdc57dd153bc0b96aa91d"}),
         (["--vertices", "300", "--degree", "4", "--n", "8", "--k", "4", "--t", "2",
           "--seed", "1"],
-         {"inst.json": "b178ce2c983602e62e9b2e660dea869f43869a849f544b7acaed77fc23ac85e0",
+         {"inst.json": "ba310efb18fcc92b8e51445a1ae474fa4f7487555cf953a4ed008ebc13696ad9",
           "gen-labelcover.report.json":
               "9b171552486e7f09b6d88740ec4d8e0e8e19d3501b2694b6295b9547576c3292"}),
     ])

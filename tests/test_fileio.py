@@ -88,11 +88,10 @@ class TestWritersMatchReference:
     def test_instance(self, tmp_path):
         inst, _ = labelcover.generate_planted(12, 3, 4, 2, 2, seed=3)
         fileio.save_instance(inst, "i.json")
-        edges = [{"u": int(u) + 1, "v": int(v) + 1, "pi_u": [int(x) + 1 for x in pu],
-                  "pi_v": [int(x) + 1 for x in pv]}
-                 for (u, v), (pu, pv) in zip(inst.ends, inst.pis)]
+        ends = [[int(u) + 1, int(v) + 1] for u, v in inst.ends]
+        pis = [[[int(x) + 1 for x in pu], [int(x) + 1 for x in pv]] for pu, pv in inst.pis]
         doc = {"version": 1, "n": inst.n, "k": inst.k, "t": inst.t, "gamma": inst.gamma,
-               "zeta": inst.zeta, "vertices": inst.num_vertices, "edges": edges}
+               "zeta": inst.zeta, "vertices": inst.num_vertices, "ends": ends, "pis": pis}
         assert (tmp_path / "i.json").read_text() == reference_text(doc)
 
     @pytest.mark.parametrize("labels", [[0, 4, 2, 1], [], np.array([3.0, 0.0])])
@@ -145,6 +144,49 @@ class TestWritersMatchReference:
         assert (tmp_path / "e.json").read_text() == reference_text({})
 
 
+def assert_instance_round_trip(inst):
+    """save -> load -> save writes the same bytes twice and loads equal arrays."""
+    fileio.save_instance(inst, "first.json")
+    back = fileio.load_instance("first.json")
+    for name in ("num_vertices", "n", "k", "t", "gamma", "zeta"):
+        assert getattr(back, name) == getattr(inst, name)
+    for name in ("ends", "pis"):
+        got, want = getattr(back, name), getattr(inst, name)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    fileio.save_instance(back, "second.json")
+    assert open("second.json", "rb").read() == open("first.json", "rb").read()
+
+
+class TestInstanceRoundTrip:
+    """Every instance LabelCoverInstance accepts, any edge count, is written
+    as a file load_instance reads back and save_instance writes again unchanged."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(vertices=st.integers(2, 9), edges=st.integers(0, 7), n=st.integers(1, 5),
+           k=st.integers(1, 4), data=st.data())
+    def test_save_load_save(self, vertices, edges, n, k, data):
+        # any multigraph without self-loops: v = u + step (mod V), step != 0
+        u = data.draw(hnp.arrays(np.int64, edges, elements=st.integers(0, vertices - 1)))
+        step = data.draw(hnp.arrays(np.int64, edges, elements=st.integers(1, vertices - 1)))
+        ends = np.stack([u, (u + step) % vertices], axis=1)
+        pis = data.draw(hnp.arrays(np.int64, (edges, 2, n), elements=st.integers(0, k - 1)))
+        finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308, 0.1]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+        inst = labelcover.LabelCoverInstance(
+            num_vertices=vertices, n=n, k=k, t=data.draw(st.integers(1, 4)),
+            gamma=data.draw(finite), zeta=data.draw(finite), ends=ends, pis=pis)
+        assert_instance_round_trip(inst)
+
+    def test_no_edges(self, tmp_path):
+        inst = labelcover.LabelCoverInstance(num_vertices=3, n=2, k=2, t=1, gamma=0.0,
+                                             zeta=0.1, ends=np.zeros((0, 2), dtype=int),
+                                             pis=np.zeros((0, 2, 2), dtype=int))
+        assert_instance_round_trip(inst)
+        doc = json.loads((tmp_path / "first.json").read_text())
+        assert doc["ends"] == [] and doc["pis"] == []
+
+
 class TestTensorRoundTrip:
     """Every tensor NcgTensor accepts is written as a file load_tensor reads back."""
 
@@ -182,8 +224,7 @@ def table_list(blocks):
 
 class TestDumpJsonMatchesReference:
     """dump_json writes json.dumps(doc, sort_keys=True, indent=2) and a
-    newline for every numeric table, tuple of table blocks and dict of
-    record columns it is given."""
+    newline for every numeric table and tuple of table blocks it is given."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -214,20 +255,6 @@ class TestDumpJsonMatchesReference:
         reference = {"version": 1, "entries": table_list(blocks)}
         assert open("d.json").read() == reference_text(reference)
 
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.integers(0, 6), n=st.integers(1, 4), data=st.data())
-    def test_records(self, rows, n, data):
-        columns = {
-            "v": data.draw(hnp.arrays(np.int64, rows, elements=NEAR_2_62)),
-            "pi_v": data.draw(hnp.arrays(np.int64, (rows, n), elements=st.integers(1, 3))),
-            "u": data.draw(hnp.arrays(np.float64, rows, elements=REPEATED_FLOATS)),
-            "pi_u": data.draw(hnp.arrays(np.bool_, (rows, n))),
-        }
-        fileio.dump_json({"version": 1, "edges": columns}, "d.json")
-        records = [{key: column[r].tolist() for key, column in columns.items()}
-                   for r in range(rows)]
-        assert open("d.json").read() == reference_text({"version": 1, "edges": records})
-
     @pytest.mark.parametrize("backend,n", [*(("clifford", n) for n in (2, 3, 4)),
                                            *(("comm_real", n) for n in (2, 3, 4, 5)),
                                            *(("comm_complex", n) for n in (1, 2, 3))])
@@ -257,6 +284,15 @@ class TestWriterRefusals:
         with pytest.raises(ValueError, match="field file values must be finite"):
             fileio.save_field(fld, "f.json")
         assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", ["gamma", "zeta"])
+    def test_instance_scalars_must_be_finite(self, tmp_path, which, bad):
+        inst, _ = labelcover.generate_planted(8, 3, 6, 3, 2, seed=7)
+        setattr(inst, which, bad)
+        with pytest.raises(ValueError, match=f"instance file {which} must be finite"):
+            fileio.save_instance(inst, "i.json")
+        assert not (tmp_path / "i.json").exists()
 
     @pytest.mark.parametrize("which", ["value", "a", "b"])
     def test_solution_must_be_finite(self, tmp_path, which):
@@ -304,10 +340,10 @@ class TestReaderRefusals:
         ("assignment", ["labels", 0], "assignment file labels must be finite whole numbers "
                                       "of shape (*)"),
         ("instance", ["t"], "instance file t must be finite whole numbers of shape ()"),
-        ("instance", ["edges", 0, "u"], "instance file u must be finite whole numbers "
-                                        "of shape (12)"),
-        ("instance", ["edges", 2, "v"], "instance file v must be finite whole numbers "
-                                        "of shape (12)"),
+        ("instance", ["ends", 0, 0], "instance file ends must be finite whole numbers "
+                                    "of shape (*, 2)"),
+        ("instance", ["pis", 2, 1, 3], "instance file pis must be finite whole numbers "
+                                       "of shape (*, 2, 6)"),
         ("tensor", ["entries", 1, 2], "tensor file entry indices must be finite whole numbers "
                                       "of shape (*, 4)"),
         ("tensor", ["d"], "tensor file d must be finite whole numbers of shape ()"),
@@ -323,3 +359,15 @@ class TestReaderRefusals:
         with pytest.raises(ValueError) as info:
             loader(file)
         assert str(info.value) == message
+
+    def test_record_layout_is_refused_by_name(self, tmp_path, files):
+        """A file of per-edge {u, v, pi_u, pi_v} records is not read."""
+        file = tmp_path / "instance.json"
+        doc = json.loads(file.read_text())
+        ends, pis = doc.pop("ends"), doc.pop("pis")
+        doc["edges"] = [{"u": u, "v": v, "pi_u": pu, "pi_v": pv}
+                        for (u, v), (pu, pv) in zip(ends, pis)]
+        file.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            fileio.load_instance(file)
+        assert str(info.value) == "instance file has no field 'ends'"

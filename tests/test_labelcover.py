@@ -1,14 +1,12 @@
 import itertools
 import re
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncglab import config, fileio
+from ncglab import config
 from ncglab import labelcover as lc
 
 
@@ -292,23 +290,6 @@ def random_edge_instance(num_vertices, num_edges, n, k, seed):
                                  zeta=0.1, ends=ends, pis=pis)
 
 
-def assert_file_round_trip(inst):
-    """save_instance then load_instance gives the same instance, and saving
-    what was loaded writes the same bytes."""
-    with tempfile.TemporaryDirectory() as tmp:
-        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
-        fileio.save_instance(inst, first)
-        loaded = fileio.load_instance(first)
-        for name in ("num_vertices", "n", "k", "t", "gamma", "zeta"):
-            assert getattr(loaded, name) == getattr(inst, name)
-        for name in ("ends", "pis"):
-            got, want = getattr(loaded, name), getattr(inst, name)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            np.testing.assert_array_equal(got, want)
-        fileio.save_instance(loaded, second)
-        assert second.read_bytes() == first.read_bytes()
-
-
 class TestCheckersMatchLoops:
     @settings(max_examples=60, deadline=None)
     @given(planted=st.booleans(), vertices=st.integers(2, 16),
@@ -332,7 +313,6 @@ class TestCheckersMatchLoops:
     def test_arbitrary_multigraphs(self, vertices, num_edges, n, k, seed):
         inst = random_edge_instance(vertices, num_edges, n, k, seed)
         assert_checkers_match_loops(inst, seed)
-        assert_file_round_trip(inst)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -474,9 +454,11 @@ class TestEdgeArrays:
         assert inst.pis.shape == (inst.num_edges, 2, inst.n)
 
     @pytest.mark.parametrize("ends,pis,message", [
-        pytest.param([[0, 1]], [[[0, 1, 0], [0, 1, 0]]], "length-n", id="wrong-length"),
-        pytest.param([[0, 1]], [[[0, 1]]], "length-n", id="wrong-shape"),
-        pytest.param([[0, 1]], [[[0, 1], [0, 1]]] * 2, "length-n", id="wrong-edge-count"),
+        pytest.param([[0, 1]], [[[0, 1, 0], [0, 1, 0]]], r"\(1, 2, 2\), not \(1, 2, 3\)",
+                     id="wrong-length"),
+        pytest.param([[0, 1]], [[[0, 1]]], r"\(1, 2, 2\), not \(1, 1, 2\)", id="wrong-shape"),
+        pytest.param([[0, 1]], [[[0, 1], [0, 1]]] * 2, r"\(1, 2, 2\), not \(2, 2, 2\)",
+                     id="wrong-edge-count"),
         pytest.param([0, 1], [[[0, 1], [0, 1]]], r"\(E, 2\)", id="flat-ends"),
         pytest.param([[0, 2]], [[[0, 1], [0, 1]]], "endpoint out of range",
                      id="endpoint-out-of-range"),

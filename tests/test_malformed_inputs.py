@@ -71,23 +71,26 @@ COMMON = [("not-an-object", not_an_object), ("no-version", dropped(["version"]))
 CASES = {
     "instance": COMMON + [
         *((f"missing-{name}", dropped([name]))
-          for name in ("vertices", "n", "k", "t", "gamma", "zeta", "edges")),
-        *((f"edge-missing-{name}", dropped(["edges", 0, name]))
-          for name in ("u", "v", "pi_u", "pi_v")),
+          for name in ("vertices", "n", "k", "t", "gamma", "zeta", "ends", "pis")),
         ("null-n", replaced(["n"], None)),
         ("string-gamma", replaced(["gamma"], "0.5")),
-        ("null-u", replaced(["edges", 0, "u"], None)),
-        ("string-v", replaced(["edges", 1, "v"], "2")),
-        ("null-projection", replaced(["edges", 0, "pi_u", 0], None)),
-        ("edges-not-a-list", replaced(["edges"], {"u": 1})),
-        ("edge-not-an-object", replaced(["edges", 0], [1, 2])),
-        ("short-projection", replaced(["edges", 0, "pi_v"], lambda pi: pi[:-1])),
-        ("ragged-projection", replaced(["edges", 0, "pi_v", 0], [1, 2])),
+        ("null-end", replaced(["ends", 0, 0], None)),
+        ("string-end", replaced(["ends", 1, 1], "2")),
+        ("null-projection", replaced(["pis", 0, 0, 0], None)),
+        ("string-projection", replaced(["pis", 1, 1, 2], "1")),
+        ("ends-not-a-list", replaced(["ends"], {"u": 1})),
+        ("pis-not-a-list", replaced(["pis"], 3)),
+        ("end-row-not-a-list", replaced(["ends", 0], 1)),
+        ("wide-end-row", replaced(["ends", 0], lambda row: row + [3])),
+        ("short-projection", replaced(["pis", 0, 1], lambda pi: pi[:-1])),
+        ("long-projection", replaced(["pis", 0, 1], lambda pi: pi + [1])),
+        ("ragged-projection", replaced(["pis", 0, 1, 0], [1, 2])),
         ("fractional-n", replaced(["n"], 6.5)),
-        ("fractional-vertex", replaced(["edges", 0, "u"], 1.5)),
-        ("fractional-projection", replaced(["edges", 0, "pi_u", 0], 1.7)),
-        ("boolean-projection", replaced(["edges", 0, "pi_u", 0], True)),
-        ("boolean-vertex", replaced(["edges", 0, "u"], True)),
+        ("fractional-vertex", replaced(["ends", 0, 0], 1.5)),
+        ("fractional-projection", replaced(["pis", 0, 0, 0], 1.7)),
+        ("boolean-projection", replaced(["pis", 0, 0, 0], True)),
+        ("boolean-vertex", replaced(["ends", 0, 0], True)),
+        ("false-vertex", replaced(["ends", 3, 1], False)),
         # json reads NaN and Infinity; every numeric field must be finite
         ("nan-gamma", replaced(["gamma"], math.nan)),
         ("infinite-zeta", replaced(["zeta"], math.inf)),
@@ -149,6 +152,19 @@ def test_malformed_file_fails_with_report(tmp_path, capsys, command, kind, mutat
     assert report["pass"] is False
     assert kind in report["error"]
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", READERS["instance"])
+def test_edge_count_mismatch_names_pis_and_both_shapes(tmp_path, command):
+    """ends and pis each read as a table; an instance with one more row of
+    ends than of pis is refused with both shapes."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(replaced(["pis"], lambda rows: rows[:-1])(
+        json.loads(path.read_text()))))
+    assert main([command, *COMMANDS[command]]) == 1
+    report = json.loads((tmp_path / f"{command}.report.json").read_text())
+    assert report["pass"] is False
+    assert report["error"] == "pis must have shape (E, 2, n) = (12, 2, 6), not (11, 2, 6)"
 
 
 def test_tensor_at_the_side_cap_loads(tmp_path):
