@@ -43,8 +43,8 @@ for n in (2, 4):
     basis = np.zeros(n)
     basis[0] = 1.0
     uniform = np.full(n, n**-0.5)
-    nb = clifford.dictator_embedding_norm(basis, family).value
-    nu = clifford.dictator_embedding_norm(uniform, family).value
+    nb = clifford.dictator_embedding_norm(basis, family)
+    nu = clifford.dictator_embedding_norm(uniform, family)
     print(f"n={n}: ||f(e_1)|| = {nb:.6f}   ||f(uniform)|| = {nu:.6f} "
           f"(bound {clifford.embedding_norm_bound(uniform):.6f})")
 print("as n grows the uniform vector's norm approaches 1/sqrt(2) ="

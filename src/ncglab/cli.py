@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import clifford, commutative, fileio, labelcover, linalg, reduction, solvers
+from . import clifford, commutative, config, fileio, labelcover, linalg, reduction, solvers
 from .config import DEFAULT_EPS, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL
 
 
@@ -56,12 +56,6 @@ def _print_verdicts(verdicts) -> None:
     """One '  name: PASS|FAIL' line per (name, ok) pair."""
     for name, ok in verdicts:
         print(f"  {name}: {'PASS' if ok else 'FAIL'}")
-
-
-def _refuse_unused_samples(args) -> None:
-    """--samples sizes a Monte-Carlo family; any other --mode would drop it."""
-    if args.samples is not None and args.mode != "monte_carlo":
-        raise ValueError(f"--samples applies only to --mode monte_carlo, not {args.mode}")
 
 
 def _table(path, header, rows) -> list[list[str]]:
@@ -126,7 +120,9 @@ def _cmd_check_instance(args):
 
 
 def _cmd_reduce(args):
-    _refuse_unused_samples(args)
+    # --samples sizes a Monte-Carlo ensemble; any other --mode would drop it
+    if args.samples is not None and args.mode != "monte_carlo":
+        raise ValueError(f"--samples applies only to --mode monte_carlo, not {args.mode}")
     inst = fileio.load_instance(args.instance)
     labels = fileio.load_assignment(args.assignment)
     backend = reduction.BACKEND_BUILDERS[args.backend](
@@ -164,8 +160,10 @@ def _cmd_decode(args):
 
 
 def _cmd_embed_verify(args):
-    _refuse_unused_samples(args)
     n, trials = args.n, args.trials
+    if 2 * trials * n > config.CHUNK_ENTRIES:  # a check's normal draw and its complex copy
+        raise ValueError(f"embed-verify draw 2 x {trials} trials x n={n} exceeds cap "
+                         f"CHUNK_ENTRIES {config.CHUNK_ENTRIES}")
     rng = np.random.default_rng(args.seed)
 
     def vectors():
@@ -174,9 +172,7 @@ def _cmd_embed_verify(args):
         parts = rng.normal(size=(trials, 2, n))
         return parts[:, 0] + 1j * parts[:, 1]
 
-    family = clifford.build_phase_family(n, args.mode, seed=args.seed,
-                                         sample_count=args.samples)
-    exact = family.mode != "monte_carlo"
+    family = clifford.build_phase_family(n, args.mode)
 
     gens = clifford.make_generators(n)
     eye = np.eye(gens.dim)
@@ -192,24 +188,18 @@ def _cmd_embed_verify(args):
     rows.append(["formula_vs_svd", n, f"{trials} trials", formula_err, 1e-8,
                  formula_err <= 1e-8])
 
-    basis_err = max(abs(clifford.dictator_embedding_norm(e, family).value - 1.0)
+    basis_err = max(abs(clifford.dictator_embedding_norm(e, family) - 1.0)
                     for e in np.eye(n))
-    rows.append(["basis_norm_one", n, family.mode, basis_err, 1e-10,
-                 basis_err <= (1e-10 if exact else 1e-8)])
+    rows.append(["basis_norm_one", n, family.mode, basis_err, 1e-10, basis_err <= 1e-10])
 
-    estimates = [(a, clifford.dictator_embedding_norm(a, family)) for a in vectors()]
-    excess = [est.value - clifford.embedding_norm_bound(a) for a, est in estimates]
-    # a Monte-Carlo value may exceed the bound by three standard errors
-    slack = [1e-8 + (0.0 if exact else 3.0 * est.stderr) for _, est in estimates]
-    rows.append(["norm_bound", n, family.mode, max(excess), 0.0,
-                 all(e <= s for e, s in zip(excess, slack))])
+    excess = max(clifford.dictator_embedding_norm(a, family) - clifford.embedding_norm_bound(a)
+                 for a in vectors())
+    rows.append(["norm_bound", n, family.mode, excess, 0.0, excess <= 1e-8])
 
-    if exact:
-        moment_err = max(abs(clifford.randphase_second_moment(a, family)
-                             - float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4)))
-                         for a in (a / np.linalg.norm(a) for a in vectors()))
-        rows.append(["second_moment", n, family.mode, moment_err, 1e-10,
-                     moment_err <= 1e-10])
+    moment_err = max(abs(clifford.randphase_second_moment(a, family)
+                         - float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4)))
+                     for a in (a / np.linalg.norm(a) for a in vectors()))
+    rows.append(["second_moment", n, family.mode, moment_err, 1e-10, moment_err <= 1e-10])
 
     report = {"rows": _table(args.csv, ["check", "n", "detail", "value", "bound", "pass"], rows)}
     _print_verdicts((row[0], row[5]) for row in rows)
@@ -343,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("embed-verify", help="verify the matrix embedding invariants")
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--mode", choices=["exhaustive", "pairwise_independent", "monte_carlo"],
-                   default="exhaustive")
-    p.add_argument("--samples", type=_positive_int, default=None)
+    p.add_argument("--mode", choices=["exhaustive", "pairwise_independent"], default="exhaustive")
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)

@@ -11,8 +11,8 @@ The pieces, in dependency order:
   controls the two-level singular value split of ``C(a)``;
 * the exact trace-norm formula
   ``||C(a)||_S1 = (sqrt(s + 2 L) + sqrt(s - 2 L)) / 2`` with ``s = ||a||_2^2``;
-* phase families over ``{1, i, -1, -i}^n`` (exhaustive, pairwise independent,
-  or sampled), held as their weighted parity classes, and the phase-averaged
+* phase families over ``{1, i, -1, -i}^n`` (exhaustive or pairwise
+  independent), held as their weighted parity classes, and the phase-averaged
   embedding norm ``E_w ||C(a o w)||_S1``, which equals the trace norm of the
   direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
 * the dictatorship-test constants ETA, TAU and spread_threshold(eps).
@@ -40,8 +40,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 # Temporaries the batch kernel holds at once, counted in (rows, P) arrays:
-# the traced peaks are 12.5 of them at P = 64 (exhaustive n=6) and 12.0 at
-# P = 62409 (Monte Carlo n=16, standard errors included).
+# the traced peaks are 12.5 of them at P = 64 (exhaustive n=6, 300 rows) and
+# 12.0 at P = 65536 (exhaustive n=16, 4 rows).
 _GRADIENT_LIVE = 13
 
 
@@ -124,7 +124,6 @@ class PhaseFamily:
     exhaustive: all 4^n members.
     pairwise_independent: affine Z4 evaluations; every coordinate pair is
         exactly uniform over the 16 phase pairs, with only O(n^2) members.
-    monte_carlo: seeded i.i.d. samples.
 
     Every average below depends on a member only through its parity
     pattern O_j = [w_j imaginary]: (Re, Im) of a_j w_j is +-(x_j, y_j) for
@@ -148,12 +147,10 @@ class PhaseFamily:
         self.sign = self.even - self.parity
 
 
-def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = None,
-                       sample_count: int | None = None) -> PhaseFamily:
+def build_phase_family(n: int, mode: str = "exhaustive") -> PhaseFamily:
     """The family's parity classes, grouped from 0/1 parity rows of weight
-    1/rows each: one row per sampled member (monte_carlo), or one per parity
-    x in {0,1}^k of the members' k free Z4 digits (exact modes), which
-    stands for 2^k of the 4^k members.
+    1/rows each: one per parity x in {0,1}^k of the members' k free Z4
+    digits, which stands for 2^k of the 4^k members.
 
     exhaustive: k = n and the row is x.
     pairwise_independent: coordinate j has tag c_j, its binary digits in
@@ -163,47 +160,28 @@ def build_phase_family(n: int, mode: str = "exhaustive", *, seed: int | None = N
         parity (c_j . u' + b') mod 2 needs only the parities x = (u', b'),
         so k = r + 1.
 
-    An exact family is refused when its 2^k x n rows exceed ENUMERATION_CAP,
-    before any row exists.
+    A family is refused when its 2^k x n rows exceed ENUMERATION_CAP, before
+    any row exists.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode == "monte_carlo":
-        if sample_count is None or sample_count < 1:
-            raise ValueError("monte_carlo mode requires a positive sample_count")
-        if 2 * sample_count * n > config.CHUNK_ENTRIES:  # an int64 draw and its % 2 copy
-            raise ValueError(f"monte_carlo draw 2 x {sample_count} samples x n={n} exceeds "
-                             f"cap CHUNK_ENTRIES {config.CHUNK_ENTRIES}")
-        size = sample_count
-        odd = np.random.default_rng(seed).integers(0, 4, size=(size, n)) % 2 == 1
-    elif mode in ("exhaustive", "pairwise_independent"):
-        k = n if mode == "exhaustive" else max(1, (n - 1).bit_length()) + 1
-        if k >= ENUMERATION_CAP.bit_length() or 2**k * n > ENUMERATION_CAP:
-            raise ValueError(f"{mode} family rows 2^{k} x n={n} exceed cap {ENUMERATION_CAP}")
-        size = 4**k
-        # row x, over every x in {0,1}^k
-        odd = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
-        if mode == "pairwise_independent":
-            tags = (np.arange(n) >> np.arange(k - 1)[:, None]) & 1  # (r, n)
-            odd = (odd[:, :-1] @ tags + odd[:, -1:]) % 2 == 1
-    else:
+    if mode not in ("exhaustive", "pairwise_independent"):
         raise ValueError(f"unknown phase family mode {mode!r}")
+    k = n if mode == "exhaustive" else max(1, (n - 1).bit_length()) + 1
+    if k >= ENUMERATION_CAP.bit_length() or 2**k * n > ENUMERATION_CAP:
+        raise ValueError(f"{mode} family rows 2^{k} x n={n} exceed cap {ENUMERATION_CAP}")
+    # row x, over every x in {0,1}^k
+    odd = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
+    if mode == "pairwise_independent":
+        tags = (np.arange(n) >> np.arange(k - 1)[:, None]) & 1  # (r, n)
+        odd = (odd[:, :-1] @ tags + odd[:, -1:]) % 2 == 1
     # one opaque byte string per row's packed pattern, so unique is a 1-d sort
     packed = np.packbits(odd, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rows = odd.shape[0]
-    return PhaseFamily(mode=mode, n=n, size=size, parity=odd[first].astype(np.float64),
+    return PhaseFamily(mode=mode, n=n, size=4**k, parity=odd[first].astype(np.float64),
                        class_weights=np.bincount(inverse, weights=np.full(rows, 1.0 / rows)))
-
-
-@dataclass
-class NormEstimate:
-    """A norm value with a standard error (0 for exact enumerations); both
-    are (V,) arrays for a batch of rows."""
-
-    value: float | np.ndarray
-    stderr: float | np.ndarray = 0.0
 
 
 def _rows(a, n: int) -> np.ndarray:
@@ -239,20 +217,17 @@ def _by_row_chunks(kernel, live: int, rows: np.ndarray, family: PhaseFamily):
     return [np.concatenate(parts) for parts in zip(*outs)]
 
 
-def dictator_embedding_norm(a, family: PhaseFamily) -> NormEstimate:
+def dictator_embedding_norm(a, family: PhaseFamily):
     """E_w[ ||C(a o w)||_S1 ] under the family, i.e. the trace norm of the
     block-diagonal embedding (+)_w C(a o w).
 
-    ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
-    giving (V,) arrays. Standard basis vectors give exactly 1 (a o w is
-    purely real or purely imaginary, so L vanishes). Monte-Carlo mode
-    reports a standard error.
+    ``a`` is one vector (n,), giving a float, or rows (V, n), giving a (V,)
+    array. Standard basis vectors give exactly 1 (a o w is purely real or
+    purely imaginary, so L vanishes).
     """
-    value, _, stderr = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
-                                      _rows(a, family.n), family)
-    if np.ndim(a) != 2:
-        return NormEstimate(value=float(value[0]), stderr=float(stderr[0]))
-    return NormEstimate(value=value, stderr=stderr)
+    value, _ = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
+                              _rows(a, family.n), family)
+    return value if np.ndim(a) == 2 else float(value[0])
 
 
 def embedding_norm_bound(a) -> float:
@@ -282,20 +257,19 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    value, grad, _ = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
-                                    _rows(a, family.n), family)
+    value, grad = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
+                                 _rows(a, family.n), family)
     if np.ndim(a) != 2:
         return float(value[0]), grad[0]
     return value, grad
 
 
 def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
-    """(V,) values, (V, n) gradients and (V,) Monte-Carlo standard errors
-    (0 for an exact family) of a batch of rows."""
+    """(V,) values and (V, n) gradients of a batch of rows."""
     x, y = rows.real, rows.imag
     s = np.sum(np.abs(rows) ** 2, axis=1)
     nonzero = s > 0.0
-    # A zero row has value, gradient and stderr 0. Setting s = 1 there only
+    # A zero row has value and gradient 0. Setting s = 1 there only
     # keeps the inverse square roots finite; its x = y = 0 zero the gradient.
     s = np.where(nonzero, s, 1.0)[:, None]
     p, q, r = _pqr(rows, family)
@@ -303,13 +277,7 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     sqrt_plus = np.sqrt(s + 2 * lam)
     sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
     w = family.class_weights
-    value = 0.5 * (sqrt_plus + sqrt_minus) @ w
-    stderr = np.zeros_like(value)
-    if family.mode == "monte_carlo":
-        # member variance; class_weights are class sizes over size
-        spread = (0.5 * (sqrt_plus + sqrt_minus) - value[:, None]) ** 2 @ w
-        stderr = np.where(nonzero, np.sqrt(spread / family.size), 0.0)
-    value = np.where(nonzero, value, 0.0)
+    value = np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0)
 
     inv_plus = 1.0 / sqrt_plus
     inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))
@@ -325,7 +293,7 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     cross = (c * r) @ family.sign
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
-    return value, gx + 1j * gy, stderr
+    return value, gx + 1j * gy
 
 
 # Dictatorship-test constants of the phase-averaged matrix embedding: basis

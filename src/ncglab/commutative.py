@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .clifford import PHASE_VALUES, NormEstimate, _rows
+from .clifford import PHASE_VALUES, _rows
 
 REAL_LIMIT = math.sqrt(2.0 / math.pi)
 COMPLEX_LIMIT = math.sqrt(math.pi / 4.0)
@@ -35,6 +35,15 @@ _DECODE = {"real": 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1),
 # chunk budget at import, so shrinking config.CHUNK_ENTRIES later shrinks only the
 # member chunks. A row over it alone is refused: complex n > 32768, real n > 131072.
 TABLE_CAP = config.CHUNK_ENTRIES
+
+
+@dataclass
+class NormEstimate:
+    """A norm value with a standard error (0 for exhaustive enumerations);
+    both are (V,) arrays for a batch of rows."""
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray = 0.0
 
 
 @dataclass

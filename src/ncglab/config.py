@@ -12,7 +12,8 @@ DENSE_DIM_CAP = 512
 ENUMERATION_CAP = 2**20
 
 # Most entries (as float64, 32 MiB) a chunked kernel holds in temporaries at once:
-# Clifford row blocks, scalar-embedding member chunks, check_smoothness vertex blocks.
+# Clifford row blocks, scalar-embedding member chunks, check_smoothness vertex blocks
+# and embed-verify's trial draws.
 CHUNK_ENTRIES = 2**22
 
 # Max-abs deviation allowed when an input must be Hermitian.

@@ -219,7 +219,7 @@ class EmbeddingBackend:
 
     def norm(self, a):
         if self._is_matrix:
-            return clifford.dictator_embedding_norm(a, self.kernel).value
+            return clifford.dictator_embedding_norm(a, self.kernel)
         return commutative.embedding_l1_norm(a, self.kernel).value
 
     def norm_and_gradient(self, a):
@@ -266,8 +266,12 @@ class EmbeddingBackend:
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,
                      sample_count: int | None = None) -> EmbeddingBackend:
-    return EmbeddingBackend(clifford.build_phase_family(n, mode, seed=seed,
-                                                        sample_count=sample_count))
+    """The matrix embedding over an exact phase family. It takes the builders'
+    common signature; seed is unused, and a sample_count is refused."""
+    if sample_count is not None:
+        raise ValueError(f"clifford phase families are exact and draw no samples, "
+                         f"got sample_count={sample_count}")
+    return EmbeddingBackend(clifford.build_phase_family(n, mode))
 
 
 def comm_real_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,

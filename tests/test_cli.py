@@ -217,11 +217,22 @@ class TestReduce:
     def test_params_record_samples(self, tmp_path):
         main(gen_args())
         argv = ["reduce", "--instance", "inst.json", "--assignment", "planted.json",
-                "--backend", "clifford", "--mode", "monte_carlo", "--seed", "3"]
+                "--backend", "comm_real", "--mode", "monte_carlo", "--seed", "3"]
         for samples in (2000, 4000):
             assert main([*argv, "--samples", str(samples), "--report", f"{samples}.json"]) == 0
             report = json.loads((tmp_path / f"{samples}.json").read_text())
             assert report["params"]["samples"] == samples
+
+    @pytest.mark.parametrize("samples", [[], ["--samples", "5"]], ids=["bare", "samples"])
+    def test_clifford_monte_carlo_refused(self, tmp_path, capsys, samples):
+        # the Clifford phase families are exact: no mode of theirs draws samples
+        main(gen_args())
+        assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                     "--backend", "clifford", "--mode", "monte_carlo", *samples]) == 1
+        report = json.loads((tmp_path / "reduce.report.json").read_text())
+        assert report["pass"] is False and "params" not in report
+        assert ("samples" if samples else "monte_carlo") in report["error"]
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestDecode:
@@ -262,12 +273,10 @@ class TestDecode:
         assert (tmp_path / "d1.json").read_bytes() == (tmp_path / "d2.json").read_bytes()
 
 
-# stdout of an embed-verify run whose checks all pass, with and without the
-# second-moment row that only exact families have
+# stdout of an embed-verify run whose checks all pass
 EMBED_VERIFY_PASS = "".join(f"  {name}: PASS\n" for name in (
     "generator_suite", "formula_vs_svd", "basis_norm_one", "norm_bound",
     "second_moment")) + "PASS\n"
-EMBED_VERIFY_PASS_SAMPLED = EMBED_VERIFY_PASS.replace("  second_moment: PASS\n", "")
 
 
 class TestEmbedVerify:
@@ -283,61 +292,69 @@ class TestEmbedVerify:
         assert file_sha256(tmp_path / "embed.csv") == \
             "3e808137aa3a57a327a295188edad9033df1d05214936f7916eb46f49d462849"
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "81fc0f4b332e7fe913dcf01abcfbc84b96dbd46109d2fd9f8ffc9beb741790ed"
+            "8b53937790e1747b927fe7378eab844455e3cbe39146c2e53a25856632446d79"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
-    def test_monte_carlo_mode(self, tmp_path, capsys):
-        code = main(["embed-verify", "--n", "12", "--mode", "monte_carlo",
-                     "--samples", "20000", "--seed", "3", "--trials", "20"])
-        assert code == 0
-        assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "ef5ebd9c0e0336a9ee0c65f18a98ec7c5dc9f464d96cb0f9ea821edff7460ddd"
-        assert capsys.readouterr().out == EMBED_VERIFY_PASS_SAMPLED
-
-    def test_monte_carlo_draw_over_the_chunk_budget_refused(self, tmp_path, monkeypatch,
-                                                             capsys):
-        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * 99 * 4)
-        assert main(["embed-verify", "--n", "4", "--mode", "monte_carlo", "--samples", "100",
-                     "--seed", "3"]) == 1
+    def test_trials_over_the_chunk_budget_refused(self, tmp_path, monkeypatch, capsys):
+        # each check draws a (trials, 2, n) normal array: 2 x 50 x 4 = 400 entries
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 400)
+        assert main(["embed-verify", "--n", "4", "--seed", "3", "--trials", "50"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 399)
+        # refused before any generator or draw: calling None would raise a TypeError
+        monkeypatch.setattr(np.random, "default_rng", None)
+        monkeypatch.setattr(cli.clifford, "make_generators", None)
+        assert main(["embed-verify", "--n", "4", "--seed", "3", "--trials", "50"]) == 1
         report = json.loads((tmp_path / "embed-verify.report.json").read_text())
         assert report["pass"] is False
-        assert report["error"] == ("monte_carlo draw 2 x 100 samples x n=4 exceeds cap "
-                                   "CHUNK_ENTRIES 792")
+        assert report["error"] == ("embed-verify draw 2 x 50 trials x n=4 exceeds cap "
+                                   "CHUNK_ENTRIES 399")
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_monte_carlo_draw_over_the_chunk_budget_refused_before_the_generators(
-            self, tmp_path):
-        # the sixteen dense 256 x 256 generators at n = 16 take 16 MiB
+    @pytest.mark.parametrize("extra", [["--mode", "monte_carlo"], ["--samples", "10"]])
+    def test_sampled_family_is_usage_error(self, extra):
+        with pytest.raises(SystemExit) as err:
+            main(["embed-verify", "--n", "4", "--seed", "3", *extra])
+        assert err.value.code == 2
+
+    def test_help_offers_only_exact_families(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["embed-verify", "--help"])
+        assert err.value.code == 0
+        out = capsys.readouterr().out
+        assert "{exhaustive,pairwise_independent}" in out
+        assert "--samples" not in out and "monte_carlo" not in out
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--n", "17"], "exhaustive family rows 2^17 x n=17 exceed cap 1048576"),
+        (["--n", "16", "--trials", "200000"],
+         "embed-verify draw 2 x 200000 trials x n=16 exceeds cap CHUNK_ENTRIES 4194304"),
+    ], ids=["family", "trials"])
+    def test_refused_before_the_generators(self, tmp_path, capsys, argv, error):
+        # the sixteen or more dense generators at n >= 16 take at least 16 MiB
         tracemalloc.start()
         try:
-            code = main(["embed-verify", "--n", "16", "--mode", "monte_carlo",
-                         "--samples", "200000", "--seed", "3"])
+            code = main(["embed-verify", "--seed", "3", *argv])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 1
         report = json.loads((tmp_path / "embed-verify.report.json").read_text())
-        assert report["pass"] is False and "exceeds cap CHUNK_ENTRIES" in report["error"]
+        assert report["pass"] is False and report["error"] == error
+        assert "Traceback" not in capsys.readouterr().err
         assert peak < 2**20
-
-    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
-    def test_samples_outside_monte_carlo_refused(self, tmp_path, mode):
-        assert main(["embed-verify", "--n", "4", "--mode", mode, "--samples", "10",
-                     "--seed", "3"]) == 1
-        report = json.loads((tmp_path / "embed-verify.report.json").read_text())
-        assert report["pass"] is False and "--samples" in report["error"]
 
     def test_pairwise_mode(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "6", "--mode", "pairwise_independent",
                      "--seed", "3", "--trials", "30"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "b95ec1c46115ead22662dc38c08a71cc4ab2338275ff602ea07356716c228889"
+            "cfa219b97280dfa41b787509ac88f2a8e901e699460eea600446f92b56e33da3"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     def test_single_coordinate_degenerate_pass(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "1", "--seed", "3", "--trials", "20"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "9a124453a2d803a03f06529edf4b56134b1add7174bf647230680d12046e92e1"
+            "48d1afe16645bb7c4355a82f0db76ac177dab5e7fae89a8337919667bb222ecf"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
 
@@ -561,10 +578,10 @@ GOLDEN_REPORTS = {
     "reduce-comm-real":
         ([*REDUCE, "--backend", "comm_real"],
          "fb6950f7b353e93e3a834a9a6fb9809a1fe64b2446571904f89b0813a9b36e87"),
-    "reduce-clifford-monte-carlo":
-        ([*REDUCE, "--backend", "clifford", "--mode", "monte_carlo",
+    "reduce-comm-real-monte-carlo":
+        ([*REDUCE, "--backend", "comm_real", "--mode", "monte_carlo",
           "--samples", "2000", "--seed", "3"],
-         "5e666022bae5f3a7d90cce7ae89ca46a7d8a9ed0e0069cf9a738597c9a68ac72"),
+         "e11edf88b90a4c2fcd9e31f2ed41f809ba2c05851acee59b605f554616f476aa"),
     "decode-noisy":
         ([*DECODE, "--field", "noisy.json"],
          "51ea588083156b299e2c5ad23d7ab94e1181913d00cbf725b6146c12320e13df"),

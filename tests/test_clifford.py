@@ -31,25 +31,23 @@ def base4_digits(n):
     return (k[:, None] // 4 ** np.arange(n)) % 4
 
 
-def member_exponents(n, mode, *, seed=None, sample_count=None):
+def member_exponents(n, mode):
     """The family's members as exponents k, w_j = i^k, one row per member,
     enumerated member by member. Pairwise: coordinate j has tag c_j, the r
     binary digits of j, and member (u, b) in Z4^r x Z4 has exponents
-    (c_j . u + b) mod 4. Monte Carlo: the seeded draws."""
+    (c_j . u + b) mod 4."""
     if mode == "exhaustive":
         return base4_digits(n)
-    if mode == "pairwise_independent":
-        r = max(1, math.ceil(math.log2(n))) if n > 1 else 1
-        tags = np.array([[(j >> bit) & 1 for bit in range(r)] for j in range(n)])
-        cu = base4_digits(r) @ tags.T  # (4^r, n)
-        return ((cu[:, None, :] + np.arange(4)[None, :, None]) % 4).reshape(-1, n)
-    assert mode == "monte_carlo"
-    return np.random.default_rng(seed).integers(0, 4, size=(sample_count, n))
+    assert mode == "pairwise_independent"
+    r = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    tags = np.array([[(j >> bit) & 1 for bit in range(r)] for j in range(n)])
+    cu = base4_digits(r) @ tags.T  # (4^r, n)
+    return ((cu[:, None, :] + np.arange(4)[None, :, None]) % 4).reshape(-1, n)
 
 
-def members(n, mode, **kwargs):
+def members(n, mode):
     """The family's phase vectors, one row per member."""
-    return PHASE_VALUES[member_exponents(n, mode, **kwargs)]
+    return PHASE_VALUES[member_exponents(n, mode)]
 
 
 def grouped_classes(exps):
@@ -250,7 +248,15 @@ class TestPhaseFamily:
         with pytest.raises(ValueError):
             clifford.build_phase_family(20, "exhaustive")
 
-    @pytest.mark.parametrize("n", [2, 4, 5])
+    @pytest.mark.parametrize("mode", ["monte_carlo", "pairwise"])
+    def test_unknown_mode_refused(self, mode):
+        # the families are exact; no mode draws its members
+        with pytest.raises(ValueError, match=f"^unknown phase family mode '{mode}'$"):
+            clifford.build_phase_family(4, mode)
+
+    # n = 17, 18 are past the exhaustive family's cap; there the pairwise
+    # family is the exact one
+    @pytest.mark.parametrize("n", [2, 4, 5, 17, 18])
     def test_pairwise_exactly_uniform_pairs(self, n):
         fam = clifford.build_phase_family(n, "pairwise_independent")
         phases = members(n, "pairwise_independent")
@@ -262,44 +268,21 @@ class TestPhaseFamily:
                 np.add.at(counts, (exps[:, j], exps[:, k]), 1)
                 assert np.all(counts == fam.size // 16)
 
-    def test_monte_carlo_deterministic(self):
-        fam1 = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
-        fam2 = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
-        np.testing.assert_array_equal(members(4, "monte_carlo", seed=5, sample_count=100),
-                                      members(4, "monte_carlo", seed=5, sample_count=100))
-        np.testing.assert_array_equal(fam1.parity, fam2.parity)
-        np.testing.assert_array_equal(fam1.class_weights, fam2.class_weights)
-
-    def test_monte_carlo_needs_samples(self):
-        with pytest.raises(ValueError):
-            clifford.build_phase_family(4, "monte_carlo", seed=1)
-
-    def test_monte_carlo_draw_over_the_chunk_budget_refused(self, monkeypatch):
-        # the draw holds an int64 (samples, n) array and its % 2 copy
-        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2 * 100 * 4)
-        fam = clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=100)
-        parity, _ = grouped_classes(member_exponents(4, "monte_carlo", seed=5, sample_count=100))
-        np.testing.assert_array_equal(fam.parity, parity)
-        monkeypatch.setattr(np.random, "default_rng", None)  # refused before any draw
-        with pytest.raises(ValueError, match="^monte_carlo draw 2 x 101 samples x n=4 exceeds "
-                                             "cap CHUNK_ENTRIES 800$"):
-            clifford.build_phase_family(4, "monte_carlo", seed=5, sample_count=101)
-
-    @pytest.mark.parametrize("n, mode, kwargs", [
-        *[(n, "exhaustive", {}) for n in range(1, 9)],
-        (5, "pairwise_independent", {}),
-        (16, "pairwise_independent", {}),
-        (12, "monte_carlo", {"seed": 3, "sample_count": 20000}),
-        (17, "pairwise_independent", {}),
-        (33, "pairwise_independent", {}),
-        (64, "pairwise_independent", {}),
+    @pytest.mark.parametrize("n, mode", [
+        *[(n, "exhaustive") for n in range(1, 9)],
+        (5, "pairwise_independent"),
+        (12, "pairwise_independent"),
+        (16, "pairwise_independent"),
+        (17, "pairwise_independent"),
+        (33, "pairwise_independent"),
+        (64, "pairwise_independent"),
     ])
-    def test_classes_match_grouped_members(self, n, mode, kwargs):
+    def test_classes_match_grouped_members(self, n, mode):
         # grouping the members gives the family's classes in the same order,
-        # bit for bit; the exact families group only the parities of their
-        # members' free Z4 digits
-        exps = member_exponents(n, mode, **kwargs)
-        fam = clifford.build_phase_family(n, mode, **kwargs)
+        # bit for bit; the families group only the parities of their members'
+        # free Z4 digits
+        exps = member_exponents(n, mode)
+        fam = clifford.build_phase_family(n, mode)
         parity, weights = grouped_classes(exps)
         assert fam.size == exps.shape[0]
         np.testing.assert_array_equal(fam.parity, parity)
@@ -369,24 +352,16 @@ class TestDictatorEmbeddingNorm:
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = 1.0
-                assert clifford.dictator_embedding_norm(e, fam).value == pytest.approx(1.0, abs=1e-12)
+                assert clifford.dictator_embedding_norm(e, fam) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_two_vector(self):
         fam = clifford.build_phase_family(2, "exhaustive")
         a = np.array([1.0, 1.0]) / np.sqrt(2)
-        est = clifford.dictator_embedding_norm(a, fam)
+        value = clifford.dictator_embedding_norm(a, fam)
         # enumerating the 16 phase patterns by hand: half give 1, half 1/sqrt(2)
-        assert est.value == pytest.approx((1 + INV_SQRT2) / 2, abs=1e-12)
-        assert est.value <= clifford.embedding_norm_bound(a) + 1e-12
+        assert value == pytest.approx((1 + INV_SQRT2) / 2, abs=1e-12)
+        assert value <= clifford.embedding_norm_bound(a) + 1e-12
         assert clifford.embedding_norm_bound(a) == pytest.approx(np.sqrt((1 + INV_SQRT2) / 2))
-
-    def test_monte_carlo_uniform_16(self):
-        n = 16
-        fam = clifford.build_phase_family(n, "monte_carlo", seed=2, sample_count=10**5)
-        a = np.full(n, n**-0.5)
-        est = clifford.dictator_embedding_norm(a, fam)
-        assert est.stderr > 0
-        assert est.value <= np.sqrt((1 + 0.25) / 2) + 3 * est.stderr
 
     def test_matches_materialized_block_matrix(self):
         rng = np.random.default_rng(12)
@@ -399,17 +374,7 @@ class TestDictatorEmbeddingNorm:
         # little_op holds one block per parity class, not per member
         by_class = linalg.schatten1_norm(clifford_backend(2).little_op().apply(a))
         assert abs(by_class - direct) <= 1e-12
-        assert abs(clifford.dictator_embedding_norm(a, fam).value - direct) <= 1e-10
-
-    def test_monte_carlo_stderr_matches_members(self):
-        rng = np.random.default_rng(16)
-        fam = clifford.build_phase_family(5, "monte_carlo", seed=4, sample_count=2000)
-        a = random_complex_vec(rng, 5)
-        vals = np.array([clifford.trace_norm_formula(a * w)
-                         for w in members(5, "monte_carlo", seed=4, sample_count=2000)])
-        est = clifford.dictator_embedding_norm(a, fam)
-        assert abs(est.value - vals.mean()) <= 1e-12
-        assert abs(est.stderr - vals.std() / np.sqrt(vals.size)) <= 1e-12
+        assert abs(clifford.dictator_embedding_norm(a, fam) - direct) <= 1e-10
 
 
 class TestSecondMoment:
@@ -453,7 +418,7 @@ class TestNormGradient:
         fam = clifford.build_phase_family(3, "exhaustive")
         a = random_complex_vec(rng, 3)
         value, _ = clifford.embedding_norm_and_gradient(a, fam)
-        assert value == pytest.approx(clifford.dictator_embedding_norm(a, fam).value)
+        assert value == pytest.approx(clifford.dictator_embedding_norm(a, fam))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(15)
@@ -464,24 +429,24 @@ class TestNormGradient:
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            dx = (clifford.dictator_embedding_norm(a + e, fam).value
-                  - clifford.dictator_embedding_norm(a - e, fam).value) / (2 * h)
-            dy = (clifford.dictator_embedding_norm(a + 1j * e, fam).value
-                  - clifford.dictator_embedding_norm(a - 1j * e, fam).value) / (2 * h)
+            dx = (clifford.dictator_embedding_norm(a + e, fam)
+                  - clifford.dictator_embedding_norm(a - e, fam)) / (2 * h)
+            dy = (clifford.dictator_embedding_norm(a + 1j * e, fam)
+                  - clifford.dictator_embedding_norm(a - 1j * e, fam)) / (2 * h)
             assert dx == pytest.approx(grad[j].real, abs=1e-5)
             assert dy == pytest.approx(grad[j].imag, abs=1e-5)
 
 
-    @pytest.mark.parametrize("n, mode, kwargs", [
-        (3, "exhaustive", {}),
-        (6, "exhaustive", {}),
-        (8, "pairwise_independent", {}),
-        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    @pytest.mark.parametrize("n, mode", [
+        (3, "exhaustive"),
+        (6, "exhaustive"),
+        (8, "pairwise_independent"),
+        (5, "pairwise_independent"),
     ])
-    def test_batched_matches_rows_and_members(self, n, mode, kwargs):
+    def test_batched_matches_rows_and_members(self, n, mode):
         rng = np.random.default_rng(17)
-        fam = clifford.build_phase_family(n, mode, **kwargs)
-        phases = members(n, mode, **kwargs)
+        fam = clifford.build_phase_family(n, mode)
+        phases = members(n, mode)
         fld = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
         fld /= np.linalg.norm(fld, axis=1, keepdims=True)
         fld[3] = 0.0
@@ -503,17 +468,12 @@ class TestNormGradient:
 
 def norm_rows_reference(rows, family):
     """The value-only row kernel that the norm used before it shared the
-    gradient's: (V,) values and Monte-Carlo standard errors."""
+    gradient's: (V,) values."""
     p, q, r = clifford._pqr(rows, family)
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
     vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
-    value = vals @ family.class_weights
-    stderr = np.zeros_like(value)
-    if family.mode == "monte_carlo":
-        spread = (vals - value[:, None]) ** 2 @ family.class_weights
-        stderr = np.sqrt(spread / family.size)
-    return value, stderr
+    return vals @ family.class_weights
 
 
 class TestOneKernel:
@@ -521,43 +481,40 @@ class TestOneKernel:
     ascent iterate give the same number for the same vector, and the norm
     keeps the bits of the value-only formula it replaced."""
 
-    @pytest.mark.parametrize("n, mode, kwargs", [
-        (3, "exhaustive", {}),
-        (6, "exhaustive", {}),
-        (8, "pairwise_independent", {}),
-        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    @pytest.mark.parametrize("n, mode", [
+        (3, "exhaustive"),
+        (6, "exhaustive"),
+        (8, "pairwise_independent"),
+        (5, "pairwise_independent"),
     ])
-    def test_norm_keeps_the_value_formula_bits(self, n, mode, kwargs):
+    def test_norm_keeps_the_value_formula_bits(self, n, mode):
         rng = np.random.default_rng(20)
-        fam = clifford.build_phase_family(n, mode, **kwargs)
+        fam = clifford.build_phase_family(n, mode)
         fld = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
         fld[3] = 0.0
         fld[4], fld[5] = np.eye(n)[0], 1j * np.eye(n)[n - 1]
         fld[6] = rng.normal(size=n)  # real
-        est = clifford.dictator_embedding_norm(fld, fam)
-        value, stderr = norm_rows_reference(fld, fam)
-        assert est.value.tobytes() == value.tobytes()
-        assert est.stderr.tobytes() == stderr.tobytes()
+        value = norm_rows_reference(fld, fam)
+        assert clifford.dictator_embedding_norm(fld, fam).tobytes() == value.tobytes()
         assert clifford.embedding_norm_and_gradient(fld, fam)[0].tobytes() == value.tobytes()
         for row in fld[:8]:
             one = clifford.dictator_embedding_norm(row, fam)
-            ref_value, ref_stderr = norm_rows_reference(row[None], fam)
-            assert one.value == ref_value[0] and one.stderr == ref_stderr[0]
-            assert clifford.embedding_norm_and_gradient(row, fam)[0] == one.value
+            assert isinstance(one, float) and one == norm_rows_reference(row[None], fam)[0]
+            assert clifford.embedding_norm_and_gradient(row, fam)[0] == one
 
 
 class TestRowChunks:
     """The batch kernels work through blocks of rows; forcing several small
     blocks must give what one block gives."""
 
-    @pytest.mark.parametrize("n, mode, kwargs", [
-        (6, "exhaustive", {}),
-        (8, "pairwise_independent", {}),
-        (5, "monte_carlo", {"seed": 3, "sample_count": 700}),
+    @pytest.mark.parametrize("n, mode", [
+        (6, "exhaustive"),
+        (8, "pairwise_independent"),
+        (5, "pairwise_independent"),
     ])
-    def test_chunked_matches_one_block(self, monkeypatch, n, mode, kwargs):
+    def test_chunked_matches_one_block(self, monkeypatch, n, mode):
         rng = np.random.default_rng(18)
-        fam = clifford.build_phase_family(n, mode, **kwargs)
+        fam = clifford.build_phase_family(n, mode)
         fld = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
         fld[2] = 0.0
         fld[5] = np.eye(n)[0]
@@ -577,19 +534,16 @@ class TestRowChunks:
         value, grad = clifford.embedding_norm_and_gradient(fld, fam)
         assert blocks == [2, 2, 2, 1] * 2
 
-        assert np.max(np.abs(chunked.value - whole.value)) <= 1e-12
-        assert np.max(np.abs(chunked.stderr - whole.stderr)) <= 1e-12
+        assert np.max(np.abs(chunked - whole)) <= 1e-12
         assert np.max(np.abs(value - whole_value)) <= 1e-12
         assert np.max(np.abs(grad - whole_grad)) <= 1e-12
-        if mode == "monte_carlo":  # the zero and basis rows have no spread
-            assert np.all(np.delete(whole.stderr, [2, 5]) > 0)
 
     def test_peak_memory_is_bounded(self, monkeypatch):
-        # n=12 with 20000 sampled members has P = 4073 parity classes. One
-        # block of 300 rows held about 12 (300, P) temporaries at once, 112
-        # MiB; the blocks now keep all of them within CHUNK_ENTRIES (32 MiB)
-        fam = clifford.build_phase_family(12, "monte_carlo", seed=5, sample_count=20000)
-        assert fam.parity.shape[0] == 4073
+        # the exhaustive n=12 family has P = 4096 parity classes. One block of
+        # 300 rows would hold about 12 (300, P) temporaries at once, 112 MiB;
+        # the blocks keep all of them within CHUNK_ENTRIES (32 MiB)
+        fam = clifford.build_phase_family(12, "exhaustive")
+        assert fam.parity.shape[0] == 4096
         rng = np.random.default_rng(19)
         fld = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
         peaks, results = [], []
@@ -604,8 +558,7 @@ class TestRowChunks:
         monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**40)  # one block
         whole = clifford.dictator_embedding_norm(fld, fam)
         whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
-        assert np.max(np.abs(results[0].value - whole.value)) <= 1e-12
-        assert np.max(np.abs(results[0].stderr - whole.stderr)) <= 1e-12
+        assert np.max(np.abs(results[0] - whole)) <= 1e-12
         assert np.max(np.abs(results[1][0] - whole_value)) <= 1e-12
         assert np.max(np.abs(results[1][1] - whole_grad)) <= 1e-12
 
@@ -623,9 +576,9 @@ class TestRowChunks:
 
     def test_empty_batch(self):
         fam = cached_family(3, "exhaustive")
-        est = clifford.dictator_embedding_norm(np.zeros((0, 3)), fam)
+        norms = clifford.dictator_embedding_norm(np.zeros((0, 3)), fam)
         value, grad = clifford.embedding_norm_and_gradient(np.zeros((0, 3)), fam)
-        assert est.value.shape == est.stderr.shape == value.shape == (0,)
+        assert norms.shape == value.shape == (0,)
         assert grad.shape == (0, 3)
 
 
