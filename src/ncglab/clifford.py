@@ -93,8 +93,10 @@ def clifford_map(a, gens: CliffordGenerators) -> np.ndarray:
     if a.size != gens.n:
         raise ValueError(f"vector length {a.size} does not match generator count n={gens.n}")
     out = np.zeros((gens.dim, gens.dim), dtype=np.complex128)
-    for coeff, c in zip(a, gens.matrices):
-        out += coeff * c
+    rows = np.arange(gens.dim)
+    for j, (coeff, c) in enumerate(zip(a, gens.matrices)):
+        cols = rows ^ (gens.dim >> 1 + j // 2)  # C_j: row r, its pair j // 2 bit flipped
+        out[rows, cols] += coeff * c[rows, cols]
     return out
 
 

@@ -7,10 +7,11 @@ sqrt(pi/4) (complex) at a Berry-Esseen rate. The limiting constants are
 checked empirically through gap profiles; no concrete Berry-Esseen constant
 is ever asserted.
 
-Both modes stream one byte code per member (exhaustive member k is the bytes
-of k, a Monte-Carlo sample those of its seeded words), so no member matrix is
-built: the uniform-vector norm at real n=20 takes 40-90 ms and 29 MiB traced,
-against 270-340 ms and 488 MiB through the full matrix (2-core VM).
+Both modes stream 64-bit code words per member (exhaustive member k is the
+word k, a Monte-Carlo sample its own seeded words), so no member matrix is
+built, and the norm adds up <a, Z> one byte group at a time: the uniform-vector
+norm at real n=20 takes 8 ms and 0.4 MiB traced, against 270-340 ms and
+488 MiB through the full matrix (2-core VM).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _DECODE = {"real": 1.0 - 2.0 * ((np.arange(256)[:, None] >> np.arange(8)) & 1),
 # chunk budget at import, so shrinking config.CHUNK_ENTRIES later shrinks only the
 # member chunks. A row over it alone is refused: complex n > 32768, real n > 131072.
 TABLE_CAP = config.CHUNK_ENTRIES
+
+# Most samples in a norm chunk: 8K ran fastest at n=1000 (2-core VM).
+_CHUNK_SAMPLES = 2**13
 
 
 @dataclass
@@ -82,26 +86,27 @@ class SignEnsemble:
 
 
 def _member_codes(ens: SignEnsemble, live: int):
-    """Yield the members' (size, groups) uint8 codes chunk by chunk, byte g
-    drawing the g-th group of coordinates (see _DECODE): exhaustive member k
-    is the little-endian bytes of k; Monte-Carlo sample s reads its own
-    ceil(groups/8) seeded 64-bit words (the tail unused), so no code depends on
+    """Yield the members' (size, words) uint64 code words chunk by chunk, byte
+    g % 8 of word g // 8 drawing the g-th group of coordinates (see _DECODE):
+    exhaustive member k is the one word k; Monte-Carlo sample s reads its own
+    ceil(groups/8) seeded words (the tail bytes unused), so no code depends on
     the chunk size. Per member a chunk holds its code words and ``live``
     float64 entries of the caller's, config.CHUNK_ENTRIES in all."""
-    groups = -(-ens.n // _DECODE[ens.field].shape[1])
-    words = -(-groups // 8)
+    words = -(-ens.n // (8 * _DECODE[ens.field].shape[1]))
     bitgen = None if ens.mode == "exhaustive" else np.random.default_rng(ens.seed).bit_generator
     chunk = max(1, config.CHUNK_ENTRIES // (words + live))
     for lo in range(0, ens.size, chunk):
         size = min(chunk, ens.size - lo)
         raw = (np.arange(lo, lo + size, dtype=np.uint64) if bitgen is None
                else bitgen.random_raw(size * words))
-        yield raw.astype("<u8", copy=False).view(np.uint8).reshape(size, 8 * words)[:, :groups]
+        yield raw.reshape(size, words)
 
 
-def _decode(codes: np.ndarray, ens: SignEnsemble) -> np.ndarray:
-    """The (size, n) members that (size, groups) codes draw."""
-    return _DECODE[ens.field][codes].reshape(codes.shape[0], -1)[:, :ens.n]
+def _decode(words: np.ndarray, ens: SignEnsemble) -> np.ndarray:
+    """The (size, n) members that (size, words) code words draw."""
+    codes = words.astype("<u8", copy=False).view(np.uint8)  # byte 8w + j is byte j of word w
+    groups = -(-ens.n // _DECODE[ens.field].shape[1])
+    return _DECODE[ens.field][codes[:, :groups]].reshape(words.shape[0], -1)[:, :ens.n]
 
 
 def exhaustive_members(ens: SignEnsemble) -> np.ndarray:
@@ -133,26 +138,33 @@ def _check_rows(a, ens: SignEnsemble) -> np.ndarray:
 def _byte_tables(rows: np.ndarray, field: str) -> np.ndarray:
     """Partial sums of <a, Z> over each group of coordinates that one byte
     draws (zero-padded at the end), for all 256 values of the byte:
-    (V, groups * 256), group-major; see _DECODE."""
+    (V, groups, 256); see _DECODE."""
     decode = _DECODE[field]
     padded = np.pad(rows, ((0, 0), (0, -rows.shape[1] % decode.shape[1])))
-    groups = padded.reshape(rows.shape[0], -1, decode.shape[1])
-    return (groups @ decode.T).reshape(rows.shape[0], -1)
+    return padded.reshape(rows.shape[0], -1, decode.shape[1]) @ decode.T
 
 
-def _table_products(tables: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """<a, Z> for each row's tables and each sample's bytes: (V, size), one
-    gather per group and a sum over the groups."""
-    groups = draws.shape[1]
-    return np.take(tables, draws + 256 * np.arange(groups), axis=1) @ np.ones(groups)
+def _table_products(tables: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """<a, Z> for each row's (groups, 256) tables and each sample's code words:
+    (V, size), one table take per byte group added into the products."""
+    cols = words.T.copy().view(np.intp)  # word w of every sample in one row
+    byte = np.empty(cols.shape[1], np.intp)
+    prods, part = np.empty((2, tables.shape[0], cols.shape[1]), tables.dtype)
+    for g in range(tables.shape[1]):
+        np.right_shift(cols[g // 8], 8 * (g % 8), out=byte)
+        byte &= 255  # in range, so "clip" changes nothing and lets take write into out
+        tables[:, g].take(byte, axis=1, out=part if g else prods, mode="clip")
+        if g:
+            prods += part
+    return prods
 
 
 def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     """E[ |sum_i a_i Z_i| ] under the ensemble.
 
     ``a`` is one vector (n,), giving float value and stderr, or rows (V, n),
-    giving (V,) arrays. Every row reads the same member codes, each byte
-    looked up in the row's per-group partial-sum tables. Exhaustive mode is
+    giving (V,) arrays. Every row reads the same member codes, each byte's
+    partial-sum table entry added up one group at a time. Exhaustive mode is
     exact (stderr 0); monte_carlo reports the sample standard error. The
     tables are built for as many rows at a time as fit TABLE_CAP.
     """
@@ -166,11 +178,12 @@ def embedding_l1_norm(a, ens: SignEnsemble) -> NormEstimate:
     acc, acc_sq = np.zeros((2, rows.shape[0]))
     for lo in range(0, rows.shape[0], block):
         tables = _byte_tables(rows[lo:lo + block], ens.field)
-        # per member: the gather index, V gathered entries per group, V sums (a
-        # complex entry is two float64) and the V magnitudes of the chunk before
-        live = groups + tables.shape[0] * (width * (groups + 1) + 1)
-        for codes in _member_codes(ens, live):
-            mags = np.abs(_table_products(tables, codes))
+        # per member: words transposed, a byte, V products and V takes (a complex entry is
+        # two float64), V magnitudes and squares; raised so chunks hold <= _CHUNK_SAMPLES
+        live = max(-(-groups // 8) + 1 + 2 * tables.shape[0] * (width + 1),
+                   config.CHUNK_ENTRIES // _CHUNK_SAMPLES)
+        for words in _member_codes(ens, live):
+            mags = np.abs(_table_products(tables, words))
             acc[lo:lo + block] += mags.sum(axis=1)
             acc_sq[lo:lo + block] += (mags * mags).sum(axis=1)
     value = acc / ens.size
@@ -194,7 +207,7 @@ def embedding_l1_gradient(a, ens: SignEnsemble):
     # tables: the unit @ conj(members) step needs the members anyway, and a
     # prototype through the tables took 50.7 ms against 10.9 ms for 300 real
     # Monte-Carlo rows at n=30 (2-core VM). The two sums round differently, so a
-    # value here can differ from embedding_l1_norm's by about 1e-15.
+    # value here can differ from embedding_l1_norm's by up to about 1e-15 ||a||_2.
     rows = _check_rows(a, ens)
     values, grads = np.zeros(rows.shape[0]), np.zeros_like(rows)
     # per member: its decoded bytes and their conjugate (n + 8 entries each at most), and

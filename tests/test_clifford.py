@@ -156,6 +156,20 @@ class TestCliffordMap:
             z * clifford.clifford_map(a, gens) + clifford.clifford_map(b, gens),
             atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_matches_dense_sum_bit_for_bit(self, n):
+        # the dense sum of all n generators, which C(a) built from each
+        # generator's one nonzero per row replaced; signed zeros count
+        gens = clifford.make_generators(n)
+        rng = np.random.default_rng(n)
+        for a in (random_complex_vec(rng, n), rng.normal(size=n) + 0j,
+                  np.where(rng.random(n) < 0.5, -0.0, random_complex_vec(rng, n)),
+                  -1e-300 * random_complex_vec(rng, n)):
+            dense = np.zeros((gens.dim, gens.dim), dtype=np.complex128)
+            for coeff, c in zip(a, gens.matrices):
+                dense += coeff * c
+            assert clifford.clifford_map(a, gens).tobytes() == dense.tobytes()
+
 
 class TestParallelogram:
     def test_real_vector_zero(self):

@@ -16,10 +16,11 @@ COMPLEX_TWO_VALUE = (1 + np.sqrt(2)) / (2 * np.sqrt(2))
 
 
 def decoded_draws(fld, n, seed, count):
-    """The bytes a seeded Monte-Carlo ensemble reads, redrawn from the seed,
-    and the rows Z they encode. Sample s takes ceil(groups/8) 64-bit words;
-    byte g holds coordinates g*per .. g*per+per-1, one bit each (real signs
-    1 - 2*bit) or two bits each (complex phases i^digit), low bits first."""
+    """The code words a seeded Monte-Carlo ensemble reads, redrawn from the
+    seed, and the rows Z they encode. Sample s takes ceil(groups/8) 64-bit
+    words; byte g (byte g % 8 of word g // 8, low byte first) holds coordinates
+    g*per .. g*per+per-1, one bit each (real signs 1 - 2*bit) or two bits each
+    (complex phases i^digit), low bits first."""
     per = 8 if fld == "real" else 4
     groups = -(-n // per)
     words = -(-groups // 8)
@@ -28,8 +29,18 @@ def decoded_draws(fld, n, seed, count):
     coord = np.arange(n)
     digits = draws[:, coord // per] >> ((8 // per) * (coord % per))
     if fld == "real":
-        return draws, 1.0 - 2.0 * (digits & 1)
-    return draws, np.array([1, 1j, -1, -1j])[digits & 3]
+        return raw.reshape(count, words), 1.0 - 2.0 * (digits & 1)
+    return raw.reshape(count, words), np.array([1, 1j, -1, -1j])[digits & 3]
+
+
+def gathered_products(tables, words):
+    """<a, Z> by the former kernel, the reference for the streamed one: every
+    sample's bytes index one (V, size, groups) gather of the (V, groups, 256)
+    tables, summed over the groups by a matmul."""
+    groups = tables.shape[1]
+    draws = words.astype("<u8").view(np.uint8)[:, :groups]
+    flat = tables.reshape(tables.shape[0], -1)
+    return np.take(flat, draws + 256 * np.arange(groups), axis=1) @ np.ones(groups)
 
 
 def digit_members(fld, n, lo, hi):
@@ -278,6 +289,78 @@ class TestByteTableSampler:
         assert 0.0 < est.value <= 1.0 + 1e-12
 
 
+class TestStreamedKernel:
+    """The per-group kernel against the former gather-and-matmul product on the
+    same code words, and the memory it holds."""
+
+    # every exhaustive ensemble under the enumeration cap (complex stops at n = 10)
+    @pytest.mark.parametrize("fld, n, mode", [
+        (fld, n, mode) for fld in ("real", "complex") for n in list(range(1, 18)) + [1000]
+        for mode in ("exhaustive", "monte_carlo")
+        if mode == "monte_carlo" or n * (1 if fld == "real" else 2) <= 20])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_matches_gathered_products(self, fld, n, mode, count, monkeypatch):
+        ens = comm.SignEnsemble(field=fld, n=n, mode=mode, seed=200 + n, sample_count=500)
+        rng = np.random.default_rng(n)
+        rows = np.array([unit_vector(rng, fld, n) for _ in range(count)])
+        # at least seven entries per member: every stream crosses chunk boundaries
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", ens.size)
+        chunks = counted_chunks(monkeypatch)
+        sums, kernel = np.zeros((2, count)), comm._table_products
+
+        def checked(tables, words):
+            prods, ref = kernel(tables, words), gathered_products(tables, words)
+            assert prods.shape == ref.shape == (count, words.shape[0])
+            assert np.max(np.abs(prods - ref)) <= 1e-12
+            sums[0] += np.abs(ref).sum(axis=1)
+            sums[1] += (np.abs(ref) ** 2).sum(axis=1)
+            return prods
+
+        monkeypatch.setattr(comm, "_table_products", checked)
+        est = comm.embedding_l1_norm(rows, ens)
+        assert len(chunks) >= 2 and sum(chunks) == ens.size
+        value = sums[0] / ens.size
+        assert np.max(np.abs(est.value - value)) <= 1e-12
+        if mode == "monte_carlo":
+            stderr = np.sqrt(np.maximum(sums[1] / ens.size - value**2, 0.0) / ens.size)
+            assert np.max(np.abs(est.stderr - stderr)) <= 1e-12
+
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    def test_peak_at_bench_shape(self, fld):
+        # n = 1000 with 5e4 samples, one row: the gathered kernel traced 32 MiB here
+        ens = comm.SignEnsemble(field=fld, n=1000, mode="monte_carlo", seed=1,
+                                sample_count=50_000)
+        tracemalloc.start()
+        try:
+            comm.embedding_l1_norm(np.full(1000, 1000**-0.5), ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("fld", ["real", "complex"])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_peak_within_shrunk_budget(self, fld, count, monkeypatch):
+        # the chunks' count of live entries is a bound: beside the budget only the
+        # tables and the rows' own copies (complex, real and padded) remain
+        n = 1000
+        ens = comm.SignEnsemble(field=fld, n=n, mode="monte_carlo", seed=1,
+                                sample_count=20_000)
+        rows = np.array([unit_vector(np.random.default_rng(v), fld, n)
+                         for v in range(count)], dtype=np.complex128)
+        tables = comm._byte_tables(comm._check_rows(rows, ens), fld).nbytes
+        monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**16)
+        chunks = counted_chunks(monkeypatch)
+        tracemalloc.start()
+        try:
+            comm.embedding_l1_norm(rows, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(chunks) >= 10
+        assert peak <= 8 * 2**16 + tables + 3 * rows.nbytes
+
+
 class TestGradient:
     @pytest.mark.parametrize("fld", ["real", "complex"])
     def test_finite_differences(self, fld):
@@ -341,6 +424,22 @@ class TestGradient:
         assert np.max(np.abs(values - mags.mean(axis=1))) <= 1e-12
         assert np.max(np.abs(grads - unit @ z.conj() / count)) <= 1e-12
         assert not np.any(grads[2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(fld=st.sampled_from(["real", "complex"]),
+           parts=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                          min_size=1, max_size=40),
+           exhaustive=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_values_match_norm_property(self, fld, parts, exhaustive, seed):
+        # the two kernels add the same products in different orders: on unit rows
+        # (exhaustive real n = 20, complex n = 10, Monte Carlo to n = 300) the values
+        # differed by at most 8.8e-16 ||a||_2
+        a = np.array([x + 1j * y if fld == "complex" else x for x, y in parts])
+        exhaustive = exhaustive and a.size * (1 if fld == "real" else 2) <= 12
+        ens = comm.SignEnsemble(field=fld, n=a.size, seed=seed, sample_count=256,
+                                mode="exhaustive" if exhaustive else "monte_carlo")
+        value, _ = comm.embedding_l1_gradient(a, ens)
+        assert abs(value - comm.embedding_l1_norm(a, ens).value) <= 1e-15 * np.linalg.norm(a)
 
     @pytest.mark.parametrize("fld, n", [("real", 20), ("complex", 10)])
     def test_peak_memory_is_bounded(self, fld, n):
