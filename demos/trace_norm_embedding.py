@@ -14,8 +14,9 @@ rng = np.random.default_rng(1)
 print("=== Anticommuting Pauli-string generators ===")
 n = 5
 gens = clifford.make_generators(n)
-print(f"n={n}: {len(gens.matrices)} generators of size {gens.dim}x{gens.dim}")
-c1, c2 = gens.matrices[0], gens.matrices[1]
+print(f"n={n}: {len(gens.masks)} generators of size {gens.dim}x{gens.dim}, "
+      "each a signed permutation")
+c1, c2 = (clifford.clifford_map(e, gens) for e in np.eye(n)[:2])  # C(e_j) = C_j
 print("C1 C2 + C2 C1 == 0 exactly:", not np.any(c1 @ c2 + c2 @ c1))
 print("C1 is Hermitian, unitary, traceless:",
       np.array_equal(c1, c1.conj().T),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 import numpy as np
@@ -175,11 +174,11 @@ def _cmd_embed_verify(args):
     family = clifford.build_phase_family(n, args.mode)
 
     gens = clifford.make_generators(n)
-    eye = np.eye(gens.dim)
-    suite_ok = (all(np.array_equal(c, c.conj().T) and np.array_equal(c @ c, eye)
-                    and c.trace() == 0 for c in gens.matrices)
-                and not any(np.any(c @ d + d @ c)
-                            for c, d in itertools.combinations(gens.matrices, 2)))
+    cols = np.arange(gens.dim) ^ gens.masks[:, None]  # C_j's row r has its entry in cols[j, r]
+    prod = gens.phases * gens.phases[:, cols]  # row r of C_j C_k at [k, j], column r ^ m_j ^ m_k
+    suite_ok = bool(np.array_equal(gens.phases, np.take_along_axis(gens.phases, cols, 1).conj())
+                    and np.all(prod + prod.transpose(1, 0, 2) == 2 * np.eye(len(cols))[..., None])
+                    and not any(c.sum() for mask, c in zip(gens.masks, gens.phases) if not mask))
     rows = [["generator_suite", n, "exact", 0.0, 0.0, suite_ok]]
 
     formula_err = max(abs(clifford.trace_norm_formula(a)

@@ -4,8 +4,8 @@ embedding built on them.
 The pieces, in dependency order:
 
 * generators ``C_1 .. C_{2m}`` (``m = ceil(n/2)``): Hermitian, unitary,
-  trace-zero matrices of size ``2^m`` that pairwise anticommute, assembled
-  as ``Z x ... x Z x {X or Y} x I x ... x I``;
+  trace-zero, pairwise anticommuting ``Z x ... x Z x {X or Y} x I x ... x I``
+  of side ``2^m``, each held as a signed permutation (one phase per row);
 * the linear map ``C(a) = a_1 C_1 + ... + a_n C_n``;
 * the parallelogram area ``L(a)`` spanned by ``Re a`` and ``Im a``, which
   controls the two-level singular value split of ``C(a)``;
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config
+from . import config, linalg
 from .config import DENSE_DIM_CAP, ENUMERATION_CAP
 
 PAULI_I = np.eye(2, dtype=np.complex128)
@@ -47,43 +47,39 @@ _GRADIENT_LIVE = 13
 
 @dataclass
 class CliffordGenerators:
-    """The 2*ceil(n/2) anticommuting generator matrices for n coordinates."""
+    """The 2*ceil(n/2) anticommuting generators for n coordinates: C_j is the
+    signed permutation with entry phases[j, r] in {+-1, +-i} at (r, r ^ masks[j])."""
 
     n: int
     m: int
-    matrices: list[np.ndarray]
+    masks: np.ndarray  # (2m,) ints
+    phases: np.ndarray  # (2m, 2^m) complex
 
     @property
     def dim(self) -> int:
         return 2**self.m
 
 
-def _kron_chain(factors) -> np.ndarray:
-    out = np.eye(1, dtype=np.complex128)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 def make_generators(n: int) -> CliffordGenerators:
     """Build the 2*ceil(n/2) Pauli-string generators for n coordinates.
 
-    Pair j contributes Z^(j-1) x X x I^(m-j) and Z^(j-1) x Y x I^(m-j).
-    Entries are exactly in {0, +-1, +-i}. A side 2^m above DENSE_DIM_CAP is
-    refused before the first matrix is built (n <= 18 passes).
+    Pair j contributes Z^(j-1) x X x I^(m-j) and Z^(j-1) x Y x I^(m-j). Row
+    r's phase is the product of the factors' entries taken in kron order, so
+    it has the bits of the dense kron chain's entry. A side 2^m above
+    DENSE_DIM_CAP is refused before any phase is built (n <= 18 passes).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     m = (n + 1) // 2
     if m >= DENSE_DIM_CAP.bit_length():  # 2^m > DENSE_DIM_CAP, without the power
         raise ValueError(f"generator side 2^{m} exceeds cap {DENSE_DIM_CAP}")
-    matrices = []
-    for j in range(1, m + 1):
-        prefix = [PAULI_Z] * (j - 1)
-        suffix = [PAULI_I] * (m - j)
-        matrices.append(_kron_chain(prefix + [PAULI_X] + suffix))
-        matrices.append(_kron_chain(prefix + [PAULI_Y] + suffix))
-    return CliffordGenerators(n=n, m=m, matrices=matrices)
+    phases = np.ones((2 * m, 2**m), dtype=np.complex128)
+    for q in range(m):  # factor q acts on bit m - 1 - q of the row
+        bit = np.arange(2**m) >> (m - 1 - q) & 1
+        for j in range(2 * m):
+            pauli = PAULI_Z if q < j // 2 else PAULI_I if q > j // 2 else (PAULI_X, PAULI_Y)[j % 2]
+            phases[j] *= pauli[bit, bit ^ (q == j // 2)]
+    return CliffordGenerators(n=n, m=m, masks=2**m >> 1 + np.arange(2 * m) // 2, phases=phases)
 
 
 def clifford_map(a, gens: CliffordGenerators) -> np.ndarray:
@@ -92,30 +88,39 @@ def clifford_map(a, gens: CliffordGenerators) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128).reshape(-1)
     if a.size != gens.n:
         raise ValueError(f"vector length {a.size} does not match generator count n={gens.n}")
-    out = np.zeros((gens.dim, gens.dim), dtype=np.complex128)
-    rows = np.arange(gens.dim)
-    for j, (coeff, c) in enumerate(zip(a, gens.matrices)):
-        cols = rows ^ (gens.dim >> 1 + j // 2)  # C_j: row r, its pair j // 2 bit flipped
-        out[rows, cols] += coeff * c[rows, cols]
+    out, rows = np.zeros((gens.dim, gens.dim), dtype=np.complex128), np.arange(gens.dim)
+    for coeff, mask, phase in zip(a, gens.masks, gens.phases):
+        out[rows, rows ^ mask] += coeff * phase
     return out
+
+
+def _scaled(a: np.ndarray):
+    """a (..., n) times 2^k, and k per vector: 0, keeping every bit, unless max_j |a_j|
+    lies outside 2^+-200; then k takes it into [1/2, 1), where L^2 and s^1.5 stay normal."""
+    top = np.abs(a).max(axis=-1, initial=0.0)  # inf past the largest float
+    if 2.0**-200 <= top.min(initial=1.0) and top.max(initial=1.0) < 2.0**200:
+        return a, 0
+    k = -np.frexp(np.minimum(top, np.finfo(np.float64).max))[1]
+    k = np.where(np.abs(k) > 200, k, 0)  # applied to the float64 pairs: signed zeros keep
+    return linalg._from_pairs(np.ldexp(linalg._pairs(a), k[..., None, None])), k
 
 
 def parallelogram(a) -> float:
     """Area of the parallelogram spanned by Re(a) and Im(a)."""
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    a, k = _scaled(np.asarray(a, dtype=np.complex128).reshape(-1))
     x, y = a.real, a.imag
     # >= 0 by Cauchy-Schwarz; a negative value is rounding
-    return math.sqrt(max(float((x @ x) * (y @ y) - (x @ y) ** 2), 0.0))
+    return math.ldexp(math.sqrt(max(float((x @ x) * (y @ y) - (x @ y) ** 2), 0.0)), -2 * int(k))
 
 
 def trace_norm_formula(a) -> float:
     """Closed form for ||C(a)||_S1: (sqrt(s + 2L) + sqrt(s - 2L)) / 2 with
     s = ||a||_2^2 and L the parallelogram area. Restricted to real vectors
     this is just ||a||_2 (L = 0), i.e. the map is a real isometry."""
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    a, k = _scaled(np.asarray(a, dtype=np.complex128).reshape(-1))
     s = float(np.sum(np.abs(a) ** 2))
     lam = parallelogram(a)  # s >= 2 ||x|| ||y|| >= 2L, so s - 2L < 0 is rounding
-    return 0.5 * math.sqrt(s + 2 * lam) + 0.5 * math.sqrt(max(s - 2 * lam, 0.0))
+    return math.ldexp(0.5 * (math.sqrt(s + 2 * lam) + math.sqrt(max(s - 2 * lam, 0.0))), -int(k))
 
 
 @dataclass
@@ -208,15 +213,17 @@ def _pqr(rows: np.ndarray, family: PhaseFamily):
     return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ family.sign.T
 
 
-def _by_row_chunks(kernel, live: int, rows: np.ndarray, family: PhaseFamily):
-    """kernel(rows, family) over blocks of rows, its outputs joined along the
-    rows; an empty batch is one empty block. The kernel holds at most ``live``
-    (block rows, P) or (block rows, n) float64 temporaries at once, so blocks
-    of config.CHUNK_ENTRIES / (live (P + n)) rows keep their sum within it."""
-    step = max(1, config.CHUNK_ENTRIES // (live * (family.parity.shape[0] + family.n)))
-    outs = [kernel(rows[lo:lo + step], family)
+def _norm_and_gradient(a, family: PhaseFamily):
+    """_norm_and_gradient_rows over blocks of a's rows, joined along the rows (the
+    first row's, for one vector); an empty batch is one empty block. The kernel holds
+    at most _GRADIENT_LIVE (block rows, P) or (block rows, n) float64 temporaries at
+    once, so blocks of CHUNK_ENTRIES / (_GRADIENT_LIVE (P + n)) rows stay within it."""
+    rows = _rows(a, family.n)
+    step = max(1, config.CHUNK_ENTRIES // (_GRADIENT_LIVE * (family.parity.shape[0] + family.n)))
+    outs = [_norm_and_gradient_rows(rows[lo:lo + step], family)
             for lo in range(0, max(rows.shape[0], 1), step)]
-    return [np.concatenate(parts) for parts in zip(*outs)]
+    value, grad = (np.concatenate(parts) for parts in zip(*outs))
+    return (value, grad) if np.ndim(a) == 2 else (float(value[0]), grad[0])
 
 
 def dictator_embedding_norm(a, family: PhaseFamily):
@@ -227,18 +234,16 @@ def dictator_embedding_norm(a, family: PhaseFamily):
     array. Standard basis vectors give exactly 1 (a o w is purely real or
     purely imaginary, so L vanishes).
     """
-    value, _ = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
-                              _rows(a, family.n), family)
-    return value if np.ndim(a) == 2 else float(value[0])
+    return _norm_and_gradient(a, family)[0]
 
 
 def embedding_norm_bound(a) -> float:
     """Analytic upper bound sqrt((||a||_2^2 + ||a||_4^2) / 2) on the
     phase-averaged embedding norm."""
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    a, k = _scaled(np.asarray(a, dtype=np.complex128).reshape(-1))
     l2sq = float(np.sum(np.abs(a) ** 2))
     l4sq = math.sqrt(float(np.sum(np.abs(a) ** 4)))
-    return math.sqrt((l2sq + l4sq) / 2.0)
+    return math.ldexp(math.sqrt((l2sq + l4sq) / 2.0), -int(k))
 
 
 def randphase_second_moment(a, family: PhaseFamily) -> float:
@@ -259,15 +264,13 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     Kinks (s = 2L) are handled by clamping the inner inverse square root;
     callers should track best iterates rather than rely on smoothness.
     """
-    value, grad = _by_row_chunks(_norm_and_gradient_rows, _GRADIENT_LIVE,
-                                 _rows(a, family.n), family)
-    if np.ndim(a) != 2:
-        return float(value[0]), grad[0]
-    return value, grad
+    return _norm_and_gradient(a, family)
 
 
 def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
-    """(V,) values and (V, n) gradients of a batch of rows."""
+    """(V,) values and (V, n) gradients of a batch of rows, taken on the rows
+    times 2^k (see _scaled): the value scales back and the gradient is scale-free."""
+    rows, k = _scaled(rows)
     x, y = rows.real, rows.imag
     s = np.sum(np.abs(rows) ** 2, axis=1)
     nonzero = s > 0.0
@@ -279,7 +282,7 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     sqrt_plus = np.sqrt(s + 2 * lam)
     sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
     w = family.class_weights
-    value = np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0)
+    value = np.ldexp(np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0), -k)
 
     inv_plus = 1.0 / sqrt_plus
     inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))

@@ -218,8 +218,10 @@ def embedding_l1_gradient(a, ens: SignEnsemble):
         prods = rows @ members.T
         mags = np.abs(prods)
         values += mags.sum(axis=1)
-        unit = np.divide(prods, mags, out=np.zeros_like(prods), where=mags > 0.0)
-        grads += unit @ members.conj()
+        # on the float64 pairs: a complex division takes 1 / mags, which overflows if subnormal
+        pairs = prods.view(np.float64).reshape(*mags.shape, -1)
+        unit = np.divide(pairs, mags[..., None], out=np.zeros_like(pairs), where=pairs != 0.0)
+        grads += unit.view(prods.dtype)[..., 0] @ members.conj()
     values, grads = values / ens.size, (grads / ens.size).astype(np.complex128, copy=False)
     if np.ndim(a) != 2:
         return float(values[0]), grads[0]

@@ -1,9 +1,9 @@
 """Central numeric defaults. CLI flags and keyword arguments override these."""
 
-# Largest side of any dense square matrix, checked before it exists: Clifford
-# generators (2^ceil(n/2), n <= 18), the side d of little_op's images and a
-# tensor's d x d unitaries in solve-ncg. 512 is the largest lift's side
-# (comm_real, n = 9; exhaustive Clifford, n = 6: 2^6 parity classes x side 8).
+# Largest side of any dense square matrix, checked before it exists: C(a) at the
+# generator side 2^ceil(n/2) (n <= 18; generators are held as (mask, phase) rows),
+# little_op's image side d and solve-ncg's d x d unitaries. 512 is the largest lift's
+# side (comm_real, n = 9; exhaustive Clifford, n = 6: 2^6 parity classes x side 8).
 DENSE_DIM_CAP = 512
 
 # Enumeration bound: the members an exhaustive sign ensemble streams (only a

@@ -190,10 +190,9 @@ class EmbeddingBackend:
     name, is_real and the dictatorship-test constants: basis vectors have norm
     eta, and unit vectors without a large coordinate tend to at most tau.
 
-    norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of
-    a field (V, n) in one call; norm_and_gradient maps either to norms and
-    complex-packed subgradients; bound(a) is the analytic upper bound on
-    norm(a). little_op() holds f as a sparse matrix: f(a) = little_op().apply(a).
+    norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of a field
+    (V, n) in one call; norm_and_gradient maps either to norms and complex-packed
+    subgradients. little_op() holds f as a sparse matrix: f(a) = little_op().apply(a).
     """
 
     kernel: clifford.PhaseFamily | commutative.SignEnsemble
@@ -227,11 +226,6 @@ class EmbeddingBackend:
             return clifford.embedding_norm_and_gradient(a, self.kernel)
         return commutative.embedding_l1_gradient(a, self.kernel)
 
-    def bound(self, a) -> float:
-        if self._is_matrix:
-            return clifford.embedding_norm_bound(a)
-        return float(np.linalg.norm(np.asarray(a).reshape(-1)))
-
     def little_op(self) -> solvers.LittleOperator:
         """f as the sparse (n, d^2) matrix of row-major images f(e_i) = kron(diag(c_i
         over rows c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
@@ -253,12 +247,14 @@ class EmbeddingBackend:
                              f"{DENSE_DIM_CAP}")
         if self._is_matrix:
             diags = np.where(self.kernel.parity, 1j, 1) * rows * self.kernel.class_weights[:, None]
-            gens = np.stack(clifford.make_generators(self.n).matrices[:self.n])
-        else:
-            diags, gens = commutative.exhaustive_members(self.kernel), np.ones((self.n, 1, 1))
-        _, r, k = np.nonzero(gens)  # G_i has one nonzero per row r, k - r right of the diagonal
-        data = diags.T[:, :, None] * gens[gens != 0].reshape(self.n, 1, -1)
-        cols = np.arange(d) * (d + 1) + np.tile((k - r).reshape(self.n, -1), rows)
+            gens = clifford.make_generators(self.n)
+        else:  # the 1 x 1 case G_i = [[1]]: mask 0 and a real phase 1
+            diags = commutative.exhaustive_members(self.kernel)
+            gens = clifford.CliffordGenerators(self.n, 0, masks=np.zeros(self.n, int),
+                                               phases=np.ones((self.n, 1)))
+        data = diags.T[:, :, None] * gens.phases[:self.n, None, :]
+        # row r of the block diagonal has G_i's entry at column r ^ mask, as mask < block side
+        cols = np.arange(d) * d + (np.arange(d) ^ gens.masks[:self.n, None])
         import scipy.sparse
         return solvers.LittleOperator(scipy.sparse.csr_matrix(
             (data.ravel(), cols.ravel(), np.arange(self.n + 1) * d), shape=(self.n, d * d)))

@@ -295,6 +295,30 @@ class TestEmbedVerify:
             "8b53937790e1747b927fe7378eab844455e3cbe39146c2e53a25856632446d79"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda gens: gens.phases[0].__setitem__(0, -gens.phases[0, 0]),  # C_1^2 != I
+        lambda gens: gens.phases[3].__setitem__(1, 1j * gens.phases[3, 1]),  # not Hermitian
+        lambda gens: gens.masks.__setitem__(2, gens.masks[0]),  # C_3 = Z x X on C_1's column
+        lambda gens: gens.masks.__setitem__(0, 0),  # C_1 = I: trace 4, commutes with C_2
+        # C_3 = I x X without its Z string: Hermitian, unitary and traceless, but
+        # it commutes with C_1 = X x I
+        lambda gens: gens.phases.__setitem__(2, gens.phases[0]),
+    ], ids=["phase-sign", "phase-unit", "mask-pair", "mask-zero", "commuting"])
+    def test_corrupted_generators_fail_the_suite(self, tmp_path, monkeypatch, capsys, corrupt):
+        make = cli.clifford.make_generators
+
+        def corrupted(n):
+            gens = make(n)
+            corrupt(gens)
+            return gens
+
+        monkeypatch.setattr(cli.clifford, "make_generators", corrupted)
+        assert main(["embed-verify", "--n", "4", "--seed", "3", "--trials", "5"]) == 1
+        report = json.loads((tmp_path / "embed-verify.report.json").read_text())
+        assert report["pass"] is False
+        assert report["rows"][0][0] == "generator_suite" and report["rows"][0][5] == "False"
+        assert capsys.readouterr().out.startswith("  generator_suite: FAIL\n")
+
     def test_trials_over_the_chunk_budget_refused(self, tmp_path, monkeypatch, capsys):
         # each check draws a (trials, 2, n) normal array: 2 x 50 x 4 = 400 entries
         monkeypatch.setattr(config, "CHUNK_ENTRIES", 400)

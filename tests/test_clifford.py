@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -82,30 +83,55 @@ def member_reference(a, fam, phases):
 
 
 
-class TestGenerators:
-    def test_n1_is_x_y(self):
-        gens = clifford.make_generators(1)
-        assert gens.m == 1 and len(gens.matrices) == 2
-        np.testing.assert_array_equal(gens.matrices[0], PAULI_X)
-        np.testing.assert_array_equal(gens.matrices[1], PAULI_Y)
+def kron_chain(factors) -> np.ndarray:
+    """The dense Kronecker product of the factors, left to right."""
+    out = np.eye(1, dtype=np.complex128)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
 
-    def test_n3_explicit_pauli_strings(self):
-        gens = clifford.make_generators(3)
+
+class TestGenerators:
+    def test_n1_is_x_y(self, dense_generators):
+        gens = clifford.make_generators(1)
+        matrices = dense_generators(gens)
+        assert gens.m == 1 and len(matrices) == 2
+        np.testing.assert_array_equal(matrices[0], PAULI_X)
+        np.testing.assert_array_equal(matrices[1], PAULI_Y)
+
+    def test_n3_explicit_pauli_strings(self, dense_generators):
+        matrices = dense_generators(clifford.make_generators(3))
         expected = [np.kron(PAULI_X, PAULI_I), np.kron(PAULI_Y, PAULI_I),
                     np.kron(PAULI_Z, PAULI_X), np.kron(PAULI_Z, PAULI_Y)]
-        assert len(gens.matrices) == 4
-        for got, want in zip(gens.matrices, expected):
+        assert len(matrices) == 4
+        for got, want in zip(matrices, expected):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 7])
-    def test_suite_exact(self, n):
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_phases_match_kron_chain_bit_for_bit(self, n):
+        """Each (mask, phase) row is the kron chain's one nonzero in that row,
+        to the bit (signed zeros included), and the chain is zero elsewhere."""
         gens = clifford.make_generators(n)
+        m, rows = gens.m, np.arange(gens.dim)
+        assert gens.masks.shape == (2 * m,) and gens.phases.shape == (2 * m, gens.dim)
+        for j, (mask, phase) in enumerate(zip(gens.masks, gens.phases)):
+            pair = j // 2
+            dense = kron_chain([PAULI_Z] * pair + [(PAULI_X, PAULI_Y)[j % 2]]
+                               + [PAULI_I] * (m - 1 - pair))
+            assert dense[rows, rows ^ mask].tobytes() == phase.tobytes()
+            dense[rows, rows ^ mask] = 0
+            assert not np.any(dense)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_suite_exact(self, n, dense_generators):
+        gens = clifford.make_generators(n)
+        matrices = dense_generators(gens)
         eye = np.eye(gens.dim)
-        for i, c in enumerate(gens.matrices):
+        for i, c in enumerate(matrices):
             assert np.array_equal(c, c.conj().T)
             assert np.array_equal(c @ c, eye)
             assert c.trace() == 0
-            for other in gens.matrices[i + 1:]:
+            for other in matrices[i + 1:]:
                 assert not np.any(c @ other + other @ c)
 
     def test_dimension_cap(self):
@@ -113,15 +139,25 @@ class TestGenerators:
         with pytest.raises(ValueError, match="cap"):
             clifford.make_generators(100)
 
-    def test_entry_cap_refuses_n19_before_building(self, monkeypatch):
-        # n = 19 and 20 need side 2^10, above DENSE_DIM_CAP; n = 18 has side 2^9
-        built = []
-        monkeypatch.setattr(clifford, "_kron_chain", built.append)
-        with pytest.raises(ValueError, match="cap"):
-            clifford.make_generators(19)
-        assert built == []
-        clifford.make_generators(18)
-        assert len(built) == 18
+    def test_entry_cap_refuses_n19_before_building(self):
+        # n = 19 and 20 need side 2^10, above DENSE_DIM_CAP: their 20 phase rows
+        # would take 320 KiB. n = 18 has side 2^9 and takes 18 rows of 512 phases,
+        # 144 KiB, where its dense generators took 73 MiB
+        peaks = []
+        for n in (19, 18):
+            tracemalloc.start()
+            try:
+                if n == 19:
+                    with pytest.raises(ValueError, match="cap"):
+                        clifford.make_generators(n)
+                else:
+                    gens = clifford.make_generators(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert gens.phases.shape == (18, 512)
+        assert peaks[0] < 64 * 2**10
+        assert peaks[1] < 2**20
 
 
 class TestCliffordMap:
@@ -157,16 +193,17 @@ class TestCliffordMap:
             atol=1e-12)
 
     @pytest.mark.parametrize("n", range(1, 19))
-    def test_matches_dense_sum_bit_for_bit(self, n):
+    def test_matches_dense_sum_bit_for_bit(self, n, dense_generators):
         # the dense sum of all n generators, which C(a) built from each
         # generator's one nonzero per row replaced; signed zeros count
         gens = clifford.make_generators(n)
+        matrices = dense_generators(gens)
         rng = np.random.default_rng(n)
         for a in (random_complex_vec(rng, n), rng.normal(size=n) + 0j,
                   np.where(rng.random(n) < 0.5, -0.0, random_complex_vec(rng, n)),
                   -1e-300 * random_complex_vec(rng, n)):
             dense = np.zeros((gens.dim, gens.dim), dtype=np.complex128)
-            for coeff, c in zip(a, gens.matrices):
+            for coeff, c in zip(a, matrices):
                 dense += coeff * c
             assert clifford.clifford_map(a, gens).tobytes() == dense.tobytes()
 
@@ -204,6 +241,73 @@ class TestTraceNormFormula:
         for _ in range(50):
             x = rng.normal(size=6)
             assert abs(clifford.trace_norm_formula(x) - np.linalg.norm(x)) <= 1e-10
+
+
+class TestExtremeScales:
+    """A row outside 2^+-200 enters the kernels scaled by an exact power of
+    two, so p q, r^2 and s^1.5 neither underflow nor overflow: the value
+    scales by 2^k and the gradient keeps every bit."""
+
+    ROW = np.array([0.3 + 0.1j, -0.5, 0.2j])  # largest |a_j| 1/2: the scaled rows' form
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
+    @pytest.mark.parametrize("k", [-360, 300])
+    def test_family_kernel_scales_exactly(self, mode, k):
+        fam = cached_family(3, mode)
+        value, grad = clifford.embedding_norm_and_gradient(self.ROW, fam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = clifford.embedding_norm_and_gradient(self.ROW * 2.0**k, fam)
+            batch = clifford.embedding_norm_and_gradient(
+                np.stack([self.ROW, self.ROW * 2.0**k]), fam)
+            norm = clifford.dictator_embedding_norm(self.ROW * 2.0**k, fam)
+        assert scaled[0] == norm == math.ldexp(value, k)
+        assert scaled[1].tobytes() == grad.tobytes()
+        # a batch takes other BLAS paths than one row: compare it with the unscaled pair
+        twice = clifford.embedding_norm_and_gradient(np.stack([self.ROW, self.ROW]), fam)
+        assert batch[0].tolist() == [twice[0][0], math.ldexp(twice[0][1], k)]
+        assert batch[1].tobytes() == twice[1].tobytes()
+
+    @pytest.mark.parametrize("k", [-360, 300])
+    def test_closed_forms_scale_exactly(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            formula = clifford.trace_norm_formula(self.ROW * 2.0**k)
+            area = clifford.parallelogram(self.ROW * 2.0**k)
+            bound = clifford.embedding_norm_bound(self.ROW * 2.0**k)
+        assert formula == math.ldexp(clifford.trace_norm_formula(self.ROW), k)
+        assert area == math.ldexp(clifford.parallelogram(self.ROW), 2 * k)
+        # at 2^-360 the fourth powers underflowed and the bound read below the norm
+        assert bound == math.ldexp(clifford.embedding_norm_bound(self.ROW), k)
+        # the kernels see the row itself: largest |a_j| back in [1/2, 1)
+        row, shift = clifford._scaled(self.ROW * 2.0**k)
+        assert shift == -k and row.tobytes() == self.ROW.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-110, 1e-300, 5e-324, 1e200, 1e300])
+    def test_real_row_gradient_is_finite(self, scale):
+        # a real row takes the L -> 0 limit -1/(2 s^(3/2)), which at |a| ~ 1e-110
+        # divided by an underflowed s^1.5
+        fam = cached_family(3, "exhaustive")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = clifford.embedding_norm_and_gradient(scale * np.array([1.0, 0, 0.5]), fam)
+        assert np.all(np.isfinite(grad)) and value > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.floats(-1, 1).filter(lambda t: t == 0 or abs(t) > 2**-100),
+                          min_size=8, max_size=8),
+           k=st.integers(201, 700), sign=st.sampled_from([-1, 1]),
+           mode=st.sampled_from(["exhaustive", "pairwise_independent"]))
+    def test_scaling_identity_property(self, parts, k, sign, mode):
+        row = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        top = np.abs(row).max()
+        assume(top > 0)
+        row = row * 2.0**-np.frexp(top)[1]  # largest |a_j| in [1/2, 1): the scaled rows' form
+        fam = cached_family(4, mode)
+        value, grad = clifford.embedding_norm_and_gradient(row, fam)
+        scaled_value, scaled_grad = clifford.embedding_norm_and_gradient(row * 2.0**(sign * k), fam)
+        assert scaled_value == math.ldexp(value, sign * k)
+        assert scaled_grad.tobytes() == grad.tobytes()
 
 
 class TestClosedFormRounding:

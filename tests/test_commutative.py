@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,16 @@ class TestGradient:
                       - comm.embedding_l1_norm(a - 1j * e, ens).value) / (2 * h)
                 assert dy == pytest.approx(grad[j].imag, abs=1e-5)
 
+
+    @pytest.mark.parametrize("a, fld", [([5e-324 + 5e-324j, 0], "complex"),
+                                        ([5e-324j, -5e-324], "complex"),
+                                        ([5e-324, -5e-324], "real")])
+    def test_subnormal_products_give_finite_gradient(self, a, fld):
+        # a complex division by a subnormal |<a, Z>| took 1 / |<a, Z>| = inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = comm.embedding_l1_gradient(a, comm.SignEnsemble(fld, 2))
+        assert value > 0.0 and np.all(np.isfinite(grad)) and np.any(grad)
 
     @pytest.mark.parametrize("fld", ["real", "complex"])
     def test_batched_rows_across_chunks(self, fld, monkeypatch):
