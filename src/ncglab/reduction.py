@@ -82,73 +82,95 @@ class SubspaceBasis:
     constant |V|.
 
     ``project`` runs x <- x - A^T M^-1 A x twice, with M = A A^T + mu I
-    factored once (``lu``, None when A is zero) and A^T a CSC view of A's
-    arrays, made once: making it costs more than a product at small V. Every
-    update lies in the row space of A, and one sweep leaves the row-space
-    component along a singular value s scaled by mu / (s^2 + mu), so the sweeps
-    converge to the orthogonal projection. A is real, so a complex field goes
-    through as the two columns of its (len, 2) float64 view.
+    factored once. ``matrix`` is A with its rows in the reverse Cuthill-McKee
+    order of M, which keeps M inside a narrow band, and ``chol`` holds the
+    lower band of M's Cholesky factor L in that order, in LAPACK's
+    (bandwidth + 1, rows) storage (None when A is zero). The row order leaves
+    the nullspace alone. A^T is a CSC view of A's arrays, made once: making it
+    costs more than a product at small V. Every update lies in the row space
+    of A, and one sweep leaves the row-space component along a singular value
+    s scaled by mu / (s^2 + mu), so the sweeps converge to the orthogonal
+    projection. A is real, so a complex field goes through as the two columns
+    of its (len, 2) float64 view.
     """
 
     matrix: scipy.sparse.csr_matrix
-    lu: scipy.sparse.linalg.SuperLU | None
+    chol: np.ndarray | None
     dim: int
     transpose: scipy.sparse.csc_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         self.transpose = self.matrix.T
 
+    @property
+    def bandwidth(self) -> int:
+        """Sub-diagonals of the banded factor; 0 when A is zero."""
+        return 0 if self.chol is None else self.chol.shape[0] - 1
+
     def project(self, fld) -> np.ndarray:
         """The projection of a field (V, n), or of its flattening, in fld's shape."""
         out = np.array(fld, dtype=np.complex128, order="C")
-        if self.lu is not None:
+        if self.chol is not None:
+            from scipy.linalg.lapack import dpbtrs
             pairs = _pairs(out).reshape(-1, 2)
             for _ in range(_SWEEPS):
-                pairs -= self.transpose @ self.lu.solve(self.matrix @ pairs)
+                pairs -= self.transpose @ dpbtrs(self.chol, self.matrix @ pairs, lower=1)[0]
         return out
 
 
 def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     """Projector onto the constraint nullspace and its dimension, from one
-    sparse LU factorization of M = A A^T + mu I, mu = 1e-14 g, with g a
-    Gershgorin bound on the largest eigenvalue of A A^T.
+    banded Cholesky factorization M = L L^T of M = A A^T + mu I, mu = 1e-14 g,
+    with g a Gershgorin bound on the largest eigenvalue of A A^T.
 
-    The factorization pivots on the diagonal in a symmetric fill-reducing
-    order, so it is the LDL^T of M and pivot i is mu plus the squared
-    distance of row i from the span of the rows before it, up to O(mu). A
-    dependent row has a pivot of mu (1 + |c|^2), c its coefficients over the
-    earlier rows; |c|^2 stayed below the row count on every instance
+    The rows of A A^T are taken in the reverse Cuthill-McKee order of its
+    graph, which keeps it inside a narrow band whatever V is (37 to 64 on the
+    degree-4 circulants measured, V = 40 to 3000), and LAPACK's dpbtrf
+    factors that band. The
+    pivots L_ii^2 are those of the LDL^T of M, so pivot i is mu plus the
+    squared distance of row i from the span of the rows before it, up to
+    O(mu). A dependent row has a pivot of mu (1 + |c|^2), c its coefficients
+    over the earlier rows; |c|^2 stayed below the row count on every instance
     measured, and the null floor allows 16 times that. Pivots at or above
     the rank gap sqrt(eps) g count toward the rank, so dim = |V| n - rank.
-    A pivot between the floor and the gap leaves the rank ambiguous, an
-    off-diagonal pivot voids the LDL^T reading, and a projected fixed probe
-    must meet SUBSPACE_RESIDUAL_TOL; each failure raises a ValueError naming
-    it.
+    A non-positive pivot stops the factorization, a pivot between the floor
+    and the gap leaves the rank ambiguous, and a projected fixed probe must
+    meet SUBSPACE_RESIDUAL_TOL; each failure raises a ValueError naming it.
     """
     import scipy.sparse
-    from scipy.sparse.linalg import splu
+    from scipy.linalg.lapack import dpbtrf
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
     matrix = scipy.sparse.csr_matrix(cs.matrix)
     rows, total = matrix.shape
-    gram = (matrix @ matrix.T).tocsc()
+    gram = matrix @ matrix.T
     g = float(np.asarray(abs(gram).sum(axis=1)).max(initial=0.0))
     if g == 0.0:
-        return SubspaceBasis(matrix=matrix, lu=None, dim=total)
+        return SubspaceBasis(matrix=matrix, chol=None, dim=total)
     mu, gap = _SHIFT * g, math.sqrt(np.finfo(np.float64).eps) * g
     floor = min(16.0 * (1 + rows) * mu, gap / 16.0)
-    lu = splu(gram + mu * scipy.sparse.identity(rows, format="csc"),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise ValueError("sparse LU of the constraint Gram matrix pivoted off the "
-                         "diagonal; its pivots do not give the rank")
-    pivots = lu.U.diagonal()
+    order = reverse_cuthill_mckee(gram, symmetric_mode=True)
+    position = np.empty(rows, dtype=np.intp)
+    position[order] = np.arange(rows)
+    entries = gram.tocoo()
+    row, col = position[entries.row], position[entries.col]
+    lower = row >= col
+    row, col = row[lower], col[lower]
+    band = np.zeros((int((row - col).max()) + 1, rows), order="F")
+    band[row - col, col] = entries.data[lower]
+    band[0] += mu
+    chol, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise ValueError(f"banded Cholesky of the constraint Gram matrix met a "
+                         f"non-positive pivot at column {info - 1} of its reverse "
+                         f"Cuthill-McKee order; its pivots do not give the rank")
+    pivots = chol[0] ** 2
     ambiguous = pivots[(pivots > floor) & (pivots < gap)]
     if ambiguous.size:
-        raise ValueError(f"sparse LU of the constraint Gram matrix has pivot "
+        raise ValueError(f"banded Cholesky of the constraint Gram matrix has pivot "
                          f"{ambiguous.min():.3e} between the null floor {floor:.3e} and "
                          f"the rank gap {gap:.3e}; the numerical rank is ambiguous")
     rank = int(np.count_nonzero(pivots >= gap))
-    basis = SubspaceBasis(matrix=matrix, lu=lu, dim=total - rank)
+    basis = SubspaceBasis(matrix=matrix[order], chol=chol, dim=total - rank)
     # a complex probe fills both columns of the solve
     probe = np.random.default_rng(0).standard_normal(2 * total).view(np.complex128)
     residual = constraint_residual(cs, basis.project(probe))

@@ -2,11 +2,11 @@ import dataclasses
 import functools
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import assume, given, settings
@@ -182,8 +182,8 @@ def projector_matrix(basis):
 
 
 def assert_matches_projector(cs, reference):
-    """The sparse-LU projector equals the orthogonal projector onto the span
-    of the orthonormal columns ``reference``: on unit vectors and on a
+    """The banded Cholesky projector equals the orthogonal projector onto the
+    span of the orthonormal columns ``reference``: on unit vectors and on a
     complex field, with rank, idempotence and self-adjointness to 1e-10, and
     every projected vector satisfies every constraint."""
     basis = red.subspace_basis(cs)
@@ -244,9 +244,10 @@ class TestSubspaceBasisMatchesSvd:
         assert_matches_svd_null_space(cs)
 
 
-def assert_sparse_lu_matches_eigensolve(cs):
-    """The sparse-LU projector equals the projector onto the eigenvectors of
-    the dense Gram matrix A^T A whose eigenvalues lie below its rank gap."""
+def assert_band_projector_matches_eigensolve(cs):
+    """The banded Cholesky projector equals the projector onto the
+    eigenvectors of the dense Gram matrix A^T A whose eigenvalues lie below
+    its rank gap."""
     gram = (cs.matrix.T @ cs.matrix).toarray()
     values, vectors = scipy.linalg.eigh(gram)
     gap = np.sqrt(np.finfo(np.float64).eps) * max(values.max(initial=0.0), 1.0)
@@ -254,12 +255,12 @@ def assert_sparse_lu_matches_eigensolve(cs):
 
 
 class TestSparseLuProjector:
-    """The projector from the sparse LU factorization of A A^T + mu I,
-    against the full eigensolve of A^T A."""
+    """The projector from the sparse (banded Cholesky) factorization of
+    A A^T + mu I, against the full eigensolve of A^T A."""
 
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES)
     def test_matches_full_eigensolve(self, params):
-        assert_sparse_lu_matches_eigensolve(
+        assert_band_projector_matches_eigensolve(
             red.build_constraints(make_instance(*params)))
 
     @settings(max_examples=60, deadline=None)
@@ -271,7 +272,7 @@ class TestSparseLuProjector:
         t = -(-n // k)
         inst = make_instance("planted" if planted else "random", vertices, degree, n, k, t,
                              seed)
-        assert_sparse_lu_matches_eigensolve(red.build_constraints(inst))
+        assert_band_projector_matches_eigensolve(red.build_constraints(inst))
 
     # Instances on which an earlier partial eigensolve returned null vectors
     # with residual 1.9e-7 and 3.0e-9 though the rank is well separated
@@ -283,74 +284,134 @@ class TestSparseLuProjector:
     def test_inaccurate_solve_raises(self, monkeypatch):
         # solves off by 1e-7 leave a row-space component that the sweeps do
         # not remove, so the fixed probe stays outside the subspace
-        splu = scipy.sparse.linalg.splu
+        dpbtrs = scipy.linalg.lapack.dpbtrs
         noise = np.random.default_rng(0)
 
-        def perturbed(*args, **kwargs):
-            lu = splu(*args, **kwargs)
-            return SimpleNamespace(
-                perm_r=lu.perm_r, perm_c=lu.perm_c, U=lu.U,
-                solve=lambda rhs: lu.solve(rhs) + 1e-7 * noise.standard_normal(rhs.shape))
+        def perturbed(ab, b, **kwargs):
+            x, info = dpbtrs(ab, b, **kwargs)
+            return x + 1e-7 * noise.standard_normal(x.shape), info
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", perturbed)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", perturbed)
         cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
         with pytest.raises(ValueError, match=r"residual \d\.\d+e-\d+ on a fixed probe"):
             red.subspace_basis(cs)
 
-    def test_off_diagonal_pivot_raises(self, monkeypatch):
-        splu = scipy.sparse.linalg.splu
+    def test_non_positive_pivot_raises(self, monkeypatch):
+        # a negative diagonal entry in column 5 of the band makes LAPACK stop
+        # there with info = 6; the guard names the column instead of reading
+        # a rank from a partial factor
+        dpbtrf = scipy.linalg.lapack.dpbtrf
 
-        def swapped_rows(*args, **kwargs):
-            lu = splu(*args, **kwargs)
-            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U,
-                                   solve=lu.solve)
+        def indefinite(ab, **kwargs):
+            ab = np.array(ab, order="F")
+            ab[0, 5] = -1.0
+            return dpbtrf(ab, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", swapped_rows)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", indefinite)
         cs = red.build_constraints(make_instance(*REFERENCE_INSTANCES[3]))
-        with pytest.raises(ValueError, match="off the diagonal"):
+        with pytest.raises(ValueError, match="non-positive pivot at column 5 ") as raised:
             red.subspace_basis(cs)
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("params", REFERENCE_INSTANCES[:1] + REFERENCE_INSTANCES[4:5])
     def test_dependent_pivots_sit_below_the_floor(self, params):
         # the rank comes from the pivots: every one is either within the
         # measured multiple of the shift or far above the rank gap
         cs = red.build_constraints(make_instance(*params))
-        gram = (cs.matrix @ cs.matrix.T).tocsc()
+        gram = cs.matrix @ cs.matrix.T
         g = float(np.asarray(abs(gram).sum(axis=1)).max())
-        lu = scipy.sparse.linalg.splu(
-            gram + red._SHIFT * g * scipy.sparse.identity(gram.shape[0], format="csc"),
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True))
-        pivots = lu.U.diagonal() / (red._SHIFT * g)
+        basis = red.subspace_basis(cs)
+        pivots = basis.chol[0] ** 2 / (red._SHIFT * g)
+        assert pivots.shape == (gram.shape[0],)
         dependent = pivots[pivots < 1e6]
-        assert dependent.size == red.subspace_basis(cs).dim - (
-            cs.matrix.shape[1] - cs.matrix.shape[0])
+        assert dependent.size == basis.dim - (cs.matrix.shape[1] - cs.matrix.shape[0])
         assert dependent.min() >= 1.0 and dependent.max() <= 1 + gram.shape[0]
         assert np.min(pivots[pivots >= 1e6]) * red._SHIFT >= 1e-3
 
     # the pivot of singular value ~3.7e-5 lies inside the rank gap; that of
     # ~1.2e-9 is counted as null, and the projection then violates a
-    # constraint by ~1e-9. Either way the one LU factorization is the whole
+    # constraint by ~1e-9. Either way the one band factorization is the whole
     # path: its guard raises, and no dense eigensolve is tried as a fallback
     @pytest.mark.parametrize("s, problem", [(6e-5, r"pivot \d\.\d+e-(09|10) between"),
                                             (2e-9, "residual")])
     def test_near_rank_deficient_raises_without_fallback(self, s, problem, monkeypatch):
-        splu, eigh = scipy.sparse.linalg.splu, scipy.linalg.eigh
+        dpbtrf, eigh = scipy.linalg.lapack.dpbtrf, scipy.linalg.eigh
         calls = []
 
-        def counted_splu(*args, **kwargs):
-            calls.append("splu")
-            return splu(*args, **kwargs)
+        def counted_dpbtrf(*args, **kwargs):
+            calls.append("dpbtrf")
+            return dpbtrf(*args, **kwargs)
 
         def counted_eigh(*args, **kwargs):
             calls.append("eigh")
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", counted_dpbtrf)
         monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
         with pytest.raises(ValueError, match=problem):
             red.subspace_basis(near_rank_deficient_system(s))
-        assert calls == ["splu"]
+        assert calls == ["dpbtrf"]
+
+
+def superlu_reference(cs):
+    """(dim, project) from the general sparse LU that the band replaced:
+    SuperLU's LDL^T of the same shifted Gram matrix in a symmetric MMD order,
+    with the same rank gap and the same two sweeps."""
+    matrix = scipy.sparse.csr_matrix(cs.matrix)
+    rows, total = matrix.shape
+    gram = (matrix @ matrix.T).tocsc()
+    g = float(np.asarray(abs(gram).sum(axis=1)).max())
+    lu = scipy.sparse.linalg.splu(
+        gram + red._SHIFT * g * scipy.sparse.identity(rows, format="csc"),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True))
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    rank = int(np.count_nonzero(lu.U.diagonal() >= np.sqrt(np.finfo(float).eps) * g))
+
+    def project(fld):
+        pairs = np.array(fld, dtype=np.complex128).reshape(-1, 1).view(np.float64)
+        for _ in range(red._SWEEPS):
+            pairs -= matrix.T @ lu.solve(matrix @ pairs)
+        return pairs.view(np.complex128).reshape(np.shape(fld))
+
+    return total - rank, project
+
+
+def matching_union_instance(num_vertices, matchings, n, k, t, seed):
+    """A regular graph that is no circulant: the union of seeded random
+    perfect matchings, with random projections of preimage size <= t."""
+    rng = np.random.default_rng(seed)
+    ends = np.concatenate([rng.permutation(num_vertices).reshape(-1, 2)
+                           for _ in range(matchings)])
+    pool = np.repeat(np.arange(k), t)
+    pis = [[rng.permutation(pool)[:n] for _ in range(2)] for _ in ends]
+    return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=t, gamma=1.0,
+                                 zeta=0.1, ends=ends, pis=pis)
+
+
+class TestBandMatchesSuperLu:
+    """The banded Cholesky projector against the SuperLU one it replaced."""
+
+    @pytest.mark.parametrize("inst", [make_instance(*params) for params in REFERENCE_INSTANCES]
+                             + [lc.generate_planted(40, 8, 6, 3, 2, seed=4)[0],
+                                lc.generate_random(30, 8, 6, 3, 2, seed=5),
+                                matching_union_instance(40, 4, 6, 3, 2, seed=6),
+                                matching_union_instance(60, 3, 8, 4, 2, seed=7)])
+    def test_same_dim_and_projection(self, inst):
+        cs = red.build_constraints(inst)
+        dim, project = superlu_reference(cs)
+        basis = red.subspace_basis(cs)
+        assert basis.dim == dim
+        rng = np.random.default_rng(11)
+        shape = (inst.num_vertices, inst.n)
+        fld = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        np.testing.assert_allclose(basis.project(fld), project(fld), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("vertices", [40, 300, 1000])
+    def test_circulant_band_does_not_grow_with_v(self, vertices):
+        inst, _ = lc.generate_planted(vertices, 4, 8, 4, 2, seed=1)
+        basis = red.subspace_basis(red.build_constraints(inst))
+        assert 0 < basis.bandwidth <= 64
 
 
 class TestSubspaceBasisIsCanonical:
