@@ -77,9 +77,9 @@ def _cmd_gen_labelcover(args):
                          "planted assignment")
     sizes = (args.vertices, args.degree, args.n, args.k, args.t)
     if args.mode == "planted":
-        inst, planted = labelcover.generate_planted(*sizes, seed=args.seed, zeta=args.zeta)
+        inst, planted = labelcover.generate_planted(*sizes, seed=args.seed)
     else:
-        inst, planted = labelcover.generate_random(*sizes, seed=args.seed, zeta=args.zeta), None
+        inst, planted = labelcover.generate_random(*sizes, seed=args.seed), None
     fileio.save_instance(inst, args.out)
     if args.planted_out:
         fileio.save_assignment(planted, args.planted_out)
@@ -119,9 +119,13 @@ def _cmd_check_instance(args):
 
 
 def _cmd_reduce(args):
-    # --samples sizes a Monte-Carlo ensemble; any other --mode would drop it
-    if args.samples is not None and args.mode != "monte_carlo":
-        raise ValueError(f"--samples applies only to --mode monte_carlo, not {args.mode}")
+    # --samples and --seed size and seed a Monte-Carlo ensemble: any other --mode
+    # would drop them, and no Monte-Carlo certificate runs unseeded
+    given = [f"--{name}" for name in ("samples", "seed") if getattr(args, name) is not None]
+    if args.mode == "monte_carlo" and len(given) < 2:
+        raise ValueError("--mode monte_carlo needs --samples and --seed")
+    if args.mode != "monte_carlo" and given:
+        raise ValueError(f"{given[0]} applies only to --mode monte_carlo, not {args.mode}")
     inst = fileio.load_instance(args.instance)
     labels = fileio.load_assignment(args.assignment)
     backend = reduction.BACKEND_BUILDERS[args.backend](
@@ -300,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--t", type=_positive_int, required=True)
-    p.add_argument("--zeta", type=_positive_float, default=0.1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=["planted", "random"], default="planted")
     p.add_argument("--out", required=True)
@@ -320,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "pairwise_independent", "monte_carlo"],
                    default="exhaustive")
     p.add_argument("--samples", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
 
     p = add_parser("decode", help="decode a field into an assignment")
     p.add_argument("--instance", required=True)

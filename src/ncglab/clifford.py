@@ -12,13 +12,14 @@ The pieces, in dependency order:
 * the exact trace-norm formula
   ``||C(a)||_S1 = (sqrt(s + 2 L) + sqrt(s - 2 L)) / 2`` with ``s = ||a||_2^2``;
 * phase families over ``{1, i, -1, -i}^n`` (exhaustive or pairwise
-  independent), held as their weighted parity classes, and the phase-averaged
-  embedding norm ``E_w ||C(a o w)||_S1``, which equals the trace norm of the
-  direct sum ``(+)_w C(a o w)`` because equal-size blocks average;
+  independent), held as one equally weighted parity class per global-phase
+  pair, and the phase-averaged embedding norm ``E_w ||C(a o w)||_S1``, which
+  equals the trace norm of the direct sum ``(+)_w C(a o w)`` because
+  equal-size blocks average;
 * the dictatorship-test constants ETA, TAU and spread_threshold(eps).
 
 Only ``lift`` builds a direct sum, one block per parity class, through
-``reduction.EmbeddingBackend.little_op`` (side 2^n * 2^m for the exhaustive
+``reduction.EmbeddingBackend.little_op`` (side 2^(n-1) * 2^m for the exhaustive
 family, within DENSE_DIM_CAP for n <= 6); everything else uses the formula.
 """
 
@@ -39,9 +40,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# Temporaries the batch kernel holds at once, counted in (rows, P) arrays:
-# the traced peaks are 12.5 of them at P = 64 (exhaustive n=6, 300 rows) and
-# 12.0 at P = 65536 (exhaustive n=16, 4 rows).
+# Temporaries the batch kernel holds at once, counted in (rows, P + n) arrays:
+# the traced peaks are 11.0 of them at P = 32 (exhaustive n=6, 300 rows) and
+# 12.0 at P = 32768 (exhaustive n=16, 4 rows).
 _GRADIENT_LIVE = 13
 
 
@@ -126,7 +127,7 @@ def trace_norm_formula(a) -> float:
 @dataclass
 class PhaseFamily:
     """A uniformly weighted family of ``size`` phase vectors w in
-    {1, i, -1, -i}^n, held as its parity classes.
+    {1, i, -1, -i}^n, held as one parity class per global-phase pair.
 
     exhaustive: all 4^n members.
     pairwise_independent: affine Z4 evaluations; every coordinate pair is
@@ -135,16 +136,17 @@ class PhaseFamily:
     Every average below depends on a member only through its parity
     pattern O_j = [w_j imaginary]: (Re, Im) of a_j w_j is +-(x_j, y_j) for
     w_j = +-1 and +-(-y_j, x_j) for w_j = +-i, and the sign cancels in the
-    sums p, q, r (see _pqr). parity keeps the P distinct patterns and
-    class_weights the share of members in each; P = 64 for the 4096-member
-    exhaustive family at n=6.
+    sums p, q, r (see _pqr). The global phase i takes O to 1 - O, which swaps
+    p and q and negates r, so it keeps L and every gradient term. Each family
+    splits its members evenly over the pairs (O, 1 - O), and parity keeps the
+    one O of each pair with coordinate 0 real: P classes of equal weight 1/P,
+    P = 32 for the 4096-member exhaustive family at n=6.
     """
 
     mode: str
     n: int
     size: int  # members
     parity: np.ndarray = field(repr=False)  # (P, n), 1.0 where w_j is imaginary
-    class_weights: np.ndarray = field(repr=False)  # (P,) summing to 1
     even: np.ndarray = field(init=False, repr=False)  # (P, n), 1 - parity
     sign: np.ndarray = field(init=False, repr=False)  # (P, n), even - parity
 
@@ -155,40 +157,35 @@ class PhaseFamily:
 
 
 def build_phase_family(n: int, mode: str = "exhaustive") -> PhaseFamily:
-    """The family's parity classes, grouped from 0/1 parity rows of weight
-    1/rows each: one per parity x in {0,1}^k of the members' k free Z4
-    digits, which stands for 2^k of the 4^k members.
+    """The family's parity classes: row x T mod 2 for every x in {0,1}^k,
+    x the parities of the members' k free Z4 digits besides the global one.
 
-    exhaustive: k = n and the row is x.
-    pairwise_independent: coordinate j has tag c_j, its binary digits in
-        {0,1}^r, and member (u, b) in Z4^r x Z4 assigns exponent
+    exhaustive: k = n - 1 and T = [0 | I], so the rows are a 0 followed by
+        every x.
+    pairwise_independent: coordinate j has tag c_j, its k = ceil(log2 n)
+        binary digits, and member (u, b) in Z4^k x Z4 assigns exponent
         (c_j . u + b) mod 4, so any two distinct coordinates, differing in a
-        +-1 entry of their tags, are exactly uniform over Z4 x Z4. Its
-        parity (c_j . u' + b') mod 2 needs only the parities x = (u', b'),
-        so k = r + 1.
+        +-1 entry of their tags, are exactly uniform over Z4 x Z4. Its parity
+        (c_j . u' + b') mod 2 needs only u' = u mod 2 and b' = b mod 2, and b'
+        is the global phase; T holds the tags as columns, c_0 = 0 first.
 
-    A family is refused when its 2^k x n rows exceed ENUMERATION_CAP, before
-    any row exists.
+    Either way T has every unit column, so the 2^k rows are distinct, and
+    coordinate 0 is real in each, so no row's complement is present. A family
+    is refused when its 2^k x n rows exceed ENUMERATION_CAP, before any row
+    exists.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("exhaustive", "pairwise_independent"):
         raise ValueError(f"unknown phase family mode {mode!r}")
-    k = n if mode == "exhaustive" else max(1, (n - 1).bit_length()) + 1
+    k = n - 1 if mode == "exhaustive" else (n - 1).bit_length()
     if k >= ENUMERATION_CAP.bit_length() or 2**k * n > ENUMERATION_CAP:
         raise ValueError(f"{mode} family rows 2^{k} x n={n} exceed cap {ENUMERATION_CAP}")
-    # row x, over every x in {0,1}^k
-    odd = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
-    if mode == "pairwise_independent":
-        tags = (np.arange(n) >> np.arange(k - 1)[:, None]) & 1  # (r, n)
-        odd = (odd[:, :-1] @ tags + odd[:, -1:]) % 2 == 1
-    # one opaque byte string per row's packed pattern, so unique is a 1-d sort
-    packed = np.packbits(odd, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows = odd.shape[0]
-    return PhaseFamily(mode=mode, n=n, size=4**k, parity=odd[first].astype(np.float64),
-                       class_weights=np.bincount(inverse, weights=np.full(rows, 1.0 / rows)))
+    x = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1  # most significant first
+    tags = (np.eye(k, n, 1, dtype=np.int64) if mode == "exhaustive"  # T, (k, n)
+            else np.arange(n) >> np.arange(k)[:, None] & 1)
+    return PhaseFamily(mode=mode, n=n, size=4 ** (n if mode == "exhaustive" else k + 1),
+                       parity=(x @ tags & 1).astype(np.float64))
 
 
 def _rows(a, n: int) -> np.ndarray:
@@ -251,7 +248,7 @@ def randphase_second_moment(a, family: PhaseFamily) -> float:
     family whose coordinate pairs are uniform (pairwise terms are all the
     proof of that identity uses)."""
     p, q, r = _pqr(_rows(np.reshape(a, -1), family.n), family)
-    return 4.0 * float((p * q - r * r)[0] @ family.class_weights)
+    return 4.0 * float((p * q - r * r)[0].mean())
 
 
 def embedding_norm_and_gradient(a, family: PhaseFamily):
@@ -281,8 +278,7 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     sqrt_plus = np.sqrt(s + 2 * lam)
     sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
-    w = family.class_weights
-    value = np.ldexp(np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus) @ w, 0.0), -k)
+    value = np.ldexp(np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus).mean(axis=1), 0.0), -k)
 
     inv_plus = 1.0 / sqrt_plus
     inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))
@@ -293,8 +289,8 @@ def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     # d(L^2)/dx_j = 2 x_j (q E_j + p O_j) - 2 r (E_j - O_j) y_j, and
     # d(L^2)/dy_j = 2 y_j (q O_j + p E_j) - 2 r (E_j - O_j) x_j.
     odd, even = family.parity, family.even
-    c = dgdu * w
-    gs = (dgds @ w)[:, None]
+    c = dgdu / len(odd)  # each class weighs 1/P
+    gs = dgds.mean(axis=1, keepdims=True)
     cross = (c * r) @ family.sign
     gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
     gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross

@@ -3,7 +3,8 @@
 # Largest side of any dense square matrix, checked before it exists: C(a) at the
 # generator side 2^ceil(n/2) (n <= 18; generators are held as (mask, phase) rows),
 # little_op's image side d and solve-ncg's d x d unitaries. 512 is the largest lift's
-# side (comm_real, n = 9; exhaustive Clifford, n = 6: 2^6 parity classes x side 8).
+# side (comm_real, n = 9; pairwise Clifford, n = 9 and 10: 16 parity classes x side 32);
+# exhaustive Clifford stops at n = 6, 2^5 parity classes x side 8 = 256.
 DENSE_DIM_CAP = 512
 
 # Enumeration bound: the members an exhaustive sign ensemble streams (only a

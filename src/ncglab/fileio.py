@@ -164,17 +164,15 @@ def _finite(table, kind: str, name: str):
 def save_instance(inst: LabelCoverInstance, path) -> None:
     dump_json({"version": FORMAT_VERSION, "n": inst.n, "k": inst.k, "t": inst.t,
                "gamma": _finite(inst.gamma, "instance", "gamma"),
-               "zeta": _finite(inst.zeta, "instance", "zeta"),
                "vertices": inst.num_vertices, "ends": inst.ends + 1, "pis": inst.pis + 1}, path)
 
 
 def load_instance(path) -> LabelCoverInstance:
     doc = _read(path, "instance", {"vertices": (), "n": (), "k": (), "t": (), "gamma": (),
-                                   "zeta": (), "ends": (None, 2), "pis": (None, 2, "n")},
+                                   "ends": (None, 2), "pis": (None, 2, "n")},
                 integers=("vertices", "n", "k", "t", "ends", "pis"))
-    return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"],
-                              t=doc["t"], gamma=doc["gamma"], zeta=doc["zeta"],
-                              ends=doc["ends"] - 1, pis=doc["pis"] - 1)
+    return LabelCoverInstance(num_vertices=doc["vertices"], n=doc["n"], k=doc["k"], t=doc["t"],
+                              gamma=doc["gamma"], ends=doc["ends"] - 1, pis=doc["pis"] - 1)
 
 
 def save_assignment(labels, path) -> None:

@@ -5,8 +5,7 @@ bounds, weak expansion).
 Instances here are synthetic: `generate_planted` hides a fully satisfying
 assignment (for completeness experiments), `generate_random` does not (for
 decoder stress). The structural parameters gamma and t are declared on the
-instance and checked post hoc, never guaranteed a priori; zeta is recorded
-only.
+instance and checked post hoc, never guaranteed a priori.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ class LabelCoverInstance:
     k: int
     t: int
     gamma: float
-    zeta: float
     ends: np.ndarray
     pis: np.ndarray
 
@@ -115,7 +113,7 @@ def _circulant_edges(num_vertices: int, degree: int) -> np.ndarray:
 
 
 def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: int,
-              zeta: float, plant: bool):
+              plant: bool):
     """Body of both generators; planted is None unless plant (see generate_planted)."""
     if k * t < n:
         raise ValueError("need k*t >= n so projections with preimage bound t exist")
@@ -137,7 +135,7 @@ def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: i
             else:
                 pi_v[planted[v]] = target
     inst = LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=t,
-                              gamma=1.0, zeta=zeta, ends=ends, pis=pis)
+                              gamma=1.0, ends=ends, pis=pis)
     if not inst.is_connected():
         raise ValueError("parameters produce a disconnected graph")
     inst.gamma = check_smoothness(inst)
@@ -145,19 +143,19 @@ def _generate(num_vertices: int, degree: int, n: int, k: int, t: int, *, seed: i
 
 
 def generate_planted(num_vertices: int, degree: int, n: int, k: int, t: int, *,
-                     seed: int, zeta: float = 0.1):
+                     seed: int):
     """Planted instance: projections are random subject to the preimage bound,
     then one side of each edge is patched so the hidden assignment satisfies
     every edge. Returns (instance, planted_labels); gamma is set to the
     measured smoothness so declared parameters always hold.
     """
-    return _generate(num_vertices, degree, n, k, t, seed=seed, zeta=zeta, plant=True)
+    return _generate(num_vertices, degree, n, k, t, seed=seed, plant=True)
 
 
 def generate_random(num_vertices: int, degree: int, n: int, k: int, t: int, *,
-                    seed: int, zeta: float = 0.1) -> LabelCoverInstance:
+                    seed: int) -> LabelCoverInstance:
     """Like generate_planted but with no hidden assignment patched in."""
-    return _generate(num_vertices, degree, n, k, t, seed=seed, zeta=zeta, plant=False)[0]
+    return _generate(num_vertices, degree, n, k, t, seed=seed, plant=False)[0]
 
 
 def check_smoothness(inst: LabelCoverInstance) -> float:

@@ -252,14 +252,14 @@ class EmbeddingBackend:
         """f as the sparse (n, d^2) matrix of row-major images f(e_i) = kron(diag(c_i
         over rows c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
         embedding, whose rows are its exhaustive members. The matrix embedding has
-        a row per parity class, in any mode: class c, of parity O_c and weight p_c
-        out of P, gives the block P p_c C(a o w_c), w_c = i^O_c. ||C(a o w)||
-        depends on w only through its parity (see PhaseFamily), and P equal-side
-        blocks average their normalized trace norms, so ||f(a)|| = sum_c p_c
-        ||C(a o w_c)|| = dictator_embedding_norm(a): the operator norm and the
-        lifted optimum are the family's. Exhaustive images have P p_c = 1 and
-        entries in {0, +-1, +-i}. A scalar kernel that is not exhaustive, and a
-        side d = rows x block side above DENSE_DIM_CAP, are refused first."""
+        a row per parity class, in any mode: class c, of parity O_c, gives the block
+        C(a o w_c), w_c = i^O_c. ||C(a o w)|| depends on w only through its parity
+        class (see PhaseFamily), and the P classes weigh 1/P each, as P equal-side
+        blocks average their normalized trace norms, so ||f(a)|| =
+        dictator_embedding_norm(a): the operator norm and the lifted optimum are
+        the family's. Every image entry is in {0, +-1, +-i}. A scalar kernel that
+        is not exhaustive, and a side d = rows x block side above DENSE_DIM_CAP, are
+        refused first."""
         if not self._is_matrix and self.kernel.mode != "exhaustive":
             raise ValueError(f"images need an exhaustive kernel, not {self.kernel.mode!r}")
         rows = self.kernel.parity.shape[0] if self._is_matrix else self.kernel.size
@@ -268,7 +268,7 @@ class EmbeddingBackend:
             raise ValueError(f"{self.name} image side d = {d} at n={self.n} exceeds cap "
                              f"{DENSE_DIM_CAP}")
         if self._is_matrix:
-            diags = np.where(self.kernel.parity, 1j, 1) * rows * self.kernel.class_weights[:, None]
+            diags = np.where(self.kernel.parity, 1j, 1)
             gens = clifford.make_generators(self.n)
         else:  # the 1 x 1 case G_i = [[1]]: mask 0 and a real phase 1
             diags = commutative.exhaustive_members(self.kernel)

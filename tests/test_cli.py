@@ -68,10 +68,10 @@ class TestGenLabelcover:
                   "--k", "3", "--t", "0", "--seed", "1", "--out", "x.json"])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("zeta", ["nan", "inf", "-1"])
-    def test_non_finite_zeta_is_usage_error(self, tmp_path, zeta):
+    def test_zeta_is_usage_error(self, tmp_path):
+        # an instance declares no zeta, so the generator takes no such flag
         with pytest.raises(SystemExit) as err:
-            main(gen_args(extra=("--zeta", zeta)))
+            main(gen_args(extra=("--zeta", "0.1")))
         assert err.value.code == 2
         assert not (tmp_path / "inst.json").exists()
 
@@ -103,20 +103,20 @@ class TestGenLabelcover:
     @pytest.mark.parametrize("argv,digests", [
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--planted-out", "planted.json"],
-         {"inst.json": "a14ea7f7d941281cc30d142f4a7cb5817fda10a6bc1713d293b738f55554b640",
+         {"inst.json": "87bfcf7d9a3f179f90e408e775f9ab54032d028e04067f84ff9f469bc77ed29f",
           "planted.json": "e99509b44fb84dabc4e06062eac1f72569ef9526a5122a592622932530b15019",
           "gen-labelcover.report.json":
-              "4cb3154a4a1dd7330bec86b66bf57f03b870ba3889b4bb32b0b8a0486be5aa10"}),
+              "a31e8193eb7b95e3e2a6c2146ea3a5dab9febc43f0908eb754fdd925370d5b94"}),
         (["--vertices", "12", "--degree", "4", "--n", "6", "--k", "3", "--t", "2",
           "--seed", "7", "--mode", "random"],
-         {"inst.json": "98929d8ea5ff1ef15af08778dd0ae53e667a6568bb4f09173888ad89c30b92e6",
+         {"inst.json": "c21601e2da5fafd055266c84942acb2927d797c9fa25a565fd9a84ffd1332637",
           "gen-labelcover.report.json":
-              "1ccd9720d65e1de5a9946dda326fd1a01834d865c67cdc57dd153bc0b96aa91d"}),
+              "fb2f7a239ce81ccc70524307e7f1d0effe2e50f028a602e87913d30b044a884e"}),
         (["--vertices", "300", "--degree", "4", "--n", "8", "--k", "4", "--t", "2",
           "--seed", "1"],
-         {"inst.json": "ba310efb18fcc92b8e51445a1ae474fa4f7487555cf953a4ed008ebc13696ad9",
+         {"inst.json": "5a58e64bd28b7f8056df871353fff993bf85228584353444cda7bc4971db6cae",
           "gen-labelcover.report.json":
-              "9b171552486e7f09b6d88740ec4d8e0e8e19d3501b2694b6295b9547576c3292"}),
+              "be945e0a125224b86099195cd67e5b1bcdd661c0efe1e8759203b43ac0e73082"}),
     ])
     def test_output_files_golden_sha256(self, tmp_path, argv, digests):
         assert main(["gen-labelcover", *argv, "--out", "inst.json"]) == 0
@@ -214,6 +214,38 @@ class TestReduce:
         report = json.loads((tmp_path / "reduce.report.json").read_text())
         assert report["pass"] is False and "--samples" in report["error"]
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "pairwise_independent"])
+    @pytest.mark.parametrize("backend", ["clifford", "comm_real"])
+    def test_seed_outside_monte_carlo_refused(self, tmp_path, monkeypatch, backend, mode):
+        # an exact family draws nothing, so a seed there would be recorded and unused
+        from ncglab import reduction
+        main(gen_args())
+        monkeypatch.setitem(reduction.BACKEND_BUILDERS, backend, None)
+        assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                     "--backend", backend, "--mode", mode, "--seed", "0"]) == 1
+        report = json.loads((tmp_path / "reduce.report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"] == f"--seed applies only to --mode monte_carlo, not {mode}"
+
+    @pytest.mark.parametrize("extra", [["--samples", "2000"], ["--seed", "3"], []],
+                             ids=["samples", "seed", "bare"])
+    def test_monte_carlo_needs_samples_and_seed(self, tmp_path, monkeypatch, extra):
+        from ncglab import reduction
+        main(gen_args())
+        monkeypatch.setitem(reduction.BACKEND_BUILDERS, "comm_real", None)
+        assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                     "--backend", "comm_real", "--mode", "monte_carlo", *extra]) == 1
+        report = json.loads((tmp_path / "reduce.report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"] == "--mode monte_carlo needs --samples and --seed"
+
+    def test_exact_modes_record_no_seed(self, tmp_path):
+        main(gen_args())
+        assert main(["reduce", "--instance", "inst.json", "--assignment", "planted.json",
+                     "--backend", "clifford"]) == 0
+        report = json.loads((tmp_path / "reduce.report.json").read_text())
+        assert report["params"]["seed"] is None and report["params"]["samples"] is None
+
     def test_params_record_samples(self, tmp_path):
         main(gen_args())
         argv = ["reduce", "--instance", "inst.json", "--assignment", "planted.json",
@@ -223,7 +255,9 @@ class TestReduce:
             report = json.loads((tmp_path / f"{samples}.json").read_text())
             assert report["params"]["samples"] == samples
 
-    @pytest.mark.parametrize("samples", [[], ["--samples", "5"]], ids=["bare", "samples"])
+    @pytest.mark.parametrize("samples", [[], ["--samples", "5"],
+                                         ["--samples", "5", "--seed", "1"]],
+                             ids=["bare", "samples", "samples-seed"])
     def test_clifford_monte_carlo_refused(self, tmp_path, capsys, samples):
         # the Clifford phase families are exact: no mode of theirs draws samples
         main(gen_args())
@@ -290,9 +324,9 @@ class TestEmbedVerify:
         assert lines[0].startswith("check,")
         assert len(lines) >= 5
         assert file_sha256(tmp_path / "embed.csv") == \
-            "3e808137aa3a57a327a295188edad9033df1d05214936f7916eb46f49d462849"
+            "2b9a71a57b4e052decb44fa7dc7e6a1bc13eaf6f4d083618b171aa69972416eb"
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "8b53937790e1747b927fe7378eab844455e3cbe39146c2e53a25856632446d79"
+            "b41364f0e8a6e7f43ebe30451f359ddadde74570a2eecb66babc905b44bac9f1"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     @pytest.mark.parametrize("corrupt", [
@@ -350,7 +384,7 @@ class TestEmbedVerify:
         assert "--samples" not in out and "monte_carlo" not in out
 
     @pytest.mark.parametrize("argv, error", [
-        (["--n", "17"], "exhaustive family rows 2^17 x n=17 exceed cap 1048576"),
+        (["--n", "17"], "exhaustive family rows 2^16 x n=17 exceed cap 1048576"),
         (["--n", "16", "--trials", "200000"],
          "embed-verify draw 2 x 200000 trials x n=16 exceeds cap CHUNK_ENTRIES 4194304"),
     ], ids=["family", "trials"])
@@ -472,19 +506,19 @@ class TestLiftAndSolve:
         assert main(["solve-ncg", "--tensor", "tensor.json", "--restarts", "4",
                      "--seed", "1", "--out", "solution.json"]) == 0
         assert file_sha256(tmp_path / "solve-ncg.report.json") == \
-            "2af57d9e19f5951c7b4aa7594b616abf769f09f72783797924c3a732b9142a25"
+            "cfd890b2a813f70f26ff5ab3d00ea90a291c95e0c526aa67260818d4ab751461"
         assert file_sha256(tmp_path / "solution.json") == \
-            "b1a62c4f3560716ffbbbb8be4f5e909979b3c8c8dfb8e646d3409f17cb8aab79"
+            "d4524bd38b521d65cff248212b6413e489ff1d191fa6e60987f6a24616cbbe09"
 
     def test_clifford_lift_sides(self, tmp_path):
-        # one block per parity class: d = 2^n classes x generator side 2^ceil(n/2)
+        # one block per parity class: d = 2^(n-1) classes x generator side 2^ceil(n/2)
         assert main(["lift", "--backend", "clifford", "--n", "4", "--out", "t4.json"]) == 0
         report = json.loads((tmp_path / "lift.report.json").read_text())
-        assert report["d"] == fileio.load_tensor(tmp_path / "t4.json").d == 64
+        assert report["d"] == fileio.load_tensor(tmp_path / "t4.json").d == 32
         assert main(["lift", "--backend", "clifford", "--n", "7", "--out", "t7.json"]) == 1
         report = json.loads((tmp_path / "lift.report.json").read_text())
         assert report["pass"] is False
-        assert report["error"] == "clifford image side d = 2048 at n=7 exceeds cap 512"
+        assert report["error"] == "clifford image side d = 1024 at n=7 exceeds cap 512"
         assert not (tmp_path / "t7.json").exists()
 
     def test_tensor_roundtrip_byte_identical(self, tmp_path):
@@ -505,7 +539,7 @@ class TestLiftAndSolve:
     # representation cannot change the on-disk format or entry order.
     @pytest.mark.parametrize("backend,n,sha256", [
         ("comm_real", 2, "5a51203bff0567fa25605d01b597165ef76b4cca23b2f59ba97b7e81d2459250"),
-        ("clifford", 2, "5b148d13e573bdf253d893c1e488e12b862dfcba05636faae48cda6c6a5efc29"),
+        ("clifford", 2, "98b91045307016a1e40984790fb96b66f727cb3b41469eaf19702a035045c70e"),
         ("comm_complex", 3, "df7896d5e54c5f309e9360568d3d5a12dc6671185688b0fa9844b955a82b316e"),
     ])
     def test_tensor_file_golden_sha256(self, tmp_path, backend, n, sha256):
@@ -598,10 +632,10 @@ LIFT = ["lift", "--n", "2", "--out", "t.json", "--backend"]
 GOLDEN_REPORTS = {
     "reduce-clifford":
         ([*REDUCE, "--backend", "clifford"],
-         "af79b4172a66ba35f84611009088f9d8ce8fd870f89fa35aec379005d9e4881f"),
+         "30a82a681691e9e7fce97a082e142f83e8f8a611b3d3399791326370ea2a34d0"),
     "reduce-comm-real":
         ([*REDUCE, "--backend", "comm_real"],
-         "fb6950f7b353e93e3a834a9a6fb9809a1fe64b2446571904f89b0813a9b36e87"),
+         "648de40e841ab10d64530495dd2b9776c48c866f8a5a2f164b3f2fb233bbb718"),
     "reduce-comm-real-monte-carlo":
         ([*REDUCE, "--backend", "comm_real", "--mode", "monte_carlo",
           "--samples", "2000", "--seed", "3"],
@@ -614,7 +648,7 @@ GOLDEN_REPORTS = {
          "992fa2130e984acba4b48ed6fab60c9f9d8d83eae416261548263c8555bc0ea9"),
     "lift-clifford":
         ([*LIFT, "clifford"],
-         "c1aed2458a310c87bc655efc0d817d62611c2fefcb189a1044d64ef932272e90"),
+         "fd30e9b15248c0e5deef555dedef54e8a62d547709d135b7ce625889384be946"),
     "lift-comm-real":
         ([*LIFT, "comm_real"],
          "cb294e7eeb4900ae4350394873ace8c456d43b8ac23842d01c1f05dc7a31bd2f"),

@@ -34,13 +34,13 @@ def base4_digits(n):
 
 def member_exponents(n, mode):
     """The family's members as exponents k, w_j = i^k, one row per member,
-    enumerated member by member. Pairwise: coordinate j has tag c_j, the r
-    binary digits of j, and member (u, b) in Z4^r x Z4 has exponents
-    (c_j . u + b) mod 4."""
+    enumerated member by member. Pairwise: coordinate j has tag c_j, the
+    r = ceil(log2 n) binary digits of j (none at n = 1), and member (u, b) in
+    Z4^r x Z4 has exponents (c_j . u + b) mod 4."""
     if mode == "exhaustive":
         return base4_digits(n)
     assert mode == "pairwise_independent"
-    r = max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    r = math.ceil(math.log2(n))
     tags = np.array([[(j >> bit) & 1 for bit in range(r)] for j in range(n)])
     cu = base4_digits(r) @ tags.T  # (4^r, n)
     return ((cu[:, None, :] + np.arange(4)[None, :, None]) % 4).reshape(-1, n)
@@ -53,33 +53,34 @@ def members(n, mode):
 
 def grouped_classes(exps):
     """Reference parity classes of members given as exponents: the distinct
-    rows of exps % 2 in lexicographic order and each one's share of members."""
-    patterns, inverse = np.unique(exps % 2, axis=0, return_inverse=True)
-    size = exps.shape[0]
-    weights = np.bincount(inverse.reshape(-1), weights=np.full(size, 1.0 / size))
-    return patterns.astype(np.float64), weights
+    rows of exps % 2 in lexicographic order, each with its member count."""
+    patterns, counts = np.unique(exps % 2, axis=0, return_counts=True)
+    return patterns.astype(np.float64), counts
 
 
 def member_reference(a, fam, phases):
-    """Value and complex-packed gradient of E_w ||C(a o w)||_S1 evaluated
-    member by member over the family's phase vectors, each of weight
-    1/fam.size, without parity classes. Needs L(a o w) > 0."""
+    """Value, complex-packed gradient and second moment 4 E_w L(a o w)^2 of
+    E_w ||C(a o w)||_S1 evaluated member by member over the family's phase
+    vectors, each of weight 1/fam.size, without parity classes."""
     assert phases.shape == (fam.size, fam.n)
     weight = 1.0 / fam.size
     b = a * phases
     x, y = b.real, b.imag
     p, q, r = (x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)
     s = float(np.sum(np.abs(a) ** 2))
-    lam = np.sqrt(p * q - r * r)
-    plus, minus = np.sqrt(s + 2 * lam), np.sqrt(s - 2 * lam)
+    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
+    plus, minus = np.sqrt(s + 2 * lam), np.sqrt(np.maximum(s - 2 * lam, 0.0))
     dgds = 0.25 * (1 / plus + 1 / minus)
-    dgdu = (1 / plus - 1 / minus) / (4 * lam)
+    # where L = 0, Re b and Im b are parallel, so q x = r y and p y = r x and
+    # the L terms vanish whatever dgdu is
+    dgdu = np.where(lam > 0, (1 / plus - 1 / minus) / (4 * np.maximum(lam, 1e-300)), 0.0)
     # gradient in b, then rotated back onto a by conj(w)
     grad_b = (2 * dgds[:, None] * b
               + 2 * dgdu[:, None] * (q[:, None] * x - r[:, None] * y
                                      + 1j * (p[:, None] * y - r[:, None] * x)))
     grad = weight * (np.conj(phases) * grad_b).sum(axis=0)
-    return float(weight * np.sum(0.5 * (plus + minus))), grad
+    moment = 4.0 * weight * float(np.sum(p * q - r * r))
+    return float(weight * np.sum(0.5 * (plus + minus))), grad, moment
 
 
 
@@ -355,9 +356,8 @@ class TestPhaseFamily:
         np.testing.assert_array_equal(np.sort_complex(members(1, "exhaustive")[:, 0]),
                                       np.sort_complex(np.array([1, 1j, -1, -1j])))
         assert 1 / fam.size == 0.25
-        # {1, -1} and {i, -i}, two members each
-        np.testing.assert_array_equal(fam.parity, [[0.0], [1.0]])
-        np.testing.assert_array_equal(fam.class_weights, [0.5, 0.5])
+        # {1, -1} and {i, -i}, two members each, are one global-phase pair
+        np.testing.assert_array_equal(fam.parity, [[0.0]])
 
     def test_exhaustive_n2_sixteen(self):
         assert clifford.build_phase_family(2, "exhaustive").size == 16
@@ -396,15 +396,17 @@ class TestPhaseFamily:
         (64, "pairwise_independent"),
     ])
     def test_classes_match_grouped_members(self, n, mode):
-        # grouping the members gives the family's classes in the same order,
-        # bit for bit; the families group only the parities of their members'
-        # free Z4 digits
+        # grouping the members gives the family's classes and their
+        # complements; the classes are the grouped patterns with coordinate 0
+        # real, in the same order, bit for bit, and every pattern holds the
+        # same share of the members, so the classes weigh 1/P each
         exps = member_exponents(n, mode)
         fam = clifford.build_phase_family(n, mode)
-        parity, weights = grouped_classes(exps)
+        parity, counts = grouped_classes(exps)
         assert fam.size == exps.shape[0]
-        np.testing.assert_array_equal(fam.parity, parity)
-        np.testing.assert_array_equal(fam.class_weights, weights)
+        np.testing.assert_array_equal(fam.parity, parity[parity[:, 0] == 0])
+        assert len(parity) == 2 * len(fam.parity)
+        assert np.all(counts == fam.size // len(parity))
 
     def test_exhaustive_build_holds_only_its_classes(self):
         # the 4^10 members as complex phases took a 289 MiB traced peak
@@ -414,24 +416,24 @@ class TestPhaseFamily:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fam.parity.shape == (2**10, 10)
+        assert fam.parity.shape == (2**9, 10)
         assert peak <= 4 * 2**20
 
     def test_pairwise_n512_memory(self):
         # the family stands for 4^10 members, whose int64 exponents would take
-        # 4 GiB; its 2^10 parity rows of 512 entries take 4 MiB per table
+        # 4 GiB; its 2^9 parity rows of 512 entries take 2 MiB per table
         tracemalloc.start()
         try:
             fam = clifford.build_phase_family(512, "pairwise_independent")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fam.size == 4**10 and fam.parity.shape == (2**10, 512)
+        assert fam.size == 4**10 and fam.parity.shape == (2**9, 512)
         assert peak <= 32 * 2**20
 
-    @pytest.mark.parametrize("n, mode", [(17, "exhaustive"), (513, "pairwise_independent")])
+    @pytest.mark.parametrize("n, mode", [(17, "exhaustive"), (1025, "pairwise_independent")])
     def test_exact_cap_refuses_before_any_row(self, n, mode):
-        # 2^k rows x n entries: 2^17 x 17 and 2^11 x 513 exceed ENUMERATION_CAP;
+        # 2^k rows x n entries: 2^16 x 17 and 2^11 x 1025 exceed ENUMERATION_CAP;
         # either table would take megabytes
         tracemalloc.start()
         try:
@@ -459,8 +461,65 @@ class TestPhaseFamily:
 
     def test_exhaustive_n16_builds(self):
         fam = clifford.build_phase_family(16, "exhaustive")
-        assert fam.size == 4**16 and fam.parity.shape == (2**16, 16)
-        np.testing.assert_array_equal(fam.class_weights, np.full(2**16, 0.5**16))
+        assert fam.size == 4**16 and fam.parity.shape == (2**15, 16)
+        assert not fam.parity[:, 0].any()
+
+    def test_pairwise_n1024_builds(self):
+        # the largest pairwise family: 2^10 rows x 1024 entries is ENUMERATION_CAP
+        fam = clifford.build_phase_family(1024, "pairwise_independent")
+        assert fam.size == 4**11 and fam.parity.shape == (2**10, 1024)
+
+
+class TestGlobalPhaseQuotient:
+    """A family holds one parity class of each pair (O, 1 - O): the global
+    phase i maps the members of one onto the other and keeps every trace norm."""
+
+    @pytest.mark.parametrize("n, mode", [(1, "exhaustive"), (2, "exhaustive"),
+                                         (3, "exhaustive"), (3, "pairwise_independent"),
+                                         (5, "pairwise_independent")])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_global_phase_keeps_the_trace_norm(self, n, mode, data):
+        parts = data.draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                                   min_size=n, max_size=n))
+        a = np.array([complex(x, y) for x, y in parts])
+        for w in members(n, mode):
+            assert abs(clifford.trace_norm_formula(a * (1j * w))
+                       - clifford.trace_norm_formula(a * w)) <= 1e-12
+
+    @pytest.mark.parametrize("n, mode", [
+        *[(n, "exhaustive") for n in range(1, 6)],
+        *[(n, "pairwise_independent") for n in (2, 3, 5, 8, 17)],
+    ])
+    def test_classes_match_member_average(self, n, mode):
+        """Value, gradient and second moment over the classes equal the plain
+        average over every member of the family, on unit rows."""
+        fam = cached_family(n, mode)
+        phases = members(n, mode)
+        rng = np.random.default_rng(60 + n)
+        rows = rng.normal(size=(8, n)) + 1j * rng.normal(size=(8, n))
+        rows[0], rows[1] = np.eye(n)[0], 1j * np.eye(n)[n - 1]
+        rows[2] = rng.normal(size=n)  # real
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        values, grads = clifford.embedding_norm_and_gradient(rows, fam)
+        for row, value, grad in zip(rows, values, grads):
+            ref_value, ref_grad, ref_moment = member_reference(row, fam, phases)
+            assert abs(value - ref_value) <= 1e-12
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12
+            assert abs(clifford.randphase_second_moment(row, fam) - ref_moment) <= 1e-12
+
+    @pytest.mark.parametrize("n, mode", [
+        *[(n, "exhaustive") for n in (1, 2, 3, 6, 10)],
+        *[(n, "pairwise_independent") for n in (1, 2, 3, 5, 8, 17, 100)],
+    ])
+    def test_one_row_per_global_phase_pair(self, n, mode):
+        fam = cached_family(n, mode)
+        assert len(fam.parity) == 2 ** (n - 1 if mode == "exhaustive" else math.ceil(math.log2(n)))
+        rows = {tuple(row) for row in fam.parity.astype(int).tolist()}
+        assert len(rows) == len(fam.parity)
+        assert not fam.parity[:, 0].any()
+        assert not any(tuple(1 - np.array(row)) in rows for row in rows)
+        assert set(np.unique(fam.parity)) <= {0.0, 1.0}
 
 
 class TestDictatorEmbeddingNorm:
@@ -577,7 +636,7 @@ class TestNormGradient:
             assert abs(values[v] - value) <= 1e-12
             assert np.max(np.abs(grads[v] - grad)) <= 1e-12
             if v not in (3, 4):
-                ref_value, ref_grad = member_reference(row, fam, phases)
+                ref_value, ref_grad, _ = member_reference(row, fam, phases)
                 assert abs(value - ref_value) <= 1e-12
                 assert np.max(np.abs(grad - ref_grad)) <= 1e-12
         assert values[3] == 0.0 and not np.any(grads[3])
@@ -586,12 +645,13 @@ class TestNormGradient:
 
 def norm_rows_reference(rows, family):
     """The value-only row kernel that the norm used before it shared the
-    gradient's: (V,) values."""
+    gradient's: (V,) values, the plain mean over the P equally weighted
+    classes."""
     p, q, r = clifford._pqr(rows, family)
     lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
     s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
     vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
-    return vals @ family.class_weights
+    return vals.sum(axis=1) / len(family.parity)
 
 
 class TestOneKernel:
@@ -657,13 +717,13 @@ class TestRowChunks:
         assert np.max(np.abs(grad - whole_grad)) <= 1e-12
 
     def test_peak_memory_is_bounded(self, monkeypatch):
-        # the exhaustive n=12 family has P = 4096 parity classes. One block of
+        # the exhaustive n=13 family has P = 4096 parity classes. One block of
         # 300 rows would hold about 12 (300, P) temporaries at once, 112 MiB;
         # the blocks keep all of them within CHUNK_ENTRIES (32 MiB)
-        fam = clifford.build_phase_family(12, "exhaustive")
+        fam = clifford.build_phase_family(13, "exhaustive")
         assert fam.parity.shape[0] == 4096
         rng = np.random.default_rng(19)
-        fld = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
+        fld = rng.normal(size=(300, 13)) + 1j * rng.normal(size=(300, 13))
         peaks, results = [], []
         for fn in (clifford.dictator_embedding_norm, clifford.embedding_norm_and_gradient):
             tracemalloc.start()

@@ -91,7 +91,7 @@ class TestWritersMatchReference:
         ends = [[int(u) + 1, int(v) + 1] for u, v in inst.ends]
         pis = [[[int(x) + 1 for x in pu], [int(x) + 1 for x in pv]] for pu, pv in inst.pis]
         doc = {"version": 1, "n": inst.n, "k": inst.k, "t": inst.t, "gamma": inst.gamma,
-               "zeta": inst.zeta, "vertices": inst.num_vertices, "ends": ends, "pis": pis}
+               "vertices": inst.num_vertices, "ends": ends, "pis": pis}
         assert (tmp_path / "i.json").read_text() == reference_text(doc)
 
     @pytest.mark.parametrize("labels", [[0, 4, 2, 1], [], np.array([3.0, 0.0])])
@@ -148,7 +148,7 @@ def assert_instance_round_trip(inst):
     """save -> load -> save writes the same bytes twice and loads equal arrays."""
     fileio.save_instance(inst, "first.json")
     back = fileio.load_instance("first.json")
-    for name in ("num_vertices", "n", "k", "t", "gamma", "zeta"):
+    for name in ("num_vertices", "n", "k", "t", "gamma"):
         assert getattr(back, name) == getattr(inst, name)
     for name in ("ends", "pis"):
         got, want = getattr(back, name), getattr(inst, name)
@@ -175,16 +175,31 @@ class TestInstanceRoundTrip:
                            st.floats(allow_nan=False, allow_infinity=False))
         inst = labelcover.LabelCoverInstance(
             num_vertices=vertices, n=n, k=k, t=data.draw(st.integers(1, 4)),
-            gamma=data.draw(finite), zeta=data.draw(finite), ends=ends, pis=pis)
+            gamma=data.draw(finite), ends=ends, pis=pis)
         assert_instance_round_trip(inst)
 
     def test_no_edges(self, tmp_path):
         inst = labelcover.LabelCoverInstance(num_vertices=3, n=2, k=2, t=1, gamma=0.0,
-                                             zeta=0.1, ends=np.zeros((0, 2), dtype=int),
+                                             ends=np.zeros((0, 2), dtype=int),
                                              pis=np.zeros((0, 2, 2), dtype=int))
         assert_instance_round_trip(inst)
         doc = json.loads((tmp_path / "first.json").read_text())
         assert doc["ends"] == [] and doc["pis"] == []
+
+    @pytest.mark.parametrize("zeta", [0.1, math.inf, "recorded only"],
+                             ids=["number", "infinite", "string"])
+    def test_file_carrying_zeta_loads(self, tmp_path, zeta):
+        # earlier versions wrote a zeta key; the reader ignores keys it does not list
+        inst, _ = labelcover.generate_planted(8, 3, 6, 3, 2, seed=7)
+        fileio.save_instance(inst, "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        fileio.dump_json({**doc, "zeta": zeta}, "old.json")
+        back = fileio.load_instance("old.json")
+        assert back.gamma == inst.gamma and not hasattr(back, "zeta")
+        np.testing.assert_array_equal(back.ends, inst.ends)
+        np.testing.assert_array_equal(back.pis, inst.pis)
+        fileio.save_instance(back, "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "new.json").read_bytes()
 
 
 class TestTensorRoundTrip:
@@ -286,7 +301,7 @@ class TestWriterRefusals:
         assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("which", ["gamma", "zeta"])
+    @pytest.mark.parametrize("which", ["gamma"])
     def test_instance_scalars_must_be_finite(self, tmp_path, which, bad):
         inst, _ = labelcover.generate_planted(8, 3, 6, 3, 2, seed=7)
         setattr(inst, which, bad)

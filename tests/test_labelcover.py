@@ -14,19 +14,19 @@ def tiny_instance():
     """Single edge, n=k=2, identity projections."""
     ident = [0, 1]
     return lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0.0,
-                                 zeta=0.1, ends=[[0, 1]], pis=[[ident, ident]])
+                                 ends=[[0, 1]], pis=[[ident, ident]])
 
 
 class TestInstanceModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            lc.LabelCoverInstance(num_vertices=0, n=1, k=1, t=1, gamma=0, zeta=0,
+            lc.LabelCoverInstance(num_vertices=0, n=1, k=1, t=1, gamma=0,
                                   ends=np.empty((0, 2)), pis=np.empty((0, 2, 1)))
         with pytest.raises(ValueError):  # out-of-range projection value
-            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0,
                                   ends=[[0, 1]], pis=[[[0, 5], [0, 1]]])
         with pytest.raises(ValueError):  # self loop
-            lc.LabelCoverInstance(num_vertices=2, n=1, k=1, t=1, gamma=0, zeta=0,
+            lc.LabelCoverInstance(num_vertices=2, n=1, k=1, t=1, gamma=0,
                                   ends=[[0, 0]], pis=[[[0], [0]]])
 
     @pytest.mark.parametrize("ends, pis, match", [
@@ -35,7 +35,7 @@ class TestInstanceModel:
     ], ids=["fractional", "nan"])
     def test_non_integer_arrays_refused(self, ends, pis, match):
         with pytest.raises(ValueError, match=match):
-            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0,
                                   ends=ends, pis=pis)
 
     @pytest.mark.parametrize("labels, match", [([0.7, 1.0], "labels must hold integers, not 0.7"),
@@ -46,7 +46,7 @@ class TestInstanceModel:
             lc.check_assignment(tiny_instance(), labels)
 
     def test_whole_valued_floats_accepted(self):
-        inst = lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+        inst = lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0,
                                      ends=[[0.0, 1.0]], pis=[[[1.0, 0.0], [0.0, 1.0]]])
         assert inst.ends.dtype == inst.pis.dtype == np.int64
         assert inst.ends.tolist() == [[0, 1]] and inst.pis.tolist() == [[[1, 0], [0, 1]]]
@@ -79,7 +79,7 @@ class TestSatisfiedFraction:
         perm = rng.permutation(inst.num_vertices)
         shuffled = lc.LabelCoverInstance(num_vertices=inst.num_vertices, n=inst.n,
                                          k=inst.k, t=inst.t, gamma=inst.gamma,
-                                         zeta=inst.zeta, ends=perm[inst.ends],
+                                         ends=perm[inst.ends],
                                          pis=inst.pis.copy())
         relabeled = np.empty_like(planted)
         relabeled[perm] = planted
@@ -132,7 +132,7 @@ class TestSmoothness:
         pi_u = np.array([0, 0])
         pi_v = np.array([0, 1])
         inst = lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=2, gamma=1.0,
-                                     zeta=0.1, ends=[[0, 1]], pis=[[pi_u, pi_v]])
+                                     ends=[[0, 1]], pis=[[pi_u, pi_v]])
         assert lc.check_smoothness(inst) == 1.0
 
     def test_at_most_one(self):
@@ -287,7 +287,7 @@ def random_edge_instance(num_vertices, num_edges, n, k, seed):
         end[:] = rng.choice(num_vertices, size=2, replace=False)
         pair[0], pair[1] = rng.integers(0, k, n), rng.integers(0, k, n)
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=n, gamma=1.0,
-                                 zeta=0.1, ends=ends, pis=pis)
+                                 ends=ends, pis=pis)
 
 
 class TestCheckersMatchLoops:
@@ -332,7 +332,7 @@ class TestCheckersMatchLoops:
         edges += data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                                     max_size=60 - len(edges) if vertices > 1 else 0))
         inst = lc.LabelCoverInstance(num_vertices=vertices, n=1, k=1, t=1, gamma=1.0,
-                                     zeta=0.1, ends=np.array(edges, dtype=int).reshape(-1, 2),
+                                     ends=np.array(edges, dtype=int).reshape(-1, 2),
                                      pis=np.zeros((len(edges), 2, 1), dtype=int))
         assert type(inst.is_connected()) is bool
         assert inst.is_connected() == loop_is_connected(inst)
@@ -340,7 +340,7 @@ class TestCheckersMatchLoops:
     def test_disconnected(self):
         ident = [0, 1, 2]
         inst = lc.LabelCoverInstance(num_vertices=4, n=3, k=3, t=2, gamma=1.0,
-                                     zeta=0.1, ends=[[0, 1], [2, 3]],
+                                     ends=[[0, 1], [2, 3]],
                                      pis=[[ident, ident], [[0, 0, 1], ident]])
         assert not inst.is_connected() and inst.is_regular()
         assert lc.check_smoothness(inst) == 1.0
@@ -348,7 +348,7 @@ class TestCheckersMatchLoops:
 
     def test_isolated_vertex(self):
         inst = lc.LabelCoverInstance(num_vertices=4, n=2, k=2, t=2, gamma=1.0,
-                                     zeta=0.1, ends=[[0, 1], [1, 2]],
+                                     ends=[[0, 1], [1, 2]],
                                      pis=[[[0, 1], [1, 1]], [[0, 1], [0, 1]]])
         np.testing.assert_array_equal(inst.degrees(), [1, 2, 1, 0])
         assert not inst.is_connected() and not inst.is_regular()
@@ -358,7 +358,7 @@ class TestCheckersMatchLoops:
     @pytest.mark.parametrize("num_vertices", [1, 3])
     def test_no_edges(self, num_vertices):
         inst = lc.LabelCoverInstance(num_vertices=num_vertices, n=2, k=1, t=2, gamma=1.0,
-                                     zeta=0.1, ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
+                                     ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
         assert inst.ends.shape == (0, 2) and inst.pis.shape == (0, 2, 2)
         assert inst.max_preimage_size() == 0 and lc.check_smoothness(inst) == 0.0
         assert inst.is_connected() == (num_vertices == 1)
@@ -434,7 +434,7 @@ class TestWeakExpansionMatchesLoop:
         num_vertices = 20_000
         ends = lc._circulant_edges(num_vertices, 4)
         inst = lc.LabelCoverInstance(num_vertices=num_vertices, n=1, k=1, t=1, gamma=1.0,
-                                     zeta=0.1, ends=ends, pis=np.zeros((len(ends), 2, 1)))
+                                     ends=ends, pis=np.zeros((len(ends), 2, 1)))
         monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**18)
         tracemalloc.start()
         try:
@@ -469,5 +469,5 @@ class TestEdgeArrays:
     ])
     def test_validation(self, ends, pis, message):
         with pytest.raises(ValueError, match=message):
-            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0, zeta=0,
+            lc.LabelCoverInstance(num_vertices=2, n=2, k=2, t=1, gamma=0,
                                   ends=ends, pis=pis)

@@ -71,7 +71,7 @@ COMMON = [("not-an-object", not_an_object), ("no-version", dropped(["version"]))
 CASES = {
     "instance": COMMON + [
         *((f"missing-{name}", dropped([name]))
-          for name in ("vertices", "n", "k", "t", "gamma", "zeta", "ends", "pis")),
+          for name in ("vertices", "n", "k", "t", "gamma", "ends", "pis")),
         ("null-n", replaced(["n"], None)),
         ("string-gamma", replaced(["gamma"], "0.5")),
         ("null-end", replaced(["ends", 0, 0], None)),
@@ -93,7 +93,6 @@ CASES = {
         ("false-vertex", replaced(["ends", 3, 1], False)),
         # json reads NaN and Infinity; every numeric field must be finite
         ("nan-gamma", replaced(["gamma"], math.nan)),
-        ("infinite-zeta", replaced(["zeta"], math.inf)),
     ],
     "assignment": COMMON + [
         ("missing-labels", dropped(["labels"])),

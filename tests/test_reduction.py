@@ -21,13 +21,13 @@ from ncglab.config import DENSE_DIM_CAP, SUBSPACE_RESIDUAL_TOL
 def single_edge_constant_projection():
     """One edge, n=2, k=1: both projections send everything to label 0."""
     return lc.LabelCoverInstance(num_vertices=2, n=2, k=1, t=2, gamma=1.0,
-                                 zeta=0.1, ends=[[0, 1]], pis=np.zeros((1, 2, 2)))
+                                 ends=[[0, 1]], pis=np.zeros((1, 2, 2)))
 
 
 def identity_projection_instance(num_vertices=4, degree=2, n=3):
     vertices = np.arange(num_vertices)
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=n, t=1,
-                                 gamma=0.0, zeta=0.1,
+                                 gamma=0.0,
                                  ends=np.stack([vertices, (vertices + 1) % num_vertices], axis=1),
                                  pis=np.tile(np.arange(n), (num_vertices, 2, 1)))
 
@@ -219,7 +219,7 @@ class TestConstraintsMatchLoop:
 
     def test_no_edges(self):
         inst = lc.LabelCoverInstance(num_vertices=3, n=2, k=1, t=2, gamma=1.0,
-                                     zeta=0.1, ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
+                                     ends=np.empty((0, 2)), pis=np.empty((0, 2, 2)))
         cs = red.build_constraints(inst)
         assert cs.matrix.shape == (0, 6)
 
@@ -386,7 +386,7 @@ def matching_union_instance(num_vertices, matchings, n, k, t, seed):
     pool = np.repeat(np.arange(k), t)
     pis = [[rng.permutation(pool)[:n] for _ in range(2)] for _ in ends]
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=k, t=t, gamma=1.0,
-                                 zeta=0.1, ends=ends, pis=pis)
+                                 ends=ends, pis=pis)
 
 
 class TestBandMatchesSuperLu:
@@ -600,14 +600,14 @@ class TestBackendFromKernel:
             backend.little_op()
 
     @pytest.mark.parametrize("maker, largest, d", [
-        (red.clifford_backend, 6, 512), (red.comm_real_backend, 9, 512),
+        (red.clifford_backend, 6, 256), (red.comm_real_backend, 9, 512),
         (red.comm_complex_backend, 4, 256)])
     def test_little_op_side_cap(self, maker, largest, d, monkeypatch):
         """The largest n builds; one more gives side 1024 (Clifford: twice the
-        classes and the generator side, 2048) and is refused before any
+        classes and the generator side, from 256) and is refused before any
         member, generator or image exists."""
         assert maker(largest).little_op().d == d <= DENSE_DIM_CAP
-        refused = 2048 if maker is red.clifford_backend else 1024
+        refused = 1024
 
         def never(*args):
             raise AssertionError("members or generators built")
@@ -639,14 +639,15 @@ def member_images(n, dense_generators):
 
 class TestClassImages:
     """Clifford little_op images take one block per parity class of the
-    family, P p_c C(a o w_c) with w_c = i^O_c, instead of one per member."""
+    family, C(a o w_c) with w_c = i^O_c, instead of one per member."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_norms_match_member_images(self, n, dense_generators):
         backend = red.clifford_backend(n)
         classes = backend.little_op()
         _, reference = member_images(n, dense_generators)
-        assert reference.shape[1] == 4**n * classes.d // 2**n
+        # 2^(n-1) classes stand for the 4^n members
+        assert reference.shape[1] == 4**n * classes.d // 2 ** (n - 1)
         rng = np.random.default_rng(40 + n)
         for a in [*np.eye(n), *(rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n)))]:
             by_class = linalg.schatten1_norm(classes.apply(a))
@@ -692,7 +693,7 @@ def kron_factor(backend, dense_generators):
     n = backend.n
     if backend.name == "clifford":
         family = backend.kernel
-        diags = np.where(family.parity, 1j, 1) * len(family.parity) * family.class_weights[:, None]
+        diags = np.where(family.parity, 1j, 1)
         blocks = dense_generators(clifford.make_generators(n))
     else:
         diags, blocks = commutative.exhaustive_members(backend.kernel), [np.ones((1, 1))] * n

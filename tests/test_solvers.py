@@ -86,14 +86,14 @@ class TestLittleOperator:
     # Clifford images have one block per parity class of the family: d is
     # the class count times the generator side 2^ceil(n/2)
     @pytest.mark.parametrize("backend,n,kwargs,d", [
-        pytest.param("clifford", 2, {}, 8, id="clifford"),
+        pytest.param("clifford", 2, {}, 4, id="clifford"),
         pytest.param("comm_complex", 2, {}, 16, id="comm_complex"),
         pytest.param("comm_real", 2, {}, 4, id="comm_real"),
     ] + [
         pytest.param("clifford", n, {"mode": mode}, d, id=f"clifford-{mode}-n{n}")
         for mode, sides in [
-            ("exhaustive", (4, 8, 32, 64, 256, 512)),
-            ("pairwise_independent", (4, 8, 32, 32, 128, 128, 256, 256))]
+            ("exhaustive", (2, 4, 16, 32, 128, 256)),
+            ("pairwise_independent", (2, 4, 16, 16, 64, 64, 128, 128, 512, 512))]
         for n, d in enumerate(sides, start=1) if (mode, n) != ("exhaustive", 2)])
     def test_materialization_matches_backend_norm(self, backend, n, kwargs, d):
         emb = BACKEND_BUILDERS[backend](n, **kwargs)
@@ -105,8 +105,10 @@ class TestLittleOperator:
         assert s == pytest.approx(emb.norm(a), abs=1e-12)
 
     def test_clifford_materialization_cap(self):
-        with pytest.raises(ValueError, match="d = 2048 at n=7 exceeds cap"):
+        with pytest.raises(ValueError, match="d = 1024 at n=7 exceeds cap"):
             BACKEND_BUILDERS["clifford"](7).little_op()
+        with pytest.raises(ValueError, match="d = 1024 at n=11 exceeds cap"):
+            BACKEND_BUILDERS["clifford"](11, "pairwise_independent").little_op()
 
 
 class TestAdjoint:
@@ -224,14 +226,23 @@ class TestLift:
     def test_clifford_n3_lift(self):
         op = BACKEND_BUILDERS["clifford"](3).little_op()
         tensor = solvers.lift_little_to_big(op)
-        assert tensor.d == 32 and tensor.nnz == 1792
+        assert tensor.d == 16 and tensor.nnz == 448
         rng = np.random.default_rng(15)
         for _ in range(3):
-            a_mat, b_mat = random_complex(rng, 32, 32), random_complex(rng, 32, 32)
+            a_mat, b_mat = random_complex(rng, 16, 16), random_complex(rng, 16, 16)
             ua = solvers.adjoint_apply(op, a_mat)
             ub = solvers.adjoint_apply(op, b_mat)
             assert abs(evaluate_bilinear(tensor, a_mat, b_mat)
                        - np.sum(ua * np.conj(ub))) <= 1e-10
+
+    def test_clifford_n6_lift_reaches_one(self):
+        # the largest exhaustive Clifford lift: 32 parity classes of side 8.
+        # Basis vectors have norm 1 and the norm bound caps every other unit
+        # vector, so the lifted optimum is 1
+        tensor = solvers.lift_little_to_big(BACKEND_BUILDERS["clifford"](6).little_op())
+        assert tensor.d == 256 and tensor.nnz == 147_456
+        value = solvers.ncg_opt_lower_bound(tensor, restarts=8, iters=100, seed=0).value
+        assert abs(value - 1.0) <= 1e-9
 
 
 class TestEvaluateBilinear:
