@@ -6,8 +6,8 @@ from .linalg import (embed_complex_as_hermitian, embed_hermitian_as_real_symmetr
                      polar_unitary, rho, schatten1_norm, schatten_inf_norm)
 from .clifford import (ETA, TAU, CliffordGenerators, PhaseFamily, build_phase_family,
                        clifford_map, dictator_embedding_norm, embedding_norm_bound,
-                       make_generators, parallelogram, randphase_second_moment,
-                       spread_threshold, trace_norm_formula)
+                       make_generators, randphase_second_moment, spread_threshold,
+                       trace_norm_formula)
 from .commutative import (COMPLEX_LIMIT, REAL_LIMIT, SignEnsemble, berry_esseen_profile,
                           embedding_l1_norm)
 from .labelcover import (LabelCoverInstance, check_smoothness, check_weak_expansion,

@@ -185,9 +185,18 @@ def _cmd_embed_verify(args):
                     and not any(c.sum() for mask, c in zip(gens.masks, gens.phases) if not mask))
     rows = [["generator_suite", n, "exact", 0.0, 0.0, suite_ok]]
 
+    # a third of the draws lie on the kink sum_j a_j^2 = 0, where C(a) drops to half
+    # rank (a_{2k+1} = i a_{2k}, a lone last coordinate 0), and a third are rotated
+    # real vectors e^{i theta} Re a; Gaussian draws reach neither
+    drawn, third = vectors(), trials // 3
+    kinks, rotated = drawn[:third], drawn[third:2 * third]
+    kinks[:, 1::2] = 1j * kinks[:, 0:n - 1:2]
+    if n % 2:
+        kinks[:, -1] = 0.0
+    rotated[:] = np.exp(1j * np.angle(rotated[:, :1])) * rotated.real
     formula_err = max(abs(clifford.trace_norm_formula(a)
                           - linalg.schatten1_norm(clifford.clifford_map(a, gens)))
-                      for a in vectors())
+                      for a in drawn)
     rows.append(["formula_vs_svd", n, f"{trials} trials", formula_err, 1e-8,
                  formula_err <= 1e-8])
 

@@ -7,10 +7,8 @@ The pieces, in dependency order:
   trace-zero, pairwise anticommuting ``Z x ... x Z x {X or Y} x I x ... x I``
   of side ``2^m``, each held as a signed permutation (one phase per row);
 * the linear map ``C(a) = a_1 C_1 + ... + a_n C_n``;
-* the parallelogram area ``L(a)`` spanned by ``Re a`` and ``Im a``, which
-  controls the two-level singular value split of ``C(a)``;
-* the exact trace-norm formula
-  ``||C(a)||_S1 = (sqrt(s + 2 L) + sqrt(s - 2 L)) / 2`` with ``s = ||a||_2^2``;
+* the exact trace-norm formula ``||C(a)||_S1 = sqrt((s + |sum_j a_j^2|) / 2)``
+  with ``s = ||a||_2^2``, the larger singular value of ``[Re a, Im a]``;
 * phase families over ``{1, i, -1, -i}^n`` (exhaustive or pairwise
   independent), held as one equally weighted parity class per global-phase
   pair, and the phase-averaged embedding norm ``E_w ||C(a o w)||_S1``, which
@@ -40,10 +38,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 PHASE_VALUES = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
-# Temporaries the batch kernel holds at once, counted in (rows, P + n) arrays:
-# the traced peaks are 11.0 of them at P = 32 (exhaustive n=6, 300 rows) and
-# 12.0 at P = 32768 (exhaustive n=16, 4 rows).
-_GRADIENT_LIVE = 13
+# Temporaries the batch kernel holds at once, counted in (rows, P + n) float64
+# arrays: the traced peaks are 4.1 of them at P = 32 (exhaustive n=6, 300 rows),
+# 3.25 at P = 32768 (exhaustive n=16, 4 rows) and, the most over exhaustive
+# n = 1-16 and pairwise n = 2-1024, 6.25 at P = 1 (n=1, 20000 rows scaled out of
+# the 2^+-200 band), where the (rows, n) arrays dominate.
+_GRADIENT_LIVE = 7
 
 
 @dataclass
@@ -97,7 +97,7 @@ def clifford_map(a, gens: CliffordGenerators) -> np.ndarray:
 
 def _scaled(a: np.ndarray):
     """a (..., n) times 2^k, and k per vector: 0, keeping every bit, unless max_j |a_j|
-    lies outside 2^+-200; then k takes it into [1/2, 1), where L^2 and s^1.5 stay normal."""
+    lies outside 2^+-200; then k takes it into [1/2, 1), where the squares stay normal."""
     top = np.abs(a).max(axis=-1, initial=0.0)  # inf past the largest float
     if 2.0**-200 <= top.min(initial=1.0) and top.max(initial=1.0) < 2.0**200:
         return a, 0
@@ -106,22 +106,14 @@ def _scaled(a: np.ndarray):
     return linalg._from_pairs(np.ldexp(linalg._pairs(a), k[..., None, None])), k
 
 
-def parallelogram(a) -> float:
-    """Area of the parallelogram spanned by Re(a) and Im(a)."""
-    a, k = _scaled(np.asarray(a, dtype=np.complex128).reshape(-1))
-    x, y = a.real, a.imag
-    # >= 0 by Cauchy-Schwarz; a negative value is rounding
-    return math.ldexp(math.sqrt(max(float((x @ x) * (y @ y) - (x @ y) ** 2), 0.0)), -2 * int(k))
-
-
 def trace_norm_formula(a) -> float:
-    """Closed form for ||C(a)||_S1: (sqrt(s + 2L) + sqrt(s - 2L)) / 2 with
-    s = ||a||_2^2 and L the parallelogram area. Restricted to real vectors
-    this is just ||a||_2 (L = 0), i.e. the map is a real isometry."""
+    """Closed form for ||C(a)||_S1: sqrt((s + |sum_j a_j^2|) / 2) with
+    s = ||a||_2^2, the larger singular value of [Re a, Im a] (see
+    _norm_and_gradient_rows). Restricted to real vectors this is just ||a||_2,
+    i.e. the map is a real isometry."""
     a, k = _scaled(np.asarray(a, dtype=np.complex128).reshape(-1))
     s = float(np.sum(np.abs(a) ** 2))
-    lam = parallelogram(a)  # s >= 2 ||x|| ||y|| >= 2L, so s - 2L < 0 is rounding
-    return math.ldexp(0.5 * (math.sqrt(s + 2 * lam) + math.sqrt(max(s - 2 * lam, 0.0))), -int(k))
+    return math.ldexp(math.sqrt((s + abs(complex(np.sum(a * a)))) / 2), -int(k))
 
 
 @dataclass
@@ -134,26 +126,26 @@ class PhaseFamily:
         exactly uniform over the 16 phase pairs, with only O(n^2) members.
 
     Every average below depends on a member only through its parity
-    pattern O_j = [w_j imaginary]: (Re, Im) of a_j w_j is +-(x_j, y_j) for
-    w_j = +-1 and +-(-y_j, x_j) for w_j = +-i, and the sign cancels in the
-    sums p, q, r (see _pqr). The global phase i takes O to 1 - O, which swaps
-    p and q and negates r, so it keeps L and every gradient term. Each family
-    splits its members evenly over the pairs (O, 1 - O), and parity keeps the
-    one O of each pair with coordinate 0 real: P classes of equal weight 1/P,
-    P = 32 for the 4096-member exhaustive family at n=6.
+    pattern O_j = [w_j imaginary]: b = a o w has b_j^2 = sign_j a_j^2 with
+    sign_j = 1 - 2 O_j, and ||C(b)||_S1 reads b only through ||b||_2 = ||a||_2
+    and |sum_j b_j^2| (see _norm_and_gradient_rows). The global phase i takes O
+    to 1 - O, which negates sign and the sum, so it keeps the value and every
+    gradient term. Each family splits its members evenly over the pairs
+    (O, 1 - O), and parity keeps the one O of each pair with coordinate 0 real:
+    P classes of equal weight 1/P, P = 32 for the 4096-member exhaustive
+    family at n=6.
     """
 
     mode: str
     n: int
     size: int  # members
     parity: np.ndarray = field(repr=False)  # (P, n), 1.0 where w_j is imaginary
-    even: np.ndarray = field(init=False, repr=False)  # (P, n), 1 - parity
-    sign: np.ndarray = field(init=False, repr=False)  # (P, n), even - parity
+    sign: np.ndarray = field(init=False, repr=False)  # (P, n) complex, 1 - 2 parity
 
     def __post_init__(self):
-        # the kernels' other two (P, n) factors, kept so that no call rebuilds them
-        self.even = 1.0 - self.parity
-        self.sign = self.even - self.parity
+        # the kernel's (P, n) factor, kept so that no call rebuilds it, and
+        # complex so that no complex matmul casts it
+        self.sign = np.where(self.parity, -1.0 + 0j, 1.0 + 0j)
 
 
 def build_phase_family(n: int, mode: str = "exhaustive") -> PhaseFamily:
@@ -197,23 +189,10 @@ def _rows(a, n: int) -> np.ndarray:
     return rows
 
 
-def _pqr(rows: np.ndarray, family: PhaseFamily):
-    """Sums p, q, r of Re(b)^2, Im(b)^2 and Re(b) Im(b) over b = a o w, per
-    row a = x + iy of ``rows`` (V, n) and per parity class O; each (V, P).
-    With E = 1 - O they are exactly p = E.x^2 + O.y^2, q = E.y^2 + O.x^2
-    and r = (E - O).xy for every member of the class (see PhaseFamily), so
-    the sums over members collapse to matmuls over the P classes.
-    """
-    x, y = rows.real, rows.imag
-    odd, even = family.parity, family.even
-    xx, yy = x * x, y * y
-    return xx @ even.T + yy @ odd.T, yy @ even.T + xx @ odd.T, (x * y) @ family.sign.T
-
-
 def _norm_and_gradient(a, family: PhaseFamily):
     """_norm_and_gradient_rows over blocks of a's rows, joined along the rows (the
     first row's, for one vector); an empty batch is one empty block. The kernel holds
-    at most _GRADIENT_LIVE (block rows, P) or (block rows, n) float64 temporaries at
+    at most _GRADIENT_LIVE (block rows, P + n) float64 arrays' worth of temporaries at
     once, so blocks of CHUNK_ENTRIES / (_GRADIENT_LIVE (P + n)) rows stay within it."""
     rows = _rows(a, family.n)
     step = max(1, config.CHUNK_ENTRIES // (_GRADIENT_LIVE * (family.parity.shape[0] + family.n)))
@@ -228,8 +207,8 @@ def dictator_embedding_norm(a, family: PhaseFamily):
     block-diagonal embedding (+)_w C(a o w).
 
     ``a`` is one vector (n,), giving a float, or rows (V, n), giving a (V,)
-    array. Standard basis vectors give exactly 1 (a o w is purely real or
-    purely imaginary, so L vanishes).
+    array. Standard basis vectors give exactly 1 (each b = a o w has one
+    entry, so |sum_j b_j^2| = s = 1).
     """
     return _norm_and_gradient(a, family)[0]
 
@@ -244,11 +223,13 @@ def embedding_norm_bound(a) -> float:
 
 
 def randphase_second_moment(a, family: PhaseFamily) -> float:
-    """4 E_w[ L(a o w)^2 ]; equals ||a||_2^4 - ||a||_4^4 exactly under any
-    family whose coordinate pairs are uniform (pairwise terms are all the
+    """4 E_w[ L(a o w)^2 ], L the parallelogram area of (Re, Im) of a o w, i.e.
+    E_w[ s^2 - |sum_j (a o w)_j^2|^2 ]; equals ||a||_2^4 - ||a||_4^4 exactly under
+    any family whose coordinate pairs are uniform (pairwise terms are all the
     proof of that identity uses)."""
-    p, q, r = _pqr(_rows(np.reshape(a, -1), family.n), family)
-    return 4.0 * float((p * q - r * r)[0].mean())
+    rows = _rows(np.reshape(a, -1), family.n)
+    s = np.sum(np.abs(rows) ** 2)
+    return float((s * s - np.abs((rows * rows) @ family.sign.T) ** 2).mean())
 
 
 def embedding_norm_and_gradient(a, family: PhaseFamily):
@@ -258,43 +239,37 @@ def embedding_norm_and_gradient(a, family: PhaseFamily):
     rows (V, n), giving ((V,) values, (V, n) gradients) in one pass. The
     gradient is packed as a complex vector g with d/dx_j = Re g_j and
     d/dy_j = Im g_j for a = x + iy, so an ascent step is simply a + t*g.
-    Kinks (s = 2L) are handled by clamping the inner inverse square root;
-    callers should track best iterates rather than rely on smoothness.
+    At a kink, where some member has sum_j (a o w)_j^2 = 0, the gradient is
+    one subgradient; callers should track best iterates rather than rely on
+    smoothness.
     """
     return _norm_and_gradient(a, family)
 
 
 def _norm_and_gradient_rows(rows: np.ndarray, family: PhaseFamily):
     """(V,) values and (V, n) gradients of a batch of rows, taken on the rows
-    times 2^k (see _scaled): the value scales back and the gradient is scale-free."""
-    rows, k = _scaled(rows)
-    x, y = rows.real, rows.imag
-    s = np.sum(np.abs(rows) ** 2, axis=1)
-    nonzero = s > 0.0
-    # A zero row has value and gradient 0. Setting s = 1 there only
-    # keeps the inverse square roots finite; its x = y = 0 zero the gradient.
-    s = np.where(nonzero, s, 1.0)[:, None]
-    p, q, r = _pqr(rows, family)
-    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
-    sqrt_plus = np.sqrt(s + 2 * lam)
-    sqrt_minus = np.sqrt(np.maximum(s - 2 * lam, 0.0))
-    value = np.ldexp(np.where(nonzero, 0.5 * (sqrt_plus + sqrt_minus).mean(axis=1), 0.0), -k)
+    times 2^k (see _scaled): the value scales back and the gradient is scale-free.
 
-    inv_plus = 1.0 / sqrt_plus
-    inv_minus = 1.0 / np.sqrt(np.maximum(s - 2 * lam, 1e-12 * s))
-    dgds = 0.25 * (inv_plus + inv_minus)
-    # d/d(L^2) has the finite limit -1/(2 s^(3/2)) as L -> 0.
-    dgdu = np.where(lam < 1e-9 * s, -0.25 / s**1.5,
-                    (inv_plus - inv_minus) / (4.0 * np.maximum(lam, 1e-300)))
-    # d(L^2)/dx_j = 2 x_j (q E_j + p O_j) - 2 r (E_j - O_j) y_j, and
-    # d(L^2)/dy_j = 2 y_j (q O_j + p E_j) - 2 r (E_j - O_j) x_j.
-    odd, even = family.parity, family.even
-    c = dgdu / len(odd)  # each class weighs 1/P
-    gs = dgds.mean(axis=1, keepdims=True)
-    cross = (c * r) @ family.sign
-    gx = 2 * x * (gs + (c * q) @ even + (c * p) @ odd) - 2 * y * cross
-    gy = 2 * y * (gs + (c * q) @ odd + (c * p) @ even) - 2 * x * cross
-    return value, gx + 1j * gy
+    A member b = a o w of class c has b_j^2 = sign[c, j] a_j^2, so z = sum_j b_j^2
+    is one matmul, and [Re b, Im b] has Gram eigenvalues (s +- |z|) / 2 with
+    s = ||a||_2^2. C(b)'s two singular value levels are the sum and the
+    difference of their square roots, so ||C(b)||_S1 = v = sqrt((s + |z|) / 2),
+    a sum of nonnegative terms. Its gradient is (a + sign zhat conj(a)) / (2 v),
+    zhat = z / |z|, and zhat = 0 at the kink z = 0 gives a subgradient there.
+    """
+    rows, k = _scaled(rows)
+    z = (rows * rows) @ family.sign.T
+    v = np.abs(z)
+    np.divide(z, v, out=z, where=v > 0.0)  # zhat, left at z = 0 on the kink
+    v += np.sum(np.abs(rows) ** 2, axis=1, keepdims=True)
+    v *= 0.5
+    np.sqrt(v, out=v)
+    value = np.ldexp(v.mean(axis=1), -k)
+    # h = 1 / (2 P v) in v's place, each class weighing 1/P; a zero row has v = 0,
+    # which stays, and zeroes its gradient
+    h = np.divide(0.5 / len(family.sign), v, out=v, where=v > 0.0)
+    z *= h
+    return value, rows * h.sum(axis=1, keepdims=True) + rows.conj() * (z @ family.sign)
 
 
 # Dictatorship-test constants of the phase-averaged matrix embedding: basis

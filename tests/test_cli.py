@@ -324,9 +324,9 @@ class TestEmbedVerify:
         assert lines[0].startswith("check,")
         assert len(lines) >= 5
         assert file_sha256(tmp_path / "embed.csv") == \
-            "2b9a71a57b4e052decb44fa7dc7e6a1bc13eaf6f4d083618b171aa69972416eb"
+            "16b8492585026d581d54fda256dcbabc796c389e12a8d1741098e11343802559"
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "b41364f0e8a6e7f43ebe30451f359ddadde74570a2eecb66babc905b44bac9f1"
+            "d8acd0ef46e9e18dbf2db1e780f2000bdf67ad60e692c36ba59e3bebca65aad2"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     @pytest.mark.parametrize("corrupt", [
@@ -406,13 +406,13 @@ class TestEmbedVerify:
         assert main(["embed-verify", "--n", "6", "--mode", "pairwise_independent",
                      "--seed", "3", "--trials", "30"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "cfa219b97280dfa41b787509ac88f2a8e901e699460eea600446f92b56e33da3"
+            "2f3b1f5d90a6b7a30faf1ea16d35f8a0f0b4854c2ad8baa61ca48ea250992d50"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     def test_single_coordinate_degenerate_pass(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "1", "--seed", "3", "--trials", "20"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "48d1afe16645bb7c4355a82f0db76ac177dab5e7fae89a8337919667bb222ecf"
+            "1ea03b6a3fe0c5640853425419792e84340e2ef2ea56a150d7cf78e938d5080d"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
 

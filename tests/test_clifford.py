@@ -209,17 +209,6 @@ class TestCliffordMap:
             assert clifford.clifford_map(a, gens).tobytes() == dense.tobytes()
 
 
-class TestParallelogram:
-    def test_real_vector_zero(self):
-        assert clifford.parallelogram([1.0, -2.0, 0.5]) == 0.0
-
-    def test_quarter_turn_pair(self):
-        assert clifford.parallelogram(np.array([1, 1j]) / np.sqrt(2)) == pytest.approx(0.5)
-
-    def test_aligned_parts_zero(self):
-        assert clifford.parallelogram([1 + 1j, 0]) == pytest.approx(0.0, abs=1e-15)
-
-
 class TestTraceNormFormula:
     def test_basis_vector(self):
         assert clifford.trace_norm_formula([1.0]) == pytest.approx(1.0)
@@ -246,8 +235,8 @@ class TestTraceNormFormula:
 
 class TestExtremeScales:
     """A row outside 2^+-200 enters the kernels scaled by an exact power of
-    two, so p q, r^2 and s^1.5 neither underflow nor overflow: the value
-    scales by 2^k and the gradient keeps every bit."""
+    two, so its squares neither underflow nor overflow: the value scales by
+    2^k and the gradient keeps every bit."""
 
     ROW = np.array([0.3 + 0.1j, -0.5, 0.2j])  # largest |a_j| 1/2: the scaled rows' form
 
@@ -274,10 +263,8 @@ class TestExtremeScales:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             formula = clifford.trace_norm_formula(self.ROW * 2.0**k)
-            area = clifford.parallelogram(self.ROW * 2.0**k)
             bound = clifford.embedding_norm_bound(self.ROW * 2.0**k)
         assert formula == math.ldexp(clifford.trace_norm_formula(self.ROW), k)
-        assert area == math.ldexp(clifford.parallelogram(self.ROW), 2 * k)
         # at 2^-360 the fourth powers underflowed and the bound read below the norm
         assert bound == math.ldexp(clifford.embedding_norm_bound(self.ROW), k)
         # the kernels see the row itself: largest |a_j| back in [1/2, 1)
@@ -286,8 +273,8 @@ class TestExtremeScales:
 
     @pytest.mark.parametrize("scale", [1e-110, 1e-300, 5e-324, 1e200, 1e300])
     def test_real_row_gradient_is_finite(self, scale):
-        # a real row takes the L -> 0 limit -1/(2 s^(3/2)), which at |a| ~ 1e-110
-        # divided by an underflowed s^1.5
+        # a gradient read as an L -> 0 limit -1/(2 s^(3/2)) once divided here by
+        # an underflowed s^1.5 (at |a| ~ 1e-110)
         fam = cached_family(3, "exhaustive")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -312,8 +299,8 @@ class TestExtremeScales:
 
 
 class TestClosedFormRounding:
-    """Both radicands are >= 0 in exact arithmetic (Cauchy-Schwarz, and
-    s >= 2 ||Re a|| ||Im a|| >= 2L); a rounded negative value reads as 0."""
+    """Inputs where a form through L = sqrt((x.x)(y.y) - (x.y)^2) and
+    sqrt(s - 2L) rounds its radicands below 0; the closed form has none."""
 
     @pytest.mark.parametrize("n", [6, 12, 18])
     def test_rotated_real_vectors(self, n):
@@ -347,6 +334,75 @@ class TestClosedFormRounding:
             c = scale * np.exp(1j * rng.uniform(0, 2 * np.pi))
             want = scale * clifford.trace_norm_formula(a)
             assert abs(clifford.trace_norm_formula(c * a) - want) <= 1e-12 * want
+
+
+def kinks(rng, n, count):
+    """count complex vectors on the kink sum_j a_j^2 = 0, exactly as stored:
+    a_{2k+1} = i a_{2k}, and a lone last coordinate 0. (The computed sum rounds
+    to about 1e-16.)"""
+    a = random_complex_vec(rng, (count, n))
+    a[:, 1::2] = 1j * a[:, 0:n - 1:2]
+    if n % 2:
+        a[:, -1] = 0.0
+    return a
+
+
+def rotated_real(rng, n, count):
+    """count vectors e^{i theta} x, x real."""
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, size=(count, 1))) * rng.normal(size=(count, n))
+
+
+# parts below 2^-100 would make a rotated vector's entries subnormal
+NORMAL_PART = st.floats(-1, 1).filter(lambda t: t == 0 or abs(t) > 2**-100)
+
+
+class TestExactAgainstSvd:
+    """Every class value is a sum of nonnegative terms, so it keeps its digits
+    where C(b) drops to half rank (sum_j b_j^2 = 0) and on rotated real vectors,
+    which a form sqrt(s - 2L) with L = sqrt(p q - r^2) missed by up to 1e-8."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_formula_on_kinks_and_rotated_real(self, n):
+        rng = np.random.default_rng(70 + n)
+        gens = clifford.make_generators(n)
+        for a in np.concatenate([kinks(rng, n, 20), rotated_real(rng, n, 20)]):
+            direct = linalg.schatten1_norm(clifford.clifford_map(a, gens))
+            assert abs(clifford.trace_norm_formula(a) - direct) <= 1e-12
+
+    @pytest.mark.parametrize("n, mode", [*[(n, "exhaustive") for n in range(1, 9)],
+                                         (8, "pairwise_independent")])
+    def test_family_on_kinks_and_rotated_real(self, n, mode):
+        # e^{i theta} 1 / sqrt(n) is a kink of every class with as many imaginary
+        # phases as real ones
+        rng = np.random.default_rng(80 + n)
+        theta = rng.uniform(0, 2 * np.pi, size=(6, 1))
+        rows = np.concatenate([kinks(rng, n, 6), rotated_real(rng, n, 6),
+                               np.exp(1j * theta) * np.ones(n) / np.sqrt(n)])
+        fam = cached_family(n, mode)
+        values, _ = clifford.embedding_norm_and_gradient(rows, fam)
+        assert np.max(np.abs(values - svd_reference(rows, fam))) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.tuples(NORMAL_PART, NORMAL_PART), min_size=1, max_size=8),
+           theta=st.floats(0, 2 * np.pi), kink=st.booleans(),
+           mode=st.sampled_from(["exhaustive", "pairwise_independent"]))
+    def test_global_phase_invariance_property(self, parts, theta, kink, mode):
+        # With u = 2^-53, s and z = sum_j sign_j a_j^2 come out within about
+        # 3 (n + 3) u s, and s + |z| >= s, so sqrt((s + |z|) / 2) is within about
+        # (1.5 (n + 3) + 1) u relative, the mean over P <= 2^(n-1) classes adds
+        # (n - 1) u, and rounding e^{i theta} a moves it by at most 3.3 u ||a||_2
+        # (the value is 1-Lipschitz in l2). Two evaluations stay within
+        # (5 n + 17) u ||a||_2 <= 4 (n + 4) 2^-52 ||a||_2.
+        a = np.array([complex(x, y) for x, y in parts])
+        n = a.size
+        if kink:
+            a[1::2] = 1j * a[0:n - 1:2]
+        tol = 4 * (n + 4) * 2.0**-52 * np.linalg.norm(a)
+        turned = np.exp(1j * theta) * a
+        fam = cached_family(n, mode)
+        assert abs(clifford.dictator_embedding_norm(turned, fam)
+                   - clifford.dictator_embedding_norm(a, fam)) <= tol
+        assert abs(clifford.trace_norm_formula(turned) - clifford.trace_norm_formula(a)) <= tol
 
 
 class TestPhaseFamily:
@@ -613,6 +669,26 @@ class TestNormGradient:
             assert dx == pytest.approx(grad[j].real, abs=1e-5)
             assert dy == pytest.approx(grad[j].imag, abs=1e-5)
 
+    @pytest.mark.parametrize("n, mode", [(2, "exhaustive"), (4, "exhaustive"),
+                                         (6, "exhaustive"), (8, "pairwise_independent")])
+    def test_subgradient_at_kinks(self, n, mode):
+        # the value is a mean of norms, so g is a subgradient at a exactly when
+        # Re<g, a> = value(a) and value(a + t d) >= value(a) + t Re<g, d> for all d.
+        # zhat = 0 keeps both on a kink; a gradient through
+        # 1/sqrt(max(s - 2L, 1e-12 s)) there broke the second by up to 0.18 t
+        rng = np.random.default_rng(90 + n)
+        fam = cached_family(n, mode)
+        theta = rng.uniform(0, 2 * np.pi, size=(4, 1))
+        rows = np.concatenate([kinks(rng, n, 4), np.exp(1j * theta) * np.ones(n) / np.sqrt(n)])
+        values, grads = clifford.embedding_norm_and_gradient(rows, fam)
+        assert np.max(np.abs(np.sum(grads.conj() * rows, axis=1).real - values)) <= 1e-12
+        t = 1e-4
+        for a, value, g in zip(rows, values, grads):
+            d = random_complex_vec(rng, (200, n))
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+            moved = clifford.dictator_embedding_norm(a + t * d, fam)
+            assert np.min(moved - value - t * (d @ g.conj()).real) >= -1e-12
+
 
     @pytest.mark.parametrize("n, mode", [
         (3, "exhaustive"),
@@ -643,21 +719,20 @@ class TestNormGradient:
         assert values[4] == pytest.approx(1.0, abs=1e-12)
 
 
-def norm_rows_reference(rows, family):
-    """The value-only row kernel that the norm used before it shared the
-    gradient's: (V,) values, the plain mean over the P equally weighted
-    classes."""
-    p, q, r = clifford._pqr(rows, family)
-    lam = np.sqrt(np.maximum(p * q - r * r, 0.0))
-    s = np.sum(np.abs(rows) ** 2, axis=1)[:, None]
-    vals = 0.5 * (np.sqrt(s + 2 * lam) + np.sqrt(np.maximum(s - 2 * lam, 0.0)))
-    return vals.sum(axis=1) / len(family.parity)
+def svd_reference(rows, family):
+    """(V,) values E_w ||C(a o w)||_S1 from dense SVDs, one per row and parity
+    class, the class's member w = i^O standing for all of it (see
+    TestGlobalPhaseQuotient)."""
+    gens = clifford.make_generators(family.n)
+    phases = np.where(family.parity, 1j, 1)
+    return np.array([np.mean([linalg.schatten1_norm(clifford.clifford_map(row * w, gens))
+                              for w in phases]) for row in rows])
 
 
 class TestOneKernel:
     """The norm and the ascent read one row kernel, so a certificate and an
-    ascent iterate give the same number for the same vector, and the norm
-    keeps the bits of the value-only formula it replaced."""
+    ascent iterate give the same bits for the same vector, one vector the bits
+    of the one-row batch, and both the dense SVDs' value."""
 
     @pytest.mark.parametrize("n, mode", [
         (3, "exhaustive"),
@@ -665,19 +740,22 @@ class TestOneKernel:
         (8, "pairwise_independent"),
         (5, "pairwise_independent"),
     ])
-    def test_norm_keeps_the_value_formula_bits(self, n, mode):
+    def test_norm_and_gradient_share_the_value_bits(self, n, mode):
         rng = np.random.default_rng(20)
         fam = clifford.build_phase_family(n, mode)
         fld = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
         fld[3] = 0.0
         fld[4], fld[5] = np.eye(n)[0], 1j * np.eye(n)[n - 1]
         fld[6] = rng.normal(size=n)  # real
-        value = norm_rows_reference(fld, fam)
-        assert clifford.dictator_embedding_norm(fld, fam).tobytes() == value.tobytes()
+        # a kink of the classes where w_0 and w_1 share a parity
+        fld[7] = np.exp(0.7j) * (np.eye(n)[0] + 1j * np.eye(n)[1])
+        value = clifford.dictator_embedding_norm(fld, fam)
         assert clifford.embedding_norm_and_gradient(fld, fam)[0].tobytes() == value.tobytes()
+        assert np.max(np.abs(value - svd_reference(fld, fam))) <= 1e-12
         for row in fld[:8]:
             one = clifford.dictator_embedding_norm(row, fam)
-            assert isinstance(one, float) and one == norm_rows_reference(row[None], fam)[0]
+            assert isinstance(one, float)
+            assert one == clifford.dictator_embedding_norm(row[None], fam)[0]
             assert clifford.embedding_norm_and_gradient(row, fam)[0] == one
 
 
@@ -718,7 +796,7 @@ class TestRowChunks:
 
     def test_peak_memory_is_bounded(self, monkeypatch):
         # the exhaustive n=13 family has P = 4096 parity classes. One block of
-        # 300 rows would hold about 12 (300, P) temporaries at once, 112 MiB;
+        # 300 rows would hold about 3 (300, P) temporaries at once, 30 MiB;
         # the blocks keep all of them within CHUNK_ENTRIES (32 MiB)
         fam = clifford.build_phase_family(13, "exhaustive")
         assert fam.parity.shape[0] == 4096
@@ -739,6 +817,20 @@ class TestRowChunks:
         assert np.max(np.abs(results[0] - whole)) <= 1e-12
         assert np.max(np.abs(results[1][0] - whole_value)) <= 1e-12
         assert np.max(np.abs(results[1][1] - whole_grad)) <= 1e-12
+
+    @pytest.mark.parametrize("n, rows, scale", [(6, 300, 1.0), (16, 4, 1.0), (1, 20000, 2.0**300)])
+    def test_one_block_within_its_budget(self, n, rows, scale):
+        # the blocks are sized by _GRADIENT_LIVE, so it must bound what one
+        # block allocates: P = 32, P = 32768, and the rows-dominated P = 1
+        fam = clifford.build_phase_family(n, "exhaustive")
+        fld = scale * random_complex_vec(np.random.default_rng(21), (rows, n))
+        tracemalloc.start()
+        try:
+            clifford._norm_and_gradient_rows(fld, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= clifford._GRADIENT_LIVE * rows * (fam.parity.shape[0] + n) * 8
 
     # the benchmark's shapes: exhaustive n=6 at 40 vertices, pairwise n=8 at 300
     @pytest.mark.parametrize("n, mode, rows", [(6, "exhaustive", 40),

@@ -1018,6 +1018,43 @@ class TestOperatorNormLowerBound:
         assert v0 >= eps**2 * inst.num_vertices
 
 
+def constant_field_value(backend, n):
+    """||f(1/sqrt(n))|| computed without the backend's kernel: the mean of dense
+    SVDs over the Clifford parity classes, or of |<1/sqrt(n), z>| over every
+    enumerated sign or phase vector z."""
+    one = np.ones(n) / np.sqrt(n)
+    if backend.name == "clifford":
+        gens = clifford.make_generators(n)
+        return np.mean([linalg.schatten1_norm(clifford.clifford_map(one * w, gens))
+                        for w in np.where(backend.kernel.parity, 1j, 1)])
+    base = 2 if backend.is_real else 4
+    digits = np.arange(base**n)[:, None] // base ** np.arange(n) % base
+    members = 1 - 2.0 * digits if backend.is_real else clifford.PHASE_VALUES[digits]
+    return np.abs(members @ one).mean()
+
+
+class TestDimOneSubspace:
+    """On a random t = 1 instance H is the constant field alone, so every ascent
+    must return ||f(1/sqrt(n))|| exactly: a value above it would be a lower bound
+    above the quantity it bounds."""
+
+    @pytest.mark.parametrize("maker, mode, num_vertices, n", [
+        (red.clifford_backend, "exhaustive", 300, 8),
+        (red.clifford_backend, "pairwise_independent", 300, 8),
+        (red.comm_real_backend, "exhaustive", 300, 8),
+        (red.comm_complex_backend, "exhaustive", 40, 4),  # 2 s at V=300, n=8
+    ])
+    def test_ascent_is_the_constant_field_value(self, maker, mode, num_vertices, n):
+        inst = lc.generate_random(num_vertices, 4, n, n, 1, seed=1)
+        cs = red.build_constraints(inst)
+        basis = red.subspace_basis(cs)
+        assert basis.dim == 1
+        backend = maker(n, mode)
+        result = red.operator_norm_lower_bound(inst, backend, restarts=2, iters=10, seed=0,
+                                               cs=cs, basis=basis)
+        assert abs(result.value - constant_field_value(backend, n)) <= 1e-12
+
+
 def dense_basis_ascent(inst, cs, backend, *, restarts, iters, seed):
     """The coordinate ascent over an orthonormal SVD basis E of the subspace
     that the field-space ascent replaced. Its starts are E^T of the same
