@@ -20,7 +20,7 @@ print()
 print("=== Constraint subspace ===")
 cs = red.build_constraints(inst)
 basis = red.subspace_basis(cs)
-print(f"constraint rows: {cs.matrix.shape[0]}, field dimension: {cs.matrix.shape[1]}, "
+print(f"constraint rows: {cs.shape[0]}, field dimension: {cs.shape[1]}, "
       f"subspace dimension: {basis.dim}")
 fld = red.assignment_to_field(inst, planted)
 print(f"one-hot planted field: norm {red.field_l2_norm(fld):.1f}, "

@@ -206,7 +206,7 @@ def _cmd_embed_verify(args):
 
     excess = max(clifford.dictator_embedding_norm(a, family) - clifford.embedding_norm_bound(a)
                  for a in vectors())
-    rows.append(["norm_bound", n, family.mode, excess, 0.0, excess <= 1e-8])
+    rows.append(["norm_bound", n, family.mode, excess, 1e-8, excess <= 1e-8])
 
     moment_err = max(abs(clifford.randphase_second_moment(a, family)
                          - float(np.sum(np.abs(a)**2)**2 - np.sum(np.abs(a)**4)))

@@ -46,6 +46,15 @@ def _from_pairs(pairs) -> np.ndarray:
     return np.asarray(pairs, dtype=np.float64, order="C").view(np.complex128)[..., 0]
 
 
+def _complex_bincount(index, weights, length: int) -> np.ndarray:
+    """np.bincount for complex weights: out[i] sums weights[index == i] in
+    order from zero, for i < length."""
+    out = np.empty(length, dtype=np.complex128)
+    out.real = np.bincount(index, weights.real, minlength=length)
+    out.imag = np.bincount(index, weights.imag, minlength=length)
+    return out
+
+
 def _components(count: int, u, v) -> np.ndarray:
     """The least index of each vertex's connected component in the graph on
     range(count) with an edge (u[e], v[e]) per e. Each vertex starts as its

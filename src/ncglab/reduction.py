@@ -15,7 +15,11 @@ an assignment by sampling labels at coordinates of large magnitude.
 The L2(V) geometry is the vertex-averaged one: ||b||^2 = E_v ||b_v||^2, so
 one-hot fields always have norm exactly 1.
 
-scipy is imported where it is used, so `import ncglab` loads numpy alone.
+The constraint matrix A is held as its (row, column, value) triplets, and
+every one-shot product with it is a numpy gather and bincount. scipy is
+imported only where A is factored and applied over and over, in
+subspace_basis and SubspaceBasis.project, so `import ncglab` loads numpy
+alone and a completeness certificate never loads scipy.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from . import clifford, commutative, solvers
 from .config import (CERTIFICATE_SLACK, DEFAULT_ITERS, DEFAULT_RESTARTS, DENSE_DIM_CAP,
                      SUBSPACE_RESIDUAL_TOL)
 from .labelcover import LabelCoverInstance, check_assignment, satisfied_fraction
-from .linalg import _pairs
+from .linalg import _complex_bincount, _pairs
 from .solvers import _sphere_ascent
 
 
@@ -44,13 +48,24 @@ class DecodeInvariantError(RuntimeError):
 
 @dataclass(eq=False)
 class ConstraintSystem:
-    """Sparse homogeneous system over fields, one row per (edge, small label).
+    """Sparse homogeneous system A b = 0 over fields, one row per (edge, small
+    label), held as A's COO triplets: entry e puts values[e] at (rows[e],
+    cols[e]), and entries at one position add up.
 
     Row (e=(u,v), j) holds +1 on columns (u, i) for i in pi_eu^-1(j) and -1 on
     (v, i) for i in pi_ev^-1(j); the column of (v, i) is v*n + i.
     """
 
-    matrix: scipy.sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def matrix(self) -> scipy.sparse.csr_matrix:
+        """A as a CSR matrix, built on each call."""
+        import scipy.sparse
+        return scipy.sparse.csr_matrix((self.values, (self.rows, self.cols)), shape=self.shape)
 
 
 def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
@@ -60,10 +75,8 @@ def build_constraints(inst: LabelCoverInstance) -> ConstraintSystem:
     row_idx = np.arange(num_edges).reshape(-1, 1, 1) * k + inst.pis
     col_idx = inst.ends[:, :, None] * n + np.arange(n)
     data = np.broadcast_to(np.array([1.0, -1.0]).reshape(1, 2, 1), row_idx.shape)
-    shape = (num_edges * k, inst.num_vertices * n)
-    import scipy.sparse
-    return ConstraintSystem(matrix=scipy.sparse.csr_matrix(
-        (data.ravel(), (row_idx.ravel(), col_idx.ravel())), shape=shape))
+    return ConstraintSystem(rows=row_idx.ravel(), cols=col_idx.ravel(), values=data.ravel(),
+                            shape=(num_edges * k, inst.num_vertices * n))
 
 
 # Shift of the factored A A^T + mu I, relative to the Gershgorin bound g:
@@ -137,10 +150,9 @@ def subspace_basis(cs: ConstraintSystem) -> SubspaceBasis:
     and the gap leaves the rank ambiguous, and a projected fixed probe must
     meet SUBSPACE_RESIDUAL_TOL; each failure raises a ValueError naming it.
     """
-    import scipy.sparse
     from scipy.linalg.lapack import dpbtrf
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    matrix = scipy.sparse.csr_matrix(cs.matrix)
+    matrix = cs.matrix
     rows, total = matrix.shape
     gram = matrix @ matrix.T
     g = float(np.asarray(abs(gram).sum(axis=1)).max(initial=0.0))
@@ -188,8 +200,9 @@ def field_l2_norm(fld) -> float:
 
 def constraint_residual(cs: ConstraintSystem, fld) -> float:
     """max |A b| over the constraint rows; 0 without rows."""
-    sums = cs.matrix @ _pairs(fld).reshape(-1, 2)
-    return float(np.hypot(sums[:, 0], sums[:, 1]).max(initial=0.0))
+    flat = np.asarray(fld, dtype=np.complex128).reshape(-1)
+    sums = _complex_bincount(cs.rows, flat[cs.cols] * cs.values, cs.shape[0])
+    return float(np.abs(sums).max(initial=0.0))
 
 
 def assignment_to_field(inst: LabelCoverInstance, labels) -> np.ndarray:
@@ -214,7 +227,8 @@ class EmbeddingBackend:
 
     norm(a) evaluates ||f(a)|| for a vector (n,), or the (V,) row norms of a field
     (V, n) in one call; norm_and_gradient maps either to norms and complex-packed
-    subgradients. little_op() holds f as a sparse matrix: f(a) = little_op().apply(a).
+    subgradients. little_op() holds f as the entries of its images: f(a) =
+    little_op().apply(a).
     """
 
     kernel: clifford.PhaseFamily | commutative.SignEnsemble
@@ -249,7 +263,7 @@ class EmbeddingBackend:
         return commutative.embedding_l1_gradient(a, self.kernel)
 
     def little_op(self) -> solvers.LittleOperator:
-        """f as the sparse (n, d^2) matrix of row-major images f(e_i) = kron(diag(c_i
+        """f as the entries of its row-major images f(e_i) = kron(diag(c_i
         over rows c), G_i), G_i the i-th Clifford generator or [[1]] for a scalar
         embedding, whose rows are its exhaustive members. The matrix embedding has
         a row per parity class, in any mode: class c, of parity O_c, gives the block
@@ -277,9 +291,8 @@ class EmbeddingBackend:
         data = diags.T[:, :, None] * gens.phases[:self.n, None, :]
         # row r of the block diagonal has G_i's entry at column r ^ mask, as mask < block side
         cols = np.arange(d) * d + (np.arange(d) ^ gens.masks[:self.n, None])
-        import scipy.sparse
-        return solvers.LittleOperator(scipy.sparse.csr_matrix(
-            (data.ravel(), cols.ravel(), np.arange(self.n + 1) * d), shape=(self.n, d * d)))
+        return solvers.LittleOperator(self.n, d, rows=np.repeat(np.arange(self.n), d),
+                                      cols=cols.ravel(), values=data.ravel())
 
 
 def clifford_backend(n: int, mode: str = "exhaustive", *, seed: int | None = None,

@@ -2,15 +2,16 @@
 of unitaries, and a heuristic alternating maximizer for the latter.
 
 A little operator F: C^n -> (d x d matrices, normalized trace norm) is held
-as the sparse (n, d^2) matrix F whose row m is f(e_m) flattened row-major.
-With the inner product <X, Y> = d^-1 Tr(X* Y) its adjoint sends a matrix A
-to the vector u with u_m = d^-1 Tr(f(e_m)* A), and the lifted tensor
+as the entries of its images: entry e puts values[e] into f(e_m), m =
+rows[e], at the row-major flat position cols[e] = i*d + j. With the inner
+product <X, Y> = d^-1 Tr(X* Y) its adjoint sends a matrix A to the vector u
+with u_m = d^-1 Tr(f(e_m)* A), and the lifted tensor
 
     T_{ijkl} = d^-2 sum_m conj(f(e_m)_{ij}) f(e_m)_{kl}
 
 represents T(A, B) = <F*(A), F*(B)> as the contraction
-sum T_{ijkl} A_{ij} conj(B_{kl}), held as one sparse (d^2 x d^2) matrix with
-rows i*d+j and columns k*d+l. Its optimum over pairs of unitaries equals
+sum T_{ijkl} A_{ij} conj(B_{kl}), held as its index quadruples (i, j, k, l)
+and their coefficients. Its optimum over pairs of unitaries equals
 ||F||^2, so alternating closed-form polar steps on T give certified lower
 bounds for the squared operator norm.
 
@@ -21,19 +22,20 @@ block-diagonal, so lifts have many small blocks. The solver restricts T to
 the block coordinates, held dense when no larger than as CSR, and takes its
 polar steps blockwise, advancing the restarts of a chunk together.
 
-scipy is imported where it is used, so `import ncglab` loads numpy alone.
+Products, lifts and restrictions are numpy index arithmetic. scipy is
+imported only for a restriction held as CSR, so `import ncglab` loads numpy
+alone and a lift, or a solve on a dense restriction, never loads scipy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import (CHUNK_ENTRIES, DEFAULT_ITERS, DEFAULT_RESTARTS, DEFAULT_TOL,
                      DENSE_DIM_CAP)
-from .linalg import _components, _int64, as_matrix, polar_unitary
+from .linalg import _complex_bincount, _components, _int64, as_matrix, polar_unitary
 
 # Largest sum_m nnz(f(e_m))^2, the bound on the lifted tensor's nonzeros.
 LIFT_CAP = 1 << 22
@@ -41,26 +43,35 @@ LIFT_CAP = 1 << 22
 
 @dataclass(eq=False)
 class LittleOperator:
-    """Linear map into d x d matrices, held as the sparse (n, d^2) matrix f
-    whose row m is f(e_m) flattened row-major."""
+    """Linear map a -> sum_m a_m f(e_m) into d x d matrices, held as the
+    entries of its n images: entry e puts values[e] into f(e_m), m = rows[e],
+    at the row-major flat position cols[e] = i*d + j. Entries at one position
+    add up."""
 
-    f: scipy.sparse.csr_matrix
-    n: int = field(init=False)
-    d: int = field(init=False)
+    n: int
+    d: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        import scipy.sparse
-        self.f = scipy.sparse.csr_matrix(self.f, dtype=np.complex128)
-        self.n, cols = self.f.shape
-        self.d = math.isqrt(cols)
-        if self.d < 1 or self.d**2 != cols:
-            raise ValueError(f"f has {cols} columns, not d^2 for any d >= 1")
+        if self.n < 0 or self.d < 1:
+            raise ValueError(f"need n >= 0 images of side d >= 1, not n={self.n}, d={self.d}")
+        self.rows = _int64(self.rows, "rows").reshape(-1)
+        self.cols = _int64(self.cols, "cols").reshape(-1)
+        self.values = np.asarray(self.values, dtype=np.complex128).reshape(-1)
+        if not self.rows.size == self.cols.size == self.values.size:
+            raise ValueError("rows, cols and values differ in length")
+        if self.rows.size and (min(self.rows.min(), self.cols.min()) < 0
+                               or self.rows.max() >= self.n or self.cols.max() >= self.d**2):
+            raise ValueError(f"entry outside the {self.n} images or their {self.d}^2 positions")
 
     def apply(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.complex128).reshape(-1)
         if a.size != self.n:
             raise ValueError("vector length does not match operator")
-        return (self.f.T @ a).reshape(self.d, self.d)
+        return _complex_bincount(self.cols, self.values * a[self.rows],
+                                 self.d**2).reshape(self.d, self.d)
 
 
 def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
@@ -69,21 +80,19 @@ def adjoint_apply(op: LittleOperator, a_mat) -> np.ndarray:
     a_mat = as_matrix(a_mat)
     if a_mat.shape != (op.d, op.d):
         raise ValueError(f"matrix shape {a_mat.shape} does not match operator d={op.d}")
-    return op.f.conj() @ a_mat.reshape(-1) / op.d
+    return _complex_bincount(op.rows, op.values.conj() * a_mat.reshape(-1)[op.cols],
+                             op.n) / op.d
 
 
 @dataclass(eq=False)
 class NcgTensor:
     """Sparse four-index coefficient array of a bilinear form over pairs of
-    d x d matrices, evaluated as sum T_{ijkl} A_{ij} conj(B_{kl}).
-
-    ``matrix`` holds the same entries as a (d^2 x d^2) CSR matrix with rows
-    i*d+j and columns k*d+l, so T(A, B) = vec(A)^T T conj(vec(B))."""
+    d x d matrices, evaluated as sum T_{ijkl} A_{ij} conj(B_{kl}), held as
+    its distinct index quadruples and their coefficients."""
 
     d: int
     indices: np.ndarray  # (nnz, 4) int
     coeffs: np.ndarray  # (nnz,) complex
-    matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.d <= DENSE_DIM_CAP:
@@ -97,13 +106,14 @@ class NcgTensor:
             raise ValueError("index and coefficient counts differ")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.d):
             raise ValueError("tensor index out of range")
-        i, j, k, l = self.indices.T
-        import scipy.sparse
-        # building the CSR matrix sums duplicates, so a repeated quadruple
-        # shows as fewer stored entries
-        self.matrix = scipy.sparse.csr_matrix(
-            (self.coeffs, (i * self.d + j, k * self.d + l)), shape=(self.d**2, self.d**2))
-        if self.matrix.nnz != self.nnz:
+        # one int64 key per quadruple, < d^4 <= 2^36; sorted, a repeat sits
+        # next to its first
+        keys = np.zeros(self.nnz, dtype=np.int64)
+        for column in self.indices.T:
+            keys *= self.d
+            keys += column
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate index quadruples")
 
     @property
@@ -120,18 +130,58 @@ def tensor_from_matrix(m) -> NcgTensor:
 
 
 def lift_little_to_big(op: LittleOperator) -> NcgTensor:
-    """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>, computed as the
-    sparse product F^H F / d^2. Entries come in (i, j, k, l) lexicographic
-    order without exact zeros."""
-    size = int(np.sum(np.diff(op.f.indptr).astype(np.int64) ** 2))
+    """Tensor of the bilinear form (A, B) -> <F*(A), F*(B)>: the product
+    F^H F / d^2 over flat positions p = i*d + j and q = k*d + l.
+
+    The images of one support S form a dense block D on S and add D^H D on
+    S x S: a scalar lift has one such group, a Clifford lift one per
+    generator mask. One stable sort of the int64 keys p*d^2 + q merges the
+    groups' nonzeros, and the entries of a key that partly overlapping
+    supports share are summed. einsum sums each entry of D^H D over the
+    images in order and without the fused multiply-adds of a BLAS product,
+    as the sparse product F^H F does, so the entries carry its bits. They
+    come in (i, j, k, l) lexicographic order, without exact zeros."""
+    counts = np.bincount(op.rows, minlength=op.n)
+    size = int(np.sum(counts**2))
     if size > LIFT_CAP:
         raise ValueError(f"lift size sum_m nnz(f_m)^2 = {size} exceeds cap {LIFT_CAP}")
-    t = (op.f.conj().T @ op.f).tocoo()
-    t.data /= op.d**2
-    t.eliminate_zeros()
-    t.sum_duplicates()  # a product has no duplicates: this sorts by (row, column)
-    indices = np.stack([t.row // op.d, t.row % op.d, t.col // op.d, t.col % op.d], axis=1)
-    return NcgTensor(d=op.d, indices=indices, coeffs=t.data)
+    groups = {}
+    for entries in np.split(np.lexsort((op.cols, op.rows)), np.cumsum(counts)[:-1]):
+        if entries.size:
+            support = np.unique(op.cols[entries])
+            groups.setdefault(support.tobytes(), (support, []))[1].append(entries)
+    d2 = op.d**2
+    keys, coeffs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
+    for support, members in groups.values():
+        entries = np.concatenate(members)
+        member = np.repeat(np.arange(len(members)), [e.size for e in members])
+        flat = member * support.size + np.searchsorted(support, op.cols[entries])
+        block = _complex_bincount(flat, op.values[entries], len(members) * support.size)
+        block = block.reshape(len(members), support.size)
+        product = np.einsum("mp,mq->pq", block.conj(), block).reshape(-1)
+        nonzero = np.flatnonzero(product)
+        p, q = np.divmod(nonzero, support.size)
+        keys.append(support[p] * d2 + support[q])
+        coeffs.append(product[nonzero])
+    keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
+    # each group's keys ascend, and a stable sort merges such runs fast
+    order = np.argsort(keys, kind="stable")
+    keys, coeffs = keys[order], coeffs[order]
+    del order
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    if not first.all():
+        starts = np.flatnonzero(first)
+        keys, coeffs = keys[starts], np.add.reduceat(coeffs, starts)
+        kept = coeffs != 0
+        keys, coeffs = keys[kept], coeffs[kept]
+    coeffs /= d2
+    coeffs += 0.0  # F^H F sums from zero, so none of its zero parts is negative
+    indices = np.empty((keys.size, 4), dtype=np.int64)
+    np.divmod(keys, d2, out=(indices[:, 0], indices[:, 2]))
+    del keys
+    np.divmod(indices[:, 0], op.d, out=(indices[:, 0], indices[:, 1]))
+    np.divmod(indices[:, 2], op.d, out=(indices[:, 2], indices[:, 3]))
+    return NcgTensor(d=op.d, indices=indices, coeffs=coeffs)
 
 
 @dataclass
@@ -162,6 +212,12 @@ class _Blocks:
     @property
     def size(self) -> int:
         return self.coords.size
+
+    def positions(self, flat) -> np.ndarray:
+        """Block-stack positions of the flat positions ``flat``, each inside a block."""
+        where = np.empty(self.d * self.d, dtype=np.int64)
+        where[self.coords] = np.arange(self.size)
+        return where[flat]
 
     def dense(self, stack: np.ndarray) -> np.ndarray:
         """The d x d matrix with the blocks of ``stack`` and zeros elsewhere."""
@@ -216,15 +272,30 @@ def _blocks(d: int, support) -> _Blocks:
 
 def _tensor_blocks(tensor: NcgTensor) -> _Blocks:
     """Blocks of a tensor's support, its rows (i, j) and columns (k, l)."""
-    mat = tensor.matrix
-    return _blocks(tensor.d, np.union1d(np.flatnonzero(np.diff(mat.indptr)), mat.indices))
+    d, (i, j, k, l) = tensor.d, tensor.indices.T
+    seen = np.zeros(d * d, dtype=bool)
+    seen[i * d + j] = seen[k * d + l] = True
+    return _blocks(d, np.flatnonzero(seen))
 
 
 def _restricted(tensor: NcgTensor, blocks: _Blocks):
     """T on the block coordinates, dense when that takes no more memory than CSR
-    (16 B an entry against 16 B and a 4 B index a nonzero): size^2 <= 1.25 nnz."""
-    t_mat = tensor.matrix[blocks.coords][:, blocks.coords]
-    return t_mat.toarray() if 4 * blocks.size**2 <= 5 * t_mat.nnz else t_mat
+    (16 B an entry against 16 B and a 4 B index a nonzero): size^2 <= 1.25 nnz.
+    A CSR row keeps its entries in the order of their flat columns k*d + l,
+    the order a product with it sums them in."""
+    d, (i, j, k, l) = tensor.d, tensor.indices.T
+    flat_col = k * d + l
+    row, col = blocks.positions(i * d + j), blocks.positions(flat_col)
+    if 4 * blocks.size**2 <= 5 * tensor.nnz:
+        t_mat = np.zeros((blocks.size, blocks.size), dtype=np.complex128)
+        t_mat[row, col] = tensor.coeffs
+        return t_mat
+    import scipy.sparse
+    # the keys are distinct; a stable sort merges the runs a sorted tensor leaves
+    order = np.argsort(row * d**2 + flat_col, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=blocks.size))))
+    return scipy.sparse.csr_matrix((tensor.coeffs[order], col[order], indptr),
+                                   shape=(blocks.size, blocks.size))
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -358,8 +429,9 @@ def little_norm_lower_bound(op: LittleOperator, *, restarts: int = DEFAULT_RESTA
 
     Returns (value, maximizing vector).
     """
-    blocks = _blocks(op.d, np.unique(op.f.indices))
-    images = op.f[:, blocks.coords].toarray()
+    blocks = _blocks(op.d, np.unique(op.cols))
+    images = _complex_bincount(op.rows * blocks.size + blocks.positions(op.cols), op.values,
+                               op.n * blocks.size).reshape(op.n, blocks.size)
 
     def norm_and_grad(a):
         m = (a @ images)[None]

@@ -324,9 +324,9 @@ class TestEmbedVerify:
         assert lines[0].startswith("check,")
         assert len(lines) >= 5
         assert file_sha256(tmp_path / "embed.csv") == \
-            "16b8492585026d581d54fda256dcbabc796c389e12a8d1741098e11343802559"
+            "e7d8a18a3d06ff625249023e8544a7cc49411dc4d400085b4bcdeda9ea2091b7"
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "d8acd0ef46e9e18dbf2db1e780f2000bdf67ad60e692c36ba59e3bebca65aad2"
+            "d668bce1519028a5bdfcd5af3c9789913be38d76f6ece1b677997d03c8b02289"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     @pytest.mark.parametrize("corrupt", [
@@ -406,14 +406,24 @@ class TestEmbedVerify:
         assert main(["embed-verify", "--n", "6", "--mode", "pairwise_independent",
                      "--seed", "3", "--trials", "30"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "2f3b1f5d90a6b7a30faf1ea16d35f8a0f0b4854c2ad8baa61ca48ea250992d50"
+            "5024d78a6bdee1bfde55027bbd9fa07a69bb408c93daf25ca59fdd44bd1e8ceb"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
 
     def test_single_coordinate_degenerate_pass(self, tmp_path, capsys):
         assert main(["embed-verify", "--n", "1", "--seed", "3", "--trials", "20"]) == 0
         assert file_sha256(tmp_path / "embed-verify.report.json") == \
-            "1ea03b6a3fe0c5640853425419792e84340e2ef2ea56a150d7cf78e938d5080d"
+            "e4af4b034178bf252735f7088208d53703aa975e0d59552c726a00d221448ead"
         assert capsys.readouterr().out == EMBED_VERIFY_PASS
+
+    def test_each_row_passes_exactly_within_its_bound(self, tmp_path):
+        # at n=1 the norm rounds 4.4e-16 above embedding_norm_bound, the two
+        # being equal in exact arithmetic; the row must show the 1e-8 it allows
+        assert main(["embed-verify", "--n", "1", "--seed", "3", "--trials", "20"]) == 0
+        rows = json.loads((tmp_path / "embed-verify.report.json").read_text())["rows"]
+        norm_bound = next(row for row in rows if row[0] == "norm_bound")
+        assert float(norm_bound[3]) > 0.0 and float(norm_bound[4]) == 1e-8
+        for _, _, _, value, bound, passed in rows:
+            assert (float(value) <= float(bound)) == (passed == "True")
 
 
 class TestCommVerify:
@@ -840,10 +850,14 @@ assert run("embed-verify", "--n", "4", "--seed", "3", "--trials", "20") == 0
 assert run("comm-verify", "--field", "real", "--n-list", "1,2,4", "--seed", "1") == 0
 assert run("report", "--inputs", "gen-labelcover.report.json", "check-instance.report.json",
            "decode.report.json", "embed-verify.report.json", "comm-verify.report.json") == 0
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
 assert run("reduce", "--instance", "inst.json", "--assignment", "planted.json",
            "--backend", "comm_real") == 0
+assert run("lift", "--backend", "comm_complex", "--n", "3", "--out", "tensor.json") == 0
+assert run("solve-ncg", "--tensor", "tensor.json", "--seed", "0") == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+from ncglab import reduction
+reduction.subspace_basis(reduction.build_constraints(fileio.load_instance("inst.json")))
 assert "scipy.sparse" in sys.modules
 """
 

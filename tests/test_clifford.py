@@ -796,24 +796,32 @@ class TestRowChunks:
 
     def test_peak_memory_is_bounded(self, monkeypatch):
         # the exhaustive n=13 family has P = 4096 parity classes. One block of
-        # 300 rows would hold about 3 (300, P) temporaries at once, 30 MiB;
-        # the blocks keep all of them within CHUNK_ENTRIES (32 MiB)
+        # 600 rows holds about _GRADIENT_LIVE (600, P) float64 arrays' worth of
+        # temporaries, 59 MiB traced; the blocks keep them within CHUNK_ENTRIES
+        # (32 MiB), 14 MiB traced. One block must break the bound, so the test
+        # tells the two apart
         fam = clifford.build_phase_family(13, "exhaustive")
         assert fam.parity.shape[0] == 4096
         rng = np.random.default_rng(19)
-        fld = rng.normal(size=(300, 13)) + 1j * rng.normal(size=(300, 13))
-        peaks, results = [], []
-        for fn in (clifford.dictator_embedding_norm, clifford.embedding_norm_and_gradient):
-            tracemalloc.start()
-            try:
-                results.append(fn(fld, fam))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= 40 * 2**20
+        fld = rng.normal(size=(600, 13)) + 1j * rng.normal(size=(600, 13))
+
+        def traced(fns):
+            peaks, results = [], []
+            for fn in fns:
+                tracemalloc.start()
+                try:
+                    results.append(fn(fld, fam))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return max(peaks), results
+
+        fns = (clifford.dictator_embedding_norm, clifford.embedding_norm_and_gradient)
+        peak, results = traced(fns)
+        assert peak <= 40 * 2**20
         monkeypatch.setattr(config, "CHUNK_ENTRIES", 2**40)  # one block
-        whole = clifford.dictator_embedding_norm(fld, fam)
-        whole_value, whole_grad = clifford.embedding_norm_and_gradient(fld, fam)
+        one_block_peak, (whole, (whole_value, whole_grad)) = traced(fns)
+        assert one_block_peak > 40 * 2**20
         assert np.max(np.abs(results[0] - whole)) <= 1e-12
         assert np.max(np.abs(results[1][0] - whole_value)) <= 1e-12
         assert np.max(np.abs(results[1][1] - whole_grad)) <= 1e-12

@@ -24,6 +24,19 @@ def single_edge_constant_projection():
                                  ends=[[0, 1]], pis=np.zeros((1, 2, 2)))
 
 
+def constraint_system(matrix):
+    """The constraint system of a dense or sparse matrix A, from its COO triplets."""
+    coo = scipy.sparse.coo_matrix(matrix)
+    return red.ConstraintSystem(rows=coo.row, cols=coo.col, values=coo.data, shape=coo.shape)
+
+
+def image_stack(op):
+    """A little operator's (n, d, d) dense image stack."""
+    images = np.zeros((op.n, op.d * op.d), dtype=np.complex128)
+    np.add.at(images, (op.rows, op.cols), op.values)
+    return images.reshape(op.n, op.d, op.d)
+
+
 def identity_projection_instance(num_vertices=4, degree=2, n=3):
     vertices = np.arange(num_vertices)
     return lc.LabelCoverInstance(num_vertices=num_vertices, n=n, k=n, t=1,
@@ -55,6 +68,36 @@ class TestConstraints:
         assert red.constraint_residual(cs, fld) > 0.1
 
 
+class TestConstraintResidual:
+    """constraint_residual's gather and bincounts against a CSR product."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 8),
+           seed=st.integers(0, 2**16), is_complex=st.booleans())
+    def test_matches_csr_product_property(self, data, rows, cols, seed, is_complex):
+        entry = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                          st.floats(-2.0, 2.0, allow_nan=False))
+        entries = data.draw(st.lists(entry, min_size=1, max_size=30))
+        # repeated (row, col) positions, whose values add up
+        entries += data.draw(st.lists(st.sampled_from(entries), max_size=10))
+        r, c, v = (np.array(x) for x in zip(*entries))
+        cs = red.ConstraintSystem(rows=r, cols=c, values=v, shape=(rows, cols))
+        rng = np.random.default_rng(seed)
+        fld = rng.normal(size=cols) + (1j * rng.normal(size=cols) if is_complex else 0.0)
+        matrix = scipy.sparse.csr_matrix((v, (r, c)), shape=(rows, cols))
+        expected = np.max(np.abs(matrix @ fld))
+        assert abs(red.constraint_residual(cs, fld) - expected) <= 1e-12
+
+    def test_field_shape_and_order_do_not_matter(self):
+        inst, _ = lc.generate_planted(8, 3, 6, 3, 2, seed=0)
+        cs = red.build_constraints(inst)
+        rng = np.random.default_rng(1)
+        fld = rng.normal(size=(8, 6)) + 1j * rng.normal(size=(8, 6))
+        expected = np.max(np.abs(cs.matrix @ fld.reshape(-1)))
+        for form in (fld, fld.reshape(-1), np.asfortranarray(fld)):
+            assert abs(red.constraint_residual(cs, form) - expected) <= 1e-12
+
+
 class TestSubspaceBasis:
     def test_single_edge_dimension_three(self):
         cs = red.build_constraints(single_edge_constant_projection())
@@ -63,8 +106,7 @@ class TestSubspaceBasis:
 
     def test_zero_row_system_full_space(self):
         inst = single_edge_constant_projection()
-        cs = red.build_constraints(inst)
-        cs.matrix = cs.matrix[:0]
+        cs = constraint_system(red.build_constraints(inst).matrix[:0])
         basis = red.subspace_basis(cs)
         assert basis.dim == 4
 
@@ -430,7 +472,7 @@ class TestSubspaceBasisIsCanonical:
         inst = make_instance(*params)
         cs = red.build_constraints(inst)
         scale = np.random.default_rng(8).uniform(0.5, 2.0, size=cs.matrix.shape[0])
-        scaled = red.ConstraintSystem(matrix=scipy.sparse.diags(scale) @ cs.matrix)
+        scaled = constraint_system(scipy.sparse.diags(scale) @ cs.matrix)
         rng = np.random.default_rng(10)
         shape = (inst.num_vertices, inst.n)
         fld = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -444,7 +486,7 @@ def near_rank_deficient_system(s):
     so the second singular value is about s/2."""
     matrix = scipy.sparse.csr_matrix(np.array([[1.0, 1.0, -1.0, -1.0],
                                                [1.0, 1.0, -1.0, -1.0 + s]]))
-    return red.ConstraintSystem(matrix=matrix)
+    return constraint_system(matrix)
 
 
 class TestRankGapGuard:
@@ -674,13 +716,12 @@ class TestClassImages:
         np.testing.assert_array_equal(members[picked], np.where(family.parity, 1j, 1))
         blocks = reference.reshape(n, 4**n, side, 4**n, side)[:, picked][:, :, :, picked]
         op = red.clifford_backend(n).little_op()
-        np.testing.assert_array_equal(op.f.toarray().reshape(op.n, op.d, op.d),
-                                      blocks.reshape(n, len(picked) * side, -1))
+        np.testing.assert_array_equal(image_stack(op), blocks.reshape(n, len(picked) * side, -1))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_exhaustive_entries_are_exact_units(self, n):
         op = red.clifford_backend(n).little_op()
-        images = op.f.toarray().reshape(op.n, op.d, op.d)
+        images = image_stack(op)
         nonzero = images[images != 0]
         # every generator has one nonzero per row
         assert nonzero.size == n * images.shape[1]
@@ -688,16 +729,19 @@ class TestClassImages:
 
     def test_lifted_optimum_matches_member_lift(self, dense_generators):
         _, reference = member_images(2, dense_generators)
+        flat = reference.reshape(len(reference), -1)
+        rows, cols = np.nonzero(flat)
         values = [solvers.ncg_opt_lower_bound(solvers.lift_little_to_big(op), restarts=4,
                                               seed=0).value
                   for op in (red.clifford_backend(2).little_op(),
-                             solvers.LittleOperator(reference.reshape(len(reference), -1)))]
+                             solvers.LittleOperator(len(flat), reference.shape[1], rows, cols,
+                                                    flat[rows, cols]))]
         assert values == pytest.approx([1.0, 1.0], abs=1e-9)
 
 
 def kron_factor(backend, dense_generators):
-    """Reference F of a backend's little_op, from the dense image stack
-    kron(diag(c_i over rows c), G_i) that little_op once built."""
+    """Reference (n, d^2) images of a backend's little_op, from the dense image
+    stack kron(diag(c_i over rows c), G_i) that little_op once built."""
     n = backend.n
     if backend.name == "clifford":
         family = backend.kernel
@@ -706,12 +750,13 @@ def kron_factor(backend, dense_generators):
     else:
         diags, blocks = commutative.exhaustive_members(backend.kernel), [np.ones((1, 1))] * n
     images = np.stack([np.kron(np.diag(diags[:, i]), blocks[i]) for i in range(n)])
-    return scipy.sparse.csr_matrix(images.reshape(n, -1).astype(np.complex128))
+    return images.reshape(n, -1).astype(np.complex128)
 
 
 class TestLittleOpFactor:
-    """little_op builds F's CSR arrays from the generators' one nonzero per
-    row, with the same arrays, to the bit, as the dense kron construction."""
+    """little_op writes F's entries from the generators' one nonzero per
+    row: the nonzeros of the dense kron construction, in its row-major order
+    and to the bit."""
 
     @pytest.mark.parametrize("name, n, kwargs", [
         *[(name, n, {}) for name in sorted(red.BACKEND_BUILDERS) for n in (1, 2, 3)],
@@ -720,11 +765,12 @@ class TestLittleOpFactor:
     ])
     def test_f_matches_the_kron_construction(self, name, n, kwargs, dense_generators):
         backend = red.BACKEND_BUILDERS[name](n, **kwargs)
-        f, reference = backend.little_op().f, kron_factor(backend, dense_generators)
-        np.testing.assert_array_equal(f.indptr, reference.indptr)
-        np.testing.assert_array_equal(f.indices, reference.indices)
-        assert f.data.dtype == reference.data.dtype == np.complex128
-        assert f.data.tobytes() == reference.data.tobytes()
+        op, reference = backend.little_op(), kron_factor(backend, dense_generators)
+        rows, cols = np.nonzero(reference)
+        np.testing.assert_array_equal(op.rows, rows)
+        np.testing.assert_array_equal(op.cols, cols)
+        assert op.values.dtype == reference.dtype == np.complex128
+        assert op.values.tobytes() == reference[rows, cols].tobytes()
 
 
 class TestBackendNorm:
@@ -966,7 +1012,7 @@ class TestOperatorNormLowerBound:
     def test_trivial_subspace_degenerate(self):
         # a full-column-rank system: only the zero field satisfies it
         inst = identity_projection_instance(num_vertices=4, n=2)
-        cs = red.ConstraintSystem(matrix=scipy.sparse.csr_matrix(np.eye(8) + np.eye(8, k=1)))
+        cs = constraint_system(np.eye(8) + np.eye(8, k=1))
         basis = red.subspace_basis(cs)
         assert basis.dim == 0
         np.testing.assert_allclose(basis.project(np.ones((4, 2))), 0.0, rtol=0, atol=1e-14)

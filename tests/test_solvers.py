@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 from unittest import mock
 
 import numpy as np
@@ -33,22 +32,35 @@ def svd_polar(m):
     return u @ vh
 
 
+def tensor_matrix(tensor):
+    """A tensor's entries as a (d^2 x d^2) CSR matrix with rows i*d+j and
+    columns k*d+l, so T(A, B) = vec(A)^T T conj(vec(B))."""
+    d, (i, j, k, l) = tensor.d, tensor.indices.T
+    return scipy.sparse.csr_matrix((tensor.coeffs, (i * d + j, k * d + l)), shape=(d * d, d * d))
+
+
 def evaluate_bilinear(tensor, a_mat, b_mat):
     """Reference sparse contraction sum T_{ijkl} A_{ij} conj(B_{kl})."""
     a_mat = np.asarray(a_mat, dtype=np.complex128)
     b_mat = np.asarray(b_mat, dtype=np.complex128)
-    return complex(a_mat.reshape(-1) @ (tensor.matrix @ b_mat.conj().reshape(-1)))
+    return complex(a_mat.reshape(-1) @ (tensor_matrix(tensor) @ b_mat.conj().reshape(-1)))
 
 
 def little_operator(images):
-    """The little operator with the given (n, d, d) image stack."""
-    images = np.asarray(images)
-    return solvers.LittleOperator(images.reshape(len(images), -1))
+    """The little operator with the given (n, d, d) image stack, held as its
+    nonzero entries."""
+    images = np.asarray(images, dtype=np.complex128)
+    n, d, _ = images.shape
+    flat = images.reshape(n, -1)
+    rows, cols = np.nonzero(flat)
+    return solvers.LittleOperator(n, d, rows, cols, flat[rows, cols])
 
 
 def images_of(op):
-    """A little operator's (n, d, d) dense image stack."""
-    return op.f.toarray().reshape(op.n, op.d, op.d)
+    """A little operator's (n, d, d) dense image stack, repeated entries summed."""
+    images = np.zeros((op.n, op.d * op.d), dtype=np.complex128)
+    np.add.at(images, (op.rows, op.cols), op.values)
+    return images.reshape(op.n, op.d, op.d)
 
 
 def duality_gap(op, a, a_mat):
@@ -61,19 +73,27 @@ def duality_gap(op, a, a_mat):
 
 
 class TestLittleOperator:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            little_operator(np.zeros((2, 2, 3)))
+    @pytest.mark.parametrize("n, d, rows, cols, values, match", [
+        (2, 0, [], [], [], "not n=2, d=0"),
+        (-1, 2, [], [], [], "not n=-1, d=2"),
+        (2, 2, [0, 1], [0], [1, 1], "differ in length"),
+        (2, 2, [2], [0], [1], "outside the 2 images or their 2\\^2 positions"),
+        (2, 2, [0], [4], [1], "outside the 2 images"),
+        (2, 2, [0], [-1], [1], "outside the 2 images"),
+        (2, 2, [0.5], [0], [1], "rows must hold integers, not 0.5"),
+    ])
+    def test_validation(self, n, d, rows, cols, values, match):
+        with pytest.raises(ValueError, match=match):
+            solvers.LittleOperator(n, d, rows, cols, values)
 
-    def test_column_count_must_be_a_square(self):
-        for cols in range(40):
-            d = math.isqrt(cols)
-            if cols and d * d == cols:
-                assert solvers.LittleOperator(scipy.sparse.csr_matrix((2, cols))).d == d
-            else:
-                with pytest.raises(ValueError, match=f"^f has {cols} columns, not d\\^2 "
-                                                     f"for any d >= 1$"):
-                    solvers.LittleOperator(scipy.sparse.csr_matrix((2, cols)))
+    def test_repeated_positions_add_up(self):
+        op = solvers.LittleOperator(2, 2, rows=[0, 0, 1], cols=[3, 3, 1], values=[1, 2j, 5])
+        np.testing.assert_array_equal(op.apply([1, 0]), [[0, 0], [0, 1 + 2j]])
+        np.testing.assert_array_equal(solvers.adjoint_apply(op, np.eye(2)), [(1 - 2j) / 2, 0])
+        summed = solvers.LittleOperator(2, 2, rows=[0, 1], cols=[3, 1], values=[1 + 2j, 5])
+        lifted, want = solvers.lift_little_to_big(op), solvers.lift_little_to_big(summed)
+        np.testing.assert_array_equal(lifted.indices, want.indices)
+        np.testing.assert_array_equal(lifted.coeffs, want.coeffs)
 
     def test_apply_is_linear_combination(self):
         rng = np.random.default_rng(0)
@@ -139,6 +159,18 @@ class TestAdjoint:
             solvers.adjoint_apply(op, np.zeros((3, 3)))
 
 
+def overlapping_images():
+    """Three d=3 images in two support groups, {0, 1, 4} (images 0 and 2)
+    and {1, 4, 8} (image 1), sharing the positions 1 and 4. The groups' terms
+    at (1, 4) and (4, 1) cancel, so the merge must drop them; Gaussian-integer
+    entries keep every sum exact in any order."""
+    images = np.zeros((3, 9), dtype=complex)
+    images[0, [0, 1, 4]] = [1, 1j, -1]
+    images[1, [1, 4, 8]] = [1, 1, 2]
+    images[2, [0, 1, 4]] = [1j, -1, 1 + 1j]
+    return images.reshape(3, 3, 3)
+
+
 class TestLift:
     def test_rank_one_from_pauli_x(self):
         op = little_operator(PAULI_X[None])
@@ -197,22 +229,22 @@ class TestLift:
             solvers.lift_little_to_big(op)
 
     def test_cap_sums_in_int64(self):
-        # one image with 2^16 nonzeros: its squared count 2^32 wraps to 0 in
-        # the int32 of a small CSR matrix's indptr
-        op = solvers.LittleOperator(np.ones((1, 2**16)))
-        assert op.f.indptr.dtype == np.int32
+        # one image with 2^16 nonzeros: its squared count 2^32 would wrap to 0
+        # in int32
+        op = solvers.LittleOperator(1, 256, np.zeros(2**16), np.arange(2**16), np.ones(2**16))
         with pytest.raises(ValueError, match=r"= 4294967296 exceeds cap 4194304$"):
             solvers.lift_little_to_big(op)
 
     @pytest.mark.parametrize("make", [
         lambda: little_operator(random_complex(np.random.default_rng(14), 2, 3, 3)),
+        lambda: little_operator(overlapping_images()),
         lambda: BACKEND_BUILDERS["comm_real"](1).little_op(),
         lambda: BACKEND_BUILDERS["comm_real"](2).little_op(),
         lambda: BACKEND_BUILDERS["comm_complex"](1).little_op(),
         lambda: BACKEND_BUILDERS["comm_complex"](2).little_op(),
         lambda: BACKEND_BUILDERS["clifford"](1).little_op(),
         lambda: BACKEND_BUILDERS["clifford"](2).little_op(),
-    ], ids=["random n=2 d=3", "comm_real n=1", "comm_real n=2", "comm_complex n=1",
+    ], ids=["random n=2 d=3", "overlapping supports d=3", "comm_real n=1", "comm_real n=2", "comm_complex n=1",
             "comm_complex n=2", "clifford n=1", "clifford n=2"])
     def test_sparse_lift_matches_dense_formula(self, make):
         op = make()
@@ -222,6 +254,28 @@ class TestLift:
         tensor = solvers.lift_little_to_big(op)
         np.testing.assert_array_equal(tensor.indices, nz)
         np.testing.assert_array_equal(tensor.coeffs, dense[tuple(nz.T)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5), d=st.integers(1, 4))
+    def test_grouped_lift_matches_dense_formula_property(self, data, n, d):
+        # supports drawn from a few patterns, so images share whole supports,
+        # parts of them or none; Gaussian-integer entries keep every sum exact
+        patterns = data.draw(st.lists(st.sets(st.integers(0, d * d - 1), min_size=1),
+                                      min_size=1, max_size=3))
+        unit = st.integers(-2, 2)
+        images = np.zeros((n, d * d), dtype=complex)
+        for m in range(n):
+            support = sorted(data.draw(st.sampled_from(patterns)))
+            for position in support:
+                images[m, position] = complex(data.draw(unit), data.draw(unit))
+        images = images.reshape(n, d, d)
+        dense = np.einsum("mij,mkl->ijkl", images.conj(), images) / d**2
+        nz = np.argwhere(dense != 0)
+        tensor = solvers.lift_little_to_big(little_operator(images))
+        np.testing.assert_array_equal(tensor.indices, nz)
+        np.testing.assert_array_equal(tensor.coeffs, dense[tuple(nz.T)])
+        assert not np.any(np.signbit(tensor.coeffs.real) & (tensor.coeffs.real == 0))
+        assert not np.any(np.signbit(tensor.coeffs.imag) & (tensor.coeffs.imag == 0))
 
     def test_clifford_n3_lift(self):
         op = BACKEND_BUILDERS["clifford"](3).little_op()
@@ -304,15 +358,18 @@ class TestEvaluateBilinear:
         with pytest.raises(ValueError, match="coeffs must be finite"):
             solvers.NcgTensor(d=2, indices=[[0, 0, 0, 0], [1, 1, 1, 1]], coeffs=[1, bad])
 
-    def test_matrix_holds_entries_at_flattened_positions(self):
-        rng = np.random.default_rng(16)
-        d = 3
-        idx = np.unique(rng.integers(0, d, size=(10, 4)), axis=0)
-        coeffs = random_complex(rng, len(idx))
-        tensor = solvers.NcgTensor(d=d, indices=idx, coeffs=coeffs)
-        dense = np.zeros((d, d, d, d), dtype=complex)
-        dense[tuple(idx.T)] = coeffs
-        np.testing.assert_array_equal(tensor.matrix.toarray(), dense.reshape(d * d, d * d))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 3))
+    def test_duplicates_refused_in_any_order(self, data, d):
+        index = st.integers(0, d - 1)
+        quads = data.draw(st.lists(st.tuples(index, index, index, index), max_size=12))
+        if len(set(quads)) < len(quads):
+            with pytest.raises(ValueError, match="duplicate index quadruples"):
+                solvers.NcgTensor(d=d, indices=np.array(quads).reshape(-1, 4),
+                                  coeffs=np.ones(len(quads)))
+        else:
+            solvers.NcgTensor(d=d, indices=np.array(quads).reshape(-1, 4),
+                              coeffs=np.ones(len(quads)))
 
     def test_tensor_from_matrix_support(self):
         m = np.array([[1.0, 0.0], [2.0, -3.0]])
@@ -413,7 +470,8 @@ def dense_reference(tensor, *, restarts=DEFAULT_RESTARTS, iters=DEFAULT_ITERS,
     unitaries, every polar step an SVD of the whole d x d matrix: the loop the
     block solver replaced, kept as its reference. Each restart draws its own
     slice of normals and starts from their block-Haar unitaries made dense."""
-    d, t_mat, t_transposed = tensor.d, tensor.matrix, tensor.matrix.T
+    d, t_mat = tensor.d, tensor_matrix(tensor)
+    t_transposed = t_mat.T
     blocks = solvers._tensor_blocks(tensor)
     rng = np.random.default_rng(seed)
     best = None
@@ -652,12 +710,45 @@ class TestDenseRestrictedTensor:
         tensor = solvers.lift_little_to_big(cached_little_op(backend, n))
         blocks = solvers._tensor_blocks(tensor)
         held = solvers._restricted(tensor, blocks)
-        nnz = tensor.matrix[blocks.coords][:, blocks.coords].nnz
+        nnz = tensor_matrix(tensor)[blocks.coords][:, blocks.coords].nnz
         assert (blocks.size**2 <= 1.25 * nnz) == dense
         assert isinstance(held, np.ndarray) == dense
         assert scipy.sparse.issparse(held) != dense
         # never more memory than CSR's 16 B value and 4 B column index per nonzero
         assert (held.nbytes if dense else held.data.nbytes + held.indices.nbytes) <= 20 * nnz
+
+
+class TestRestrictedMatchesSlicing:
+    """_restricted against the dense slice of T at the block coordinates, in
+    each branch; the CSR branch must also keep the row order of the slice of
+    T's full CSR matrix, so that products with it carry the same bits."""
+
+    @pytest.mark.parametrize("make, dense", [
+        (lambda: solvers.lift_little_to_big(cached_little_op("comm_complex", 3)), True),
+        (lambda: solvers.tensor_from_matrix(
+            random_complex(np.random.default_rng(25), 6, 6)), True),
+        (lambda: solvers.lift_little_to_big(cached_little_op("clifford", 3)), False),
+        (lambda: solvers.lift_little_to_big(cached_little_op("comm_real", 2)), False),
+        # entries in block order, not lexicographic; with every block pair
+        # the restriction is full
+        (lambda: planted_block_tensor(np.random.default_rng(26), (1, 2, 2, 3), 0.0)[0], False),
+        (lambda: planted_block_tensor(np.random.default_rng(26), (1, 2, 2, 3), 1.0)[0], True),
+    ], ids=["comm_complex n=3", "tensor_from_matrix", "clifford n=3", "comm_real n=2",
+            "planted blocks", "planted full"])
+    def test_matches_dense_slicing(self, make, dense):
+        tensor = make()
+        blocks = solvers._tensor_blocks(tensor)
+        held = solvers._restricted(tensor, blocks)
+        full = tensor_matrix(tensor)
+        sliced = full[blocks.coords][:, blocks.coords]
+        assert isinstance(held, np.ndarray) == dense
+        np.testing.assert_array_equal(held if dense else held.toarray(), sliced.toarray())
+        if not dense:
+            np.testing.assert_array_equal(held.indptr, sliced.indptr)
+            np.testing.assert_array_equal(held.indices, sliced.indices)
+            assert held.data.tobytes() == sliced.data.tobytes()
+            x = random_complex(np.random.default_rng(27), blocks.size, 3)
+            assert (held @ x).tobytes() == (sliced @ x).tobytes()
 
 
 def union_find_blocks(d, quads):
